@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.aos.cost_accounting import APP
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import CompiledMethod, InlineNode
 from repro.jvm.costs import CostModel, DEFAULT_COSTS
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine
-from repro.jvm.program import (Arg, Const, Local, Loop, Return, StaticCall,
-                               Work)
+from repro.jvm.program import (Arg, Const, If, Local, Loop, Lt, Return,
+                               StaticCall, Work)
 from repro.policies import make_policy
 from repro.workloads.builder import ProgramBuilder
 
@@ -104,6 +105,64 @@ class TestOSR:
         # the loop may ask for OSR again.
         machine.run()
         assert requests == ["Main.main", "Main.main"]
+
+    def test_nested_loop_switches_tier_for_its_own_list_only(self):
+        # The OSR-ing loop sits inside an If inside an outer Loop.  Once
+        # it transfers, its remaining iterations and the statements after
+        # it in the If's list run at the optimized tier; the outer loop's
+        # list (and the method body) stay at the baseline tier, so every
+        # outer iteration re-enters the inner loop at baseline and
+        # transfers again at its first poll point.
+        costs = DEFAULT_COSTS.replace(osr_backedge_threshold=8,
+                                      osr_poll_period=4)
+        b = ProgramBuilder("osr-nested")
+        b.cls("Main")
+        b.static_method("Main", "main", [
+            Work(1),
+            Loop(Const(3), 0, [
+                If(Lt(Local(0), Const(3)), [
+                    Loop(Const(20), 1, [Work(2)]),
+                    Work(5),
+                ]),
+                Work(3),
+            ]),
+            Work(11),
+            Return(Local(0)),
+        ], locals_=4)
+        b.entry("Main.main")
+        program = b.build()
+        machine = Machine(program, ClassHierarchy(program),
+                          CodeCache(costs), costs)
+        root = program.method("Main.main")
+
+        def install(method_id):
+            machine.code_cache.install(CompiledMethod(
+                InlineNode(root), inlined_bytecodes=root.bytecodes,
+                code_bytes=64, compile_cycles=100, version=1))
+
+        machine.osr_handler = install
+        assert machine.run() == 2
+        # First outer iteration: 8 baseline iterations reach the
+        # threshold, the request installs code, and the loop transfers.
+        # Later outer iterations find the code at the first poll (4).
+        baseline_inner, opt_inner = 8 + 4 + 4, 12 + 16 + 16
+        base, opt = costs.baseline_exec_mult, costs.opt_exec_mult
+        expected = (1 * base                      # method body, before
+                    + baseline_inner * 2 * base   # inner loop at baseline
+                    + opt_inner * 2 * opt         # inner loop after OSR
+                    + 3 * 5 * opt                 # rest of the If's list
+                    + 3 * 3 * base                # outer loop's own list
+                    + 11 * base)                  # method body, after
+        assert machine.accounting.cycles[APP] == pytest.approx(expected)
+        assert machine.stats.osr_transfers == 3
+        # Each loop reads the method's counter on entry and writes entry
+        # value + its own trip count on exit, so the outer loop's exit
+        # (0 + 3) overwrites the inner loops' 60.
+        assert machine.backedge_counts == {"Main.main": 3}
+        assert machine.stats.work_cycles == 1 + 60 * 2 + 15 + 9 + 11
+        # Exact floats, as the tree-walking interpreter computed them.
+        assert repr(machine.clock) == "296.8"
+        assert repr(machine.accounting.cycles[APP]) == "240.79999999999998"
 
     def test_counts_accumulate_across_loop_executions(self):
         # A method whose loop runs multiple times accumulates back edges
