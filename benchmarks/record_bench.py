@@ -1,26 +1,28 @@
-"""Record the checked-in perf baselines.
+"""Record the checked-in simulated-cycle baselines.
 
-Two baselines live here, both fixed-seed and simulated-cycle-exact so
-they only move when the system's behaviour moves:
+Every baseline is fixed-seed and simulated-cycle-exact, so it only moves
+when the system's behaviour moves.  :data:`BASELINES` is the whole
+definition: one row per file, naming its schema, its configuration and
+the function that measures one benchmark's row.
 
 * ``BENCH_fleet_baseline.json`` -- the deterministic fleet experiment
   (founder fleet -> warm and cold late joiners): cycles to the first
   stable inline rule and to steady state, cold vs warm-started.
 * ``BENCH_speculation_baseline.json`` -- guard-cycle numbers with the
   speculation pass off vs on (guard tests/misses, elided entries) plus
-  the elision-replay verdict, on the benchmarks where elision fires
-  (jess) and where the analysis soundly refuses it (db).
+  the elision-replay verdict, on the benchmark where elision fires
+  (jess) and the one where the analysis soundly refuses it (db).
 * ``BENCH_deopt_baseline.json`` -- guard-vs-planned deopt strategy
   numbers (guard tests eliminated, deopt entries/exits taken, total
   cycles) plus the OSR live-state replay verdict, on the exit-heavy
-  benchmark (mtrt) and a planning control (jess).
+  benchmark (mtrt) and the headline win (compress).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/record_bench.py          # rewrite
     PYTHONPATH=src python benchmarks/record_bench.py --check  # CI drift gate
 
-``--check`` re-measures and exits non-zero if a committed baseline no
+``--check`` re-measures and exits non-zero if any committed baseline no
 longer matches (same contract as the golden decision log).
 """
 
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, Dict, NamedTuple, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -41,130 +44,95 @@ from repro.jvm.costs import DEFAULT_COSTS  # noqa: E402
 from repro.policies import make_policy  # noqa: E402
 from repro.workloads.spec import build_benchmark  # noqa: E402
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
-                             "BENCH_fleet_baseline.json")
-SPEC_BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
-                                  "BENCH_speculation_baseline.json")
-DEOPT_BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
-                                   "BENCH_deopt_baseline.json")
-
-#: The tracked configuration: small enough to re-measure in CI, big
-#: enough that warm starts have something to eliminate.
-BENCHMARKS = ("jess", "db", "javac")
-INSTANCES = 3
-SCALE = 0.1
-
-#: Speculation baseline: jess is the headline elision win; db is the
-#: sound-refusal control (its guarded site keeps a live fallthrough, so
-#: elision must leave it untouched).  0.3 is the smallest scale at which
-#: jess compiles its guarded sites.
-SPEC_BENCHMARKS = ("jess", "db")
-SPEC_SCALE = 0.3
-
-#: Deopt baseline: compress is the headline win -- its guards almost
-#: always hit, so trading them for never-taken cheap exits cuts both
-#: guard tests and total cycles; mtrt's dispatched sites miss often, so
-#: it exercises the live-state-mapped exit path itself (guard cycles
-#: eliminated, exits paid).
-DEOPT_BENCHMARKS = ("compress", "mtrt")
-DEOPT_SCALE = 0.1
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def measure() -> dict:
-    rows = {}
-    for name in BENCHMARKS:
-        report = benchmark_report(name, instances=INSTANCES, scale=SCALE,
-                                  jobs=1)
-        elimination = report["cold_start_elimination"]
-        rows[name] = {
-            "first_rule_clock_cold": elimination["first_rule_clock_cold"],
-            "first_rule_clock_warm": elimination["first_rule_clock_warm"],
-            "steady_state_cold": elimination["steady_state_cold"],
-            "steady_state_warm": elimination["steady_state_warm"],
-            "total_cycles_cold": elimination["total_cycles_cold"],
-            "total_cycles_warm": elimination["total_cycles_warm"],
-            "fleet_warm_decisions": report["warm"]["fleet_warm_decisions"],
-            "warm_rules": report["warm_profile"]["rules"],
-        }
-    return {
-        "schema": "repro.bench-fleet/v1",
-        "config": {"benchmarks": list(BENCHMARKS),
-                   "instances": INSTANCES, "scale": SCALE,
-                   "family": "fixed", "depth": 2},
-        "benchmarks": rows,
+class Baseline(NamedTuple):
+    """One checked-in baseline file."""
+
+    path: str
+    schema: str
+    #: Written to the file verbatim; ``benchmarks`` and ``scale`` (plus
+    #: anything the row function reads) drive the measurement.
+    config: dict
+    #: ``(benchmark, config) -> row`` of numbers for that benchmark.
+    row: Callable[[str, dict], dict]
+
+
+def fleet_row(name: str, config: dict) -> dict:
+    report = benchmark_report(name, instances=config["instances"],
+                              scale=config["scale"], jobs=1)
+    elimination = report["cold_start_elimination"]
+    row = {key: elimination[key] for key in (
+        "first_rule_clock_cold", "first_rule_clock_warm",
+        "steady_state_cold", "steady_state_warm",
+        "total_cycles_cold", "total_cycles_warm")}
+    row["fleet_warm_decisions"] = report["warm"]["fleet_warm_decisions"]
+    row["warm_rules"] = report["warm_profile"]["rules"]
+    return row
+
+
+def variants_row(variants: Dict[str, dict], fields: Sequence[str],
+                 replay: Callable) -> Callable[[str, dict], dict]:
+    """Run each labelled cost-model variant, record ``fields`` of its
+    result as ``<field>_<label>``, then the soundness replay's verdict."""
+    def row(name: str, config: dict) -> dict:
+        out = {}
+        for label, overrides in variants.items():
+            costs = DEFAULT_COSTS.replace(**overrides)
+            built = build_benchmark(name, scale=config["scale"])
+            result = AdaptiveRuntime(
+                built.program, make_policy(config["family"], costs=costs),
+                costs=costs).run()
+            for field in fields:
+                out[f"{field}_{label}"] = getattr(result, field)
+        out["replay_ok"] = replay(
+            build_benchmark(name, scale=config["scale"]).program).ok
+        return out
+    return row
+
+
+BASELINES = (
+    # Small enough to re-measure in CI, big enough that warm starts have
+    # something to eliminate.
+    Baseline("BENCH_fleet_baseline.json", "repro.bench-fleet/v1",
+             {"benchmarks": ["jess", "db", "javac"], "instances": 3,
+              "scale": 0.1, "family": "fixed", "depth": 2},
+             fleet_row),
+    # jess is the headline elision win; db is the sound-refusal control
+    # (its guarded site keeps a live fallthrough).  0.3 is the smallest
+    # scale at which jess compiles its guarded sites.
+    Baseline("BENCH_speculation_baseline.json", "repro.bench-speculation/v1",
+             {"benchmarks": ["jess", "db"], "scale": 0.3, "family": "cins"},
+             variants_row({"off": {"speculation_enabled": False},
+                           "on": {"speculation_enabled": True}},
+                          ("guard_tests", "guard_misses", "elided_entries"),
+                          check_elision_soundness)),
+    # compress's guards almost always hit, so trading them for
+    # never-taken cheap exits cuts both guard tests and total cycles;
+    # mtrt's dispatched sites miss often, so it exercises the
+    # live-state-mapped exit path itself.
+    Baseline("BENCH_deopt_baseline.json", "repro.bench-deopt/v1",
+             {"benchmarks": ["compress", "mtrt"], "scale": 0.1,
+              "family": "cins"},
+             variants_row({strategy: {"deopt_planning_enabled": True,
+                                      "deopt_strategy": strategy}
+                           for strategy in ("guard", "planned")},
+                          ("guard_tests", "guard_misses", "deopt_entries",
+                           "deopt_exits", "total_cycles"),
+                          check_osr_soundness)),
+)
+
+
+def measure(baseline: Baseline) -> str:
+    """The baseline file's text as the current code produces it."""
+    payload = {
+        "schema": baseline.schema,
+        "config": baseline.config,
+        "benchmarks": {name: baseline.row(name, baseline.config)
+                       for name in baseline.config["benchmarks"]},
     }
-
-
-def measure_speculation() -> dict:
-    rows = {}
-    for name in SPEC_BENCHMARKS:
-        row = {}
-        for label, enabled in (("off", False), ("on", True)):
-            costs = DEFAULT_COSTS.replace(speculation_enabled=enabled)
-            built = build_benchmark(name, scale=SPEC_SCALE)
-            runtime = AdaptiveRuntime(built.program,
-                                      make_policy("cins", costs=costs),
-                                      costs=costs)
-            result = runtime.run()
-            row[f"guard_tests_{label}"] = result.guard_tests
-            row[f"guard_misses_{label}"] = result.guard_misses
-            row[f"elided_entries_{label}"] = result.elided_entries
-        replay = check_elision_soundness(
-            build_benchmark(name, scale=SPEC_SCALE).program)
-        row["replay_ok"] = replay.ok
-        rows[name] = row
-    return {
-        "schema": "repro.bench-speculation/v1",
-        "config": {"benchmarks": list(SPEC_BENCHMARKS),
-                   "scale": SPEC_SCALE, "family": "cins"},
-        "benchmarks": rows,
-    }
-
-
-def measure_deopt() -> dict:
-    rows = {}
-    for name in DEOPT_BENCHMARKS:
-        row = {}
-        for strategy in ("guard", "planned"):
-            costs = DEFAULT_COSTS.replace(deopt_planning_enabled=True,
-                                          deopt_strategy=strategy)
-            built = build_benchmark(name, scale=DEOPT_SCALE)
-            result = AdaptiveRuntime(built.program,
-                                     make_policy("cins", costs=costs),
-                                     costs=costs).run()
-            label = strategy
-            row[f"guard_tests_{label}"] = result.guard_tests
-            row[f"guard_misses_{label}"] = result.guard_misses
-            row[f"deopt_entries_{label}"] = result.deopt_entries
-            row[f"deopt_exits_{label}"] = result.deopt_exits
-            row[f"total_cycles_{label}"] = result.total_cycles
-        replay = check_osr_soundness(
-            build_benchmark(name, scale=DEOPT_SCALE).program)
-        row["replay_ok"] = replay.ok
-        rows[name] = row
-    return {
-        "schema": "repro.bench-deopt/v1",
-        "config": {"benchmarks": list(DEOPT_BENCHMARKS),
-                   "scale": DEOPT_SCALE, "family": "cins"},
-        "benchmarks": rows,
-    }
-
-
-def _check_one(path: str, payload: str, label: str) -> int:
-    try:
-        with open(path) as handle:
-            committed = handle.read()
-    except FileNotFoundError:
-        print(f"no baseline at {path}; run without --check first",
-              file=sys.stderr)
-        return 1
-    if committed != payload:
-        print(f"{label} baseline drifted; re-record with "
-              "`python benchmarks/record_bench.py` and commit the "
-              "diff if the change is intended", file=sys.stderr)
-        return 1
-    print(f"baseline up to date ({path})")
-    return 0
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
@@ -172,50 +140,35 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="verify the committed baselines instead of "
                              "rewriting them")
-    parser.add_argument("--out", default=BASELINE_PATH)
-    parser.add_argument("--spec-out", default=SPEC_BASELINE_PATH)
-    parser.add_argument("--deopt-out", default=DEOPT_BASELINE_PATH)
     args = parser.parse_args(argv)
 
-    baseline = measure()
-    payload = json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    spec_baseline = measure_speculation()
-    spec_payload = json.dumps(spec_baseline, indent=2, sort_keys=True) + "\n"
-    deopt_baseline = measure_deopt()
-    deopt_payload = json.dumps(deopt_baseline, indent=2, sort_keys=True) + "\n"
-    if args.check:
-        return (_check_one(args.out, payload, "fleet perf")
-                or _check_one(args.spec_out, spec_payload, "speculation")
-                or _check_one(args.deopt_out, deopt_payload, "deopt"))
-
-    with open(args.out, "w") as handle:
-        handle.write(payload)
-    for name, row in baseline["benchmarks"].items():
-        saved = row["first_rule_clock_cold"] - row["first_rule_clock_warm"]
-        print(f"{name}: first rule cold {row['first_rule_clock_cold']:,.0f} "
-              f"-> warm {row['first_rule_clock_warm']:,.0f} "
-              f"(saves {saved:,.0f} cycles)")
-    print(f"baseline -> {args.out}")
-
-    with open(args.spec_out, "w") as handle:
-        handle.write(spec_payload)
-    for name, row in spec_baseline["benchmarks"].items():
-        print(f"{name}: guard tests {row['guard_tests_off']:,} -> "
-              f"{row['guard_tests_on']:,} "
-              f"({row['elided_entries_on']:,} elided entries, replay "
-              f"{'ok' if row['replay_ok'] else 'VIOLATED'})")
-    print(f"speculation baseline -> {args.spec_out}")
-
-    with open(args.deopt_out, "w") as handle:
-        handle.write(deopt_payload)
-    for name, row in deopt_baseline["benchmarks"].items():
-        print(f"{name}: guard tests {row['guard_tests_guard']:,} -> "
-              f"{row['guard_tests_planned']:,} under planned "
-              f"({row['deopt_entries_planned']:,} exit-point entries, "
-              f"{row['deopt_exits_planned']:,} exits taken, replay "
-              f"{'ok' if row['replay_ok'] else 'VIOLATED'})")
-    print(f"deopt baseline -> {args.deopt_out}")
-    return 0
+    drifted = 0
+    for baseline in BASELINES:
+        path = os.path.join(ROOT, baseline.path)
+        text = measure(baseline)
+        if not args.check:
+            with open(path, "w") as handle:
+                handle.write(text)
+            for name, row in json.loads(text)["benchmarks"].items():
+                print(f"{name}: {json.dumps(row, sort_keys=True)}")
+            print(f"baseline -> {baseline.path}")
+            continue
+        try:
+            with open(path) as handle:
+                committed = handle.read()
+        except FileNotFoundError:
+            print(f"no baseline at {baseline.path}; run without --check "
+                  "first", file=sys.stderr)
+            drifted += 1
+            continue
+        if committed != text:
+            print(f"{baseline.path} drifted; re-record with "
+                  "`python benchmarks/record_bench.py` and commit the "
+                  "diff if the change is intended", file=sys.stderr)
+            drifted += 1
+        else:
+            print(f"baseline up to date ({baseline.path})")
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":
