@@ -14,9 +14,8 @@ paper's evaluation depends on:
 * object allocation (``New``/``NewPool``) and pool indexing (``Pick``) so
   receiver-class distributions can be correlated with calling context.
 
-Statement and expression nodes carry an integer ``kind`` tag used by the
-interpreter's dispatch loop; this is measurably faster than ``isinstance``
-chains and keeps the simulation laptop-scale.
+Statement and expression nodes carry an integer ``kind`` tag that the
+interpreter's lowering step and the static analyses switch on.
 """
 
 from __future__ import annotations
