@@ -32,7 +32,7 @@ from repro.jvm.program import (
     Expr, MethodDef, Program, Stmt,
 )
 
-#: Statement kinds the interpreter's dispatch loop understands.
+#: Statement kinds the interpreter's lowering understands.
 KNOWN_STMT_KINDS = frozenset((
     S_WORK, S_LET, S_NEW, S_NEWPOOL, S_STATIC_CALL, S_VIRTUAL_CALL,
     S_IF, S_LOOP, S_RETURN, S_INTERFACE_CALL))
