@@ -3,16 +3,18 @@
 The golden decision log covers one program under one policy.  This pins
 what the interpreter computes across the whole workload suite: the eight
 generated programs at scale 0.05, at seed offsets 0 and 1, each under
-four configurations that between them exercise baseline and optimized
-tiers, inlined bodies, guards, elided guards, cheap-exit deoptimization
-and OSR.  Per run it records the exact total cycles (``repr``), the
-per-component cycles, the return value and every ``MachineStats``
-counter.
+seven configurations that between them exercise baseline and optimized
+tiers, inlined bodies, guards, every guard plan (elided guards,
+cheap-exit deoptimization, the ``planned`` strategy) and OSR.  Per run
+it records the exact total cycles (``repr``), the per-component cycles,
+the return value and every ``MachineStats`` counter.
 
 Any change to how the engine charges or executes shows up here, so a
 rewrite of the interpreter must reproduce the file bit for bit.  The
-``planned`` deopt strategy is left out: it is known to change program
-meaning on some programs, which is a bug of its own.
+pins include runs whose meaning is wrong: :data:`MEANING_DEFECTS` lists
+the ``planned`` cells that compute something other than the stock run,
+and :func:`test_configuration_preserves_program_meaning` keeps them
+visible as strict xfails.
 
 Regenerate after an intentional change to simulated behaviour with::
 
@@ -41,10 +43,16 @@ SEED_OFFSETS = (0, 1)
 #: label -> (policy family, depth, cost-model overrides)
 CONFIGS = {
     "cins": ("cins", 1, {}),
+    "cins+spec": ("cins", 1, {"speculation_enabled": True}),
+    "cins+planned": ("cins", 1, {"deopt_planning_enabled": True,
+                                 "deopt_strategy": "planned"}),
     "fixed:3": ("fixed", 3, {}),
     "hybrid2:4+spec+exit": ("hybrid2", 4, {"speculation_enabled": True,
                                            "deopt_planning_enabled": True,
                                            "deopt_strategy": "osr-exit"}),
+    "hybrid2:4+spec+planned": ("hybrid2", 4, {
+        "speculation_enabled": True, "deopt_planning_enabled": True,
+        "deopt_strategy": "planned"}),
     "static-k:2": ("static-k", 2, {}),
 }
 
@@ -92,6 +100,44 @@ def test_golden_covers_every_run():
     assert sorted(_golden()) == sorted(
         run_key(program, offset, label) for program in PROGRAMS
         for offset in SEED_OFFSETS for label in CONFIGS)
+
+
+#: Runs whose meaning differs from the stock run of the same program: the
+#: ``planned`` strategy elides the guard of a single profile target while
+#: another implementation is already loaded (see ``plan_site``).
+MEANING_DEFECTS = frozenset({
+    "compress#1/cins+planned", "db#1/cins+planned", "javac#0/cins+planned",
+    "compress#0/hybrid2:4+spec+planned", "mtrt#0/hybrid2:4+spec+planned",
+})
+
+
+def _meaning(pinned: dict) -> tuple:
+    """What a run computes, which no inlining or guard plan may change:
+    the return value, source-level invocations, virtual call sites
+    executed and raw work units."""
+    stats = pinned["stats"]
+    return (pinned["return_value"], stats["calls"] + stats["inline_entries"],
+            stats["virtual_calls"], stats["work_cycles"])
+
+
+def _meaning_cells():
+    for program in PROGRAMS:
+        for offset in SEED_OFFSETS:
+            for label in CONFIGS:
+                key = run_key(program, offset, label)
+                marks = (pytest.mark.xfail(strict=True, reason=(
+                    "planned elides a guard another loaded class fails"))
+                    if key in MEANING_DEFECTS else ())
+                yield pytest.param(program, offset, label, marks=marks,
+                                   id=key)
+
+
+@pytest.mark.parametrize("program,offset,label", _meaning_cells())
+def test_configuration_preserves_program_meaning(program, offset, label):
+    golden = _golden()
+    stock = golden[run_key(program, offset, "cins")]
+    assert _meaning(golden[run_key(program, offset, label)]) == \
+        _meaning(stock)
 
 
 @pytest.mark.parametrize("program", PROGRAMS)
