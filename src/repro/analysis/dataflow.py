@@ -685,14 +685,6 @@ class SpeculationAnalysis:
         self._churn = weights
         return weights
 
-    def _breaks_assumption(self, class_name: str, selector: str,
-                           target: MethodDef) -> bool:
-        try:
-            return self._hierarchy.resolve(class_name, selector) \
-                is not target
-        except ExecutionError:
-            return False  # selector not understood: load cannot break it
-
     def _escapes_targets(self, class_name: str, selector: str,
                          target_ids: FrozenSet[str]) -> bool:
         try:
@@ -705,37 +697,15 @@ class SpeculationAnalysis:
                         target: MethodDef) -> Tuple[Tuple[str, ...], float]:
         """Invalidation cone and churn-weighted risk for one assumption.
 
+        The loaded-sole assumption "``selector`` only dispatches into
+        ``target``": the one-target case of :meth:`exhaustive_risk`.
         The *cone* is every declared-but-unloaded, allocatable class
-        whose loading would widen ``loaded_targets(selector)`` past
-        ``target`` -- i.e. would invalidate code compiled against the
-        loaded-sole assumption.  The *risk* is the cone's share of all
-        predicted future class-loading churn, in ``[0, 1]``: 0 when no
-        remaining load can break the assumption, 1 when every remaining
-        load would.
+        whose loading would invalidate code compiled against it; the
+        *risk* is the cone's share of all predicted future
+        class-loading churn, in ``[0, 1]``: 0 when no remaining load can
+        break the assumption, 1 when every remaining load would.
         """
-        key = (self._hierarchy.generation, selector, target.id)
-        cached = self._cone_cache.get(key)
-        if cached is not None:
-            return cached
-        churn = self._allocation_churn()
-        hierarchy = self._hierarchy
-        cone = tuple(sorted(
-            class_name for class_name, weight in churn.items()
-            if weight > 0.0
-            and not hierarchy.is_loaded(class_name)
-            and self._breaks_assumption(class_name, selector, target)))
-        unloaded_weight = sum(
-            weight for class_name, weight in churn.items()
-            if not hierarchy.is_loaded(class_name))
-        if unloaded_weight > 0.0:
-            cone_weight = sum(churn[class_name] for class_name in cone)
-            risk = cone_weight / unloaded_weight
-        else:
-            risk = 0.0
-        if len(self._cone_cache) >= _CONE_CACHE_LIMIT:
-            self._cone_cache.clear()
-        self._cone_cache[key] = (cone, risk)
-        return cone, risk
+        return self.exhaustive_risk(selector, (target,))
 
     # -- the oracle's entry point ------------------------------------------
 
