@@ -27,10 +27,11 @@ and deopt-planner objects only when the cost model opts in):
 * :mod:`repro.analysis.liveness` -- backward live-variable analysis
   deriving per-statement live sets, per-loop OSR live sets, and
   per-call-site exit live sets;
-* :mod:`repro.analysis.deopt` -- the deoptimization planner: combines
-  liveness-derived state-mapping cost with speculation risk and k-CFA
-  context precision to pick a per-site strategy on the
-  ``full-guard < cheap-exit-osr < guard-free`` lattice;
+* :mod:`repro.analysis.deopt` -- the guard planner, the one place that
+  chooses what runs at a guarded site: it owns the run's speculation
+  analysis and combines it with liveness-derived state-mapping cost and
+  k-CFA context precision to pick each site's guard plan (full guard,
+  preexistence, exhaustive last guard or cheap OSR exit);
 * :mod:`repro.analysis.soundness` -- dynamic containment checking
   (every executed dispatch edge must lie in each tier's target set,
   context-conditioned for the k-CFA tiers), the elision-replay check
@@ -54,8 +55,7 @@ from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_GUARD,
                                      PreexistenceAnalysis,
                                      SpeculationAnalysis, SpeculationVerdict,
                                      join_pre, static_speculation_summary)
-from repro.analysis.deopt import (STRATEGY_GUARD, STRATEGY_GUARD_FREE,
-                                  STRATEGY_OSR_EXIT, DeoptPlan, DeoptPlanner)
+from repro.analysis.deopt import DeoptPlanner
 from repro.analysis.kcfa import (ContextSensitiveCallGraph, ContextTargets,
                                  KSite, build_kcfa_graph, extend,
                                  strings_compatible, truncate)
@@ -113,7 +113,6 @@ __all__ = [
     "ContextTargets",
     "DEFAULT_PRECISIONS",
     "DataflowAnalysis",
-    "DeoptPlan",
     "DeoptPlanner",
     "ElisionReport",
     "ElisionViolation",
@@ -132,9 +131,6 @@ __all__ = [
     "PRECISIONS",
     "PreexistenceAnalysis",
     "RTA",
-    "STRATEGY_GUARD",
-    "STRATEGY_GUARD_FREE",
-    "STRATEGY_OSR_EXIT",
     "SiteLatticeRow",
     "SoundnessReport",
     "SoundnessViolation",

@@ -1,82 +1,62 @@
-"""Risk-directed deoptimization planning over the liveness results.
+"""Guard plans: the one place that decides what runs at a guarded site.
 
-A speculative inline has three ways to stay sound, forming the strategy
-lattice of "OSR a la carte" (D'Elia & Demetrescu):
+A speculative inline stays sound in one of the ways that form the
+protection lattice of "OSR a la carte" (D'Elia & Demetrescu), each a
+:class:`~repro.compiler.compiled_method.GuardPlan` kind:
 
 * **full-guard** -- compile the guard chain with an in-code dispatch
   fallback.  Every entry pays guard cycles forever; a miss stays in
   optimized code and pays one dispatch.
-* **cheap-exit-osr** -- compile the site as an extra OSR point (beyond
-  the loop back edges): the fast path pays *no* guard cycles because a
+* **osr-exit** -- compile the site as an extra OSR point (beyond the
+  loop back edges): the fast path pays *no* guard cycles because a
   broken speculation triggers a deoptimization exit that maps the live
   frame state out (``osr_map_out_cost`` per live local, the pruned
   live-state map) and finishes the dispatch at the baseline tier.
-* **guard-free** -- no guard and no exit: only sound when the receiver
-  preexists the activation, so invalidation alone protects every entry
-  (PR-8's preexistence elision).
+* **preexist** -- no guard and no exit: only sound when the receiver
+  preexists the activation, so CHA invalidation alone protects every
+  entry.
+* **exhaustive** -- the last guard of a chain goes: once every earlier
+  guard missed, the chosen targets cover every class that can reach
+  the site.
 
-:class:`DeoptPlanner` picks per site by combining three static inputs:
-the liveness-derived exit cost (how expensive a mapped exit would be
-*here*), the PR-8 speculation risk (whether invalidation-protected
-guard-free entry is safe), and the k-CFA precision lattice (whether the
-compilation context proves the site monomorphic, i.e. exits would never
-be taken).  The decision rule for the ``planned`` strategy dimension:
+(The compiler's dominance pass adds a fifth kind, **dominated**, after
+the fact.)  :meth:`DeoptPlanner.plan_site` picks the kind for every
+guarded site the oracle inlines, under every setting of
+``speculation_enabled``, ``deopt_planning_enabled`` and
+``deopt_strategy``, combining three static inputs: the liveness-derived
+exit cost (how expensive a mapped exit would be *here*), the
+speculation analysis (whether invalidation-protected entry is safe),
+and the k-CFA precision lattice (whether the compilation context proves
+the site monomorphic, i.e. exits would never be taken).
 
-1. the speculation analysis says ``elide`` -> **guard-free**;
-2. the site is context-monomorphic under k-CFA for this compilation
-   context, or the expected per-entry exit cost
-   ``(1 - coverage) * (map-out + baseline-dispatch premium)`` is at or
-   below one guard test -> **cheap-exit-osr**;
-3. otherwise -> **full-guard**.
-
-The ``deopt_strategy`` cost-model dimension selects between ``guard``
-(stock: the planner is never consulted for sites), ``osr-exit`` (every
-guarded site becomes a cheap-exit OSR point) and ``planned`` (the rule
-above).  Everything sits behind ``costs.deopt_planning_enabled``; the
-oracle and compiler receive a planner instance by injection and never
-import this module (the same layering contract as
-:class:`~repro.analysis.dataflow.SpeculationAnalysis`).
+The runtime builds one planner when either flag is on; it owns the
+run's single :class:`~repro.analysis.dataflow.SpeculationAnalysis`.
+The oracle and compiler receive it by injection and never import this
+module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
+from repro.compiler.compiled_method import (FULL_GUARD, PLAN_EXHAUSTIVE,
+                                            PLAN_FULL_GUARD, PLAN_OSR_EXIT,
+                                            PLAN_PREEXIST, GuardPlan)
 from repro.jvm.costs import CostModel, DEFAULT_COSTS, DEOPT_STRATEGIES
 from repro.jvm.errors import ConfigError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import MethodDef, Program, Stmt
+from repro.provenance.reasons import ReasonCode
 
-from repro.analysis.dataflow import ACTION_ELIDE, SpeculationAnalysis
+from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_REFUSE,
+                                     SpeculationAnalysis)
 from repro.analysis.liveness import MethodLiveness, method_liveness
 
-__all__ = [
-    "DeoptPlan", "DeoptPlanner",
-    "STRATEGY_GUARD", "STRATEGY_OSR_EXIT", "STRATEGY_GUARD_FREE",
-]
+__all__ = ["DeoptPlanner"]
 
-#: The per-site strategy lattice (ordered by per-entry cost).
-STRATEGY_GUARD = "full-guard"
-STRATEGY_OSR_EXIT = "cheap-exit-osr"
-STRATEGY_GUARD_FREE = "guard-free"
-
-
-class DeoptPlan:
-    """The planner's verdict for one guarded call site."""
-
-    __slots__ = ("strategy", "live", "exit_cost", "risk", "ctx_mono")
-
-    def __init__(self, strategy: str, live: FrozenSet[int],
-                 exit_cost: float, risk: float, ctx_mono: bool):
-        self.strategy = strategy
-        self.live = live
-        self.exit_cost = exit_cost
-        self.risk = risk
-        self.ctx_mono = ctx_mono
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<DeoptPlan {self.strategy} live={sorted(self.live)} "
-                f"exit={self.exit_cost:.1f} risk={self.risk:.3f}>")
+#: Guard-free entry protected by CHA invalidation of the sole target.
+PREEXIST = GuardPlan(PLAN_PREEXIST,
+                     reason=ReasonCode.GUARD_ELIDED_PREEXIST.value)
 
 
 class DeoptPlanner:
@@ -85,14 +65,15 @@ class DeoptPlanner:
     One instance serves one ``(program, hierarchy)`` pair for the life
     of a run.  Liveness summaries are immutable and cached forever; the
     k-CFA graph is built lazily on the first context query (it depends
-    only on declared code, not on the load state); risk queries delegate
-    to an internal :class:`SpeculationAnalysis` whose caches key on the
-    hierarchy's load generation.
+    only on declared code, not on the load state); speculation queries
+    go to :attr:`speculation`, whose caches key on the hierarchy's load
+    generation.
     """
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  costs: CostModel = DEFAULT_COSTS, k: int = 1):
-        if costs.deopt_strategy not in DEOPT_STRATEGIES:
+        if (costs.deopt_planning_enabled
+                and costs.deopt_strategy not in DEOPT_STRATEGIES):
             raise ConfigError(
                 f"unknown deopt_strategy {costs.deopt_strategy!r}; "
                 f"valid strategies: {', '.join(DEOPT_STRATEGIES)}")
@@ -102,6 +83,12 @@ class DeoptPlanner:
         self._k = k
         self._liveness: Dict[str, MethodLiveness] = {}
         self._kcfa = None
+        #: The strategy in force: ``guard`` whenever planning is off.
+        self._strategy = (costs.deopt_strategy
+                          if costs.deopt_planning_enabled else "guard")
+        #: Whether plans weigh a cheap exit against the guard, so that a
+        #: site's profile coverage is evidence for its plan.
+        self.plans_exits = self._strategy != "guard"
         self.speculation = SpeculationAnalysis(program, hierarchy, costs)
 
     # -- liveness ----------------------------------------------------------
@@ -112,13 +99,6 @@ class DeoptPlanner:
             cached = method_liveness(method)
             self._liveness[method.id] = cached
         return cached
-
-    def liveness_for(self, method_id: str) -> MethodLiveness:
-        return self.liveness(self._program.method(method_id))
-
-    def site_live(self, method: MethodDef, site: int) -> FrozenSet[int]:
-        """Locals live immediately before ``site`` in ``method``."""
-        return self.liveness(method).site_live.get(site, frozenset())
 
     def loop_live_index(self) -> Dict[int, FrozenSet[int]]:
         """``id(loop_stmt) -> live set`` over every method in the program.
@@ -131,6 +111,14 @@ class DeoptPlanner:
         for method in self._program.methods():
             index.update(self.liveness(method).loop_live_by_id)
         return index
+
+    def _exit_live(self, stmt: Stmt,
+                   comp_context: Sequence[Tuple[str, int]]) -> FrozenSet[int]:
+        """Locals live before ``stmt`` in the method enclosing it."""
+        if not comp_context:
+            return frozenset()
+        method = self._program.method(comp_context[0][0])
+        return self.liveness(method).site_live.get(stmt.site, frozenset())
 
     # -- the k-CFA precision input -----------------------------------------
 
@@ -172,43 +160,73 @@ class DeoptPlanner:
                   comp_context: Sequence[Tuple[str, int]],
                   targets: Sequence[MethodDef],
                   coverage: float = 1.0,
-                  interface: bool = False) -> DeoptPlan:
-        """Choose the deopt strategy for one guarded site.
+                  interface: bool = False,
+                  loaded_sole: bool = False) -> Optional[GuardPlan]:
+        """Choose the guard plan for one guarded site, or ``None`` to
+        refuse the inline.
 
         ``comp_context`` is the compiler's inline chain innermost first
         (its head names the method enclosing ``stmt``); ``targets`` are
         the guarded inline candidates; ``coverage`` is the oracle's
         profile-weight coverage of those targets (the static guard-hit
-        estimate).
+        estimate); ``loaded_sole`` says the one target is the selector's
+        sole loaded implementation rather than a profile choice.
+
+        * ``osr-exit``: every site becomes a cheap exit.
+        * ``planned``: a single target the speculation analysis would
+          elide runs guard-free (``preexist``); a site k-CFA proves
+          monomorphic under the context, or whose expected exit cost
+          ``(1 - coverage) * exit_premium`` is at or below one guard
+          test, becomes a cheap exit; any other keeps its guards.
+        * otherwise (planning off, or the ``guard`` strategy) only the
+          speculation analysis, when enabled, removes guards: a
+          loaded-sole bind is refused, elided (``preexist``) or guarded
+          by its risk and receiver; a multi-target chain whose targets
+          cover every class that can reach the site loses its last test
+          (``exhaustive``).
+
+        Known defect: under ``planned`` a *single profile target* takes
+        the loaded-sole rule.  ``speculate()`` assumes its target is the
+        sole loaded implementation -- ``speculate_exhaustive()`` checks
+        ``loaded_targets(selector) <= targets``, this rule does not --
+        so a preexistent receiver of another class that is already
+        loaded enters the wrong body.  The recorded singleton CHA
+        dependency fires only on a *later* class load, so nothing
+        invalidates that code.
         """
-        caller_id = comp_context[0][0] if comp_context else None
-        live = (self.liveness_for(caller_id).site_live.get(
-            stmt.site, frozenset()) if caller_id is not None
-            else frozenset())
-        exit_cost = float(len(live) * self._costs.osr_map_out_cost)
-        if len(targets) == 1:
-            _cone, risk = self.speculation.assumption_risk(
-                stmt.selector, targets[0])
-        else:
-            _cone, risk = self.speculation.exhaustive_risk(
-                stmt.selector, targets)
-        dimension = self._costs.deopt_strategy
-        if dimension == "osr-exit":
-            return DeoptPlan(STRATEGY_OSR_EXIT, live, exit_cost, risk,
-                             ctx_mono=False)
-        # "planned": guard-free when invalidation alone is protection
-        # enough, cheap-exit when exits are predicted never-taken or
-        # cheaper in expectation than the guard chain, full-guard else.
-        if len(targets) == 1:
-            verdict = self.speculation.speculate(stmt, comp_context,
-                                                 targets[0])
+        costs = self._costs
+        if self._strategy == "osr-exit":
+            return GuardPlan(PLAN_OSR_EXIT,
+                             self._exit_live(stmt, comp_context),
+                             reason=ReasonCode.DEOPT_PLANNED_OSR.value)
+        spec = self.speculation
+        if self._strategy == "planned":
+            if len(targets) == 1 and spec.speculate(
+                    stmt, comp_context, targets[0]).action == ACTION_ELIDE:
+                return PREEXIST
+            live = self._exit_live(stmt, comp_context)
+            ctx_mono = self.context_monomorphic(stmt.site, comp_context)
+            expected_exit = ((1.0 - min(max(coverage, 0.0), 1.0))
+                             * self.exit_premium(live, interface))
+            if ctx_mono or expected_exit <= costs.guard_test:
+                return GuardPlan(PLAN_OSR_EXIT, live,
+                                 reason=ReasonCode.DEOPT_PLANNED_OSR.value)
+            return GuardPlan(PLAN_FULL_GUARD,
+                             reason=ReasonCode.DEOPT_PLANNED_GUARD.value)
+        if not costs.speculation_enabled:
+            return FULL_GUARD
+        if loaded_sole:
+            action = spec.speculate(stmt, comp_context, targets[0]).action
+            if action == ACTION_REFUSE:
+                return None
+            return PREEXIST if action == ACTION_ELIDE else FULL_GUARD
+        if len(targets) >= 2:
+            verdict = spec.speculate_exhaustive(stmt, comp_context, targets)
             if verdict.action == ACTION_ELIDE:
-                return DeoptPlan(STRATEGY_GUARD_FREE, live, exit_cost,
-                                 verdict.risk, ctx_mono=False)
-        ctx_mono = self.context_monomorphic(stmt.site, comp_context)
-        expected_exit = ((1.0 - min(max(coverage, 0.0), 1.0))
-                         * self.exit_premium(live, interface))
-        if ctx_mono or expected_exit <= self._costs.guard_test:
-            return DeoptPlan(STRATEGY_OSR_EXIT, live, exit_cost, risk,
-                             ctx_mono)
-        return DeoptPlan(STRATEGY_GUARD, live, exit_cost, risk, ctx_mono)
+                # With a nonempty cone the elision also leans on receiver
+                # preexistence: the target set becomes a CHA dependency.
+                return GuardPlan(
+                    PLAN_EXHAUSTIVE,
+                    reason=(ReasonCode.GUARD_ELIDED_PREEXIST.value
+                            if verdict.cone_size else None))
+        return FULL_GUARD

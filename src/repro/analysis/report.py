@@ -35,6 +35,9 @@ from repro.analysis.soundness import (check_containment,
                                       observe_context_edges,
                                       observe_dispatch_edges)
 from repro.analysis.verifier import verify_program
+from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
+                                            PLAN_FULL_GUARD, PLAN_OSR_EXIT,
+                                            PLAN_PREEXIST)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ConfigError
 from repro.jvm.program import Program
@@ -49,6 +52,16 @@ ANALYZE_PRECISIONS = (CHA, RTA, "0cfa", "kcfa")
 
 #: Default tier selection, matching the pre-lattice report shape.
 DEFAULT_PRECISIONS = (CHA, RTA)
+
+#: The deopt section's published strategy name per guard-plan kind the
+#: ``planned`` strategy installs.  A dominated site was planned with its
+#: guard; the compiler's dominance pass then reused another guard's.
+STRATEGY_NAMES = {
+    PLAN_FULL_GUARD: "full-guard",
+    PLAN_DOMINATED: "full-guard",
+    PLAN_OSR_EXIT: "cheap-exit-osr",
+    PLAN_PREEXIST: "guard-free",
+}
 
 
 def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
@@ -236,9 +249,9 @@ def _deopt_section(program: Program, costs: CostModel,
         for compiled in runtime.code_cache.opt_methods():
             for node in compiled.root.walk():
                 for decision in node.decisions.values():
-                    if decision.deopt is not None:
-                        strategies[decision.deopt] = \
-                            strategies.get(decision.deopt, 0) + 1
+                    if decision.kind == GUARDED:
+                        name = STRATEGY_NAMES[decision.plan.kind]
+                        strategies[name] = strategies.get(name, 0) + 1
         return result, strategies
 
     planned, strategies = run_strategy("planned")

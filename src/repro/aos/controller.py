@@ -60,7 +60,7 @@ class Controller:
                  state: AOSState, code_cache: CodeCache,
                  database: AOSDatabase, costs: CostModel,
                  telemetry=NULL_RECORDER, provenance=NULL_PROVENANCE,
-                 oracle_factory=None, speculation=None, deopt=None):
+                 oracle_factory=None, planner=None):
         self._program = program
         self._hierarchy = hierarchy
         self._state = state
@@ -69,12 +69,10 @@ class Controller:
         self._costs = costs
         self._telemetry = telemetry
         self._provenance = provenance
-        #: Optional speculation analysis handed to every *stock* oracle.
+        #: Optional guard planner handed to every *stock* oracle.
         #: Factory-made oracles (static policies) keep their fixed keyword
         #: contract and never see it.
-        self._speculation = speculation
-        #: Optional deopt planner, same wiring contract as speculation.
-        self._deopt = deopt
+        self._planner = planner
         #: Optional hook replacing the stock :class:`InlineOracle` for
         #: every compilation plan.  Called with the same keyword wiring
         #: the stock oracle receives (refusal/CHA-dependency sinks,
@@ -216,7 +214,7 @@ class Controller:
                 on_refusal=database.record_refusal, dcg=state.dcg,
                 on_cha_dependency=database.record_cha_dependency,
                 telemetry=self._telemetry, provenance=self._provenance,
-                speculation=self._speculation, deopt=self._deopt)
+                planner=self._planner)
         plan = CompilationPlan(
             method_id=method_id,
             oracle=oracle,
@@ -235,10 +233,9 @@ class CompilationThread:
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  code_cache: CodeCache, database: AOSDatabase,
                  costs: CostModel, telemetry=NULL_RECORDER,
-                 provenance=NULL_PROVENANCE, speculation=None):
+                 provenance=NULL_PROVENANCE, planner=None):
         self._compiler = OptCompiler(program, hierarchy, costs,
-                                     telemetry=telemetry,
-                                     speculation=speculation)
+                                     telemetry=telemetry, planner=planner)
         self._program = program
         self._code_cache = code_cache
         self._database = database

@@ -156,28 +156,16 @@ class AdaptiveRuntime:
         self.ai_organizer = AIOrganizer(self.state, costs)
         self.hot_methods_organizer = HotMethodsOrganizer(self.state, costs)
         self.decay_organizer = DecayOrganizer(self.state, costs)
-        # Speculation-risk static analysis (guard elision) is strictly
-        # opt-in via the cost model; the import is local and gated so the
-        # default configuration never touches repro.analysis (layering:
-        # aos may depend on analysis, never the reverse).
-        self.speculation = None
-        if costs.speculation_enabled:
-            from repro.analysis.dataflow import SpeculationAnalysis
-            self.speculation = SpeculationAnalysis(program, self.hierarchy,
-                                                   costs)
-        # Deopt planning (OSR liveness + risk-directed strategy choice)
-        # is gated the same way.  Under the stock "guard" strategy
-        # dimension the planner still supplies the machine's OSR
-        # live-state maps (map-in charging) but the oracle is never
-        # routed through it -- the like-for-like baseline against which
-        # the "osr-exit" and "planned" dimensions are measured.
-        self.deopt = None
-        oracle_deopt = None
-        if costs.deopt_planning_enabled:
+        # Speculation and deopt planning are strictly opt-in via the cost
+        # model.  One planner serves both: it owns the run's speculation
+        # analysis and chooses every guarded site's plan.  The import is
+        # local and gated so the default configuration never touches
+        # repro.analysis (layering: aos may depend on analysis, never
+        # the reverse).
+        self.planner = None
+        if costs.speculation_enabled or costs.deopt_planning_enabled:
             from repro.analysis.deopt import DeoptPlanner
-            self.deopt = DeoptPlanner(program, self.hierarchy, costs)
-            if costs.deopt_strategy != "guard":
-                oracle_deopt = self.deopt
+            self.planner = DeoptPlanner(program, self.hierarchy, costs)
         # A policy may supply its own per-compilation oracle (e.g. the
         # static-oracle baseline) via a ``make_oracle`` hook; the stock
         # policies have none and get the profile-directed InlineOracle.
@@ -187,23 +175,22 @@ class AdaptiveRuntime:
                                      provenance=self.provenance,
                                      oracle_factory=getattr(
                                          policy, "make_oracle", None),
-                                     speculation=self.speculation,
-                                     deopt=oracle_deopt)
+                                     planner=self.planner)
         self.missing_edge_organizer = MissingEdgeOrganizer(
             self.state, self.code_cache, self.database, costs)
         self.compilation_thread = CompilationThread(
             program, self.hierarchy, self.code_cache, self.database, costs,
             telemetry=self.telemetry, provenance=self.provenance,
-            speculation=self.speculation)
+            planner=self.planner)
 
         self.machine = Machine(program, self.hierarchy, self.code_cache,
                                costs, self.accounting, self._tick)
         self.machine.osr_handler = self._osr_request
         self.machine.class_load_handler = self._on_class_load
-        if self.deopt is not None:
+        if costs.deopt_planning_enabled:
             # Loop OSR transfers now charge the liveness-derived map-in
             # cost; keyed by statement identity (shared objects).
-            self.machine.osr_liveness = self.deopt.loop_live_index()
+            self.machine.osr_liveness = self.planner.loop_live_index()
         self.machine.telemetry = self.telemetry
         self.code_cache.telemetry = self.telemetry
         self.code_cache.provenance = self.provenance

@@ -9,11 +9,17 @@ target(s) expanded inline at that site.  The tree doubles as
   which guards to test), and
 * the inline map used to reconstruct source-level stack frames, exactly as
   Jikes RVM's OPT compiler maps do (paper Section 3.3).
+
+A guarded site carries one :class:`GuardPlan` saying what runs there:
+which options keep their guard test and what a miss does.  The oracle
+takes it from the deoptimization planner, the compiler's dominance pass
+may rewrite it, and lowering executes it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.jvm.program import MethodDef
 
@@ -21,18 +27,49 @@ from repro.jvm.program import MethodDef
 DIRECT = "direct"      # statically bound, no guard needed
 GUARDED = "guarded"    # class/method-test guards with virtual fallback
 
-#: Guard-elision kinds (``GuardOption.elided``).
-ELIDE_PREEXIST = "preexist"    # receiver preexists; invalidation protects
-ELIDE_DOMINATED = "dominated"  # a dominating guard's result is reused
-ELIDE_EXHAUSTIVE = "exhaustive"  # earlier guards missing implies this hits
-ELIDE_OSR_EXIT = "osr-exit"    # cheap-exit OSR point; miss deoptimizes
+#: Guard-plan kinds (``GuardPlan.kind``).
+PLAN_FULL_GUARD = "full-guard"  # every option tested; a miss dispatches
+PLAN_PREEXIST = "preexist"      # receiver preexists; invalidation protects
+PLAN_EXHAUSTIVE = "exhaustive"  # earlier guards missing implies the last hits
+PLAN_DOMINATED = "dominated"    # a dominating guard's result is reused
+PLAN_OSR_EXIT = "osr-exit"      # cheap-exit OSR point; a miss deoptimizes
 
-#: Per-site deoptimization strategies (``InlineDecision.deopt``); mirror
-#: the :mod:`repro.analysis.deopt` lattice without importing it (the
-#: compiler layer never depends on the analysis layer).
-DEOPT_FULL_GUARD = "full-guard"
-DEOPT_CHEAP_EXIT = "cheap-exit-osr"
-DEOPT_GUARD_FREE = "guard-free"
+
+class GuardPlan(NamedTuple):
+    """What runs at one guarded site.
+
+    Under :data:`PLAN_FULL_GUARD` every option is entered through its
+    guard test and an all-options miss dispatches in optimized code.
+    The other kinds compile tests out: :data:`PLAN_PREEXIST` enters the
+    sole option unconditionally (CHA invalidation protects it),
+    :data:`PLAN_EXHAUSTIVE` enters the last option unconditionally
+    (the options' acceptance sets cover every class that can reach the
+    site), :data:`PLAN_DOMINATED` reuses the outcome of ``dominator``,
+    a ``(selector, target)`` guard that executed on every path to the
+    site, and :data:`PLAN_OSR_EXIT` tests nothing: an option is entered
+    when the resolved target matches, and a miss deoptimizes, mapping
+    the ``live`` locals out and finishing at the baseline tier.
+
+    ``reason`` is the provenance reason the plan gives its decision, or
+    ``None`` to keep the oracle's own.
+    """
+
+    kind: str
+    live: FrozenSet[int] = frozenset()
+    dominator: Optional[Tuple[str, MethodDef]] = None
+    reason: Optional[str] = None
+
+    def elided(self, index: int, count: int) -> Optional[str]:
+        """The plan kind when option ``index`` of ``count`` runs without
+        its guard test, ``None`` when the test is compiled in."""
+        if self.kind == PLAN_FULL_GUARD or (
+                self.kind == PLAN_EXHAUSTIVE and index != count - 1):
+            return None
+        return self.kind
+
+
+#: The stock plan: every option keeps its test.
+FULL_GUARD = GuardPlan(PLAN_FULL_GUARD)
 
 
 class InlineNode:
@@ -76,75 +113,41 @@ class GuardOption:
     ``guard_class`` is ``None`` for an unguarded (direct) expansion; for
     guarded expansions the interpreter performs a method test: it resolves
     the receiver's dynamic class and compares the result against
-    ``target``.
-
-    ``elided`` marks a guarded option whose test was removed by the
-    speculation pass: :data:`ELIDE_PREEXIST` options enter their inline
-    body unconditionally (CHA invalidation protects them),
-    :data:`ELIDE_EXHAUSTIVE` options (always last in their decision)
-    enter unconditionally because the decision's acceptance sets cover
-    every class that can reach the site, and
-    :data:`ELIDE_DOMINATED` options reuse a dominating guard's result --
-    ``elided_on`` names that guard as a ``(selector, target)`` pair the
-    interpreter re-evaluates at zero guard-test cost, and
-    :data:`ELIDE_OSR_EXIT` options carry no test because the site was
-    compiled as a cheap-exit OSR point: the option enters only when the
-    resolved target matches, and a broken speculation deoptimizes (maps
-    the live state out and finishes at the baseline tier) instead of
-    falling back in optimized code.
+    ``target`` -- unless the site's :class:`GuardPlan` compiles the test
+    out.
     """
 
-    __slots__ = ("target", "node", "guard_class", "elided", "elided_on")
+    __slots__ = ("target", "node", "guard_class")
 
     def __init__(self, target: MethodDef, node: InlineNode,
-                 guard_class: Optional[str] = None,
-                 elided: Optional[str] = None,
-                 elided_on: Optional[Tuple[str, MethodDef]] = None):
+                 guard_class: Optional[str] = None):
         self.target = target
         self.node = node
         self.guard_class = guard_class
-        self.elided = elided
-        self.elided_on = elided_on
-
-    def elide(self, kind: str,
-              on: Optional[Tuple[str, MethodDef]] = None) -> None:
-        """Mark this option's guard as elided (``kind`` names why)."""
-        if kind not in (ELIDE_PREEXIST, ELIDE_DOMINATED, ELIDE_EXHAUSTIVE,
-                        ELIDE_OSR_EXIT):
-            raise ValueError(f"bad elision kind {kind!r}")
-        self.elided = kind
-        self.elided_on = on
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         g = f" guard={self.guard_class}" if self.guard_class else ""
-        e = f" elided={self.elided}" if self.elided else ""
-        return f"<GuardOption {self.target.id}{g}{e}>"
+        return f"<GuardOption {self.target.id}{g}>"
 
 
 class InlineDecision:
     """The outcome for one call site: which targets were expanded inline.
 
-    ``deopt`` names the per-site deoptimization strategy the planner
-    chose (one of the ``DEOPT_*`` constants) or ``None`` when planning
-    was off for this compilation; ``exit_live`` is the statically
-    computed live-local set a cheap-exit deoptimization at this site
-    must map out (always empty unless ``deopt`` is
-    :data:`DEOPT_CHEAP_EXIT`).
+    ``plan`` is the site's :class:`GuardPlan` (:data:`FULL_GUARD` unless
+    given) for a guarded decision and ``None`` for a direct one.
     """
 
-    __slots__ = ("kind", "options", "deopt", "exit_live")
+    __slots__ = ("kind", "options", "plan")
 
     def __init__(self, kind: str, options: Sequence[GuardOption],
-                 deopt: Optional[str] = None,
-                 exit_live: Sequence[int] = ()):
+                 plan: Optional[GuardPlan] = None):
         if kind not in (DIRECT, GUARDED):
             raise ValueError(f"bad decision kind {kind!r}")
         if kind == DIRECT and len(options) != 1:
             raise ValueError("direct decisions have exactly one option")
         self.kind = kind
         self.options = tuple(options)
-        self.deopt = deopt
-        self.exit_live = frozenset(exit_live)
+        self.plan = (plan or FULL_GUARD) if kind == GUARDED else None
 
     @property
     def sole(self) -> GuardOption:
@@ -153,6 +156,16 @@ class InlineDecision:
 
     def targets(self) -> List[str]:
         return [o.target.id for o in self.options]
+
+    def untested(self) -> List[Tuple[GuardOption, str]]:
+        """``(option, plan kind)`` for every guarded option whose test
+        the plan compiles out."""
+        if self.kind != GUARDED:
+            return []
+        count = len(self.options)
+        elided = [(option, self.plan.elided(index, count))
+                  for index, option in enumerate(self.options)]
+        return [(option, kind) for option, kind in elided if kind is not None]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InlineDecision {self.kind} {self.targets()}>"
@@ -202,43 +215,28 @@ class CompiledMethod:
         return sum(1 for _node in self.root.walk())
 
     def guard_count(self) -> int:
-        """Guard tests actually compiled in (elided options emit none)."""
-        guards = 0
-        for node in self.root.walk():
-            for decision in node.decisions.values():
-                if decision.kind == GUARDED:
-                    guards += sum(1 for option in decision.options
-                                  if option.elided is None)
-        return guards
+        """Guard tests actually compiled in (untested options emit none)."""
+        return sum(len(decision.options) - len(decision.untested())
+                   for node in self.root.walk()
+                   for decision in node.decisions.values()
+                   if decision.kind == GUARDED)
 
     def elided_guard_count(self) -> int:
-        """Guarded options whose test the speculation pass removed."""
-        elided = 0
-        for node in self.root.walk():
-            for decision in node.decisions.values():
-                if decision.kind == GUARDED:
-                    elided += sum(1 for option in decision.options
-                                  if option.elided is not None)
-        return elided
+        """Guarded options whose test the site's plan compiles out."""
+        return len(self.elisions())
 
     def elisions(self) -> List[Tuple[str, int, str, str]]:
         """Inline-map records of every elided guard.
 
-        Each entry is ``(caller_id, site, elision_kind, target_id)`` --
-        the same shape as :meth:`inlined_edges` plus the elision kind, so
+        Each entry is ``(caller_id, site, plan_kind, target_id)`` --
+        the same shape as :meth:`inlined_edges` plus the plan kind, so
         stack reconstruction and provenance tooling can see which guards
         were never emitted.
         """
-        records = []
-        for node in self.root.walk():
-            for site, decision in node.decisions.items():
-                if decision.kind != GUARDED:
-                    continue
-                for option in decision.options:
-                    if option.elided is not None:
-                        records.append((node.method.id, site,
-                                        option.elided, option.target.id))
-        return records
+        return [(node.method.id, site, kind, option.target.id)
+                for node in self.root.walk()
+                for site, decision in node.decisions.items()
+                for option, kind in decision.untested()]
 
     def inlined_edges(self) -> List[Tuple[str, int, str]]:
         """All (caller_id, site, callee_id) edges expanded in this code."""

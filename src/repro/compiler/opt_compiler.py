@@ -7,21 +7,20 @@ matching), expands approved callees recursively, and emits a
 :class:`~repro.compiler.compiled_method.CompiledMethod` whose compile time
 and machine-code size scale with the total bytecodes compiled.
 
-When a speculation analysis is attached, two guard-elision mechanisms
-run: preexistent-receiver elisions arrive from the oracle per decision,
-and a dominance post-pass elides guards whose outcome is implied by a
-same-receiver guard that executed on every path to the site.
+Every guarded decision arrives with the :class:`GuardPlan` the oracle's
+planner chose for the site, and the compiler installs it as is.  With
+speculation enabled one post-pass may rewrite a plan: a dominance pass
+elides guards whose outcome is implied by a same-receiver guard that
+executed on every path to the site.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.compiler.compiled_method import (CompiledMethod, DEOPT_CHEAP_EXIT,
-                                            DIRECT, ELIDE_DOMINATED,
-                                            ELIDE_EXHAUSTIVE, ELIDE_OSR_EXIT,
-                                            ELIDE_PREEXIST,
-                                            GUARDED, GuardOption,
+from repro.compiler.compiled_method import (DIRECT, GUARDED, PLAN_DOMINATED,
+                                            PLAN_FULL_GUARD, CompiledMethod,
+                                            GuardOption, GuardPlan,
                                             InlineDecision, InlineNode)
 from repro.compiler.guards import classes_for_target
 from repro.compiler.oracle import InlineOracle
@@ -54,15 +53,14 @@ class OptCompiler:
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  costs: CostModel, telemetry=NULL_RECORDER,
-                 speculation=None):
+                 planner=None):
         self._program = program
         self._hierarchy = hierarchy
         self._costs = costs
         self._telemetry = telemetry
-        #: Optional :class:`repro.analysis.dataflow.SpeculationAnalysis`.
-        #: ``None`` (the default) disables both elision mechanisms and
-        #: reproduces pre-speculation output byte for byte.
-        self._speculation = speculation
+        #: Optional :class:`repro.analysis.deopt.DeoptPlanner`; with
+        #: speculation enabled its analysis feeds the dominance pass.
+        self._planner = planner
 
     def compile(self, method: MethodDef, oracle: InlineOracle,
                 version: int = 1,
@@ -73,7 +71,7 @@ class OptCompiler:
         total_size = [method.bytecodes]
         sites = [0, 0]  # [considered, inlined] across the whole expansion
         self._expand(root, (), total_size, method, oracle, sites)
-        if self._speculation is not None:
+        if self._planner is not None and self._costs.speculation_enabled:
             self._elide_dominated(root)
 
         self._telemetry.count("opt_compiler.compiles")
@@ -102,63 +100,46 @@ class OptCompiler:
             sites[1] += 1
 
             const_args = count_constant_args(stmt.args)
-            if decision.guarded and decision.deopt == DEOPT_CHEAP_EXIT:
-                # Cheap-exit OSR point: no guard test is ever compiled --
-                # every option enters on a resolved-target match, and an
-                # all-options miss deoptimizes through the site's pruned
-                # live-state map instead of dispatching in opt code.
-                elided = ELIDE_OSR_EXIT
-            elif decision.guarded and decision.guard_elided:
-                elided = ELIDE_PREEXIST
-            else:
-                elided = None
             options = []
-            for index, target in enumerate(decision.targets):
+            for target in decision.targets:
                 child = InlineNode(target, depth=node.depth + 1)
                 total_size[0] += estimate_inlined_bytecodes(target, const_args)
-                option_elided = elided
-                if (decision.guard_elided_last and option_elided is None
-                        and index == len(decision.targets) - 1):
-                    option_elided = ELIDE_EXHAUSTIVE
                 options.append(GuardOption(
                     target, child,
-                    guard_class=target.klass if decision.guarded else None,
-                    elided=option_elided))
+                    guard_class=target.klass if decision.guarded else None))
                 self._expand(child, comp_context, total_size, root, oracle,
                              sites)
 
             kind = GUARDED if decision.guarded else DIRECT
-            node.decisions[stmt.site] = InlineDecision(
-                kind, options, deopt=decision.deopt,
-                exit_live=decision.exit_live)
+            node.decisions[stmt.site] = InlineDecision(kind, options,
+                                                       decision.plan)
 
     # -- dominance-based redundant-guard elimination ----------------------------
 
     def _elide_dominated(self, root: InlineNode) -> None:
-        """Elide guards implied by a same-receiver dominating guard.
+        """Rewrite to :data:`PLAN_DOMINATED` the plans of guards implied
+        by a same-receiver dominating guard.
 
         Within each inline-tree body, a single-target guarded site B may
         drop its own test when some other single-target guarded site A
-        (with an un-elided, still-compiled guard) on the *same receiver
-        value* executes on every path to B -- must-availability from the
+        (whose test is still compiled in) on the *same receiver value*
+        executes on every path to B -- must-availability from the
         dataflow pass -- and B's acceptance set contains A's: A's guard
         passing implies B's would too.  The compiled code for B reuses
-        A's already-computed outcome (recorded as ``elided_on``), paying
+        A's already-computed outcome (the plan's ``dominator``), paying
         no guard test; when A's guard missed, B falls through to its
         dispatch fallback exactly as a miss would.
         """
-        spec = self._speculation
+        spec = self._planner.speculation
         for node in root.walk():
             if not node.decisions:
                 continue
             summary = spec.summary(node.method)
             for site in sorted(node.decisions):
                 decision = node.decisions[site]
-                if decision.kind != GUARDED or len(decision.options) != 1:
+                if not _tested_sole_guard(decision):
                     continue
                 option = decision.options[0]
-                if option.elided is not None:
-                    continue
                 facts = summary.call_facts.get(site)
                 tag = summary.receiver_tags.get(site)
                 if facts is None or facts.selector is None or tag is None:
@@ -169,12 +150,9 @@ class OptCompiler:
                     if dom_site == site or dom_tag != tag:
                         continue
                     dominator = node.decisions.get(dom_site)
-                    if dominator is None or dominator.kind != GUARDED \
-                            or len(dominator.options) != 1:
+                    if dominator is None or not _tested_sole_guard(dominator):
                         continue
                     dom_option = dominator.options[0]
-                    if dom_option.elided is not None:
-                        continue
                     accept_dom = classes_for_target(
                         self._hierarchy, dom_selector, dom_option.target)
                     if not accept_dom:
@@ -183,8 +161,15 @@ class OptCompiler:
                         accept_here = classes_for_target(
                             self._hierarchy, facts.selector, option.target)
                     if accept_dom <= accept_here:
-                        option.elide(ELIDE_DOMINATED,
-                                     (dom_selector, dom_option.target))
+                        decision.plan = GuardPlan(
+                            PLAN_DOMINATED,
+                            dominator=(dom_selector, dom_option.target))
                         self._telemetry.count(
                             "opt_compiler.guards_elided_dominated")
                         break
+
+
+def _tested_sole_guard(decision: InlineDecision) -> bool:
+    """A single-option guarded decision whose guard test is compiled in."""
+    return (decision.kind == GUARDED and len(decision.options) == 1
+            and decision.plan.kind == PLAN_FULL_GUARD)

@@ -21,6 +21,12 @@ Static heuristics (applied before any profile data):
 Profile data additionally enables **guarded inlining** at virtual sites
 that class hierarchy analysis cannot bind, using the paper's Equation-3
 partial-context match plus intersection-of-target-sets to pick targets.
+What runs at a guarded site -- which guard tests stay, what a miss does
+-- is not the oracle's choice: it asks the injected
+:class:`~repro.analysis.deopt.DeoptPlanner` for the site's
+:class:`~repro.compiler.compiled_method.GuardPlan` (every test kept when
+no planner is attached) and records the dependency a plan resting on
+CHA invalidation assumes.
 
 Every verdict carries a :class:`~repro.provenance.reasons.ReasonCode` --
 a closed vocabulary instead of free text -- plus the evidence behind it
@@ -35,9 +41,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.compiled_method import (DEOPT_CHEAP_EXIT,
-                                            DEOPT_FULL_GUARD,
-                                            DEOPT_GUARD_FREE)
+from repro.compiler.compiled_method import (FULL_GUARD, PLAN_PREEXIST,
+                                            GuardPlan)
 from repro.compiler.size_estimator import (SizeClass, classify,
                                            count_constant_args,
                                            estimate_inlined_bytecodes)
@@ -108,8 +113,7 @@ class Decision:
     """
 
     __slots__ = ("inline", "guarded", "targets", "reason", "size_class",
-                 "estimate", "coverage", "weight", "guard_kind",
-                 "guard_elided", "guard_elided_last", "deopt", "exit_live")
+                 "estimate", "coverage", "weight", "guard_kind", "plan")
 
     def __init__(self, inline: bool, guarded: bool = False,
                  targets: Sequence[MethodDef] = (), reason: str = "", *,
@@ -117,10 +121,7 @@ class Decision:
                  coverage: Optional[float] = None,
                  weight: Optional[float] = None,
                  guard_kind: Optional[str] = None,
-                 guard_elided: bool = False,
-                 guard_elided_last: bool = False,
-                 deopt: Optional[str] = None,
-                 exit_live: Sequence[int] = ()):
+                 plan: Optional[GuardPlan] = None):
         self.inline = inline
         self.guarded = guarded
         self.targets = tuple(targets)
@@ -130,22 +131,10 @@ class Decision:
         self.coverage = coverage
         self.weight = weight
         self.guard_kind = guard_kind
-        #: True when the verdict is guarded but the speculation pass
-        #: proved the guard test unnecessary (preexistent receiver): the
-        #: compiler emits the inline with an elided guard.  The verdict
-        #: string stays "guarded" -- elision changes cost, not outcome.
-        self.guard_elided = guard_elided
-        #: True when the *last* guarded option's test is exhaustive: the
-        #: chosen targets' acceptance sets cover every class that can
-        #: reach the site, so once every earlier guard missed the final
-        #: test cannot fail and is compiled out.
-        self.guard_elided_last = guard_elided_last
-        #: Deopt planner verdict for this site (a strategy string from
-        #: :mod:`repro.compiler.compiled_method`) or ``None`` when no
-        #: planner was consulted; ``exit_live`` carries the live-local
-        #: set a cheap-exit deoptimization at the site must map out.
-        self.deopt = deopt
-        self.exit_live = frozenset(exit_live)
+        #: What runs at the site for a guarded verdict (``None``
+        #: otherwise).  A plan that compiles guard tests out keeps the
+        #: verdict "guarded": elision changes cost, not outcome.
+        self.plan = plan
 
     @property
     def verdict(self) -> str:
@@ -167,9 +156,10 @@ class Decision:
     @classmethod
     def guarded_inline(cls, targets: Sequence[MethodDef],
                        reason: str = ReasonCode.PROFILE,
+                       plan: GuardPlan = FULL_GUARD,
                        **evidence) -> "Decision":
         return cls(True, guarded=True, targets=targets, reason=reason,
-                   **evidence)
+                   plan=plan, **evidence)
 
     def __repr__(self) -> str:
         """Stable rendering derived from the verdict and reason code."""
@@ -195,8 +185,7 @@ class InlineOracle:
                  on_cha_dependency: Optional[DependencySink] = None,
                  telemetry=NULL_RECORDER,
                  provenance=NULL_PROVENANCE,
-                 speculation=None,
-                 deopt=None):
+                 planner=None):
         self._program = program
         self._hierarchy = hierarchy
         self._costs = costs
@@ -204,16 +193,11 @@ class InlineOracle:
         self._on_cha_dependency = on_cha_dependency
         self._telemetry = telemetry
         self._provenance = provenance
-        #: Optional :class:`repro.analysis.dataflow.SpeculationAnalysis`
-        #: (duck-typed: anything with ``speculate``).  ``None`` -- the
-        #: default, and the only configuration subclass oracles use --
-        #: reproduces pre-speculation behaviour exactly.
-        self._speculation = speculation
         #: Optional :class:`repro.analysis.deopt.DeoptPlanner` (duck-typed:
-        #: anything with ``plan_site``).  When attached, guarded virtual
-        #: sites are routed through the planner instead of the speculation
-        #: branch; ``None`` reproduces stock behaviour exactly.
-        self._deopt = deopt
+        #: ``plan_site`` and ``plans_exits``), the one place that chooses
+        #: every guarded site's plan.  ``None`` -- the default, and the
+        #: only configuration subclass oracles use -- keeps every guard.
+        self._planner = planner
         #: Optional read-only view of the dynamic call graph, used for the
         #: guard-coverage (receiver-skew) test.  ``None`` disables the test
         #: (useful for unit tests of the pure rule logic).
@@ -393,7 +377,7 @@ class InlineOracle:
             #   future invocations (Detlefs & Agesen's pre-existence);
             # * any other receiver might be an instance of a class loaded
             #   *during* the activation, so the inline goes behind a
-            #   method-test guard instead.
+            #   method-test guard, under the planner's guard plan.
             decision = self._decide_bound(loaded_sole, stmt, comp_context,
                                           depth, current_size, root)
             if not decision.inline:
@@ -408,44 +392,18 @@ class InlineOracle:
                                             loaded_sole.id)
                 decision.guard_kind = GUARD_PREEXISTENCE
                 return decision
-            if self._deopt is not None:
+            coverage = None
+            if self._planner is not None and self._planner.plans_exits:
+                # No skew test applies to a loaded-sole bind; its coverage
+                # is evidence only when the plan weighs a cheap exit.
                 caller_id, site = comp_context[0]
-                cov = self._coverage(caller_id, site, comp_context,
-                                     {loaded_sole.id})
-                return self._plan_guarded(
-                    stmt, comp_context, [loaded_sole], root,
-                    GUARD_METHOD_TEST, cov,
-                    size_class=decision.size_class,
-                    estimate=decision.estimate, weight=decision.weight)
-            if self._speculation is not None:
-                verdict = self._speculation.speculate(stmt, comp_context,
-                                                      loaded_sole)
-                if verdict.action == "refuse":
-                    # The assumption's invalidation cone carries too much
-                    # predicted churn: compiling it is near-certain waste.
-                    return Decision.no(ReasonCode.SPECULATION_RISK,
-                                       size_class=decision.size_class,
-                                       estimate=decision.estimate)
-                if verdict.action == "elide":
-                    # The dataflow analysis proved the receiver preexists
-                    # the root activation even through the inline chain,
-                    # so invalidation alone protects the inline; the
-                    # guard is compiled out.  The verdict stays guarded
-                    # (only cost changes), but the dependency must be
-                    # recorded exactly as for the depth-0 case above.
-                    if self._on_cha_dependency is not None:
-                        self._on_cha_dependency(root.id, stmt.selector,
-                                                loaded_sole.id)
-                    return Decision.guarded_inline(
-                        [loaded_sole],
-                        reason=ReasonCode.GUARD_ELIDED_PREEXIST,
-                        size_class=decision.size_class,
-                        estimate=decision.estimate, weight=decision.weight,
-                        guard_kind=GUARD_PREEXISTENCE, guard_elided=True)
-            return Decision.guarded_inline(
-                [loaded_sole], reason=decision.reason,
+                coverage = self._coverage(caller_id, site, comp_context,
+                                          {loaded_sole.id})
+            return self._guarded(
+                stmt, comp_context, [loaded_sole], root, decision.reason,
+                GUARD_METHOD_TEST, coverage, loaded_sole=True,
                 size_class=decision.size_class, estimate=decision.estimate,
-                weight=decision.weight, guard_kind=GUARD_METHOD_TEST)
+                weight=decision.weight)
 
         costs = self._costs
         caller_id, site = comp_context[0]
@@ -495,75 +453,46 @@ class InlineOracle:
         reason = self._profile_reason(
             ReasonCode.PROFILE, caller_id, site, comp_context,
             {t.id for t, _w in survivors})
-        targets = [t for t, _w in survivors]
-        if self._deopt is not None:
-            return self._plan_guarded(
-                stmt, comp_context, targets, root, GUARD_CLASS_TEST,
-                coverage, estimate=total_estimate,
-                weight=sum(w for _t, w in survivors))
-        elided_last = False
-        if self._speculation is not None and len(targets) >= 2:
-            verdict = self._speculation.speculate_exhaustive(
-                stmt, comp_context, targets)
-            if verdict.action == "elide":
-                # The chosen targets' acceptance sets cover every class
-                # that can dispatch here, so after the earlier guards
-                # miss the last test cannot fail: compile it out.  When
-                # coverage holds only over the *loaded* world (nonempty
-                # cone) the elision additionally leans on receiver
-                # preexistence, so record the dependency -- a class load
-                # resolving outside the chosen set invalidates the code
-                # -- and surface the reliance in the reason code.
-                elided_last = True
-                if verdict.cone_size:
-                    if self._on_cha_dependency is not None:
-                        self._on_cha_dependency(
-                            root.id, stmt.selector,
-                            frozenset(t.id for t in targets))
-                    reason = ReasonCode.GUARD_ELIDED_PREEXIST
-        return Decision.guarded_inline(
-            targets, reason=reason, coverage=coverage,
-            estimate=total_estimate,
-            weight=sum(w for _t, w in survivors),
-            guard_kind=GUARD_CLASS_TEST, guard_elided_last=elided_last)
+        return self._guarded(
+            stmt, comp_context, [t for t, _w in survivors], root, reason,
+            GUARD_CLASS_TEST, coverage, estimate=total_estimate,
+            weight=sum(w for _t, w in survivors))
 
-    # -- deoptimization planning ------------------------------------------------
+    # -- guard plans -----------------------------------------------------------
 
-    def _plan_guarded(self, stmt, comp_context: Context,
-                      targets: Sequence[MethodDef], root: MethodDef,
-                      guard_kind: str, coverage: Optional[float],
-                      **evidence) -> Decision:
-        """Route a guarded verdict through the attached deopt planner.
+    def _guarded(self, stmt, comp_context: Context,
+                 targets: Sequence[MethodDef], root: MethodDef, reason,
+                 guard_kind: str, coverage: Optional[float],
+                 loaded_sole: bool = False, **evidence) -> Decision:
+        """A guarded verdict for ``targets`` under the planner's plan.
 
-        The planner picks the per-site strategy; the oracle translates it
-        back into a decision the compiler can execute.  ``guard-free``
-        reuses the speculation pass's elision contract (record the CHA
-        dependency, emit no guard); ``cheap-exit-osr`` compiles the site
-        as a deoptimization point carrying its pruned live-state map;
-        ``full-guard`` keeps the stock guard chain but surfaces that the
-        planner considered and rejected the exit.
+        A ``None`` plan refuses the inline (its invalidation risk is too
+        high).  A plan whose reason is ``guard-elided-preexist`` rests on
+        CHA invalidation, so the dependency it assumes is recorded: the
+        sole target, or the whole target set of an exhaustive plan.
         """
-        plan = self._deopt.plan_site(
-            stmt, comp_context, targets,
-            coverage=1.0 if coverage is None else coverage,
-            interface=isinstance(stmt, InterfaceCall))
-        if plan.strategy == DEOPT_GUARD_FREE:
-            if self._on_cha_dependency is not None:
-                self._on_cha_dependency(root.id, stmt.selector,
-                                        targets[0].id)
-            return Decision.guarded_inline(
-                targets, reason=ReasonCode.GUARD_ELIDED_PREEXIST,
-                coverage=coverage, guard_kind=GUARD_PREEXISTENCE,
-                guard_elided=True, deopt=DEOPT_GUARD_FREE, **evidence)
-        if plan.strategy == DEOPT_CHEAP_EXIT:
-            return Decision.guarded_inline(
-                targets, reason=ReasonCode.DEOPT_PLANNED_OSR,
-                coverage=coverage, guard_kind=guard_kind,
-                deopt=DEOPT_CHEAP_EXIT, exit_live=plan.live, **evidence)
+        plan = FULL_GUARD
+        if self._planner is not None:
+            plan = self._planner.plan_site(
+                stmt, comp_context, targets,
+                coverage=1.0 if coverage is None else coverage,
+                interface=isinstance(stmt, InterfaceCall),
+                loaded_sole=loaded_sole)
+            if plan is None:
+                return Decision.no(ReasonCode.SPECULATION_RISK,
+                                   size_class=evidence["size_class"],
+                                   estimate=evidence["estimate"])
+        if (plan.reason == ReasonCode.GUARD_ELIDED_PREEXIST.value
+                and self._on_cha_dependency is not None):
+            self._on_cha_dependency(
+                root.id, stmt.selector,
+                targets[0].id if plan.kind == PLAN_PREEXIST
+                else frozenset(t.id for t in targets))
         return Decision.guarded_inline(
-            targets, reason=ReasonCode.DEOPT_PLANNED_GUARD,
-            coverage=coverage, guard_kind=guard_kind,
-            deopt=DEOPT_FULL_GUARD, exit_live=plan.live, **evidence)
+            targets, reason=plan.reason or reason, plan=plan,
+            coverage=coverage,
+            guard_kind=(GUARD_PREEXISTENCE if plan.kind == PLAN_PREEXIST
+                        else guard_kind), **evidence)
 
     # -- guard coverage (receiver skew) ----------------------------------------
 

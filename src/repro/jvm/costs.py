@@ -153,10 +153,11 @@ DECAY_RATE = 0.8
 # Speculation-risk static analysis (guard elision)
 # ---------------------------------------------------------------------------
 
-#: Whether the compiler runs the speculation dataflow pass (receiver
-#: preexistence, dominance-based guard elision, invalidation-cone risk).
-#: Off by default: elision is opt-in, never ambient, so default runs stay
-#: byte-identical to the golden decision logs.
+#: Whether guard plans may use the speculation dataflow pass (receiver
+#: preexistence, dominance-based guard elision, invalidation-cone risk);
+#: see ``DeoptPlanner.plan_site``.  Off by default: elision is opt-in,
+#: never ambient, so default runs stay byte-identical to the golden
+#: decision logs.
 SPECULATION_ENABLED = False
 
 #: A preexistent-receiver guard is elided only when the assumption's
@@ -176,11 +177,11 @@ SPECULATION_REFUSE_MIN_RISK = float("inf")
 # OSR liveness and deoptimization planning
 # ---------------------------------------------------------------------------
 
-#: Whether the compiler runs the liveness/deopt planning pass (backward
-#: live-variable analysis, per-OSR-point state-mapping costs, per-site
-#: deopt strategy selection).  Off by default under the same contract as
-#: ``SPECULATION_ENABLED``: stock runs stay byte-identical to the golden
-#: decision logs.
+#: Whether the liveness/deopt planning pass runs (backward live-variable
+#: analysis, per-OSR-point state-mapping costs, and the
+#: ``DEOPT_STRATEGY`` rule of ``DeoptPlanner.plan_site``).  Off by default
+#: under the same contract as ``SPECULATION_ENABLED``: stock runs stay
+#: byte-identical to the golden decision logs.
 DEOPT_PLANNING_ENABLED = False
 
 #: Cycles charged per live local mapped *into* optimized state at an OSR
@@ -192,18 +193,19 @@ OSR_MAP_IN_COST = 3
 #: deoptimization exit (an ``osr-exit`` site whose speculation failed).
 OSR_MAP_OUT_COST = 2
 
-#: Per-site deoptimization strategy, a sweepable policy dimension:
+#: Per-site deoptimization strategy, a sweepable policy dimension that
+#: ``DeoptPlanner.plan_site`` applies when planning is enabled:
 #:
 #: * ``"guard"``    -- every speculative inline keeps its compiled guard
-#:   chain with an in-code dispatch fallback (the stock behaviour).
-#: * ``"osr-exit"`` -- every eligible guarded site is compiled as a
-#:   cheap-exit OSR point instead: the fast path pays no guard cycles,
-#:   and a failed speculation pays a live-state-mapped exit plus a
-#:   baseline-tier dispatch.
-#: * ``"planned"``  -- the :class:`~repro.analysis.deopt.DeoptPlanner`
-#:   chooses per site from {full-guard, cheap-exit-osr, guard-free}
-#:   using liveness-derived exit cost, speculation risk, and the k-CFA
-#:   precision lattice.
+#:   chain with an in-code dispatch fallback (the stock behaviour; only
+#:   speculation, when enabled, removes guards).
+#: * ``"osr-exit"`` -- every guarded site is compiled as a cheap-exit OSR
+#:   point instead: the fast path pays no guard cycles, and a failed
+#:   speculation pays a live-state-mapped exit plus a baseline-tier
+#:   dispatch.
+#: * ``"planned"``  -- the planner chooses per site from full guard,
+#:   cheap exit and guard-free (preexistence) using liveness-derived exit
+#:   cost, speculation risk, and the k-CFA precision lattice.
 DEOPT_STRATEGY = "guard"
 
 #: The closed strategy vocabulary for :data:`DEOPT_STRATEGY`.

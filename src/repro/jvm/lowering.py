@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.aos.cost_accounting import APP, COMPILATION
-from repro.compiler.compiled_method import (DEOPT_CHEAP_EXIT,
-                                            ELIDE_DOMINATED, ELIDE_OSR_EXIT,
-                                            GUARDED)
+from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
+                                            PLAN_OSR_EXIT)
 from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
 from repro.jvm.program import (
@@ -575,11 +574,14 @@ def lower_run(m: Machine):
                     locals_[dst] = result
             return dispatch_call
 
-        # GUARDED: test each option in order, then fall back.
-        steps = tuple([guard_step(option, site, mult)
-                       for option in decision.options])
-        if decision.deopt == DEOPT_CHEAP_EXIT:
-            fallback = deopt_exit(decision, site, dispatch_cost)
+        # GUARDED: run each option's step in order, then fall back, as
+        # the site's guard plan says.
+        plan, count = decision.plan, len(decision.options)
+        steps = tuple([guard_step(option, site, mult,
+                                  plan.elided(index, count), plan.dominator)
+                       for index, option in enumerate(decision.options)])
+        if plan.kind == PLAN_OSR_EXIT:
+            fallback = deopt_exit(plan.live, site, dispatch_cost)
         else:
             fallback = guard_miss(dispatch_cost * mult)
 
@@ -604,10 +606,12 @@ def lower_run(m: Machine):
                 locals_[dst] = result
         return guarded_call
 
-    def guard_step(option, site: int, mult: float):
+    def guard_step(option, site: int, mult: float, elided, dominator):
         """One option of a guarded site: ``step(receiver, resolved)``
-        returns the inlined entry to take, or ``None`` to go on."""
-        target, elided = option.target, option.elided
+        returns the inlined entry to take, or ``None`` to go on.
+        ``elided`` is the plan kind when the option's test is compiled
+        out; ``dominator`` is the plan's dominating guard."""
+        target = option.target
         enter = inline_entry(target, option.node, site)
         if elided is None:
             cycles = costs.guard_test * mult
@@ -617,7 +621,7 @@ def lower_run(m: Machine):
                 charge_app(cycles)
                 return enter if target is resolved else None
             return guard
-        if elided == ELIDE_OSR_EXIT:
+        if elided == PLAN_OSR_EXIT:
             # Cheap-exit OSR point: the compiled code carries no test at
             # all -- entry happens through the dispatch the machine
             # already resolved, so a matching target is entered at zero
@@ -646,9 +650,9 @@ def lower_run(m: Machine):
                 stats.elided_entries += 1
                 elision_observer(site, elided, target.id, resolved.id)
                 return enter
-        if elided != ELIDE_DOMINATED:
+        if elided != PLAN_DOMINATED:
             return elided_entry
-        dom_selector, dom_target = option.elided_on
+        dom_selector, dom_target = dominator
         dominating = resolutions_for(dom_selector)
 
         def dominated(receiver, resolved):
@@ -658,12 +662,11 @@ def lower_run(m: Machine):
             return elided_entry(receiver, resolved)
         return dominated
 
-    def deopt_exit(decision, site: int, dispatch_cost):
+    def deopt_exit(exit_live, site: int, dispatch_cost):
         """Broken speculation at a cheap-exit OSR point: map the site's
         pruned live state out of the optimized frame, then finish the
         dispatch at the baseline tier (the exit is expensive exactly so
         the fast path could carry no guard)."""
-        exit_live = decision.exit_live
         cycles = (len(exit_live) * costs.osr_map_out_cost
                   + dispatch_cost * mults[BASELINE])
 

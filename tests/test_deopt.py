@@ -1,7 +1,7 @@
 """Deopt planner strategy rules, runtime gating, and OSR soundness replay.
 
-The planner mirrors the speculation pass's contract: opt-in via the
-cost model, injected (never imported) below the analysis layer, and
+The planner keeps the speculation pass's contract: opt-in via the cost
+model, injected (never imported) below the analysis layer, and
 byte-identical golden decision logs when disabled.
 """
 
@@ -9,10 +9,11 @@ import os
 
 import pytest
 
-from repro.analysis.deopt import (DeoptPlanner, STRATEGY_GUARD,
-                                  STRATEGY_GUARD_FREE, STRATEGY_OSR_EXIT)
+from repro.analysis.deopt import DeoptPlanner
 from repro.analysis.soundness import check_osr_soundness
 from repro.aos.runtime import AdaptiveRuntime
+from repro.compiler.compiled_method import (PLAN_FULL_GUARD, PLAN_OSR_EXIT,
+                                            PLAN_PREEXIST)
 from repro.jvm.costs import DEFAULT_COSTS, DEOPT_STRATEGIES
 from repro.jvm.errors import ConfigError
 from repro.jvm.hierarchy import ClassHierarchy
@@ -75,7 +76,7 @@ class TestPlanSite:
         plan = planner.plan_site(
             stmt, (("App.use", 0),), [program.method("Circle.area")],
             coverage=0.0)
-        assert plan.strategy == STRATEGY_OSR_EXIT
+        assert plan.kind == PLAN_OSR_EXIT
 
     def test_guard_free_when_speculation_elides(self):
         # No loaded escape, preexistent receiver: invalidation alone
@@ -85,7 +86,7 @@ class TestPlanSite:
         stmt = program.method("App.use").body[0]
         plan = planner.plan_site(
             stmt, (("App.use", 0),), [program.method("Circle.area")])
-        assert plan.strategy == STRATEGY_GUARD_FREE
+        assert plan.kind == PLAN_PREEXIST
 
     def test_full_guard_when_fresh_receiver_and_exits_expensive(self):
         # Fresh receiver blocks guard-free; low coverage makes the
@@ -94,12 +95,16 @@ class TestPlanSite:
         program = shapes_program()
         planner = _planner(program)
         stmt = program.method("App.use_fresh").body[1]
-        plan = planner.plan_site(
-            stmt, (("App.use_fresh", 1),), [program.method("Circle.area")],
-            coverage=0.0)
-        assert plan.strategy == STRATEGY_GUARD
-        assert not plan.ctx_mono
-        assert plan.live == frozenset({1})  # the receiver local maps out
+        circle = program.method("Circle.area")
+        plan = planner.plan_site(stmt, (("App.use_fresh", 1),), [circle],
+                                 coverage=0.0)
+        assert plan.kind == PLAN_FULL_GUARD
+        assert not planner.context_monomorphic(stmt.site,
+                                               (("App.use_fresh", 1),))
+        exit_plan = planner.plan_site(stmt, (("App.use_fresh", 1),),
+                                      [circle], coverage=1.0)
+        assert exit_plan.kind == PLAN_OSR_EXIT
+        assert exit_plan.live == frozenset({1})  # the receiver maps out
 
     def test_full_coverage_prefers_cheap_exit(self):
         # Loaded escape blocks guard-free; full profile coverage makes
@@ -112,8 +117,8 @@ class TestPlanSite:
                                 coverage=0.0)
         high = planner.plan_site(stmt, (("App.use", 0),), [circle],
                                  coverage=1.0)
-        assert low.strategy == STRATEGY_GUARD
-        assert high.strategy == STRATEGY_OSR_EXIT
+        assert low.kind == PLAN_FULL_GUARD
+        assert high.kind == PLAN_OSR_EXIT
 
     def test_context_monomorphic_prefers_cheap_exit(self):
         # Only Circle is ever allocated on the path into App.use, so
@@ -140,12 +145,13 @@ class TestPlanSite:
         program = b.build()
         planner = _planner(program)
         stmt = program.method("App.use").body[0]
+        context = (("App.use", 0), ("App.main", 10))
         plan = planner.plan_site(
-            stmt, (("App.use", 0), ("App.main", 10)),
+            stmt, context,
             [program.method("Circle.area"), program.method("Square.area")],
             coverage=0.0)
-        assert plan.ctx_mono
-        assert plan.strategy == STRATEGY_OSR_EXIT
+        assert planner.context_monomorphic(stmt.site, context)
+        assert plan.kind == PLAN_OSR_EXIT
 
     def test_unknown_strategy_rejected(self):
         program = shapes_program()
@@ -154,19 +160,6 @@ class TestPlanSite:
 
 
 class TestStrategyVocabulary:
-    def test_compiler_constants_mirror_analysis_lattice(self):
-        # The compiler layer may not import the analysis layer, so it
-        # declares its own copies of the strategy strings; they must
-        # never drift.
-        from repro.compiler.compiled_method import (DEOPT_CHEAP_EXIT,
-                                                    DEOPT_FULL_GUARD,
-                                                    DEOPT_GUARD_FREE,
-                                                    ELIDE_OSR_EXIT)
-        assert DEOPT_FULL_GUARD == STRATEGY_GUARD
-        assert DEOPT_CHEAP_EXIT == STRATEGY_OSR_EXIT
-        assert DEOPT_GUARD_FREE == STRATEGY_GUARD_FREE
-        assert ELIDE_OSR_EXIT == "osr-exit"
-
     def test_cost_model_dimension_vocabulary_is_closed(self):
         assert DEOPT_STRATEGIES == ("guard", "osr-exit", "planned")
         assert DEFAULT_COSTS.deopt_strategy in DEOPT_STRATEGIES
@@ -181,7 +174,7 @@ class TestGating:
         assert DEFAULT_COSTS.deopt_strategy == "guard"
         built = build_hashmap(iterations=4000)
         runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2))
-        assert runtime.deopt is None
+        assert runtime.planner is None
         assert runtime.machine.osr_liveness is None
 
     def test_disabled_run_matches_golden_byte_for_byte(self):
@@ -195,15 +188,15 @@ class TestGating:
 
     def test_guard_dimension_charges_map_in_only(self):
         # Under the "guard" dimension the planner supplies the OSR
-        # map-in liveness index but is never consulted for sites: the
-        # clean like-for-like baseline for planned-vs-guard deltas.
+        # map-in liveness index and keeps every guard: the clean
+        # like-for-like baseline for planned-vs-guard deltas.
         costs = DEFAULT_COSTS.replace(deopt_planning_enabled=True,
                                       deopt_strategy="guard")
         built = build_hashmap(iterations=4000)
         runtime = AdaptiveRuntime(built.program,
                                   make_policy("fixed", 2, costs=costs),
                                   costs=costs)
-        assert runtime.deopt is not None
+        assert runtime.planner is not None
         assert runtime.machine.osr_liveness is not None
         result = runtime.run()
         assert result.deopt_entries == 0 and result.deopt_exits == 0
@@ -228,22 +221,21 @@ class TestStrategiesEndToEnd:
         assert exits.deopt_exits > 0
 
     def test_planned_strategy_marks_decisions(self):
-        from repro.compiler.compiled_method import ELIDE_OSR_EXIT
         costs = DEFAULT_COSTS.replace(deopt_planning_enabled=True,
                                       deopt_strategy="osr-exit")
         program = build_benchmark("mtrt", scale=0.05).program
         runtime = AdaptiveRuntime(program, make_policy("cins", costs=costs),
                                   costs=costs)
         runtime.run()
-        exit_options = [
-            option
+        exit_sites = [
+            decision
             for compiled in runtime.code_cache.opt_methods()
             for node in compiled.root.walk()
             for decision in node.decisions.values()
-            for option in decision.options
-            if option.elided == ELIDE_OSR_EXIT
+            if decision.plan is not None
+            and decision.plan.kind == PLAN_OSR_EXIT
         ]
-        assert exit_options
+        assert exit_sites
 
 
 class TestOSRSoundnessReplay:

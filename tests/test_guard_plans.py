@@ -20,8 +20,9 @@ controller (an OSR request) and compilation thread, then records the
 elided guards, the guard-test count, the decision log's reason, guard
 kind and coverage, the CHA dependencies recorded and the cheap-exit
 live set.  The loaded-sole shapes carry samples so that the table shows
-which settings record their coverage.  The expectations live in ``tests/golden/guard_plans.json``;
-regenerate after an intentional change with::
+which settings record their coverage.  The expectations live in
+``tests/golden/guard_plans.json``; regenerate after an intentional
+change with::
 
     PYTHONPATH=src python tests/test_guard_plans.py
 """
@@ -32,6 +33,7 @@ import os
 import pytest
 
 from repro.aos.runtime import AdaptiveRuntime
+from repro.compiler.compiled_method import PLAN_OSR_EXIT
 from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.program import (Arg, Const, Local, New, Return, StaticCall,
                                VirtualCall, Work)
@@ -136,8 +138,9 @@ def shapes_program():
 def _exit_live(compiled):
     for node in compiled.root.walk():
         for decision in node.decisions.values():
-            if decision.deopt == "cheap-exit-osr":
-                return sorted(decision.exit_live)
+            plan = decision.plan
+            if plan is not None and plan.kind == PLAN_OSR_EXIT:
+                return sorted(plan.live)
     return None
 
 

@@ -8,9 +8,10 @@ import pytest
 from repro.aos.cost_accounting import APP, COMPILATION, CostAccounting
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
-from repro.compiler.compiled_method import (ELIDE_PREEXIST, GUARDED,
+from repro.compiler.compiled_method import (GUARDED, PLAN_PREEXIST,
                                             CompiledMethod, GuardOption,
-                                            InlineDecision, InlineNode)
+                                            GuardPlan, InlineDecision,
+                                            InlineNode)
 from repro.jvm.costs import CostModel
 from repro.jvm.errors import ExecutionError
 from repro.jvm.hierarchy import ClassHierarchy
@@ -217,9 +218,10 @@ class TestCalls:
                 if depth < 3:
                     option = GuardOption(rec, tree(depth + 1),
                                          guard_class="A")
-                    if tier == "elided":
-                        option.elide(ELIDE_PREEXIST)
-                    node.decisions[10] = InlineDecision(GUARDED, [option])
+                    plan = (GuardPlan(PLAN_PREEXIST) if tier == "elided"
+                            else None)
+                    node.decisions[10] = InlineDecision(GUARDED, [option],
+                                                        plan)
                 return node
             m.code_cache.install(CompiledMethod(
                 tree(0), inlined_bytecodes=4 * rec.bytecodes,

@@ -1,8 +1,8 @@
 """End-to-end tests for speculation-driven guard elision.
 
-The contract under test, layer by layer: the oracle marks exhaustive
-last guards on its decisions, the compiler turns the marks into elided
-guard options, the machine enters elided options at zero guard cost,
+The contract under test, layer by layer: the oracle gives a decision an
+exhaustive guard plan, the compiler installs it so the last option runs
+untested, the machine enters untested options at zero guard cost,
 the elision replay proves no elided guard would ever have failed, and
 set-valued CHA dependencies invalidate the compiled code exactly when a
 class load escapes the proven-exhaustive target set.
@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.soundness import check_elision_soundness
 from repro.aos.runtime import AdaptiveRuntime
-from repro.compiler.compiled_method import (ELIDE_EXHAUSTIVE, GUARDED)
+from repro.compiler.compiled_method import (GUARDED, PLAN_EXHAUSTIVE,
+                                            GuardPlan)
 from repro.compiler.opt_compiler import OptCompiler
 from repro.compiler.oracle import Decision
 from repro.jvm.costs import DEFAULT_COSTS
@@ -116,7 +117,7 @@ class _StubOracle:
             return Decision.no("no_profile")
         return Decision.guarded_inline(self._targets, reason="profile",
                                        guard_kind=GUARD_CLASS_TEST,
-                                       guard_elided_last=True)
+                                       plan=GuardPlan(PLAN_EXHAUSTIVE))
 
 
 class TestCompilerMarksLastOption:
@@ -146,14 +147,14 @@ class TestCompilerMarksLastOption:
                                     _StubOracle(targets))
         decision = compiled.root.decisions[0]
         assert decision.kind == GUARDED
+        assert decision.plan.kind == PLAN_EXHAUSTIVE
         first, last = decision.options
-        assert first.elided is None
-        assert last.elided == ELIDE_EXHAUSTIVE
+        assert decision.untested() == [(last, PLAN_EXHAUSTIVE)]
         # Only the first option's test is compiled in; the last is gone.
         assert compiled.guard_count() == 1
         assert compiled.elided_guard_count() == 1
         assert compiled.elisions() == [
-            ("App.use", 0, ELIDE_EXHAUSTIVE, "Square.area")]
+            ("App.use", 0, PLAN_EXHAUSTIVE, "Square.area")]
 
 
 def shapes_program():

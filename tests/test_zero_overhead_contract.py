@@ -94,12 +94,13 @@ def test_full_instrumentation_changes_nothing():
 def test_speculation_is_off_by_default():
     """Guard elision is opt-in, never ambient: the default cost model
     keeps the speculation pass off, so stock runs -- including the run
-    the golden log pins -- never construct the analysis at all."""
+    the golden log pins -- never construct the planner or its analysis
+    at all."""
     from repro.jvm.costs import DEFAULT_COSTS
     assert DEFAULT_COSTS.speculation_enabled is False
     built = build_hashmap(iterations=4000)
     runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2))
-    assert runtime.speculation is None
+    assert runtime.planner is None
 
 
 def test_speculation_disabled_run_matches_golden_byte_for_byte():

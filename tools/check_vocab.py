@@ -16,8 +16,7 @@ longer exists.  This lint makes the drift loud:
 * ``VerifierError``: every code in ``VERIFIER_CODES`` must be
   documented in DESIGN.md (and no documented code may be dead).
 * Derived copies: the oracle's ``RECORDED_REFUSALS`` must be refusal
-  codes, and the compiler's layering-preserving copy of the deopt
-  strategy lattice must be value-identical to the analysis layer's.
+  codes.
 
 Run from the repository root: ``PYTHONPATH=src python tools/check_vocab.py``.
 Exits nonzero listing every violation (never just the first).
@@ -70,13 +69,8 @@ def backticked(text: str) -> frozenset:
 
 
 def main() -> int:
-    from repro.analysis.deopt import (STRATEGY_GUARD, STRATEGY_GUARD_FREE,
-                                      STRATEGY_OSR_EXIT)
     from repro.analysis.verifier import VERIFIER_CODES
     from repro.aos import event_log
-    from repro.compiler.compiled_method import (DEOPT_CHEAP_EXIT,
-                                                DEOPT_FULL_GUARD,
-                                                DEOPT_GUARD_FREE)
     from repro.compiler.oracle import RECORDED_REFUSALS
     from repro.provenance.reasons import (EventKind, INLINE_REASONS,
                                           REASON_CODES, REFUSAL_REASONS)
@@ -150,13 +144,6 @@ def main() -> int:
     check(frozenset(RECORDED_REFUSALS) <= REFUSAL_REASONS,
           "oracle RECORDED_REFUSALS contains non-refusal codes: "
           f"{sorted(frozenset(RECORDED_REFUSALS) - REFUSAL_REASONS)}")
-    for compiler_value, analysis_value, name in (
-            (DEOPT_FULL_GUARD, STRATEGY_GUARD, "full-guard"),
-            (DEOPT_CHEAP_EXIT, STRATEGY_OSR_EXIT, "cheap-exit-osr"),
-            (DEOPT_GUARD_FREE, STRATEGY_GUARD_FREE, "guard-free")):
-        check(compiler_value == analysis_value,
-              f"compiler deopt-strategy mirror for {name!r} drifted: "
-              f"compiler={compiler_value!r} analysis={analysis_value!r}")
 
     if problems:
         for problem in problems:
