@@ -56,7 +56,7 @@ DEFAULT_PRECISIONS = (CHA, RTA)
 #: The deopt section's published strategy name per guard-plan kind the
 #: ``planned`` strategy installs.  A dominated site was planned with its
 #: guard; the compiler's dominance pass then reused another guard's.
-STRATEGY_NAMES = {
+PLAN_REPORT_NAMES = {
     PLAN_FULL_GUARD: "full-guard",
     PLAN_DOMINATED: "full-guard",
     PLAN_OSR_EXIT: "cheap-exit-osr",
@@ -250,7 +250,7 @@ def _deopt_section(program: Program, costs: CostModel,
             for node in compiled.root.walk():
                 for decision in node.decisions.values():
                     if decision.kind == GUARDED:
-                        name = STRATEGY_NAMES[decision.plan.kind]
+                        name = PLAN_REPORT_NAMES[decision.plan.kind]
                         strategies[name] = strategies.get(name, 0) + 1
         return result, strategies
 
