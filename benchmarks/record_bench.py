@@ -32,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -72,22 +72,28 @@ def fleet_row(name: str, config: dict) -> dict:
     return row
 
 
-def variants_row(variants: Dict[str, dict], fields: Sequence[str],
+def variants_row(control: Tuple[str, dict], replayed: str,
+                 fields: Sequence[str],
                  replay: Callable) -> Callable[[str, dict], dict]:
-    """Run each labelled cost-model variant, record ``fields`` of its
-    result as ``<field>_<label>``, then the soundness replay's verdict."""
+    """Record ``fields`` as ``<field>_<label>`` for two cost-model variants,
+    plus the soundness replay's verdict.
+
+    ``control`` is the first variant's ``(label, overrides)``.  The
+    second, labelled ``replayed``, is the ``cins`` configuration that
+    ``replay`` forces, so its numbers come from the replay run itself.
+    """
     def row(name: str, config: dict) -> dict:
-        out = {}
-        for label, overrides in variants.items():
-            costs = DEFAULT_COSTS.replace(**overrides)
-            built = build_benchmark(name, scale=config["scale"])
-            result = AdaptiveRuntime(
-                built.program, make_policy(config["family"], costs=costs),
-                costs=costs).run()
-            for field in fields:
-                out[f"{field}_{label}"] = getattr(result, field)
-        out["replay_ok"] = replay(
-            build_benchmark(name, scale=config["scale"]).program).ok
+        label, overrides = control
+        costs = DEFAULT_COSTS.replace(**overrides)
+        built = build_benchmark(name, scale=config["scale"])
+        results = {label: AdaptiveRuntime(
+            built.program, make_policy(config["family"], costs=costs),
+            costs=costs).run()}
+        report = replay(build_benchmark(name, scale=config["scale"]).program)
+        results[replayed] = report.result
+        out = {f"{field}_{label}": getattr(result, field)
+               for label, result in results.items() for field in fields}
+        out["replay_ok"] = report.ok
         return out
     return row
 
@@ -104,8 +110,7 @@ BASELINES = (
     # scale at which jess compiles its guarded sites.
     Baseline("BENCH_speculation_baseline.json", "repro.bench-speculation/v1",
              {"benchmarks": ["jess", "db"], "scale": 0.3, "family": "cins"},
-             variants_row({"off": {"speculation_enabled": False},
-                           "on": {"speculation_enabled": True}},
+             variants_row(("off", {"speculation_enabled": False}), "on",
                           ("guard_tests", "guard_misses", "elided_entries"),
                           check_elision_soundness)),
     # compress's guards almost always hit, so trading them for
@@ -115,9 +120,8 @@ BASELINES = (
     Baseline("BENCH_deopt_baseline.json", "repro.bench-deopt/v1",
              {"benchmarks": ["compress", "mtrt"], "scale": 0.1,
               "family": "cins"},
-             variants_row({strategy: {"deopt_planning_enabled": True,
-                                      "deopt_strategy": strategy}
-                           for strategy in ("guard", "planned")},
+             variants_row(("guard", {"deopt_planning_enabled": True,
+                                     "deopt_strategy": "guard"}), "planned",
                           ("guard_tests", "guard_misses", "deopt_entries",
                            "deopt_exits", "total_cycles"),
                           check_osr_soundness)),

@@ -37,7 +37,8 @@ and deopt-planner objects only when the cost model opts in):
   context-conditioned for the k-CFA tiers), the elision-replay check
   (no elided guard may ever have failed), the OSR live-state replay
   check (static live sets must cover every local the interpreter
-  reads after a transition), and static-vs-profile attribution of
+  reads after a transition) -- each a consumer of one :func:`replay`'s
+  machine events -- and static-vs-profile attribution of
   decision-diff flips.
 
 :mod:`repro.analysis.report` bundles all of it behind the
@@ -73,10 +74,12 @@ from repro.analysis.report import (ANALYSIS_SCHEMA, ANALYZE_PRECISIONS,
                                    report_ok, write_report)
 from repro.analysis.soundness import (ATTR_PROFILE_DECIDED,
                                       ATTR_STATIC_DECIDED, ATTR_UNKNOWN_SITE,
-                                      ElisionReport, ElisionViolation,
-                                      LatticeSoundnessReport, OSRReport,
-                                      OSRViolation, SoundnessReport,
-                                      SoundnessViolation, attribute_flips,
+                                      DispatchEdges, ElisionReport,
+                                      ElisionViolation, ElisionWatch,
+                                      LatticeSoundnessReport, LiveStateWatch,
+                                      OSRReport, OSRViolation,
+                                      SoundnessReport, SoundnessViolation,
+                                      attribute_flips,
                                       check_containment,
                                       check_context_containment,
                                       check_elision_soundness,
@@ -85,8 +88,7 @@ from repro.analysis.soundness import (ATTR_PROFILE_DECIDED,
                                       check_soundness,
                                       flatten_context_edges,
                                       observe_context_edges,
-                                      observe_dispatch_edges,
-                                      render_attribution,
+                                      render_attribution, replay,
                                       truncate_context_edges)
 from repro.analysis.static_oracle import StaticContextOracle, StaticOracle
 from repro.analysis.verifier import (VERIFIER_CODES, VerificationFailure,
@@ -114,13 +116,16 @@ __all__ = [
     "DEFAULT_PRECISIONS",
     "DataflowAnalysis",
     "DeoptPlanner",
+    "DispatchEdges",
     "ElisionReport",
     "ElisionViolation",
+    "ElisionWatch",
     "ForwardAnalysis",
     "KSite",
     "LATTICE_KS",
     "LatticeReport",
     "LatticeSoundnessReport",
+    "LiveStateWatch",
     "LivenessAnalysis",
     "LoopLiveness",
     "MethodLiveness",
@@ -165,11 +170,11 @@ __all__ = [
     "lattice_to_json",
     "method_liveness",
     "observe_context_edges",
-    "observe_dispatch_edges",
     "render_analysis",
     "render_attribution",
     "render_bundle",
     "render_lattice",
+    "replay",
     "report_ok",
     "static_speculation_summary",
     "strings_compatible",

@@ -118,7 +118,6 @@ class LatticeReport:
 
 def build_lattice_report(program: Program,
                          ks: Tuple[int, ...] = LATTICE_KS,
-                         policy=None,
                          costs: CostModel = DEFAULT_COSTS,
                          phase: float = 0.0,
                          edges: Optional[ContextEdges] = None) \
@@ -141,8 +140,7 @@ def build_lattice_report(program: Program,
 
     if edges is None:
         edges = observe_context_edges(program, k=max(ks, default=0),
-                                      policy=policy, costs=costs,
-                                      phase=phase)
+                                      costs=costs, phase=phase)
     flat_observed = flatten_context_edges(edges)
 
     def tier_targets(tier: str, site: int) -> FrozenSet[str]:

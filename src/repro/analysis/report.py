@@ -28,12 +28,11 @@ from repro.analysis.kcfa import build_kcfa_graph
 from repro.analysis.lattice import (LATTICE_KS, build_lattice_report,
                                     lattice_to_json)
 from repro.analysis.dataflow import static_speculation_summary
-from repro.analysis.soundness import (check_containment,
+from repro.analysis.soundness import (DispatchEdges, LiveStateWatch,
+                                      check_containment,
                                       check_elision_soundness,
                                       check_lattice_soundness,
-                                      check_osr_soundness,
-                                      observe_context_edges,
-                                      observe_dispatch_edges)
+                                      flatten_context_edges, replay)
 from repro.analysis.verifier import verify_program
 from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
                                             PLAN_FULL_GUARD, PLAN_OSR_EXIT,
@@ -91,6 +90,9 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
     (liveness-derived live-set sizes), the OSR live-state soundness
     replay, the per-strategy site counts the planner chose, and the
     planned-vs-guard cycle delta.
+
+    Each distinct configuration runs once: the stock replay is also the
+    speculation-off baseline, and the OSR replay is the planned run.
     """
     verification = verify_program(program)
     payload: Dict[str, object] = {
@@ -122,12 +124,15 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
                               f"expected one of {ANALYZE_PRECISIONS}")
     payload["callgraph"] = summaries
 
-    edges = None
+    stock = edges = None
+    if lattice or soundness:
+        # One stock replay feeds the lattice report and every tier of the
+        # soundness check (context-qualified with the lattice, flat
+        # without it).
+        recorder = DispatchEdges(k=max(LATTICE_KS) if lattice else 0)
+        stock = replay(program, costs, phase, recorder)
+        edges = recorder.edges
     if lattice:
-        # One context-qualified replay feeds the lattice report and --
-        # when enabled -- every tier of the soundness chain.
-        edges = observe_context_edges(program, k=max(LATTICE_KS),
-                                      costs=costs, phase=phase)
         report = build_lattice_report(program, costs=costs, phase=phase,
                                       edges=edges)
         payload["lattice"] = lattice_to_json(report)
@@ -150,9 +155,8 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
             }
         else:
             cha_graph = build_call_graph(program, precision=CHA, costs=costs)
-            observed = observe_dispatch_edges(program, costs=costs,
-                                              phase=phase)
-            report = check_containment(cha_graph, observed)
+            report = check_containment(cha_graph,
+                                       flatten_context_edges(edges))
             payload["soundness"] = {
                 "ok": report.ok,
                 "precision": report.precision,
@@ -163,43 +167,47 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
             }
 
     if speculation:
-        payload["speculation"] = _speculation_section(program, costs=costs,
-                                                      phase=phase)
+        # With speculation off in ``costs`` the stock replay is the
+        # speculation-off baseline.
+        baseline = None if costs.speculation_enabled else stock
+        payload["speculation"] = _speculation_section(program, costs, phase,
+                                                      baseline)
     if deopt:
         payload["deopt"] = _deopt_section(program, costs=costs, phase=phase)
     return payload
 
 
-def _speculation_section(program: Program, costs: CostModel,
-                         phase: float) -> Dict[str, object]:
-    """Static summary + elision replay + off-vs-on guard-cycle delta."""
-    from repro.aos.runtime import AdaptiveRuntime
-    from repro.policies import make_policy
+def _speculation_section(program: Program, costs: CostModel, phase: float,
+                         baseline=None) -> Dict[str, object]:
+    """Static summary + elision replay + off-vs-on guard-cycle delta.
 
+    ``baseline`` is the speculation-off run when one already ran.
+    """
     static = static_speculation_summary(program, costs=costs)
-    replay = check_elision_soundness(program, costs=costs, phase=phase)
+    elision = check_elision_soundness(program, costs=costs, phase=phase)
+    speculative = elision.result
     # The baseline pays every guard the speculative run elides; same
     # fixed seed and phase, so the runs differ only in elision.
-    off_costs = costs.replace(speculation_enabled=False)
-    baseline = AdaptiveRuntime(
-        program, make_policy("cins", costs=off_costs), off_costs,
-        sample_phase=phase).run()
-    saved = (baseline.guard_tests - replay.guard_tests) * costs.guard_test
+    if baseline is None:
+        baseline = replay(program, costs.replace(speculation_enabled=False),
+                          phase)
+    saved = ((baseline.guard_tests - speculative.guard_tests)
+             * costs.guard_test)
     return {
-        "ok": replay.ok,
+        "ok": elision.ok,
         "static": static,
         "elision_replay": {
-            "ok": replay.ok,
-            "elided_entries": replay.elided_entries,
-            "guard_tests": replay.guard_tests,
-            "guard_misses": replay.guard_misses,
+            "ok": elision.ok,
+            "elided_entries": speculative.elided_entries,
+            "guard_tests": speculative.guard_tests,
+            "guard_misses": speculative.guard_misses,
             "violations": [dataclasses.asdict(v)
-                           for v in replay.violations],
+                           for v in elision.violations],
         },
         "guard_cycles": {
             "tests_baseline": baseline.guard_tests,
-            "tests_speculative": replay.guard_tests,
-            "elided_entries": replay.elided_entries,
+            "tests_speculative": speculative.guard_tests,
+            "elided_entries": speculative.elided_entries,
             "estimated_cycles_saved": saved,
         },
     }
@@ -209,8 +217,6 @@ def _deopt_section(program: Program, costs: CostModel,
                    phase: float) -> Dict[str, object]:
     """OSR-point table + live-state replay + planned-vs-guard delta."""
     from repro.analysis.liveness import method_liveness
-    from repro.aos.runtime import AdaptiveRuntime
-    from repro.policies import make_policy
 
     # Static per-method OSR-point table: loop-header entry points with
     # their map-in live sets, dispatched call sites with the map-out
@@ -233,45 +239,42 @@ def _deopt_section(program: Program, costs: CostModel,
         total_loops += len(liveness.loops)
         total_exit_candidates += len(liveness.site_live)
 
-    replay = check_osr_soundness(program, costs=costs, phase=phase)
-
     # Planned-vs-guard comparison: both runs charge identical OSR map-in
     # costs (planning enabled either way), so the delta isolates the
     # strategy choice -- guard cycles saved vs deoptimization exits paid.
-    def run_strategy(strategy: str):
-        run_costs = costs.replace(deopt_planning_enabled=True,
-                                  deopt_strategy=strategy)
-        runtime = AdaptiveRuntime(program,
-                                  make_policy("cins", costs=run_costs),
-                                  run_costs, sample_phase=phase)
-        result = runtime.run()
-        strategies: Dict[str, int] = {}
-        for compiled in runtime.code_cache.opt_methods():
-            for node in compiled.root.walk():
-                for decision in node.decisions.values():
-                    if decision.kind == GUARDED:
-                        name = PLAN_REPORT_NAMES[decision.plan.kind]
-                        strategies[name] = strategies.get(name, 0) + 1
-        return result, strategies
+    # The planned run is the OSR live-state replay.
+    def run_strategy(strategy: str, events=None):
+        return replay(program, costs.replace(deopt_planning_enabled=True,
+                                             deopt_strategy=strategy),
+                      phase, events)
 
-    planned, strategies = run_strategy("planned")
-    guard, _stock = run_strategy("guard")
+    watch = LiveStateWatch(program)
+    osr = watch.report(run_strategy("planned", watch))
+    planned = osr.result
+    guard = run_strategy("guard")
+    strategies: Dict[str, int] = {}
+    for compiled in watch.machine.code_cache.opt_methods():
+        for node in compiled.root.walk():
+            for decision in node.decisions.values():
+                if decision.kind == GUARDED:
+                    name = PLAN_REPORT_NAMES[decision.plan.kind]
+                    strategies[name] = strategies.get(name, 0) + 1
     saved = (guard.guard_tests - planned.guard_tests) * costs.guard_test
     return {
-        "ok": replay.ok,
+        "ok": osr.ok,
         "osr_points": {
             "loops": total_loops,
             "exit_candidates": total_exit_candidates,
             "methods": methods,
         },
         "soundness_replay": {
-            "ok": replay.ok,
-            "osr_transfers": replay.osr_transfers,
-            "deopt_entries": replay.deopt_entries,
-            "deopt_exits": replay.deopt_exits,
-            "reads_checked": replay.reads_checked,
+            "ok": osr.ok,
+            "osr_transfers": planned.osr_transfers,
+            "deopt_entries": planned.deopt_entries,
+            "deopt_exits": planned.deopt_exits,
+            "reads_checked": osr.reads_checked,
             "violations": [dataclasses.asdict(v)
-                           for v in replay.violations],
+                           for v in osr.violations],
         },
         # Installed-code site counts per chosen strategy (planned run).
         "strategies": strategies,

@@ -5,11 +5,14 @@ The static call graphs are only useful if they *over-approximate*
 execution: a (site -> target) edge the machine actually dispatches that a
 static target set does not contain would mean the verifier, the static
 oracles, and every report built on the graphs are reasoning about a
-different program than the one that runs.  This module replays a
-fixed-seed run with the machine's zero-cost ``dispatch_observer`` hook
-attached, collects every dynamically executed dispatch edge (optionally
-qualified by the source-level calling context read off the shadow
-stack), and checks containment site by site.
+different program than the one that runs.  :func:`replay` runs the
+fixed-seed adaptive system once with a consumer as the machine's event
+sink (DESIGN.md, "Events"); :class:`DispatchEdges` collects every
+dynamically executed dispatch edge, qualified by the source-level
+calling context read off the shadow stack, and the checks below test
+containment site by site.  :class:`ElisionWatch` and
+:class:`LiveStateWatch` consume the same stream to police guard elision
+and OSR live-state mapping.
 
 :func:`check_soundness` checks one flat graph (CHA by default);
 :func:`check_lattice_soundness` checks the whole precision chain
@@ -30,7 +33,7 @@ decisions diff --attribute-static`` renders that classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
                                       build_call_graph)
@@ -39,6 +42,9 @@ from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
 from repro.provenance.diff import DecisionDiff, Flip
+
+if TYPE_CHECKING:  # pragma: no cover - layering: aos imports analysis
+    from repro.aos.runtime import RunResult
 
 #: Attribution buckets for decision-diff flips.
 ATTR_STATIC_DECIDED = "static-decided"    #: CHA-monomorphic site
@@ -99,33 +105,57 @@ class SoundnessReport:
         return "\n".join(lines)
 
 
-def observe_dispatch_edges(program: Program, policy=None,
-                           costs: CostModel = DEFAULT_COSTS,
-                           phase: float = 0.0) \
-        -> Dict[int, FrozenSet[str]]:
-    """Run the program once and collect every executed dispatch edge.
+def replay(program: Program, costs: CostModel = DEFAULT_COSTS,
+           phase: float = 0.0, events=None) -> "RunResult":
+    """Run the fixed-seed ``cins`` adaptive system once; return its result.
 
-    Runs the full adaptive system (the seed-deterministic fixed-phase run
-    the acceptance check calls for), with the machine's
-    ``dispatch_observer`` hook recording the resolved target of every
-    virtual/interface dispatch -- guarded, devirtualized, or plain.
-    Observation is pure instrumentation: it charges no cycles and changes
-    no decisions.
+    ``events`` becomes the machine's event sink, with the machine it
+    watches as its ``machine`` attribute.  Events charge no cycles and
+    change no decisions, so the result is the unobserved run's.
     """
     from repro.aos.runtime import AdaptiveRuntime
     from repro.policies import make_policy
 
-    if policy is None:
-        policy = make_policy("cins", costs=costs)
-    runtime = AdaptiveRuntime(program, policy, costs, sample_phase=phase)
-    observed: Dict[int, set] = {}
+    runtime = AdaptiveRuntime(program, make_policy("cins", costs=costs),
+                              costs, sample_phase=phase)
+    if events is not None:
+        events.machine = runtime.machine
+        runtime.machine.events = events
+    return runtime.run()
 
-    def observer(site: int, target_id: str) -> None:
-        observed.setdefault(site, set()).add(target_id)
 
-    runtime.machine.dispatch_observer = observer
-    runtime.run()
-    return {site: frozenset(targets) for site, targets in observed.items()}
+#: (site, dynamic call string) -> executed target -> dispatch count.
+ContextEdges = Dict[Tuple[int, CallString], Dict[str, int]]
+
+
+class DispatchEdges:
+    """``dispatch`` consumer: every executed virtual or interface
+    dispatch edge, keyed by its site and the dynamic call string.
+
+    The call string is read off the machine's source-level shadow stack
+    at dispatch time -- innermost-first call-site ids, truncated to
+    ``k`` -- so inlined activations contribute their sites exactly as a
+    CCT walk would see them.  At ``k=0`` every call string is empty: the
+    flat edges.  Counts are per executed dispatch, which makes
+    :attr:`edges` double as the fixed-seed dynamic CCT the precision
+    score compares k-CFA predictions against.
+    """
+
+    #: The watched machine; :func:`replay` sets it.
+    machine = None
+
+    def __init__(self, k: int):
+        self.k = k
+        self.edges: ContextEdges = {}
+
+    def dispatch(self, site: int, target_id: str) -> None:
+        chain: List[int] = []
+        for frame in reversed(self.machine.stack):
+            if frame.site is None or len(chain) >= self.k:
+                break
+            chain.append(frame.site)
+        slot = self.edges.setdefault((site, tuple(chain)), {})
+        slot[target_id] = slot.get(target_id, 0) + 1
 
 
 def check_containment(graph: StaticCallGraph,
@@ -154,16 +184,15 @@ def check_containment(graph: StaticCallGraph,
 
 
 def check_soundness(program: Program,
-                    graph: Optional[StaticCallGraph] = None, policy=None,
+                    graph: Optional[StaticCallGraph] = None,
                     costs: CostModel = DEFAULT_COSTS,
                     phase: float = 0.0) -> SoundnessReport:
     """End-to-end check: build the CHA graph (unless given), replay a
     fixed-seed run, and verify CHA target sets contain what executed."""
     if graph is None:
         graph = build_call_graph(program, precision=CHA, costs=costs)
-    observed = observe_dispatch_edges(program, policy=policy, costs=costs,
-                                      phase=phase)
-    return check_containment(graph, observed)
+    edges = observe_context_edges(program, k=0, costs=costs, phase=phase)
+    return check_containment(graph, flatten_context_edges(edges))
 
 
 # -- guard-elision replay ------------------------------------------------------
@@ -180,7 +209,7 @@ class ElisionViolation:
     """
 
     site: int
-    elision_kind: str            #: "preexist" or "dominated"
+    elision_kind: str            #: "preexist", "exhaustive" or "dominated"
     entered: str                 #: target whose inlined body was entered
     resolved: str                #: what full dispatch would have called
     count: int = 1               #: dynamic occurrences on this run
@@ -198,11 +227,7 @@ class ElisionViolation:
 class ElisionReport:
     """Outcome of one fixed-seed replay with guard elision enabled."""
 
-    program_name: str
-    elided_entries: int           #: inline entries through an elided guard
-    guard_tests: int              #: guard tests still executed
-    guard_misses: int             #: guarded sites where every guard failed
-    total_cycles: float
+    result: "RunResult"           #: the replay run
     violations: Tuple[ElisionViolation, ...]
 
     @property
@@ -210,9 +235,9 @@ class ElisionReport:
         return not self.violations
 
     def render(self) -> str:
-        head = (f"elision replay {self.program_name}: "
-                f"{self.elided_entries} elided entries, "
-                f"{self.guard_tests} guard tests: ")
+        head = (f"elision replay {self.result.program_name}: "
+                f"{self.result.elided_entries} elided entries, "
+                f"{self.result.guard_tests} guard tests: ")
         if self.ok:
             return head + "no elided guard would have failed"
         lines = [head + f"{len(self.violations)} VIOLATION(S)"]
@@ -220,49 +245,43 @@ class ElisionReport:
         return "\n".join(lines)
 
 
-def check_elision_soundness(program: Program, policy=None,
+class ElisionWatch:
+    """``elided`` consumer: counts every entry through an elided guard
+    whose target differs from what full dispatch resolves."""
+
+    def __init__(self):
+        self.mismatches: Dict[Tuple[int, str, str, str], int] = {}
+
+    def elided(self, site: int, kind: str, entered: str,
+               resolved: str) -> None:
+        if entered != resolved:
+            key = (site, kind, entered, resolved)
+            self.mismatches[key] = self.mismatches.get(key, 0) + 1
+
+    def report(self, result: "RunResult") -> ElisionReport:
+        return ElisionReport(result=result, violations=tuple(
+            ElisionViolation(site=site, elision_kind=kind, entered=entered,
+                             resolved=resolved, count=count)
+            for (site, kind, entered, resolved), count
+            in sorted(self.mismatches.items())))
+
+
+def check_elision_soundness(program: Program,
                             costs: CostModel = DEFAULT_COSTS,
                             phase: float = 0.0) -> ElisionReport:
     """Replay with speculation enabled; assert no elided guard would fire.
 
     Forces ``speculation_enabled`` on (the elision machinery is opt-in
-    everywhere else), runs the fixed-seed adaptive system with the
-    machine's zero-cost ``elision_observer`` hook attached, and checks
-    that every entry through an elided guard entered exactly the target
-    a full dispatch would have resolved.  For preexistence elisions this
-    certifies the invalidation cone did its job; for dominance elisions
-    it certifies the acceptance-set containment argument.
+    everywhere else), replays the fixed-seed adaptive system with an
+    :class:`ElisionWatch`, and checks that every entry through an elided
+    guard entered exactly the target a full dispatch would have
+    resolved.  For preexistence elisions this certifies the invalidation
+    cone did its job; for exhaustive and dominance elisions it certifies
+    the acceptance-set containment argument.
     """
-    from repro.aos.runtime import AdaptiveRuntime
-    from repro.policies import make_policy
-
-    if not costs.speculation_enabled:
-        costs = costs.replace(speculation_enabled=True)
-    if policy is None:
-        policy = make_policy("cins", costs=costs)
-    runtime = AdaptiveRuntime(program, policy, costs, sample_phase=phase)
-    mismatches: Dict[Tuple[int, str, str, str], int] = {}
-
-    def observer(site: int, kind: str, entered: str, resolved: str) -> None:
-        if entered != resolved:
-            key = (site, kind, entered, resolved)
-            mismatches[key] = mismatches.get(key, 0) + 1
-
-    runtime.machine.elision_observer = observer
-    result = runtime.run()
-    stats = runtime.machine.stats
-    violations = tuple(
-        ElisionViolation(site=site, elision_kind=kind, entered=entered,
-                         resolved=resolved, count=count)
-        for (site, kind, entered, resolved), count
-        in sorted(mismatches.items()))
-    return ElisionReport(
-        program_name=program.name,
-        elided_entries=stats.elided_entries,
-        guard_tests=stats.guard_tests,
-        guard_misses=stats.guard_misses,
-        total_cycles=result.total_cycles,
-        violations=violations)
+    watch = ElisionWatch()
+    costs = costs.replace(speculation_enabled=True)
+    return watch.report(replay(program, costs, phase, watch))
 
 
 # -- OSR live-state replay -----------------------------------------------------
@@ -300,12 +319,8 @@ class OSRViolation:
 class OSRReport:
     """Outcome of one fixed-seed replay with deopt planning enabled."""
 
-    program_name: str
-    osr_transfers: int            #: loop OSR entries watched
-    deopt_entries: int            #: zero-cost entries at cheap-exit sites
-    deopt_exits: int              #: deoptimization exits watched
+    result: "RunResult"           #: the replay run
     reads_checked: int            #: local reads in watched activations
-    total_cycles: float
     violations: Tuple[OSRViolation, ...]
 
     @property
@@ -313,9 +328,9 @@ class OSRReport:
         return not self.violations
 
     def render(self) -> str:
-        head = (f"osr soundness {self.program_name}: "
-                f"{self.osr_transfers} loop transfer(s), "
-                f"{self.deopt_exits} deopt exit(s), "
+        head = (f"osr soundness {self.result.program_name}: "
+                f"{self.result.osr_transfers} loop transfer(s), "
+                f"{self.result.deopt_exits} deopt exit(s), "
                 f"{self.reads_checked} watched read(s): ")
         if self.ok:
             return head + "live sets cover every read"
@@ -324,130 +339,97 @@ class OSRReport:
         return "\n".join(lines)
 
 
-def check_osr_soundness(program: Program, policy=None,
-                        costs: CostModel = DEFAULT_COSTS,
-                        phase: float = 0.0) -> OSRReport:
-    """Replay with deopt planning on; assert live sets cover every read.
+class LiveStateWatch:
+    """``osr_entry``, ``deopt_exit`` and ``local`` consumer: checks each
+    read in a transferred activation against the live set mapped across.
 
-    Forces ``deopt_planning_enabled`` and the ``planned`` strategy (the
-    configuration exercising both OSR-point flavours), runs the
-    fixed-seed adaptive system with the machine's zero-cost transition
-    observers and local-access probe attached, and checks the soundness
-    contract of the liveness analysis: from each transition onward,
-    every local the interpreter actually reads in the transferred
-    activation is either in the statically-computed live set that was
-    mapped across, or was re-written after the transfer (reads after a
-    post-transfer write never consult mapped state).
+    From each transition onward, every local the interpreter actually
+    reads in the transferred activation must be either in the
+    statically computed live set that was mapped across, or re-written
+    after the transfer (reads after a post-transfer write never consult
+    mapped state).  Re-watching an activation at a newer transition
+    replaces its contract.
     """
-    from repro.analysis.liveness import _loop_paths
-    from repro.aos.runtime import AdaptiveRuntime
-    from repro.policies import make_policy
 
-    if not costs.deopt_planning_enabled or costs.deopt_strategy != "planned":
-        costs = costs.replace(deopt_planning_enabled=True,
-                              deopt_strategy="planned")
-    if policy is None:
-        policy = make_policy("cins", costs=costs)
-    runtime = AdaptiveRuntime(program, policy, costs, sample_phase=phase)
+    #: The watched machine; :func:`replay` sets it.
+    machine = None
 
-    loop_paths: Dict[int, str] = {}
-    for method in program.methods():
-        loop_paths.update(_loop_paths(method))
+    def __init__(self, program: Program):
+        from repro.analysis.liveness import _loop_paths
 
-    # id(locals_) -> [locals_ref, live, written, method_id, kind, where].
-    # The strong reference to the locals list pins its id for the whole
-    # run, so a recycled id can never alias a watched activation.
-    watched: Dict[int, list] = {}
-    counts: Dict[Tuple[str, str, str, int, Tuple[int, ...]], int] = {}
-    reads_checked = [0]
+        self.loop_paths: Dict[int, str] = {}
+        for method in program.methods():
+            self.loop_paths.update(_loop_paths(method))
+        # id(locals_) -> [locals_, live, written, method_id, kind, where].
+        # The strong reference to the locals list pins its id for the
+        # whole run, so a recycled id can never alias a watched
+        # activation.
+        self.watched: Dict[int, list] = {}
+        self.counts: Dict[Tuple[str, str, str, int, Tuple[int, ...]],
+                          int] = {}
+        self.reads_checked = 0
 
-    def watch(locals_, live, method_id: str, kind: str, where: str) -> None:
-        watched[id(locals_)] = [locals_, frozenset(live), set(),
-                                method_id, kind, where]
+    def _watch(self, locals_, live, method_id: str, kind: str,
+               where: str) -> None:
+        self.watched[id(locals_)] = [locals_, frozenset(live), set(),
+                                     method_id, kind, where]
 
-    def on_osr_entry(method_id, loop_stmt, locals_) -> None:
-        index = runtime.machine.osr_liveness or {}
-        watch(locals_, index.get(id(loop_stmt), frozenset()), method_id,
-              "osr-entry", loop_paths.get(id(loop_stmt), "<loop>"))
+    def osr_entry(self, method_id: str, loop_stmt, locals_) -> None:
+        index = self.machine.osr_liveness or {}
+        self._watch(locals_, index.get(id(loop_stmt), frozenset()),
+                    method_id, "osr-entry",
+                    self.loop_paths.get(id(loop_stmt), "<loop>"))
 
-    def on_deopt_exit(site, exit_live, locals_) -> None:
-        frame = runtime.machine.stack[-1]
-        watch(locals_, exit_live, frame.method.id, "deopt-exit",
-              f"site {site}")
+    def deopt_exit(self, site: int, exit_live, locals_) -> None:
+        self._watch(locals_, exit_live, self.machine.stack[-1].method.id,
+                    "deopt-exit", f"site {site}")
 
-    def probe(locals_, index: int, is_read: bool) -> None:
-        entry = watched.get(id(locals_))
+    def local(self, locals_, index: int, is_read: bool) -> None:
+        entry = self.watched.get(id(locals_))
         if entry is None or entry[0] is not locals_:
             return
         if not is_read:
             entry[2].add(index)
             return
-        reads_checked[0] += 1
+        self.reads_checked += 1
         if index in entry[1] or index in entry[2]:
             return
-        key = (entry[3], entry[4], entry[5], index,
-               tuple(sorted(entry[1])))
-        counts[key] = counts.get(key, 0) + 1
+        key = (entry[3], entry[4], entry[5], index, tuple(sorted(entry[1])))
+        self.counts[key] = self.counts.get(key, 0) + 1
 
-    runtime.machine.osr_entry_observer = on_osr_entry
-    runtime.machine.deopt_exit_observer = on_deopt_exit
-    runtime.machine.local_probe = probe
-    result = runtime.run()
-    stats = runtime.machine.stats
-    violations = tuple(
-        OSRViolation(method=method, kind=kind, where=where, index=index,
-                     live=live, count=count)
-        for (method, kind, where, index, live), count
-        in sorted(counts.items()))
-    return OSRReport(
-        program_name=program.name,
-        osr_transfers=stats.osr_transfers,
-        deopt_entries=stats.deopt_entries,
-        deopt_exits=stats.deopt_exits,
-        reads_checked=reads_checked[0],
-        total_cycles=result.total_cycles,
-        violations=violations)
+    def report(self, result: "RunResult") -> OSRReport:
+        return OSRReport(
+            result=result, reads_checked=self.reads_checked,
+            violations=tuple(
+                OSRViolation(method=method, kind=kind, where=where,
+                             index=index, live=live, count=count)
+                for (method, kind, where, index, live), count
+                in sorted(self.counts.items())))
+
+
+def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
+                        phase: float = 0.0) -> OSRReport:
+    """Replay with deopt planning on; assert live sets cover every read.
+
+    Forces ``deopt_planning_enabled`` and the ``planned`` strategy (the
+    configuration exercising both OSR-point flavours) and replays the
+    fixed-seed adaptive system with a :class:`LiveStateWatch`.
+    """
+    watch = LiveStateWatch(program)
+    costs = costs.replace(deopt_planning_enabled=True,
+                          deopt_strategy="planned")
+    return watch.report(replay(program, costs, phase, watch))
 
 
 # -- context-conditioned observation and the full precision chain --------------
 
-#: (site, dynamic call string) -> executed target -> dispatch count.
-ContextEdges = Dict[Tuple[int, CallString], Dict[str, int]]
-
-
-def observe_context_edges(program: Program, k: int = 2, policy=None,
+def observe_context_edges(program: Program, k: int = 2,
                           costs: CostModel = DEFAULT_COSTS,
                           phase: float = 0.0) -> ContextEdges:
-    """Replay once and collect dispatch edges qualified by calling context.
-
-    The dynamic call string is read off the machine's source-level shadow
-    stack at dispatch time -- innermost-first call-site ids, truncated to
-    ``k`` -- so inlined activations contribute their sites exactly as a
-    CCT walk would see them.  Counts are per executed dispatch, which
-    makes the result double as the fixed-seed dynamic CCT the precision
-    score compares k-CFA predictions against.
-    """
-    from repro.aos.runtime import AdaptiveRuntime
-    from repro.policies import make_policy
-
-    if policy is None:
-        policy = make_policy("cins", costs=costs)
-    runtime = AdaptiveRuntime(program, policy, costs, sample_phase=phase)
-    stack = runtime.machine.stack
-    edges: Dict[Tuple[int, CallString], Dict[str, int]] = {}
-
-    def observer(site: int, target_id: str) -> None:
-        chain: List[int] = []
-        for frame in reversed(stack):
-            if frame.site is None or len(chain) >= k:
-                break
-            chain.append(frame.site)
-        slot = edges.setdefault((site, tuple(chain)), {})
-        slot[target_id] = slot.get(target_id, 0) + 1
-
-    runtime.machine.dispatch_observer = observer
-    runtime.run()
-    return edges
+    """Replay once; the :class:`DispatchEdges` it collects at depth ``k``."""
+    edges = DispatchEdges(k)
+    replay(program, costs, phase, edges)
+    return edges.edges
 
 
 def flatten_context_edges(edges: ContextEdges) -> Dict[int, FrozenSet[str]]:
@@ -524,7 +506,6 @@ class LatticeSoundnessReport:
 
 
 def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
-                            policy=None,
                             costs: CostModel = DEFAULT_COSTS,
                             phase: float = 0.0,
                             edges: Optional[ContextEdges] = None) \
@@ -539,8 +520,8 @@ def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
     """
     max_k = max(ks) if ks else 0
     if edges is None:
-        edges = observe_context_edges(program, k=max_k, policy=policy,
-                                      costs=costs, phase=phase)
+        edges = observe_context_edges(program, k=max_k, costs=costs,
+                                      phase=phase)
     flat = flatten_context_edges(edges)
     sections: List[SoundnessReport] = []
     for precision in (CHA, RTA):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.aos.controller import CompilationThread, Controller
 from repro.aos.cost_accounting import (AI_ORGANIZER, ALL_COMPONENTS, APP,
@@ -199,9 +199,9 @@ class AdaptiveRuntime:
             lambda component: self.accounting.cycles.get(component, 0.0))
         self.provenance.bind(lambda: self.machine.clock)
         # Progress points (see repro.telemetry.progress) are pure
-        # instrumentation like telemetry and provenance: marking charges
-        # no cycles, so tracked runs stay cycle-identical to untracked
-        # ones.  Without a tracker the machine's marking hook stays cold.
+        # instrumentation like telemetry and provenance: the tracker
+        # becomes the machine's event sink, and marking charges no
+        # cycles, so tracked runs stay cycle-identical to untracked ones.
         self.progress = progress
         if progress is not None:
             instrument_progress(self.machine, program, progress)
@@ -218,13 +218,8 @@ class AdaptiveRuntime:
         self.first_rule_clock: Optional[float] = None
         #: True when profile state was seeded from fleet-aggregated data.
         self.warm_started = False
-        #: Optional hook called after every periodic organizer wake with
-        #: ``(runtime, epoch_index)``.  Pure observation on the host
-        #: (Python) side: it is invoked outside any cycle charging, so a
-        #: run with an observer stays cycle-identical to one without --
-        #: the same zero-overhead contract as telemetry and provenance.
-        self.epoch_observer: \
-            Optional[Callable[["AdaptiveRuntime", int], None]] = None
+        #: Periodic organizer wakes so far; each fires the machine event
+        #: sink's ``epoch(runtime, epoch)`` when it consumes that event.
         self._epoch = 0
 
         if not 0.0 <= sample_phase < 1.0:
@@ -308,8 +303,11 @@ class AdaptiveRuntime:
             self.first_rule_clock = machine.clock
         telemetry.end_span(wake_id)
         self._epoch += 1
-        if self.epoch_observer is not None:
-            self.epoch_observer(self, self._epoch)
+        # Outside any cycle charging, so an observed run stays
+        # cycle-identical to a bare one.
+        on_epoch = getattr(machine.events, "epoch", None)
+        if on_epoch is not None:
+            on_epoch(self, self._epoch)
 
     # -- OSR ---------------------------------------------------------------------
 

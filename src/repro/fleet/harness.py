@@ -3,7 +3,7 @@
 Spawns N simulated runtimes over the *same* program (different workload
 seeds and sampling phases playing the role of per-machine load
 variation), captures each instance's profile deltas at epoch boundaries
-via the runtime's ``epoch_observer`` hook, and streams them into a
+as the machine's event sink (its ``epoch`` event), and streams them into a
 :class:`~repro.fleet.store.ShardedProfileStore`.
 
 Instances fan out over a process pool with the same fault-tolerance
@@ -135,7 +135,7 @@ def _instance_phase(index: int) -> float:
 
 
 class _DeltaCapture:
-    """Epoch observer that captures clamped profile deltas.
+    """Event sink whose ``epoch`` event captures clamped profile deltas.
 
     Keeps the last published absolute weights and emits max(0, new-old)
     per key (decay can shrink weights between publishes; a negative
@@ -150,7 +150,7 @@ class _DeltaCapture:
         self._last_traces: Dict[WireKey, float] = {}
         self._last_edges: Dict[WireKey, float] = {}
 
-    def __call__(self, runtime: AdaptiveRuntime, epoch: int) -> None:
+    def epoch(self, runtime: AdaptiveRuntime, epoch: int) -> None:
         if epoch % self.publish_every:
             return
         self.capture(runtime, epoch // self.publish_every)
@@ -203,7 +203,7 @@ def run_instance(config: FleetConfig, index: int,
         from repro.fleet.bootstrap import apply_warm_start
         apply_warm_start(runtime, warm_profile)
     capture = _DeltaCapture(config.publish_every)
-    runtime.epoch_observer = capture
+    runtime.machine.events = capture
     result = runtime.run()
     # Flush the tail window so samples after the last periodic publish
     # still reach the store.

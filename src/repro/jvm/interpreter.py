@@ -13,7 +13,8 @@ Everything the paper measures flows through here:
   activations get zero-cost marker frames, reproducing Jikes RVM's
   optimized-stack-frame decoding),
 * the tick hook that drives timer-based sampling and the periodic
-  organizers.
+  organizers,
+* the :attr:`Machine.events` sink that observers consume.
 
 :meth:`Machine.run` executes the program as closures lowered from its
 statement lists (see :mod:`repro.jvm.lowering`).
@@ -33,7 +34,19 @@ from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["MAX_STACK_DEPTH", "Machine", "MachineStats"]
+__all__ = ["MAX_STACK_DEPTH", "Machine", "MachineStats", "NULL_EVENTS",
+           "NullEvents"]
+
+
+class NullEvents:
+    """The default event sink: it consumes no event, so a run builds no
+    firing code at all."""
+
+    __slots__ = ()
+
+
+#: The machine's default :attr:`Machine.events`.
+NULL_EVENTS = NullEvents()
 
 
 class MachineStats:
@@ -96,49 +109,20 @@ class Machine:
         #: invalidation.
         self.class_load_handler: Optional[Callable[[str], None]] = None
 
-        # The hooks below are read once when :meth:`run` starts and are
-        # built into the lowered code only when attached.
-
-        #: Pure-instrumentation hook fired once per executed virtual or
-        #: interface dispatch with ``(site, target_method_id)`` -- the
-        #: target that actually ran, whether reached through a guard, a
-        #: devirtualized direct inline, or a plain dispatch.  Charges no
-        #: cycles and must not mutate machine state; the soundness
-        #: checker uses it to collect dynamic call-graph edges.
-        self.dispatch_observer: Optional[Callable[[int, str], None]] = None
-        #: Progress points (see :mod:`repro.telemetry.progress`): loop
-        #: statements registered here by identity mark the named point
-        #: once per *completed* iteration via :attr:`progress_observer`.
-        #: Pure instrumentation under the same contract as
-        #: ``dispatch_observer``: no cycles charged, no state mutated,
-        #: so tracked and untracked runs are cycle-identical.
-        self.progress_loops: dict = {}
-        self.progress_observer: Optional[Callable[[str], None]] = None
-        #: Pure-instrumentation hook fired once per inline entry through
-        #: an *elided* guard with ``(site, elision_kind, entered_target_id,
-        #: resolved_target_id)``.  Same contract as ``dispatch_observer``
-        #: (no cycles, no mutation); the elision-replay soundness checker
-        #: asserts ``entered == resolved`` for every event -- i.e. no
-        #: elided guard would ever have failed.
-        self.elision_observer: Optional[
-            Callable[[int, str, str, str], None]] = None
         #: ``id(loop_stmt) -> live-local set`` from the deopt planner's
         #: liveness pass.  ``None`` (the default) charges no OSR
         #: state-mapping cycles, reproducing pre-planning cycle counts
         #: exactly; when set, each loop OSR transfer additionally pays
         #: ``len(live) * costs.osr_map_in_cost``.
         self.osr_liveness = None
-        #: Pure-instrumentation hooks for the OSR soundness replay, all
-        #: under the ``dispatch_observer`` contract (no cycles charged,
-        #: no state mutated).  ``osr_entry_observer(method_id, loop_stmt,
-        #: locals_)`` fires at each loop OSR transfer;
-        #: ``deopt_exit_observer(site, exit_live, locals_)`` fires at each
-        #: cheap-exit deoptimization; ``local_probe(locals_, index,
-        #: is_read)`` fires on every local-slot access so the checker can
-        #: compare actual reads against the statically computed live sets.
-        self.osr_entry_observer: Optional[Callable] = None
-        self.deopt_exit_observer: Optional[Callable] = None
-        self.local_probe: Optional[Callable] = None
+        #: The event sink (DESIGN.md, "Events").  A sink implements only
+        #: the events it reads -- ``dispatch``, ``elided``, ``osr_entry``,
+        #: ``deopt_exit``, ``local``, ``progress`` (naming its points in a
+        #: ``loops`` table) and the runtime's ``epoch`` -- and :meth:`run`
+        #: builds firing code for those alone.  Events charge no cycles
+        #: and a sink must not mutate machine state, so an observed run
+        #: is cycle-identical to a bare one.
+        self.events = NULL_EVENTS
 
     # -- cost charging -----------------------------------------------------
 

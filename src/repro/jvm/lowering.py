@@ -36,8 +36,8 @@ if TYPE_CHECKING:
 #: inlined body's ``enter``), one for the call statement that reaches the
 #: next frame, and one per ``Loop`` or ``If`` the call sits in: a recursion
 #: through ``Loop`` -> ``If`` -> call costs four, 880 frames at the cap,
-#: leaving room for the caller's frames and a tick handler's.  (An
-#: attached ``local_probe`` wraps each call statement in one more.)
+#: leaving room for the caller's frames and a tick handler's.  Events fire
+#: inside those frames, never around a call, so a sink adds none.
 MAX_STACK_DEPTH = 220
 
 #: Lowering tiers: index into the per-run execution multipliers.
@@ -80,6 +80,26 @@ class _Resolutions(dict):
         return method
 
 
+def _watched_locals(on_local) -> list:
+    """The seed ``[0]`` of a run whose sink consumes ``local``: every
+    activation's locals grow from it and fire ``on_local(locals_, index,
+    is_read)`` on each slot access, before a read and after a write."""
+    class WatchedLocals(list):
+        __slots__ = ()
+
+        def __getitem__(self, index):
+            on_local(self, index, True)
+            return list.__getitem__(self, index)
+
+        def __setitem__(self, index, value):
+            list.__setitem__(self, index, value)
+            on_local(self, index, False)
+
+        def __mul__(self, count):
+            return WatchedLocals(list.__mul__(self, count))
+    return WatchedLocals([0])
+
+
 def _overflow(verb: str, method, depth: int) -> ExecutionError:
     return ExecutionError(
         f"stack overflow {verb} {method.id} at depth {depth}")
@@ -94,11 +114,11 @@ def lower_run(m: Machine):
     """Bind one run of ``m``; return ``(invoke, release)``.
 
     Everything fixed for the run -- the machine's state objects, the
-    execution multipliers and the attached hooks -- is bound once in this
-    scope and shared by every closure created below.  Per-statement
-    constants are bound as parameter defaults (``cycles=cycles``): one
-    defaults tuple per closure, where free variables would cost a cell
-    each.  Lowered code is memoised in the tables below, and ``release``
+    execution multipliers and the events the sink consumes -- is bound
+    once in this scope and shared by every closure created below.
+    Per-statement constants are bound as parameter defaults
+    (``cycles=cycles``): one defaults tuple per closure, where free
+    variables would cost a cell each.  Lowered code is memoised in the tables below, and ``release``
     empties them when the run returns.
 
     The charge sequence inlined into the hot closures is
@@ -115,14 +135,19 @@ def lower_run(m: Machine):
     mults = (costs.baseline_exec_mult, costs.opt_exec_mult,
              costs.opt_exec_mult * (1.0 - costs.inline_work_discount))
 
-    dispatch_observer = m.dispatch_observer
-    elision_observer = m.elision_observer
-    deopt_exit_observer = m.deopt_exit_observer
-    osr_entry_observer = m.osr_entry_observer
     osr_liveness = m.osr_liveness
-    probe = m.local_probe
-    progress_loops = dict(m.progress_loops)
-    progress_observer = m.progress_observer
+    events = m.events
+    on_dispatch = getattr(events, "dispatch", None)
+    on_elided = getattr(events, "elided", None)
+    on_osr_entry = getattr(events, "osr_entry", None)
+    on_deopt_exit = getattr(events, "deopt_exit", None)
+    on_local = getattr(events, "local", None)
+    on_progress = getattr(events, "progress", None)
+    points = events.loops if on_progress is not None else {}
+    # Every activation's locals are ``zeros * num_locals``.  When the sink
+    # consumes ``local`` they are a list whose slot reads and writes fire
+    # it, so no statement or call needs a wrapper of its own.
+    zeros = [0] if on_local is None else _watched_locals(on_local)
 
     # Baseline lists are not memoised in ``lists``: ``bodies`` keeps a
     # baseline method body from its second invocation on.
@@ -187,7 +212,7 @@ def lower_run(m: Machine):
                         bodies[method] = fns
                     else:
                         invoked.add(method)
-            locals_ = [0] * method.num_locals
+            locals_ = zeros * method.num_locals
             for fn in fns:
                 result = fn(args, locals_)
                 if result is not None:
@@ -240,7 +265,7 @@ def lower_run(m: Machine):
                 try:
                     if fns is None:
                         fns = lower_list(target.body, INLINED, node)
-                    locals_ = [0] * target.num_locals
+                    locals_ = zeros * target.num_locals
                     for fn in fns:
                         result = fn(call_args, locals_)
                         if result is not None:
@@ -319,21 +344,12 @@ def lower_run(m: Machine):
                 return lower_osr_loop(stmt, body, index)
             return lower_loop(stmt, lower_list(stmt.body, tier, None))
         if k == S_LET:
-            fn = lower_let(stmt.dst, stmt.expr)
-        elif k == S_NEW:
-            fn = lower_new(stmt.dst, stmt.class_name)
-        elif k == S_NEWPOOL:
-            fn = lower_new_pool(stmt.dst, stmt.class_names)
-        else:  # pragma: no cover - defensive
-            raise ExecutionError(f"unknown statement kind {k}")
-        return probed(fn, stmt.dst) if probe is not None else fn
-
-    def probed(fn, dst: int):
-        """``fn`` followed by the local probe's write event for ``dst``."""
-        def write(args, locals_, fn=fn, dst=dst):
-            fn(args, locals_)
-            probe(locals_, dst, False)
-        return write
+            return lower_let(stmt.dst, stmt.expr)
+        if k == S_NEW:
+            return lower_new(stmt.dst, stmt.class_name)
+        if k == S_NEWPOOL:
+            return lower_new_pool(stmt.dst, stmt.class_names)
+        raise ExecutionError(f"unknown statement kind {k}")  # pragma: no cover
 
     # -- straight-line statements -------------------------------------------
 
@@ -388,19 +404,15 @@ def lower_run(m: Machine):
         return if_
 
     def loop_body(stmt, fns: tuple):
-        """Loop body closures with the attached per-iteration hooks:
-        ``(closures, progress mark or None)``."""
-        mark = None
-        if probe is not None:
-            def probe_index(args, locals_, index=stmt.index_local):
-                probe(locals_, index, False)
-            fns = (probe_index,) + fns
-        point = progress_loops.get(id(stmt))
-        if point is not None:
-            def mark(args, locals_, point=point):
-                progress_observer(point)
-            fns = fns + (mark,)
-        return fns, mark
+        """Loop body closures, ending in the progress mark when the loop
+        is a progress point: ``(closures, mark or None)``."""
+        point = points.get(id(stmt))
+        if point is None:
+            return fns, None
+
+        def mark(args, locals_, point=point):
+            on_progress(point)
+        return fns + (mark,), mark
 
     def lower_loop(stmt, body_fns: tuple):
         count_of = lower_expr(stmt.count)
@@ -473,8 +485,8 @@ def lower_run(m: Machine):
                             frame.osr = True
                             if map_in is not None:
                                 charge_app(map_in)
-                            if osr_entry_observer is not None:
-                                osr_entry_observer(method_id, stmt, locals_)
+                            if on_osr_entry is not None:
+                                on_osr_entry(method_id, stmt, locals_)
                             m.telemetry.instant(APP, "osr_transfer",
                                                 method=method_id)
             backedges[method_id] = edges + count
@@ -491,12 +503,8 @@ def lower_run(m: Machine):
 
     def lower_call(stmt, tier: int, decision):
         if stmt.kind == S_STATIC_CALL:
-            fn = lower_static_call(stmt, tier, decision)
-        else:
-            fn = lower_virtual_call(stmt, tier, decision)
-        if probe is not None and stmt.dst is not None:
-            return probed(fn, stmt.dst)
-        return fn
+            return lower_static_call(stmt, tier, decision)
+        return lower_virtual_call(stmt, tier, decision)
 
     def lower_static_call(stmt, tier: int, decision):
         build = lower_args(stmt.args)
@@ -538,8 +546,8 @@ def lower_run(m: Machine):
             # DIRECT: statically bound by CHA, no guard executed.
             option = decision.sole
             enter = inline_entry(option.target, option.node, site)
-            if dispatch_observer is not None:
-                enter = observed_entry(enter, site, option.target.id)
+            if on_dispatch is not None:
+                build = observed_build(build, site, option.target.id)
 
             def direct_call(args, locals_, receiver_of=receiver_of,
                             build=build, site=site, dst=stmt.dst,
@@ -641,14 +649,14 @@ def lower_run(m: Machine):
         # Entering ``target`` (not ``resolved``) is the point: if the
         # argument were wrong the wrong body would run, which is what the
         # elision-replay checker detects.
-        if elision_observer is None:
+        if on_elided is None:
             def elided_entry(receiver, resolved):
                 stats.elided_entries += 1
                 return enter
         else:
             def elided_entry(receiver, resolved):
                 stats.elided_entries += 1
-                elision_observer(site, elided, target.id, resolved.id)
+                on_elided(site, elided, target.id, resolved.id)
                 return enter
         if elided != PLAN_DOMINATED:
             return elided_entry
@@ -673,8 +681,8 @@ def lower_run(m: Machine):
         def exit_(locals_):
             stats.deopt_exits += 1
             charge_app(cycles)
-            if deopt_exit_observer is not None:
-                deopt_exit_observer(site, exit_live, locals_)
+            if on_deopt_exit is not None:
+                on_deopt_exit(site, exit_live, locals_)
         return exit_
 
     def guard_miss(cycles):
@@ -694,21 +702,25 @@ def lower_run(m: Machine):
 
     def resolver(selector: str, site: int):
         """``class name -> resolved method`` at a dispatching site, firing
-        the dispatch observer when one is attached."""
+        the ``dispatch`` event when the sink consumes it."""
         table = resolutions_for(selector)
-        if dispatch_observer is None:
+        if on_dispatch is None:
             return table.__getitem__
 
         def observed(klass: str):
             method = table[klass]
-            dispatch_observer(site, method.id)
+            on_dispatch(site, method.id)
             return method
         return observed
 
-    def observed_entry(enter, site: int, target_id: str):
-        def observed(call_args: tuple):
-            dispatch_observer(site, target_id)
-            return enter(call_args)
+    def observed_build(build, site: int, target_id: str):
+        """``build`` for a DIRECT site, firing the ``dispatch`` event for
+        the target the site binds once the arguments are built -- never
+        around the inlined entry, which would add a frame per call."""
+        def observed(receiver, args, locals_):
+            call_args = build(receiver, args, locals_)
+            on_dispatch(site, target_id)
+            return call_args
         return observed
 
     # -- arguments and expressions --------------------------------------------
@@ -722,7 +734,7 @@ def lower_run(m: Machine):
             if only.kind == E_ARG:
                 return leaf(("args-arg", only.index), lambda: (
                     lambda args, locals_, index=only.index: (args[index],)))
-            if only.kind == E_LOCAL and probe is None:
+            if only.kind == E_LOCAL:
                 return leaf(("args-local", only.index), lambda: (
                     lambda args, locals_, index=only.index:
                     (locals_[index],)))
@@ -763,14 +775,8 @@ def lower_run(m: Machine):
             return leaf(("arg", expr.index), lambda: (
                 lambda args, locals_, index=expr.index: args[index]))
         if k == E_LOCAL:
-            if probe is None:
-                return leaf(("local", expr.index), lambda: (
-                    lambda args, locals_, index=expr.index: locals_[index]))
-
-            def probed_local(args, locals_, index=expr.index):
-                probe(locals_, index, True)
-                return locals_[index]
-            return probed_local
+            return leaf(("local", expr.index), lambda: (
+                lambda args, locals_, index=expr.index: locals_[index]))
         if k == E_PICK:
             pool_of, index_of = lower_expr(expr.pool), lower_expr(expr.index)
 

@@ -7,11 +7,11 @@ report predicted speedups as *progress-rate* changes (marks per cycle)
 rather than raw total-cycle deltas, so a what-if that merely shifts work
 around without completing transactions faster scores zero.
 
-The tracker follows the telemetry zero-overhead contract: marking a
-progress point charges no simulated cycles and changes no decisions, so
-a tracked run is cycle-identical to an untracked one.  The machine's
-marking hook is two attribute loads and a dict probe per *loop
-statement* (not per iteration) when no points are registered.
+The tracker is a machine event sink (it consumes ``progress``) and
+follows the zero-overhead contract: marking a progress point charges no
+simulated cycles and changes no decisions, so a tracked run is
+cycle-identical to an untracked one.  Only loops in its :attr:`loops`
+table get a mark; every other loop lowers as in an untracked run.
 
 When a :class:`~repro.telemetry.recorder.TelemetryRecorder` is attached,
 every mark is mirrored as a ``progress/<name>`` counter sample, which
@@ -52,14 +52,17 @@ class ProgressTracker:
         self.label = label
         self.telemetry = telemetry
         self.points: Dict[str, ProgressPointStats] = {}
+        #: ``id(loop statement) -> point name``: the machine fires
+        #: :meth:`progress` once per completed iteration of each loop.
+        self.loops: Dict[int, str] = {}
         self._clock: Callable[[], float] = lambda: 0.0
 
     def bind(self, clock: Callable[[], float]) -> None:
         """Attach the cycle-clock source (the adaptive runtime does this)."""
         self._clock = clock
 
-    def mark(self, name: str) -> None:
-        """Record one completion of the named progress point."""
+    def progress(self, name: str) -> None:
+        """The ``progress`` event: one completion of the named point."""
         clock = self._clock()
         stats = self.points.get(name)
         if stats is None:
@@ -119,8 +122,7 @@ def main_loop_points(program: Program,
     a single loop is named ``main`` (the common all-drivers-per-
     iteration shape); several top-level loops are the program's phases
     and named ``phase0``, ``phase1``, ... in source order.  Keys are
-    loop-statement identities, matching the machine's registration
-    surface (:attr:`~repro.jvm.interpreter.Machine.progress_loops`).
+    loop-statement identities, as in :attr:`ProgressTracker.loops`.
     """
     entry = method if method is not None else program.entry_method()
     loops = [stmt for stmt in entry.body if isinstance(stmt, Loop)]
@@ -134,15 +136,15 @@ def main_loop_points(program: Program,
 
 def instrument_progress(machine, program: Program,
                         tracker: ProgressTracker) -> Dict[int, str]:
-    """Register entry-loop progress points on a machine.
+    """Make ``tracker`` the machine's event sink, marking entry loops.
 
-    Binds the tracker to the machine clock, installs the per-iteration
-    marking hook, and returns the registered ``{id(loop): name}`` map
-    (empty when the entry method has no top-level loop).
+    Binds the tracker to the machine clock, adds the program's entry-loop
+    points to its :attr:`~ProgressTracker.loops`, and returns them as
+    ``{id(loop): name}`` (empty when the entry method has no top-level
+    loop).
     """
     points = main_loop_points(program)
     tracker.bind(lambda: machine.clock)
-    if points:
-        machine.progress_loops.update(points)
-        machine.progress_observer = tracker.mark
+    tracker.loops.update(points)
+    machine.events = tracker
     return points

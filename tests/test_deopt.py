@@ -246,7 +246,7 @@ class TestOSRSoundnessReplay:
         program = build_benchmark("mtrt", scale=0.05).program
         report = check_osr_soundness(program)
         assert report.ok
-        assert report.deopt_exits > 0
+        assert report.result.deopt_exits > 0
         assert report.reads_checked > 0
         assert report.violations == ()
 
@@ -254,7 +254,7 @@ class TestOSRSoundnessReplay:
         program = build_benchmark("jess", scale=0.1).program
         report = check_osr_soundness(program)
         assert report.ok
-        assert report.osr_transfers > 0
+        assert report.result.osr_transfers > 0
 
     def test_report_renders(self):
         program = build_benchmark("mtrt", scale=0.05).program

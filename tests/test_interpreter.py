@@ -8,7 +8,7 @@ import pytest
 from repro.aos.cost_accounting import APP, COMPILATION, CostAccounting
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
-from repro.compiler.compiled_method import (GUARDED, PLAN_PREEXIST,
+from repro.compiler.compiled_method import (DIRECT, GUARDED, PLAN_PREEXIST,
                                             CompiledMethod, GuardOption,
                                             GuardPlan, InlineDecision,
                                             InlineNode)
@@ -26,6 +26,34 @@ from repro.workloads.builder import ProgramBuilder
 from repro.workloads.hashmap_example import build as build_hashmap
 
 from conftest import build_diamond_program
+
+
+class EveryEvent:
+    """An event sink consuming every machine event, ignoring each."""
+
+    def __init__(self, loops):
+        self.loops = loops
+
+    def dispatch(self, site, target_id):
+        pass
+
+    def elided(self, site, kind, entered, resolved):
+        pass
+
+    def osr_entry(self, method_id, loop_stmt, locals_):
+        pass
+
+    def deopt_exit(self, site, exit_live, locals_):
+        pass
+
+    def local(self, locals_, index, is_read):
+        pass
+
+    def progress(self, name):
+        pass
+
+    def epoch(self, runtime, epoch):
+        pass
 
 
 def machine_for(program, costs=None, tick=None):
@@ -183,25 +211,30 @@ class TestCalls:
         with pytest.raises(ExecutionError):
             machine_for(b.build()).run()
 
-    @pytest.mark.parametrize("tier", ["baseline", "optimized", "elided"])
-    def test_deep_recursion_through_loop_and_if_stops_at_cap(self, tier):
+    @pytest.mark.parametrize("tier, observed", [
+        pytest.param(tier, observed,
+                     id=tier + ("-every-event" if observed else ""))
+        for observed in (False, True)
+        for tier in ("baseline", "optimized", "elided", "direct")])
+    def test_deep_recursion_through_loop_and_if_stops_at_cap(self, tier,
+                                                              observed):
         # Each recursion level passes through Loop -> If -> virtual call,
         # the deepest Python-frame cost per simulated frame; at the
         # optimized tier the call is a guarded inline (its guard elided
-        # in the "elided" case), three levels deep per physical frame.
-        # The cap must trip before Python's own recursion limit does.
+        # in the "elided" case; a DIRECT inline in the "direct" case),
+        # three levels deep per physical frame.  The cap must trip before
+        # Python's own recursion limit does, also when the event sink
+        # consumes every event.
         b = ProgramBuilder("deep")
         b.cls("A")
         b.cls("Main")
-        b.method("A", "rec", [
-            Loop(Const(1), 1, [
-                If(Const(1), [
-                    VirtualCall(10, "rec", Arg(0), [Add(Arg(1), Const(1))],
-                                dst=2),
-                ]),
+        loop = Loop(Const(1), 1, [
+            If(Const(1), [
+                VirtualCall(10, "rec", Arg(0), [Add(Arg(1), Const(1))],
+                            dst=2),
             ]),
-            Return(Local(2)),
-        ], params=2, locals_=4)
+        ])
+        b.method("A", "rec", [loop, Return(Local(2))], params=2, locals_=4)
         b.static_method("Main", "main", [
             New(0, "A"),
             VirtualCall(1, "rec", Local(0), [Const(0)], dst=1),
@@ -210,12 +243,17 @@ class TestCalls:
         b.entry("Main.main")
         program = b.build()
         m = machine_for(program)
+        if observed:
+            m.events = EveryEvent(loops={id(loop): "rec"})
         if tier != "baseline":
             rec = program.method("A.rec")
 
             def tree(depth):
                 node = InlineNode(rec, depth)
-                if depth < 3:
+                if depth < 3 and tier == "direct":
+                    node.decisions[10] = InlineDecision(
+                        DIRECT, [GuardOption(rec, tree(depth + 1))])
+                elif depth < 3:
                     option = GuardOption(rec, tree(depth + 1),
                                          guard_class="A")
                     plan = (GuardPlan(PLAN_PREEXIST) if tier == "elided"

@@ -18,9 +18,9 @@ class TestTracker:
         clock = {"now": 0.0}
         tracker.bind(lambda: clock["now"])
         clock["now"] = 10.0
-        tracker.mark("main")
+        tracker.progress("main")
         clock["now"] = 30.0
-        tracker.mark("main")
+        tracker.progress("main")
         stats = tracker.points["main"]
         assert stats.count == 2
         assert stats.first_clock == 10.0
@@ -29,15 +29,15 @@ class TestTracker:
     def test_rate_is_marks_per_1000_cycles(self):
         tracker = ProgressTracker()
         for _ in range(5):
-            tracker.mark("main")
+            tracker.progress("main")
         assert tracker.rate(10_000.0) == pytest.approx(0.5)
         assert tracker.rate(10_000.0, "main") == pytest.approx(0.5)
         assert tracker.rate(0.0) == 0.0
 
     def test_summary_is_json_ready_and_sorted(self):
         tracker = ProgressTracker()
-        tracker.mark("phase1")
-        tracker.mark("phase0")
+        tracker.progress("phase1")
+        tracker.progress("phase0")
         summary = tracker.summary()
         assert list(summary) == ["phase0", "phase1"]
         assert summary["phase0"]["count"] == 1.0
@@ -45,8 +45,8 @@ class TestTracker:
     def test_telemetry_mirroring(self):
         recorder = TelemetryRecorder(label="t")
         tracker = ProgressTracker(telemetry=recorder)
-        tracker.mark("main")
-        tracker.mark("main")
+        tracker.progress("main")
+        tracker.progress("main")
         snapshot = recorder.snapshot()
         assert "progress/main" in snapshot.counter_series
 

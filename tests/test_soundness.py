@@ -13,32 +13,23 @@ from repro.analysis.soundness import (ATTR_PROFILE_DECIDED,
                                       check_soundness,
                                       flatten_context_edges,
                                       observe_context_edges,
-                                      observe_dispatch_edges,
                                       render_attribution,
                                       truncate_context_edges)
-from repro.aos.runtime import AdaptiveRuntime
-from repro.policies import make_policy
 from repro.provenance.diff import FLIP_VERDICT, DecisionDiff, Flip
 from repro.provenance.records import DecisionRecord
 
 
 class TestObserver:
     def test_records_dispatch_edges(self, diamond):
+        # At k=0 every call string is empty: the flat edges.
         program, sites = diamond
-        observed = observe_dispatch_edges(program)
+        edges = observe_context_edges(program, k=0)
+        assert all(ctx == () for _site, ctx in edges)
+        observed = flatten_context_edges(edges)
         assert observed[sites["ping_a"]] == frozenset({"A.ping"})
         assert observed[sites["ping_b"]] == frozenset({"B.ping"})
-        # Static calls never reach the dispatch observer.
+        # Static calls never fire the dispatch event.
         assert sites["loop"] not in observed
-
-    def test_observer_is_zero_overhead(self, diamond):
-        program, _sites = diamond
-        baseline = AdaptiveRuntime(program, make_policy("cins")).run()
-        runtime = AdaptiveRuntime(program, make_policy("cins"))
-        runtime.machine.dispatch_observer = lambda site, target: None
-        observed = runtime.run()
-        assert observed.total_cycles == baseline.total_cycles
-        assert observed.opt_code_bytes == baseline.opt_code_bytes
 
 
 class TestContainment:

@@ -68,14 +68,14 @@ class TestElisionReplay:
         report = check_elision_soundness(
             build_benchmark(name, scale=scale).program)
         assert report.ok, report.render()
-        assert report.guard_tests >= 0
+        assert report.result.guard_tests >= 0
 
     def test_replay_forces_speculation_on(self):
         # The checker runs with speculation forced on even from default
         # costs, so it actually exercises elided entries where they fire.
         report = check_elision_soundness(
             build_benchmark("mtrt", scale=0.1).program)
-        assert report.elided_entries > 0
+        assert report.result.elided_entries > 0
         assert report.ok
 
 

@@ -1,50 +1,112 @@
 """The zero-overhead contract, as one test.
 
-Every instrumentation surface -- telemetry, decision provenance,
-progress points, dispatch/epoch observers -- must charge zero simulated
-cycles and change zero decisions.  The contract is what makes the
-observability stack trustworthy: a recorded run *is* the stock run, and
-cached results stay valid whether or not they were recorded.
+Every instrumentation surface -- telemetry, decision provenance and the
+machine's event sink (progress points, the soundness replays' consumers,
+the fleet's epoch capture) -- must charge zero simulated cycles and
+change zero decisions.  The contract is what makes the observability
+stack trustworthy: a recorded run *is* the stock run, cached results
+stay valid whether or not they were recorded, and the soundness replays'
+numbers are the stock numbers of their configuration.
 
 The anchor is the committed golden decision log (the hashmap example
 under fixed:2): a fully bare run must be cycle-identical to the
 provenance-recorded run that the golden log pins, and piling every
-instrument onto one run must change nothing either.
+instrument onto one run -- with a sink consuming every event -- must
+change nothing either.
 """
 
 import os
 
+import pytest
+
 from repro.aos.runtime import AdaptiveRuntime
+from repro.jvm.costs import DEFAULT_COSTS
+from repro.jvm.interpreter import NULL_EVENTS
 from repro.policies import make_policy
 from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.telemetry import NULL_RECORDER, TelemetryRecorder
 from repro.telemetry.progress import ProgressTracker
 from repro.workloads.hashmap_example import build as build_hashmap
+from repro.workloads.spec import build_benchmark
+
+from conftest import build_diamond_program
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hashmap_fixed2.decisions.jsonl")
 
+#: name -> (program builder, (policy family, depth), cost overrides,
+#: events the run fires); between them the inputs fire all seven.
+INPUTS = {
+    # The golden workload.
+    "hashmap-fixed2": (lambda: build_hashmap(iterations=4000).program,
+                       ("fixed", 2), {},
+                       {"dispatch", "osr_entry", "local", "progress",
+                        "epoch"}),
+    # Elided guards and deoptimization exits.
+    "mtrt-planned": (lambda: build_benchmark("mtrt", scale=0.05).program,
+                     ("hybrid2", 4),
+                     {"speculation_enabled": True,
+                      "deopt_planning_enabled": True,
+                      "deopt_strategy": "planned"},
+                     {"dispatch", "elided", "deopt_exit", "local",
+                      "progress", "epoch"}),
+    # The dispatch-edge soundness replay's unit-test program.
+    "diamond-cins": (lambda: build_diamond_program()[0], ("cins", 1), {},
+                     {"dispatch", "local", "progress"}),
+}
 
-def _bare_run():
+
+class EverySink(ProgressTracker):
+    """A progress tracker that consumes the six other events as well,
+    recording which of the seven fired."""
+
+    def __init__(self):
+        super().__init__(label="contract")
+        self.fired = set()
+
+    def progress(self, name):
+        super().progress(name)
+        self.fired.add("progress")
+
+    def dispatch(self, site, target_id):
+        self.fired.add("dispatch")
+
+    def elided(self, site, kind, entered, resolved):
+        self.fired.add("elided")
+
+    def osr_entry(self, method_id, loop_stmt, locals_):
+        self.fired.add("osr_entry")
+
+    def deopt_exit(self, site, exit_live, locals_):
+        self.fired.add("deopt_exit")
+
+    def local(self, locals_, index, is_read):
+        self.fired.add("local")
+
+    def epoch(self, runtime, epoch):
+        self.fired.add("epoch")
+
+
+def _runtime(name, **instruments):
+    build, (family, depth), overrides, _fires = INPUTS[name]
+    costs = DEFAULT_COSTS.replace(**overrides)
+    return AdaptiveRuntime(build(), make_policy(family, depth, costs),
+                           costs, **instruments)
+
+
+def _bare_run(name="hashmap-fixed2"):
     """The stock configuration: every instrument at its null default."""
-    built = build_hashmap(iterations=4000)
-    runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                              telemetry=NULL_RECORDER,
-                              provenance=NULL_PROVENANCE)
-    assert runtime.machine.dispatch_observer is None
-    assert not runtime.machine.progress_loops
+    runtime = _runtime(name, telemetry=NULL_RECORDER,
+                       provenance=NULL_PROVENANCE)
+    assert runtime.machine.events is NULL_EVENTS
     return runtime.run()
 
 
-def _fully_instrumented_run():
+def _fully_instrumented_run(name, sink):
     """Same run with every instrument attached at once."""
-    built = build_hashmap(iterations=4000)
-    runtime = AdaptiveRuntime(
-        built.program, make_policy("fixed", 2),
-        telemetry=TelemetryRecorder(label="contract"),
-        provenance=ProvenanceRecorder(label="contract"),
-        progress=ProgressTracker(label="contract"))
-    return runtime.run()
+    return _runtime(name, telemetry=TelemetryRecorder(label="contract"),
+                    provenance=ProvenanceRecorder(label="contract"),
+                    progress=sink).run()
 
 
 def _fingerprint(result) -> dict:
@@ -63,6 +125,9 @@ def _fingerprint(result) -> dict:
         "invalidations": result.invalidations,
         "osr_transfers": result.osr_transfers,
         "samples_taken": result.samples_taken,
+        "elided_entries": result.elided_entries,
+        "deopt_entries": result.deopt_entries,
+        "deopt_exits": result.deopt_exits,
     }
 
 
@@ -85,10 +150,14 @@ def test_bare_run_matches_golden_recorded_run():
     assert _fingerprint(_bare_run()) == _fingerprint(recorded)
 
 
-def test_full_instrumentation_changes_nothing():
-    bare = _fingerprint(_bare_run())
-    instrumented = _fingerprint(_fully_instrumented_run())
+@pytest.mark.parametrize("name", INPUTS)
+def test_full_instrumentation_changes_nothing(name):
+    bare = _fingerprint(_bare_run(name))
+    sink = EverySink()
+    instrumented = _fingerprint(_fully_instrumented_run(name, sink))
     assert instrumented == bare
+    # ...while the sink really was fed.
+    assert sink.fired == INPUTS[name][3]
 
 
 def test_speculation_is_off_by_default():
@@ -96,7 +165,6 @@ def test_speculation_is_off_by_default():
     keeps the speculation pass off, so stock runs -- including the run
     the golden log pins -- never construct the planner or its analysis
     at all."""
-    from repro.jvm.costs import DEFAULT_COSTS
     assert DEFAULT_COSTS.speculation_enabled is False
     built = build_hashmap(iterations=4000)
     runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2))
@@ -107,7 +175,6 @@ def test_speculation_disabled_run_matches_golden_byte_for_byte():
     """Explicitly disabling speculation is the same as the default: the
     recorded decision log reproduces the committed golden file exactly
     (modulo the label header, which names the run)."""
-    from repro.jvm.costs import DEFAULT_COSTS
     costs = DEFAULT_COSTS.replace(speculation_enabled=False)
     built = build_hashmap(iterations=4000)
     recorder = ProvenanceRecorder(label="golden/hashmap/fixed2")
