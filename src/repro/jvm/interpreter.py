@@ -16,8 +16,8 @@ Everything the paper measures flows through here:
   organizers,
 * the :attr:`Machine.events` sink that observers consume.
 
-:meth:`Machine.run` executes the program as closures lowered from its
-statement lists (see :mod:`repro.jvm.lowering`).
+:meth:`Machine.run` executes the program as Python functions generated
+from its statement lists (see :mod:`repro.jvm.lowering`).
 """
 
 from __future__ import annotations
