@@ -173,8 +173,8 @@ class DeoptPlanner:
         sole loaded implementation rather than a profile choice.
 
         * ``osr-exit``: every site becomes a cheap exit.
-        * ``planned``: a single target the speculation analysis would
-          elide runs guard-free (``preexist``); a site k-CFA proves
+        * ``planned``: a loaded-sole target the speculation analysis
+          would elide runs guard-free (``preexist``); a site k-CFA proves
           monomorphic under the context, or whose expected exit cost
           ``(1 - coverage) * exit_premium`` is at or below one guard
           test, becomes a cheap exit; any other keeps its guards.
@@ -184,15 +184,6 @@ class DeoptPlanner:
           by its risk and receiver; a multi-target chain whose targets
           cover every class that can reach the site loses its last test
           (``exhaustive``).
-
-        Known defect: under ``planned`` a *single profile target* takes
-        the loaded-sole rule.  ``speculate()`` assumes its target is the
-        sole loaded implementation -- ``speculate_exhaustive()`` checks
-        ``loaded_targets(selector) <= targets``, this rule does not --
-        so a preexistent receiver of another class that is already
-        loaded enters the wrong body.  The recorded singleton CHA
-        dependency fires only on a *later* class load, so nothing
-        invalidates that code.
         """
         costs = self._costs
         if self._strategy == "osr-exit":
@@ -201,7 +192,10 @@ class DeoptPlanner:
                              reason=ReasonCode.DEOPT_PLANNED_OSR.value)
         spec = self.speculation
         if self._strategy == "planned":
-            if len(targets) == 1 and spec.speculate(
+            # ``speculate`` assumes its target is the selector's sole
+            # loaded implementation, so only a loaded-sole bind may skip
+            # the guard; a single profile target may not.
+            if loaded_sole and spec.speculate(
                     stmt, comp_context, targets[0]).action == ACTION_ELIDE:
                 return PREEXIST
             live = self._exit_live(stmt, comp_context)

@@ -85,7 +85,8 @@ class TestPlanSite:
         planner = _planner(program)
         stmt = program.method("App.use").body[0]
         plan = planner.plan_site(
-            stmt, (("App.use", 0),), [program.method("Circle.area")])
+            stmt, (("App.use", 0),), [program.method("Circle.area")],
+            loaded_sole=True)
         assert plan.kind == PLAN_PREEXIST
 
     def test_full_guard_when_fresh_receiver_and_exits_expensive(self):

@@ -101,13 +101,6 @@ SHAPES = {
 LOW_COVERAGE = ("App.fresh", FRESH_SITE, ("Circle",), (),
                 (("Circle.area", 1), ("Square.area", 9)))
 
-#: ``planned`` cells with one profile target while another
-#: implementation is loaded: the guard must stay (see ``plan_site``).
-PLANNED_DEFECTS = tuple(
-    f"{config}/{shape}" for config in ("planned", "planned+spec")
-    for shape in ("one-of-two-loaded", "one-of-all-loaded"))
-
-
 def shapes_program():
     b = ProgramBuilder("guardplans")
     b.cls("Shape")
@@ -208,10 +201,12 @@ def test_plan_matches_golden(key):
         f"PYTHONPATH=src python tests/test_guard_plans.py)")
 
 
-@pytest.mark.parametrize("key", PLANNED_DEFECTS)
-@pytest.mark.xfail(strict=True, reason=(
-    "planned treats a single profile target as the sole loaded one"))
+@pytest.mark.parametrize("key", [
+    f"{config}/{shape}" for config in ("planned", "planned+spec")
+    for shape in ("one-of-two-loaded", "one-of-all-loaded")])
 def test_planned_keeps_guard_when_another_target_is_loaded(key):
+    # One profile target while another implementation is loaded: only a
+    # loaded-sole bind may skip the guard (see ``plan_site``).
     cell = compile_cell(*cells()[key])
     assert "preexist" not in [kind for _c, _s, kind, _t in cell["elisions"]]
 

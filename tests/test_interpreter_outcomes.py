@@ -10,11 +10,9 @@ it records the exact total cycles (``repr``), the per-component cycles,
 the return value and every ``MachineStats`` counter.
 
 Any change to how the engine charges or executes shows up here, so a
-rewrite of the interpreter must reproduce the file bit for bit.  The
-pins include runs whose meaning is wrong: :data:`MEANING_DEFECTS` lists
-the ``planned`` cells that compute something other than the stock run,
-and :func:`test_configuration_preserves_program_meaning` keeps them
-visible as strict xfails.
+rewrite of the interpreter must reproduce the file bit for bit.
+:func:`test_configuration_preserves_program_meaning` requires every
+pinned run to compute what the stock run of its program computes.
 
 Regenerate after an intentional change to simulated behaviour with::
 
@@ -102,15 +100,6 @@ def test_golden_covers_every_run():
         for offset in SEED_OFFSETS for label in CONFIGS)
 
 
-#: Runs whose meaning differs from the stock run of the same program: the
-#: ``planned`` strategy elides the guard of a single profile target while
-#: another implementation is already loaded (see ``plan_site``).
-MEANING_DEFECTS = frozenset({
-    "compress#1/cins+planned", "db#1/cins+planned", "javac#0/cins+planned",
-    "compress#0/hybrid2:4+spec+planned", "mtrt#0/hybrid2:4+spec+planned",
-})
-
-
 def _meaning(pinned: dict) -> tuple:
     """What a run computes, which no inlining or guard plan may change:
     the return value, source-level invocations, virtual call sites
@@ -120,19 +109,10 @@ def _meaning(pinned: dict) -> tuple:
             stats["virtual_calls"], stats["work_cycles"])
 
 
-def _meaning_cells():
-    for program in PROGRAMS:
-        for offset in SEED_OFFSETS:
-            for label in CONFIGS:
-                key = run_key(program, offset, label)
-                marks = (pytest.mark.xfail(strict=True, reason=(
-                    "planned elides a guard another loaded class fails"))
-                    if key in MEANING_DEFECTS else ())
-                yield pytest.param(program, offset, label, marks=marks,
-                                   id=key)
-
-
-@pytest.mark.parametrize("program,offset,label", _meaning_cells())
+@pytest.mark.parametrize("program,offset,label", [
+    pytest.param(program, offset, label,
+                 id=run_key(program, offset, label))
+    for program in PROGRAMS for offset in SEED_OFFSETS for label in CONFIGS])
 def test_configuration_preserves_program_meaning(program, offset, label):
     golden = _golden()
     stock = golden[run_key(program, offset, "cins")]

@@ -42,14 +42,19 @@ INPUTS = {
                        ("fixed", 2), {},
                        {"dispatch", "osr_entry", "local", "progress",
                         "epoch"}),
-    # Elided guards and deoptimization exits.
+    # Deoptimization exits.
     "mtrt-planned": (lambda: build_benchmark("mtrt", scale=0.05).program,
                      ("hybrid2", 4),
                      {"speculation_enabled": True,
                       "deopt_planning_enabled": True,
                       "deopt_strategy": "planned"},
-                     {"dispatch", "elided", "deopt_exit", "local",
+                     {"dispatch", "osr_entry", "deopt_exit", "local",
                       "progress", "epoch"}),
+    # Elided guards: speculation on, planning off.
+    "mtrt-speculation": (lambda: build_benchmark("mtrt", scale=0.05).program,
+                         ("hybrid2", 4), {"speculation_enabled": True},
+                         {"dispatch", "elided", "osr_entry", "local",
+                          "progress", "epoch"}),
     # The dispatch-edge soundness replay's unit-test program.
     "diamond-cins": (lambda: build_diamond_program()[0], ("cins", 1), {},
                      {"dispatch", "local", "progress"}),
