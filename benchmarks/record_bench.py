@@ -5,9 +5,6 @@ when the system's behaviour moves.  :data:`BASELINES` is the whole
 definition: one row per file, naming its schema, its configuration and
 the function that measures one benchmark's row.
 
-* ``BENCH_fleet_baseline.json`` -- the deterministic fleet experiment
-  (founder fleet -> warm and cold late joiners): cycles to the first
-  stable inline rule and to steady state, cold vs warm-started.
 * ``BENCH_speculation_baseline.json`` -- guard-cycle numbers with the
   speculation pass off vs on (guard tests/misses, elided entries) plus
   the elision-replay verdict, on the benchmark where elision fires
@@ -23,12 +20,15 @@ Usage::
     PYTHONPATH=src python benchmarks/record_bench.py --check  # CI drift gate
 
 ``--check`` re-measures and exits non-zero if any committed baseline no
-longer matches (same contract as the golden decision log).
+longer matches (same contract as the golden decision log), or if a
+``BENCH_*.json`` at the repository root belongs to no row of
+:data:`BASELINES`.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -39,7 +39,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.analysis.soundness import (check_elision_soundness,  # noqa: E402
                                       check_osr_soundness)
 from repro.aos.runtime import AdaptiveRuntime  # noqa: E402
-from repro.fleet.report import benchmark_report  # noqa: E402
 from repro.jvm.costs import DEFAULT_COSTS  # noqa: E402
 from repro.policies import make_policy  # noqa: E402
 from repro.workloads.spec import build_benchmark  # noqa: E402
@@ -57,19 +56,6 @@ class Baseline(NamedTuple):
     config: dict
     #: ``(benchmark, config) -> row`` of numbers for that benchmark.
     row: Callable[[str, dict], dict]
-
-
-def fleet_row(name: str, config: dict) -> dict:
-    report = benchmark_report(name, instances=config["instances"],
-                              scale=config["scale"], jobs=1)
-    elimination = report["cold_start_elimination"]
-    row = {key: elimination[key] for key in (
-        "first_rule_clock_cold", "first_rule_clock_warm",
-        "steady_state_cold", "steady_state_warm",
-        "total_cycles_cold", "total_cycles_warm")}
-    row["fleet_warm_decisions"] = report["warm"]["fleet_warm_decisions"]
-    row["warm_rules"] = report["warm_profile"]["rules"]
-    return row
 
 
 def variants_row(control: Tuple[str, dict], replayed: str,
@@ -99,12 +85,6 @@ def variants_row(control: Tuple[str, dict], replayed: str,
 
 
 BASELINES = (
-    # Small enough to re-measure in CI, big enough that warm starts have
-    # something to eliminate.
-    Baseline("BENCH_fleet_baseline.json", "repro.bench-fleet/v1",
-             {"benchmarks": ["jess", "db", "javac"], "instances": 3,
-              "scale": 0.1, "family": "fixed", "depth": 2},
-             fleet_row),
     # jess is the headline elision win; db is the sound-refusal control
     # (its guarded site keeps a live fallthrough).  0.3 is the smallest
     # scale at which jess compiles its guarded sites.
@@ -172,6 +152,14 @@ def main(argv=None) -> int:
             drifted += 1
         else:
             print(f"baseline up to date ({baseline.path})")
+    if args.check:
+        known = {baseline.path for baseline in BASELINES}
+        for path in sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json"))):
+            name = os.path.basename(path)
+            if name not in known:
+                print(f"{name} is written by no BASELINES row; delete it "
+                      "or add its row", file=sys.stderr)
+                drifted += 1
     return 1 if drifted else 0
 
 

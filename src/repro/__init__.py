@@ -80,11 +80,6 @@ from repro.provenance import (DecisionRecord, EventKind, ProvenanceRecorder,
                               ReasonCode, diff_logs, explain_method,
                               read_decision_log, render_diff)
 
-# -- fleet profile service ---------------------------------------------------------------
-from repro.fleet import (FleetConfig, ShardedProfileStore, WarmProfile,
-                         apply_warm_start, build_fleet_bundle,
-                         build_warm_profile, program_fingerprint, run_fleet)
-
 # -- causal profiling --------------------------------------------------------------------
 from repro.causal import (CausalConfig, CausalResults,
                           apply_virtual_speedup, build_causal_bundle,
@@ -100,42 +95,32 @@ from repro.analysis import (SoundnessReport, StaticCallGraph, StaticOracle,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AOSDatabase", "AOS_COMPONENTS", "APP", "ALL_COMPONENTS", "Add",
-    "AdaptiveRuntime", "Arg", "CCTNode", "CallingContextTree",
-    "CausalConfig", "CausalResults", "ClassDef",
-    "ClassHierarchy", "ClassMethods", "CodeCache", "CompilationError",
-    "CompilationEvent", "CompiledMethod", "ConfigError", "Const", "Context",
-    "ContextInsensitive", "ContextSensitivityPolicy", "CostAccounting",
-    "CostModel", "DEFAULT_COSTS", "Decision", "DecisionRecord",
-    "DynamicCallGraph", "EventKind",
-    "ExecutionError", "Expr", "FixedLevel", "FleetConfig", "Frame",
-    "GuardOption", "If",
+    "ALL_COMPONENTS", "AOSDatabase", "AOS_COMPONENTS", "APP",
+    "AdaptiveRuntime", "Add", "Arg", "CCTNode", "CallingContextTree",
+    "CausalConfig", "CausalResults", "ClassDef", "ClassHierarchy",
+    "ClassMethods", "CodeCache", "CompilationError", "CompilationEvent",
+    "CompiledMethod", "ConfigError", "Const", "Context", "ContextInsensitive",
+    "ContextSensitivityPolicy", "CostAccounting", "CostModel", "DEFAULT_COSTS",
+    "Decision", "DecisionRecord", "DynamicCallGraph", "EventKind",
+    "ExecutionError", "Expr", "FixedLevel", "Frame", "GuardOption", "If",
     "ImprecisionDriven", "InlineDecision", "InlineNode", "InlineOracle",
-    "InterfaceCall",
-    "InlineRule", "Instance", "LargeMethods", "Let", "Local", "Loop",
-    "Machine", "MachineStats", "MethodDef", "MethodListener", "Mod", "Mul",
-    "New", "NewPool", "OptCompiler", "POLICY_LABELS",
+    "InlineRule", "Instance", "InterfaceCall", "LargeMethods", "Let", "Local",
+    "Loop", "Machine", "MachineStats", "MethodDef", "MethodListener", "Mod",
+    "Mul", "New", "NewPool", "NullRecorder", "OptCompiler", "POLICY_LABELS",
     "ParameterlessClassMethods", "ParameterlessLargeMethods",
-    "NullRecorder",
     "ParameterlessMethods", "Pick", "Program", "ProgramError",
     "ProgressTracker", "ProvenanceRecorder", "ReasonCode", "ReproError",
-    "Return", "RunResult", "ShardedProfileStore", "SizeClass",
-    "SoundnessReport", "StaticCall",
+    "Return", "RunResult", "SizeClass", "SoundnessReport", "StaticCall",
     "StaticCallGraph", "StaticOracle", "StaticOraclePolicy", "Stmt", "Sub",
-    "TelemetryRecorder", "TelemetrySnapshot",
-    "TerminationStatsProbe", "TraceKey", "TraceListener", "Value",
-    "VerificationReport", "VerifierError",
-    "VirtualCall", "WarmProfile", "Work", "analyze_program",
-    "applicable_rules", "apply_virtual_speedup", "apply_warm_start",
-    "attribute_flips", "body_bytecodes", "build_call_graph",
-    "build_causal_bundle", "build_fleet_bundle", "build_warm_profile",
-    "candidate_targets", "check_soundness", "classify",
-    "contexts_compatible", "diff_logs",
-    "dynamic_class",
-    "estimate_inlined_bytecodes", "explain_method", "format_trace",
-    "is_large",
-    "iter_call_sites", "make_context", "make_policy", "ordered_candidates",
-    "physical_method", "program_fingerprint", "read_decision_log",
-    "render_causal_bundle", "render_diff", "run_causal", "run_fleet",
+    "TelemetryRecorder", "TelemetrySnapshot", "TerminationStatsProbe",
+    "TraceKey", "TraceListener", "Value", "VerificationReport",
+    "VerifierError", "VirtualCall", "Work", "analyze_program",
+    "applicable_rules", "apply_virtual_speedup", "attribute_flips",
+    "body_bytecodes", "build_call_graph", "build_causal_bundle",
+    "candidate_targets", "check_soundness", "classify", "contexts_compatible",
+    "diff_logs", "dynamic_class", "estimate_inlined_bytecodes",
+    "explain_method", "format_trace", "is_large", "iter_call_sites",
+    "make_context", "make_policy", "ordered_candidates", "physical_method",
+    "read_decision_log", "render_causal_bundle", "render_diff", "run_causal",
     "to_chrome_trace", "verify_program",
 ]

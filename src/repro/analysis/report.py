@@ -275,6 +275,8 @@ def _deopt_section(program: Program, costs: CostModel,
             "reads_checked": osr.reads_checked,
             "violations": [dataclasses.asdict(v)
                            for v in osr.violations],
+            "elision_violations": [dataclasses.asdict(v)
+                                   for v in osr.elision_violations],
         },
         # Installed-code site counts per chosen strategy (planned run).
         "strategies": strategies,
@@ -419,8 +421,10 @@ def _render_deopt_section(deopt: Dict[str, object]) -> List[str]:
     chosen = ", ".join(f"{name} x{count}"
                        for name, count in sorted(strategies.items())) \
         or "none"
+    violations = (len(replay["violations"])
+                  + len(replay["elision_violations"]))
     status = ("replay clean" if deopt["ok"] else
-              f"{len(replay['violations'])} VIOLATION(S)")
+              f"{violations} VIOLATION(S)")
     lines = [
         f"  deopt    : {points['loops']} loop OSR point(s), "
         f"{points['exit_candidates']} exit candidate(s); "
@@ -433,6 +437,7 @@ def _render_deopt_section(deopt: Dict[str, object]) -> List[str]:
                      f"{violation['where']}: read local "
                      f"{violation['index']} outside live set "
                      f"({violation['count']}x)")
+    lines.extend(_render_elision_violations(replay["elision_violations"]))
     return lines
 
 
@@ -451,12 +456,17 @@ def _render_speculation_section(spec: Dict[str, object]) -> List[str]:
         f"{cycles['tests_baseline']} -> {cycles['tests_speculative']} "
         f"({cycles['elided_entries']} elided entries, "
         f"~{cycles['estimated_cycles_saved']:.0f} cycles saved); {status}"]
-    for violation in replay["violations"]:
-        lines.append(f"    site {violation['site']} "
-                     f"[{violation['elision_kind']}]: entered "
-                     f"{violation['entered']}, dispatch resolves "
-                     f"{violation['resolved']} ({violation['count']}x)")
+    lines.extend(_render_elision_violations(replay["violations"]))
     return lines
+
+
+def _render_elision_violations(
+        violations: Sequence[Dict[str, object]]) -> List[str]:
+    """One line per elided-guard entry that full dispatch contradicts."""
+    return [f"    site {violation['site']} [{violation['elision_kind']}]: "
+            f"entered {violation['entered']}, dispatch resolves "
+            f"{violation['resolved']} ({violation['count']}x)"
+            for violation in violations]
 
 
 def _render_lattice_section(lattice: Dict[str, object]) -> List[str]:

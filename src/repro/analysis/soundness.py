@@ -322,10 +322,13 @@ class OSRReport:
     result: "RunResult"           #: the replay run
     reads_checked: int            #: local reads in watched activations
     violations: Tuple[OSRViolation, ...]
+    #: entries through a guard the replay's plans elided whose target
+    #: differs from what full dispatch resolves
+    elision_violations: Tuple[ElisionViolation, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.elision_violations
 
     def render(self) -> str:
         head = (f"osr soundness {self.result.program_name}: "
@@ -333,22 +336,26 @@ class OSRReport:
                 f"{self.result.deopt_exits} deopt exit(s), "
                 f"{self.reads_checked} watched read(s): ")
         if self.ok:
-            return head + "live sets cover every read"
-        lines = [head + f"{len(self.violations)} VIOLATION(S)"]
-        lines.extend(f"  {v.describe()}" for v in self.violations)
+            return (head + "live sets cover every read and no elided "
+                    "guard would have failed")
+        violations = self.violations + self.elision_violations
+        lines = [head + f"{len(violations)} VIOLATION(S)"]
+        lines.extend(f"  {v.describe()}" for v in violations)
         return "\n".join(lines)
 
 
 class LiveStateWatch:
-    """``osr_entry``, ``deopt_exit`` and ``local`` consumer: checks each
-    read in a transferred activation against the live set mapped across.
+    """``osr_entry``, ``deopt_exit``, ``local`` and ``elided`` consumer:
+    checks each read in a transferred activation against the live set
+    mapped across, and each elided-guard entry against full dispatch.
 
     From each transition onward, every local the interpreter actually
     reads in the transferred activation must be either in the
     statically computed live set that was mapped across, or re-written
     after the transfer (reads after a post-transfer write never consult
     mapped state).  Re-watching an activation at a newer transition
-    replaces its contract.
+    replaces its contract.  The ``planned`` strategy elides guards too,
+    so an :class:`ElisionWatch` checks the same run's ``elided`` events.
     """
 
     #: The watched machine; :func:`replay` sets it.
@@ -368,6 +375,8 @@ class LiveStateWatch:
         self.counts: Dict[Tuple[str, str, str, int, Tuple[int, ...]],
                           int] = {}
         self.reads_checked = 0
+        self.elisions = ElisionWatch()
+        self.elided = self.elisions.elided
 
     def _watch(self, locals_, live, method_id: str, kind: str,
                where: str) -> None:
@@ -404,16 +413,18 @@ class LiveStateWatch:
                 OSRViolation(method=method, kind=kind, where=where,
                              index=index, live=live, count=count)
                 for (method, kind, where, index, live), count
-                in sorted(self.counts.items())))
+                in sorted(self.counts.items())),
+            elision_violations=self.elisions.report(result).violations)
 
 
 def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
                         phase: float = 0.0) -> OSRReport:
-    """Replay with deopt planning on; assert live sets cover every read.
+    """Replay with deopt planning on; check live sets and elided guards.
 
     Forces ``deopt_planning_enabled`` and the ``planned`` strategy (the
-    configuration exercising both OSR-point flavours) and replays the
-    fixed-seed adaptive system with a :class:`LiveStateWatch`.
+    configuration exercising both OSR-point flavours and its own guard
+    elision) and replays the fixed-seed adaptive system with a
+    :class:`LiveStateWatch`.
     """
     watch = LiveStateWatch(program)
     costs = costs.replace(deopt_planning_enabled=True,

@@ -38,7 +38,7 @@ from repro.jvm.costs import CostModel
 from repro.policies.base import ContextSensitivityPolicy
 from repro.profiles.dcg import DynamicCallGraph
 from repro.profiles.partial_match import candidate_targets
-from repro.profiles.trace import ORIGIN_FLEET, ORIGIN_LOCAL, InlineRule
+from repro.profiles.trace import InlineRule
 
 #: Hard cap on optimizing recompilations of one method, bounding any
 #: recompile churn from rapidly-shifting early profiles.
@@ -51,9 +51,7 @@ def rules_fingerprint_of(rules) -> int:
     The builtin ``hash()`` is salted by PYTHONHASHSEED, so the AOS uses a
     CRC over the sorted-stable rule identity instead: rule-set equality
     still gates recompilation, and decision-provenance logs recorded on
-    different machines carry comparable fingerprints.  Shared by the AI
-    organizer and the fleet warm-start bootstrap so a warm-seeded rule
-    set and its first local re-derivation agree byte-for-byte.
+    different machines carry comparable fingerprints.
     """
     return zlib.crc32(repr(
         tuple((r.key.callee, r.key.context) for r in rules)).encode())
@@ -67,11 +65,6 @@ class AOSState:
         self.rules: List[InlineRule] = []
         self.rules_fingerprint: int = 0
         self.method_samples: Dict[str, float] = {}
-        #: Trace keys seeded from fleet-aggregated profiles (empty for
-        #: cold runs).  Rules over these keys keep ``origin="fleet"``
-        #: even when the AI organizer re-derives them from the (seeded)
-        #: DCG, so warm-start decisions stay provenance-traceable.
-        self.warm_keys: frozenset = frozenset()
 
     def total_method_samples(self) -> float:
         return sum(self.method_samples.values())
@@ -136,8 +129,8 @@ class AIOrganizer:
         threshold = self._costs.hot_edge_threshold
         hot = state.dcg.hot_traces(threshold)
         hot_keys = {key for key, _weight in hot}
-        warm_keys = {key for key, _weight
-                     in state.dcg.hot_traces(threshold * self.RETAIN_FRACTION)}
+        retained_keys = {key for key, _weight in state.dcg.hot_traces(
+            threshold * self.RETAIN_FRACTION)}
 
         for key, weight in hot:
             self._hot_streak[key] = self._hot_streak.get(key, 0) + 1
@@ -149,7 +142,7 @@ class AIOrganizer:
             if key not in hot_keys:
                 del self._hot_streak[key]
         for key in list(self._active):
-            if key in warm_keys:
+            if key in retained_keys:
                 self._cold_streak.pop(key, None)
                 continue
             streak = self._cold_streak.get(key, 0) + 1
@@ -158,9 +151,7 @@ class AIOrganizer:
                 del self._active[key]
                 del self._cold_streak[key]
 
-        rules = [InlineRule(key, weight, weight / total if total else 0.0,
-                            origin=(ORIGIN_FLEET if key in state.warm_keys
-                                    else ORIGIN_LOCAL))
+        rules = [InlineRule(key, weight, weight / total if total else 0.0)
                  for key, weight in sorted(
                      self._active.items(),
                      key=lambda kv: (-kv[1], kv[0].callee, kv[0].context))]

@@ -85,16 +85,6 @@ class RunResult:
     #: progress-rate changes computed from this payload.
     progress_points: Optional[Dict[str, Dict[str, float]]] = None
 
-    # -- warm-start / fleet metrics (defaults keep old cached cells loadable) --
-    #: Clock at which the rule set first became non-empty (0.0 for
-    #: warm-started runs, ``None`` when no rule ever surfaced).
-    first_rule_clock: Optional[float] = None
-    #: Clock of the last optimizing compilation -- the run's
-    #: cycles-to-steady-state proxy (``None`` when nothing compiled).
-    steady_state_clock: Optional[float] = None
-    #: Whether this runtime was bootstrapped from fleet-aggregated
-    #: profiles before executing.
-    warm_started: bool = False
     #: Inline entries through an elided guard (speculation pass); zero
     #: unless ``costs.speculation_enabled`` (default keeps old cached
     #: cells loadable).
@@ -211,17 +201,6 @@ class AdaptiveRuntime:
         # the best of 20 runs precisely because sampling phase shifts the
         # adaptive system's decisions.  Experiments sweep a few phases and
         # aggregate.
-        # -- warm-start bookkeeping (see repro.fleet.bootstrap) ----------------
-        #: Clock at which the rule set first became non-empty.  Cold runs
-        #: discover it at an organizer wake; the fleet bootstrap sets it
-        #: to 0.0 when it installs warm rules before execution.
-        self.first_rule_clock: Optional[float] = None
-        #: True when profile state was seeded from fleet-aggregated data.
-        self.warm_started = False
-        #: Periodic organizer wakes so far; each fires the machine event
-        #: sink's ``epoch(runtime, epoch)`` when it consumes that event.
-        self._epoch = 0
-
         if not 0.0 <= sample_phase < 1.0:
             raise ValueError(f"sample_phase must be in [0, 1), "
                              f"got {sample_phase}")
@@ -299,15 +278,7 @@ class AdaptiveRuntime:
         if self.state.rules_fingerprint != fingerprint:
             telemetry.instant(AI_ORGANIZER, "rules_changed",
                               rules=len(self.state.rules))
-        if self.first_rule_clock is None and self.state.rules:
-            self.first_rule_clock = machine.clock
         telemetry.end_span(wake_id)
-        self._epoch += 1
-        # Outside any cycle charging, so an observed run stays
-        # cycle-identical to a bare one.
-        on_epoch = getattr(machine.events, "epoch", None)
-        if on_epoch is not None:
-            on_epoch(self, self._epoch)
 
     # -- OSR ---------------------------------------------------------------------
 
@@ -416,8 +387,4 @@ class AdaptiveRuntime:
             deopt_exits=machine.stats.deopt_exits,
             progress_points=(self.progress.summary()
                              if self.progress is not None else None),
-            first_rule_clock=self.first_rule_clock,
-            steady_state_clock=(self.database.compilations[-1].clock
-                                if self.database.compilations else None),
-            warm_started=self.warm_started,
         )

@@ -33,14 +33,6 @@ Commands
     cycle/code-space deltas to the flips.  ``diff --attribute-static``
     additionally classifies each flip by what the static call graph
     knows of its site (static-vs-profile disagreement vs budget effects).
-``fleet``
-    Run the multi-instance fleet experiment: N founder instances of each
-    benchmark (different workload seeds) stream profile deltas into the
-    sharded fleet store, then a late-joining instance runs twice -- cold
-    and warm-started from the fleet aggregate -- under decision
-    provenance.  Prints cold-start elimination, dilution, and
-    eviction-policy sensitivity; ``-o`` writes the versioned
-    ``repro.fleet/v1`` JSON bundle.
 ``causal``
     Coz-style causal profiling: re-run fixed-seed benchmarks with one
     AOS component virtually sped up at a time (guard, dispatch,
@@ -225,35 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "static-vs-profile disagreement (polymorphic "
                            "sites) vs budget/ordering effects (monomorphic "
                            "sites); needs both logs from the same benchmark")
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="run N instances per benchmark, aggregate their profiles in "
-             "the sharded fleet store, and measure warm-start cold-start "
-             "elimination for a late joiner")
-    fleet.add_argument("--benchmarks", nargs="*", default=None,
-                       choices=BENCHMARK_ORDER,
-                       help="benchmarks to run (default: jess db)")
-    fleet.add_argument("--instances", type=int, default=3,
-                       help="founder instances feeding the store")
-    fleet.add_argument("--scale", type=float, default=0.1,
-                       help="run-length scale factor per instance")
-    fleet.add_argument("--policy", default="fixed", choices=POLICY_LABELS)
-    fleet.add_argument("--depth", type=int, default=2,
-                       help="maximum context-sensitivity depth")
-    fleet.add_argument("--heterogeneous",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="vary workload seeds across instances "
-                            "(--no-heterogeneous runs every instance on "
-                            "the spec seed)")
-    fleet.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = one per instance)")
-    fleet.add_argument("--timeout", type=float, default=None,
-                       help="per-instance timeout in seconds when running "
-                            "on a worker pool")
-    fleet.add_argument("-o", "--out", default=None,
-                       help="also write the repro.fleet/v1 JSON bundle "
-                            "here")
 
     causal = sub.add_parser(
         "causal",
@@ -557,24 +520,6 @@ def _cmd_decisions(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    from repro.fleet import (build_fleet_bundle, render_fleet_bundle,
-                             write_fleet_bundle)
-
-    benchmarks = tuple(args.benchmarks) if args.benchmarks else ("jess", "db")
-    bundle = build_fleet_bundle(benchmarks, instances=args.instances,
-                                scale=args.scale, family=args.policy,
-                                depth=args.depth,
-                                heterogeneous=args.heterogeneous,
-                                jobs=args.jobs, timeout=args.timeout,
-                                verbose=True)
-    print(render_fleet_bundle(bundle))
-    if args.out:
-        write_fleet_bundle(args.out, bundle)
-        print(f"bundle -> {args.out}")
-    return 0 if bundle["ok"] else 1
-
-
 def _cmd_causal(args) -> int:
     from repro.causal import (CausalConfig, apply_virtual_speedup,
                               build_causal_bundle, render_causal_bundle,
@@ -671,7 +616,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "explain": _cmd_explain,
     "decisions": _cmd_decisions,
-    "fleet": _cmd_fleet,
     "causal": _cmd_causal,
     "analyze": _cmd_analyze,
 }

@@ -51,7 +51,7 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (E_ARG, InterfaceCall, MethodDef, Program,
                                StaticCall, VirtualCall)
 from repro.profiles.partial_match import candidate_targets, contexts_compatible
-from repro.profiles.trace import ORIGIN_FLEET, Context, InlineRule
+from repro.profiles.trace import Context, InlineRule
 from repro.provenance.reasons import (GUARD_CLASS_TEST, GUARD_METHOD_TEST,
                                       GUARD_PREEXISTENCE, ReasonCode,
                                       VERDICT_DIRECT, VERDICT_GUARDED,
@@ -262,28 +262,6 @@ class InlineOracle:
             return {}
         return candidate_targets(rules, comp_context)
 
-    def _profile_reason(self, default: ReasonCode, caller_id: str, site: int,
-                        comp_context: Context, target_ids) -> ReasonCode:
-        """FLEET_WARM when the prediction rests only on fleet-origin rules.
-
-        A profile-driven verdict gets the ``fleet-warm`` reason code when
-        every Eq.-3-applicable rule naming one of the chosen targets was
-        seeded from fleet-aggregated profiles rather than this runtime's
-        own samples -- the decision is then attributable to the warm
-        start.  Once any local rule corroborates the target, the stock
-        reason returns, so cold runs are byte-identical to pre-fleet
-        builds (their rules are all local).
-        """
-        rules = self._rules_by_site.get((caller_id, site))
-        if not rules:
-            return default
-        relevant = [r for r in rules
-                    if r.callee in target_ids
-                    and contexts_compatible(r.context, comp_context)]
-        if relevant and all(r.origin == ORIGIN_FLEET for r in relevant):
-            return ReasonCode.FLEET_WARM
-        return default
-
     # -- static (and statically-bound virtual) calls --------------------------
 
     def _decide_static(self, stmt: StaticCall, comp_context: Context,
@@ -332,10 +310,7 @@ class InlineOracle:
             # Past the normal limits: profile data may still force it
             # (paper Section 3.1, third profile use).
             if target.id in predicted:
-                reason = self._profile_reason(
-                    ReasonCode.SMALL_HOT, caller_id, site, comp_context,
-                    {target.id})
-                return Decision.direct(target, reason,
+                return Decision.direct(target, ReasonCode.SMALL_HOT,
                                        size_class=size_class,
                                        estimate=estimate,
                                        weight=predicted[target.id])
@@ -344,10 +319,7 @@ class InlineOracle:
 
         # MEDIUM: profile-directed only.
         if target.id in predicted:
-            reason = self._profile_reason(
-                ReasonCode.MEDIUM_HOT, caller_id, site, comp_context,
-                {target.id})
-            return Decision.direct(target, reason,
+            return Decision.direct(target, ReasonCode.MEDIUM_HOT,
                                    size_class=size_class, estimate=estimate,
                                    weight=predicted[target.id])
         return Decision.no(ReasonCode.NO_PROFILE, size_class=size_class,
@@ -450,13 +422,10 @@ class InlineOracle:
             return Decision.no(ReasonCode.UNSKEWED, coverage=coverage,
                                estimate=total_estimate,
                                weight=sum(w for _t, w in survivors))
-        reason = self._profile_reason(
-            ReasonCode.PROFILE, caller_id, site, comp_context,
-            {t.id for t, _w in survivors})
         return self._guarded(
-            stmt, comp_context, [t for t, _w in survivors], root, reason,
-            GUARD_CLASS_TEST, coverage, estimate=total_estimate,
-            weight=sum(w for _t, w in survivors))
+            stmt, comp_context, [t for t, _w in survivors], root,
+            ReasonCode.PROFILE, GUARD_CLASS_TEST, coverage,
+            estimate=total_estimate, weight=sum(w for _t, w in survivors))
 
     # -- guard plans -----------------------------------------------------------
 

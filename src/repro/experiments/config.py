@@ -52,7 +52,7 @@ DEFAULT_PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
 
 #: Bumped whenever the fingerprint inputs or the cached cell format
 #: change incompatibly; old cache entries then simply stop matching.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
 def cost_model_fingerprint(costs: CostModel = DEFAULT_COSTS) -> str:

@@ -117,11 +117,11 @@ class Machine:
         self.osr_liveness = None
         #: The event sink (DESIGN.md, "Events").  A sink implements only
         #: the events it reads -- ``dispatch``, ``elided``, ``osr_entry``,
-        #: ``deopt_exit``, ``local``, ``progress`` (naming its points in a
-        #: ``loops`` table) and the runtime's ``epoch`` -- and :meth:`run`
-        #: builds firing code for those alone.  Events charge no cycles
-        #: and a sink must not mutate machine state, so an observed run
-        #: is cycle-identical to a bare one.
+        #: ``deopt_exit``, ``local`` and ``progress`` (naming its points in
+        #: a ``loops`` table) -- and :meth:`run` builds firing code for
+        #: those alone.  Events charge no cycles and a sink must not
+        #: mutate machine state, so an observed run is cycle-identical to
+        #: a bare one.
         self.events = NULL_EVENTS
 
     # -- cost charging -----------------------------------------------------

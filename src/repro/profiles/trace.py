@@ -87,32 +87,20 @@ class TraceKey:
         return f"<trace {chain} => {self.callee}>"
 
 
-#: Rule origins: derived from this runtime's own samples ("local") or
-#: seeded from fleet-aggregated profiles ("fleet", see repro.fleet).
-ORIGIN_LOCAL = "local"
-ORIGIN_FLEET = "fleet"
-
-
 class InlineRule:
     """A hot trace codified as an inlining recommendation.
 
     Produced by the adaptive-inlining organizer for every trace whose
     weight exceeds the hot-edge threshold fraction of total profile weight.
-    ``share`` records that fraction at rule-derivation time.  ``origin``
-    records where the evidence came from: ``"local"`` for rules derived
-    from this runtime's own samples, ``"fleet"`` for rules seeded (or
-    re-derived while still backed) by fleet-aggregated warm-start
-    profiles -- the provenance layer uses it to tag warm decisions.
+    ``share`` records that fraction at rule-derivation time.
     """
 
-    __slots__ = ("key", "weight", "share", "origin")
+    __slots__ = ("key", "weight", "share")
 
-    def __init__(self, key: TraceKey, weight: float, share: float,
-                 origin: str = ORIGIN_LOCAL):
+    def __init__(self, key: TraceKey, weight: float, share: float):
         self.key = key
         self.weight = weight
         self.share = share
-        self.origin = origin
 
     @property
     def callee(self) -> str:

@@ -52,12 +52,6 @@ class ReasonCode(enum.Enum):
     #: compatible with the compilation context reaches one target, so the
     #: site inlines *directly* -- the context, not a guard, protects it.
     STATIC_CTX_MONO = "static-ctx-mono"
-    #: The inline was driven entirely by *fleet-aggregated* profile rules
-    #: (warm-start bootstrap from the sharded profile store), before this
-    #: instance observed the behaviour itself.  Replaces the profile-path
-    #: reason only while every applicable rule at the site has fleet
-    #: origin, so warm-start decisions stay traceable end to end.
-    FLEET_WARM = "fleet-warm"
     #: Guarded loaded-world CHA inline whose method-test guard was
     #: *elided*: the speculation dataflow analysis proved the receiver
     #: preexists the compilation (Detlefs & Agesen), so invalidation
@@ -117,7 +111,7 @@ INLINE_REASONS: FrozenSet[str] = frozenset((
     ReasonCode.TINY.value, ReasonCode.SMALL.value, ReasonCode.SMALL_HOT.value,
     ReasonCode.MEDIUM_HOT.value, ReasonCode.PROFILE.value,
     ReasonCode.STATIC_HOT.value, ReasonCode.STATIC_CTX_MONO.value,
-    ReasonCode.FLEET_WARM.value, ReasonCode.GUARD_ELIDED_PREEXIST.value,
+    ReasonCode.GUARD_ELIDED_PREEXIST.value,
     ReasonCode.DEOPT_PLANNED_OSR.value,
     ReasonCode.DEOPT_PLANNED_GUARD.value))
 
@@ -150,10 +144,6 @@ class EventKind(enum.Enum):
     PLAN = "plan"
     PLAN_DEFERRED = "plan_deferred"
     EVICTION = "eviction"
-    #: A runtime bootstrapped its profile state from the fleet store
-    #: before executing (subject = program fingerprint; detail carries
-    #: the seeded rule count and profile weight).
-    WARM_START = "warm_start"
 
 
 def event_value(kind: Union["EventKind", str]) -> str:

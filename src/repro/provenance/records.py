@@ -12,7 +12,7 @@ One adaptive run produces a stream of records:
   evictions, invalidations, and OSR requests.
 
 On-disk format (``*.decisions.jsonl``): the first line is a header
-object ``{"schema": "repro.provenance/v1", ...}`` carrying run metadata;
+object ``{"schema": "repro.provenance/v2", ...}`` carrying run metadata;
 every following line is one record with a ``"t"`` discriminator
 (``decision`` / ``compilation`` / ``event``).  The schema version is
 bumped only for breaking changes (renamed/removed fields or reason
@@ -30,7 +30,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 #: Versioned schema identifier written into every JSONL header.
-SCHEMA = "repro.provenance/v1"
+SCHEMA = "repro.provenance/v2"
 
 #: A compilation context as stored in records: innermost-first
 #: ``((caller_id, site), ...)`` exactly like

@@ -178,10 +178,10 @@ def build_benchmark(name: str,
     ``scale`` rescales only the *dynamic* length (main-loop iterations); the
     static Table 1 characteristics are untouched, so quick test runs still
     exercise the full program shape.  ``seed_offset`` shifts the generator
-    seed for multi-seed experiments (fleet instances, causal-profiler
-    replicates); the program *shape* is seed-dependent only in its random
-    draws, so offset runs are same-personality variants, not new
-    benchmarks.
+    seed for multi-seed experiments (causal-profiler replicates, the
+    host-time benchmark's seeds); the program *shape* is seed-dependent
+    only in its random draws, so offset runs are same-personality
+    variants, not new benchmarks.
     """
     try:
         spec = SPECS[name]

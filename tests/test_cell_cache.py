@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.experiments import config
 from repro.experiments.cell_cache import (CellCache, cell_cache_root,
                                           result_from_dict, result_to_dict)
 from repro.experiments.config import (SweepConfig, cell_fingerprint,
@@ -25,7 +26,7 @@ class TestFingerprint:
         assert a == b
         assert len(a) == 64  # sha256 hex
 
-    def test_sensitive_to_every_result_defining_input(self):
+    def test_sensitive_to_every_result_defining_input(self, monkeypatch):
         base = cell_fingerprint("jess", "fixed", 2, (0.0, 0.5), 0.5)
         assert cell_fingerprint("db", "fixed", 2, (0.0, 0.5), 0.5) != base
         assert cell_fingerprint("jess", "class", 2, (0.0, 0.5), 0.5) != base
@@ -35,6 +36,10 @@ class TestFingerprint:
         tweaked = DEFAULT_COSTS.replace(guard_test=DEFAULT_COSTS.guard_test + 1)
         assert cell_fingerprint("jess", "fixed", 2, (0.0, 0.5), 0.5,
                                 costs=tweaked) != base
+        # A cell-format change bumps the version: old entries stop matching.
+        monkeypatch.setattr(config, "FINGERPRINT_VERSION",
+                            config.FINGERPRINT_VERSION + 1)
+        assert cell_fingerprint("jess", "fixed", 2, (0.0, 0.5), 0.5) != base
 
     def test_execution_knobs_do_not_enter_the_fingerprint(self):
         # jobs / cell_timeout change how a sweep runs, not what a cell
@@ -83,6 +88,20 @@ class TestCellCache:
         with open(path, "w") as handle:
             handle.write("{truncated")
         with pytest.warns(RuntimeWarning, match="rerunning that cell"):
+            assert cache.load(self.FP) is None
+
+    def test_entry_with_a_removed_field_warns_and_misses(self, tmp_path,
+                                                         result):
+        # A cell written while RunResult still had a field it has since
+        # lost cannot be rebuilt; it costs one rerun, never the sweep.
+        cache = CellCache(str(tmp_path / "cells"))
+        path = cache.store(self.FP, self.KEY, result)
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["result"]["warm_started"] = False
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.warns(RuntimeWarning, match="TypeError"):
             assert cache.load(self.FP) is None
 
     def test_renamed_entry_rejected(self, tmp_path, result):

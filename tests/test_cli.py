@@ -285,36 +285,3 @@ class TestSweepDecisionLogs:
         capsys.readouterr()
         assert list(tmp_path.glob("sweep.cells/*.decisions.jsonl"))
 
-
-class TestFleetCommand:
-    def test_help(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--instances" in out
-        assert "--heterogeneous" in out
-
-    def test_two_instance_fleet_end_to_end(self, tmp_path, capsys):
-        import json
-
-        bundle_path = str(tmp_path / "fleet.json")
-        code = main(["fleet", "--benchmarks", "jess", "--instances", "2",
-                     "--scale", "0.05", "--jobs", "1", "-o", bundle_path])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Cold-start elimination" in out
-        assert "fleet bundle: OK" in out
-
-        with open(bundle_path) as handle:
-            bundle = json.load(handle)
-        assert bundle["schema"] == "repro.fleet/v1"
-        assert bundle["ok"]
-        report = bundle["benchmarks"][0]
-        assert report["warm"]["fleet_warm_decisions"] >= 1
-        saved = report["cold_start_elimination"]["first_rule_saved_cycles"]
-        assert saved > 0
-
-    def test_unknown_benchmark_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fleet", "--benchmarks", "quake"])

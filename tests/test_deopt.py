@@ -10,7 +10,8 @@ import os
 import pytest
 
 from repro.analysis.deopt import DeoptPlanner
-from repro.analysis.soundness import check_osr_soundness
+from repro.analysis.soundness import (LiveStateWatch, check_osr_soundness,
+                                      replay)
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.compiled_method import (PLAN_FULL_GUARD, PLAN_OSR_EXIT,
                                             PLAN_PREEXIST)
@@ -24,6 +25,8 @@ from repro.provenance import ProvenanceRecorder
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
+
+from conftest import build_diamond_program
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hashmap_fixed2.decisions.jsonl")
@@ -263,3 +266,18 @@ class TestOSRSoundnessReplay:
         text = report.render()
         assert "osr soundness" in text
         assert "live sets cover every read" in text
+
+    def test_wrong_body_entry_fails_the_replay(self):
+        # ``planned`` elides guards too, so the replay's one sink also
+        # checks every elided entry against what dispatch resolves.
+        program, sites = build_diamond_program()
+        watch = LiveStateWatch(program)
+        result = replay(program, events=watch)
+        watch.elided(sites["ping_b"], "preexist", "A.ping", "B.ping")
+        report = watch.report(result)
+        assert report.violations == ()
+        assert [v.code for v in report.elision_violations] == \
+            ["unsound-elision-preexist"]
+        assert not report.ok
+        assert "entered A.ping but dispatch resolves B.ping" in \
+            report.render()

@@ -53,9 +53,6 @@ class EveryEvent:
     def progress(self, name):
         pass
 
-    def epoch(self, runtime, epoch):
-        pass
-
 
 def machine_for(program, costs=None, tick=None):
     costs = costs or CostModel()

@@ -2,12 +2,11 @@
 
 Float addition is not associative, so any merge that folds weights in
 dict-iteration order silently depends on insertion order -- two resumed
-sweeps (or two fleet replicas) holding the same data in different orders
-would serialize differently and break cache comparisons and golden
-diffs.  Every merge in :mod:`repro.telemetry.aggregate` and
-:mod:`repro.fleet.store` therefore folds in canonical sorted order;
-these tests pin that by merging permuted inputs and requiring identical
-bytes.
+sweeps holding the same data in different orders would serialize
+differently and break cache comparisons and golden diffs.  Every merge
+in :mod:`repro.telemetry.aggregate` therefore folds in canonical sorted
+order; these tests pin that by merging permuted inputs and requiring
+identical bytes.
 """
 
 import json

@@ -1,12 +1,12 @@
-"""Round-trip tests for the profile projections the fleet wire uses.
+"""Round-trip tests for the profiles' flat projections.
 
-The fleet store's wire format IS ``CallingContextTree.to_trace_weights``
-and ``DynamicCallGraph.edge_weights`` output: every published delta
-crosses the process boundary as one of those projections and is later
-rebuilt into profiles on the warm-start side.  These tests pin the
-round-trip invariants that makes safe: a CCT rebuilt from its own trace
-weights is the same tree (weights, node count, hot contexts), and the
-DCG's depth-1 projection stays exact under heavy float accumulation.
+``CallingContextTree.to_trace_weights`` and
+``DynamicCallGraph.edge_weights`` flatten a profile into
+``{TraceKey: weight}`` maps, and a profile rebuilt from such a map must
+be the profile that produced it.  These tests pin the round-trip
+invariants: a CCT rebuilt from its own trace weights is the same tree
+(weights, node count, hot contexts), and the DCG's depth-1 projection
+stays exact under heavy float accumulation.
 """
 
 import random
@@ -30,7 +30,7 @@ def sample_keys():
 
 
 def rebuild(cct: CallingContextTree) -> CallingContextTree:
-    """One fleet wire round trip: project to weights, rebuild the tree."""
+    """One round trip: project to weights, rebuild the tree."""
     rebuilt = CallingContextTree()
     weights = cct.to_trace_weights()
     for key in sorted(weights, key=lambda k: (k.callee, k.context)):
@@ -136,8 +136,7 @@ class TestDCGEdgeWeights:
         assert all(set(p) == set(projections[0]) for p in projections)
         for key in projections[0]:
             values = {p[key] for p in projections}
-            # Identical up to fold order; the fleet store re-sorts before
-            # aggregating so sub-ulp drift here cannot leak into stored
-            # bytes.
+            # Identical up to fold order: insertion order may change a
+            # projected weight's last bits, never more.
             for value in values:
                 assert value == pytest.approx(projections[0][key])

@@ -15,6 +15,7 @@ class TestExports:
 
     def test_all_is_sorted_unique(self):
         assert len(set(repro.__all__)) == len(repro.__all__)
+        assert repro.__all__ == sorted(repro.__all__)
 
     def test_version_string(self):
         parts = repro.__version__.split(".")

@@ -1,9 +1,9 @@
 """The zero-overhead contract, as one test.
 
 Every instrumentation surface -- telemetry, decision provenance and the
-machine's event sink (progress points, the soundness replays' consumers,
-the fleet's epoch capture) -- must charge zero simulated cycles and
-change zero decisions.  The contract is what makes the observability
+machine's event sink (progress points and the soundness replays'
+consumers) -- must charge zero simulated cycles and change zero
+decisions.  The contract is what makes the observability
 stack trustworthy: a recorded run *is* the stock run, cached results
 stay valid whether or not they were recorded, and the soundness replays'
 numbers are the stock numbers of their configuration.
@@ -35,13 +35,12 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hashmap_fixed2.decisions.jsonl")
 
 #: name -> (program builder, (policy family, depth), cost overrides,
-#: events the run fires); between them the inputs fire all seven.
+#: events the run fires); between them the inputs fire all six.
 INPUTS = {
     # The golden workload.
     "hashmap-fixed2": (lambda: build_hashmap(iterations=4000).program,
                        ("fixed", 2), {},
-                       {"dispatch", "osr_entry", "local", "progress",
-                        "epoch"}),
+                       {"dispatch", "osr_entry", "local", "progress"}),
     # Deoptimization exits.
     "mtrt-planned": (lambda: build_benchmark("mtrt", scale=0.05).program,
                      ("hybrid2", 4),
@@ -49,12 +48,12 @@ INPUTS = {
                       "deopt_planning_enabled": True,
                       "deopt_strategy": "planned"},
                      {"dispatch", "osr_entry", "deopt_exit", "local",
-                      "progress", "epoch"}),
+                      "progress"}),
     # Elided guards: speculation on, planning off.
     "mtrt-speculation": (lambda: build_benchmark("mtrt", scale=0.05).program,
                          ("hybrid2", 4), {"speculation_enabled": True},
                          {"dispatch", "elided", "osr_entry", "local",
-                          "progress", "epoch"}),
+                          "progress"}),
     # The dispatch-edge soundness replay's unit-test program.
     "diamond-cins": (lambda: build_diamond_program()[0], ("cins", 1), {},
                      {"dispatch", "local", "progress"}),
@@ -62,8 +61,8 @@ INPUTS = {
 
 
 class EverySink(ProgressTracker):
-    """A progress tracker that consumes the six other events as well,
-    recording which of the seven fired."""
+    """A progress tracker that consumes the five other events as well,
+    recording which of the six fired."""
 
     def __init__(self):
         super().__init__(label="contract")
@@ -87,9 +86,6 @@ class EverySink(ProgressTracker):
 
     def local(self, locals_, index, is_read):
         self.fired.add("local")
-
-    def epoch(self, runtime, epoch):
-        self.fired.add("epoch")
 
 
 def _runtime(name, **instruments):
