@@ -3,9 +3,9 @@
 Every instrumentation surface -- telemetry, decision provenance and the
 machine's event sink (progress points and the soundness replays'
 consumers) -- must charge zero simulated cycles and change zero
-decisions.  The contract is what makes the observability
-stack trustworthy: a recorded run *is* the stock run, cached results
-stay valid whether or not they were recorded, and the soundness replays'
+decisions.  The contract is what makes the observability stack
+trustworthy: a recorded run *is* the stock run, cached results stay
+valid whether or not they were recorded, and the soundness replays'
 numbers are the stock numbers of their configuration.
 
 The anchor is the committed golden decision log (the hashmap example
