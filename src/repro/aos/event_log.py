@@ -172,10 +172,12 @@ class LoggingHooks:
         def ai_run(machine_):
             rules = original_ai_run(machine_)
             current = {(r.key.callee, r.key.context) for r in rules}
-            for key in current - hooks._known_rules:
+            # Sorted: set order follows the salted string hash, and the
+            # timeline must not depend on PYTHONHASHSEED.
+            for key in sorted(current - hooks._known_rules):
                 log.record(machine_.clock, RULE_ADDED,
                            f"{key[1][0][0]}@{key[1][0][1]}=>{key[0]}")
-            for key in hooks._known_rules - current:
+            for key in sorted(hooks._known_rules - current):
                 log.record(machine_.clock, RULE_RETIRED,
                            f"{key[1][0][0]}@{key[1][0][1]}=>{key[0]}")
             hooks._known_rules = current

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -123,6 +127,22 @@ class TestInspectCommand:
         assert "bc inlined" in out
         assert "AOS event summary" in out
         assert "AOS event timeline" in out
+
+    def test_timeline_is_independent_of_hash_seed(self):
+        """String hashing is salted per process; no set iteration order
+        may reach the printed timeline."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-m", "repro", "inspect", "jess",
+                 "--scale", "0.05", "--events", "100000"],
+                env=env, capture_output=True, text=True,
+                check=True).stdout)
+        assert "rule_added" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestExplainCommand:
