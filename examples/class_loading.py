@@ -22,26 +22,29 @@ Run with::
 """
 
 from repro import AdaptiveRuntime, make_policy
+from repro.aos.event_log import EventLog
 from repro.workloads import lazy_loading
 
 
 def main() -> None:
     built = lazy_loading.build(iterations=30_000)
     runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
+    log = EventLog(runtime.machine)
+    runtime.machine.events = log
     result = runtime.run()
+    invalidations = log.of_kind("invalidate")
 
     print(f"run: {built.iterations} iterations; Square first instantiated "
           f"at iteration {built.load_at}")
     print(f"classes loaded during the run: "
           f"{runtime.hierarchy.loaded_count}")
     print(f"invalidations: {result.invalidations}")
-    for root_id, selector, clock in runtime.database.invalidations:
-        print(f"  {root_id}: CHA binding for {selector!r} broken "
-              f"at cycle {clock:,.0f}")
+    for event in invalidations:
+        print(f"  {event.subject}: CHA binding for "
+              f"{event.detail['selector']!r} broken at cycle "
+              f"{event.clock:,.0f}")
 
-    invalidated = {root for root, _sel, _clk
-                   in runtime.database.invalidations}
-    for method_id in sorted(invalidated):
+    for method_id in sorted({event.subject for event in invalidations}):
         print(f"\ncompilation history of {method_id}:")
         for event in runtime.database.compilations_of(method_id):
             print(f"  v{event.version} at cycle {event.clock:,.0f} "

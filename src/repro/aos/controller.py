@@ -34,7 +34,6 @@ from repro.compiler.oracle import InlineOracle
 from repro.jvm.costs import CostModel
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import Program
-from repro.provenance.reasons import EventKind
 from repro.provenance.recorder import NULL_PROVENANCE
 from repro.telemetry.recorder import NULL_RECORDER
 
@@ -129,50 +128,49 @@ class Controller:
                 CONTROLLER, "process_events", events=events)
             machine.charge(CONTROLLER, events * costs.controller_event_cost)
         self.decisions_evaluated += events
+        on_deferred = getattr(machine.events, "plan_deferred", None)
 
         for method_id, samples in hot_events:
             if self._code_cache.opt_version(method_id) is not None:
                 continue  # already optimized; missing-edge path handles more
             if self._approve_first_compile(method_id, samples):
-                self._enqueue_plan(method_id, "hot", machine.clock)
+                self._enqueue_plan(machine, method_id, "hot")
                 created += 1
-            elif self._provenance.enabled:
+            elif on_deferred is not None:
                 immature = (self._state.dcg.total_weight
                             < costs.first_compile_min_weight)
-                self._provenance.event(
-                    EventKind.PLAN_DEFERRED, method_id, trigger="hot",
-                    why="immature_profile" if immature else "unprofitable",
-                    samples=samples)
+                on_deferred(method_id, trigger="hot",
+                            why="immature_profile" if immature
+                            else "unprofitable", samples=samples)
 
         for method_id in osr:
             if self._code_cache.opt_version(method_id) is not None:
                 continue
-            self._enqueue_plan(method_id, "osr", machine.clock)
+            self._enqueue_plan(machine, method_id, "osr")
             created += 1
 
         for method_id in missing:
             compiled = self._code_cache.opt_version(method_id)
             if compiled is None:
                 # Became a candidate before ever being optimized; treat as hot.
-                self._enqueue_plan(method_id, "missing_edge", machine.clock)
+                self._enqueue_plan(machine, method_id, "missing_edge")
                 created += 1
                 continue
             if compiled.version >= MAX_OPT_VERSIONS:
-                self._provenance.event(
-                    EventKind.PLAN_DEFERRED, method_id,
-                    trigger="missing_edge", why="max_versions",
-                    version=compiled.version)
+                if on_deferred is not None:
+                    on_deferred(method_id, trigger="missing_edge",
+                                why="max_versions", version=compiled.version)
                 continue
             if compiled.rules_fingerprint == self._state.rules_fingerprint:
                 continue  # installed code already reflects the rules
             # Rate-limit profile-driven recompilation of any one method.
             last = self._last_plan_clock.get(method_id, float("-inf"))
             if machine.clock - last < costs.recompile_cooldown:
-                self._provenance.event(
-                    EventKind.PLAN_DEFERRED, method_id,
-                    trigger="missing_edge", why="cooldown")
+                if on_deferred is not None:
+                    on_deferred(method_id, trigger="missing_edge",
+                                why="cooldown")
                 continue
-            self._enqueue_plan(method_id, "missing_edge", machine.clock)
+            self._enqueue_plan(machine, method_id, "missing_edge")
             created += 1
 
         self.plans_created += created
@@ -197,11 +195,10 @@ class Controller:
                         * costs.opt_compile_cycles_per_bc)
         return benefit > compile_cost
 
-    def _enqueue_plan(self, method_id: str, reason: str,
-                      clock: float = 0.0) -> None:
+    def _enqueue_plan(self, machine, method_id: str, reason: str) -> None:
         state = self._state
         database = self._database
-        self._last_plan_clock[method_id] = clock
+        self._last_plan_clock[method_id] = machine.clock
         if self._oracle_factory is not None:
             oracle = self._oracle_factory(
                 self._program, self._hierarchy, self._costs,
@@ -221,9 +218,9 @@ class Controller:
             version=self._code_cache.next_version(method_id),
             rules_fingerprint=state.rules_fingerprint,
             reason=reason)
-        self._provenance.event(
-            EventKind.PLAN, method_id, reason=reason, version=plan.version,
-            rules=len(state.rules), rules_fingerprint=plan.rules_fingerprint)
+        on_plan = getattr(machine.events, "plan", None)
+        if on_plan is not None:
+            on_plan(plan, len(state.rules))
         self.compilation_queue.append(plan)
 
 
@@ -265,7 +262,10 @@ class CompilationThread:
             provenance.end_compilation(compiled.inlined_bytecodes,
                                        compiled.code_bytes,
                                        compiled.compile_cycles)
-            self._code_cache.install(compiled)
+            replaced = self._code_cache.install(compiled)
+            on_eviction = getattr(machine.events, "eviction", None)
+            if replaced is not None and on_eviction is not None:
+                on_eviction(replaced, compiled)
             telemetry.end_span(
                 span_id, self_cycles=compiled.compile_cycles,
                 inlined_bytecodes=compiled.inlined_bytecodes,
@@ -276,14 +276,18 @@ class CompilationThread:
             telemetry.observe("opt_compile.cycles", compiled.compile_cycles)
             telemetry.observe("opt_compile.inlined_bytecodes",
                               compiled.inlined_bytecodes)
-            self._database.log_compilation(CompilationEvent(
+            event = CompilationEvent(
                 method_id=plan.method_id,
                 version=plan.version,
                 inlined_bytecodes=compiled.inlined_bytecodes,
                 code_bytes=compiled.code_bytes,
                 compile_cycles=compiled.compile_cycles,
                 clock=machine.clock,
-                reason=plan.reason))
+                reason=plan.reason)
+            self._database.log_compilation(event)
+            on_compile = getattr(machine.events, "compile", None)
+            if on_compile is not None:
+                on_compile(event)
             done += 1
         self.compilations_done += done
         return done

@@ -37,7 +37,6 @@ class AOSDatabase:
         # loaded-world CHA is only valid while every loaded target of
         # the selector stays within the allowed set.
         self._cha_dependencies: Dict[str, Dict[str, object]] = {}
-        self.invalidations: List[Tuple[str, str, float]] = []
 
     # -- refusals ---------------------------------------------------------------
 
@@ -86,14 +85,6 @@ class AOSDatabase:
 
     def clear_cha_dependencies(self, root_id: str) -> None:
         self._cha_dependencies.pop(root_id, None)
-
-    def log_invalidation(self, root_id: str, selector: str,
-                         clock: float) -> None:
-        self.invalidations.append((root_id, selector, clock))
-
-    @property
-    def invalidation_count(self) -> int:
-        return len(self.invalidations)
 
     # -- compilation log ----------------------------------------------------------
 

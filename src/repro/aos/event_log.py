@@ -1,102 +1,82 @@
-"""Optional structured log of adaptive-optimization events.
+"""The AOS event timeline that ``repro inspect`` prints.
 
 Jikes RVM's AOS can emit a log of its decisions; reconstructing *why* the
 online system did what it did (why was this method recompiled four times?
-when did that rule first appear?) is otherwise archaeology.  This module
-provides the same facility for the simulation: attach an
-:class:`EventLog` to an :class:`~repro.aos.runtime.AdaptiveRuntime` and
-every noteworthy event is recorded with its cycle timestamp.
+when did that rule first appear?) is otherwise archaeology.  An
+:class:`EventLog` is a machine event sink (DESIGN.md, "Events") that
+consumes the adaptive system's ``compile``, ``invalidate``, ``osr``,
+``rules`` and ``decay`` events.  Attach it by assignment::
 
-The event-kind vocabulary is shared with the decision-provenance layer:
-the module-level constants below are the values of
-:class:`repro.provenance.reasons.EventKind`, so the two logs cannot
-drift apart.  ``detail`` payloads may be plain strings (legacy) or
-structured dicts; rendering flattens dicts to ``key=value`` text.
+    runtime.machine.events = EventLog(runtime.machine)
 
-The log is pure instrumentation: it charges no cycles and changes no
-decisions, so logged and unlogged runs are cycle-identical.
+Each event becomes an :class:`~repro.provenance.records.EventRecord`
+stamped with the machine's cycle clock, in the
+:class:`~repro.provenance.reasons.EventKind` vocabulary the provenance log
+uses.  Like every sink it charges no cycles and changes no decisions, so
+logged and unlogged runs are cycle-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.metrics.report import format_table
 from repro.provenance.reasons import EventKind
-
-#: Event kinds, in the vocabulary of the paper's Figure 3 -- derived from
-#: the shared :class:`EventKind` enum (single source of truth with the
-#: provenance recorder's event records).
-COMPILE = EventKind.COMPILE.value
-RULE_ADDED = EventKind.RULE_ADDED.value
-RULE_RETIRED = EventKind.RULE_RETIRED.value
-INVALIDATE = EventKind.INVALIDATE.value
-OSR = EventKind.OSR.value
-DECAY = EventKind.DECAY.value
-
-#: Every kind this log accepts (the full shared vocabulary, so events
-#: forwarded from the provenance layer validate too).
-EVENT_KINDS = tuple(kind.value for kind in EventKind)
-
-#: A detail payload: legacy free-form text or a structured mapping.
-Detail = Union[str, Mapping[str, object]]
-
-
-def format_detail(detail: Detail) -> str:
-    """Flatten a detail payload to display text (dicts -> ``k=v`` pairs)."""
-    if isinstance(detail, str):
-        return detail
-    return " ".join(f"{key}={value}" for key, value in detail.items())
-
-
-@dataclass(frozen=True)
-class Event:
-    """One logged AOS event."""
-
-    clock: float
-    kind: str
-    subject: str        # method id, trace description, ...
-    detail: Detail = ""  # free-form text or a structured dict
-
-    @property
-    def detail_text(self) -> str:
-        """The detail payload as display text, whatever its shape."""
-        return format_detail(self.detail)
+from repro.provenance.records import EventRecord
 
 
 class EventLog:
-    """An append-only event log with simple query and rendering helpers."""
+    """An append-only event timeline with simple query and rendering
+    helpers."""
 
-    def __init__(self) -> None:
-        self.events: List[Event] = []
+    def __init__(self, machine) -> None:
+        self._machine = machine
+        self.events: List[EventRecord] = []
+        #: ``(callee, context)`` keys of the rule set last seen.
+        self._rules: set = set()
 
-    # -- recording ---------------------------------------------------------------
+    def _record(self, kind: EventKind, subject: str, **detail: Any) -> None:
+        self.events.append(
+            EventRecord(self._machine.clock, kind.value, subject, detail))
 
-    def record(self, clock: float, kind: str, subject: str,
-               detail: Detail = "") -> None:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        if not isinstance(detail, str):
-            detail = dict(detail)
-        self.events.append(Event(clock, kind, subject, detail))
+    # -- events ------------------------------------------------------------------
+
+    def compile(self, event) -> None:
+        self._record(EventKind.COMPILE, event.method_id,
+                     version=f"v{event.version}", reason=event.reason,
+                     inlined_bc=event.inlined_bytecodes)
+
+    def invalidate(self, removed, selector: str, loaded_class: str) -> None:
+        self._record(EventKind.INVALIDATE, removed.method.id,
+                     selector=selector)
+
+    def osr(self, method_id: str) -> None:
+        self._record(EventKind.OSR, method_id, trigger="backedge threshold")
+
+    def rules(self, rules) -> None:
+        """Log the rules added and retired since the last change, each in
+        sorted key order (set order would follow PYTHONHASHSEED)."""
+        current = {(rule.key.callee, rule.key.context) for rule in rules}
+        for kind, keys in ((EventKind.RULE_ADDED, current - self._rules),
+                           (EventKind.RULE_RETIRED, self._rules - current)):
+            for callee, context in sorted(keys):
+                caller, site = context[0]
+                self._record(kind, f"{caller}@{site}=>{callee}")
+        self._rules = current
+
+    def decay(self, total_weight: float) -> None:
+        self._record(EventKind.DECAY, "dcg", total=f"{total_weight:.0f}")
 
     # -- queries -----------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> List[Event]:
+    def of_kind(self, kind: str) -> List[EventRecord]:
         return [e for e in self.events if e.kind == kind]
 
-    def about(self, subject: str) -> List[Event]:
-        return [e for e in self.events if e.subject == subject]
-
-    def between(self, start: float, end: float) -> List[Event]:
-        return [e for e in self.events if start <= e.clock < end]
-
     def counts(self) -> Dict[str, int]:
-        out = {kind: 0 for kind in EVENT_KINDS}
+        out = {kind.value: 0 for kind in EventKind}
         for event in self.events:
             out[event.kind] += 1
         return out
@@ -106,7 +86,9 @@ class EventLog:
     def render_timeline(self, limit: Optional[int] = None) -> str:
         """A chronological table of events (optionally the first N)."""
         events = self.events if limit is None else self.events[:limit]
-        rows = [[f"{e.clock:,.0f}", e.kind, e.subject, e.detail_text]
+        rows = [[f"{e.clock:,.0f}", e.kind, e.subject,
+                 " ".join(f"{key}={value}"
+                          for key, value in e.detail.items())]
                 for e in events]
         return format_table(["cycle", "event", "subject", "detail"], rows,
                             title=f"AOS event timeline ({len(self.events)} "
@@ -117,87 +99,3 @@ class EventLog:
                 for kind, count in self.counts().items() if count]
         return format_table(["event", "count"], rows,
                             title="AOS event summary")
-
-
-class LoggingHooks:
-    """Glue attaching an :class:`EventLog` to a runtime's components.
-
-    The runtime calls :meth:`install` once; the hooks wrap the few
-    extension points that already exist (database logging callbacks, the
-    AI organizer's rule set) without changing any behaviour.
-    """
-
-    def __init__(self, log: EventLog):
-        self.log = log
-        self._known_rules: set = set()
-
-    def install(self, runtime) -> None:
-        log = self.log
-        database = runtime.database
-        machine = runtime.machine
-
-        original_log_compilation = database.log_compilation
-
-        def log_compilation(event):
-            original_log_compilation(event)
-            log.record(event.clock, COMPILE, event.method_id,
-                       {"version": f"v{event.version}",
-                        "reason": event.reason,
-                        "inlined_bc": event.inlined_bytecodes})
-
-        database.log_compilation = log_compilation
-
-        original_log_invalidation = database.log_invalidation
-
-        def log_invalidation(root_id, selector, clock):
-            original_log_invalidation(root_id, selector, clock)
-            log.record(clock, INVALIDATE, root_id, {"selector": selector})
-
-        database.log_invalidation = log_invalidation
-
-        original_osr = machine.osr_handler
-
-        def osr_handler(method_id):
-            log.record(machine.clock, OSR, method_id,
-                       {"trigger": "backedge threshold"})
-            if original_osr is not None:
-                original_osr(method_id)
-
-        machine.osr_handler = osr_handler
-
-        ai_organizer = runtime.ai_organizer
-        original_ai_run = ai_organizer.run
-        hooks = self
-
-        def ai_run(machine_):
-            rules = original_ai_run(machine_)
-            current = {(r.key.callee, r.key.context) for r in rules}
-            # Sorted: set order follows the salted string hash, and the
-            # timeline must not depend on PYTHONHASHSEED.
-            for key in sorted(current - hooks._known_rules):
-                log.record(machine_.clock, RULE_ADDED,
-                           f"{key[1][0][0]}@{key[1][0][1]}=>{key[0]}")
-            for key in sorted(hooks._known_rules - current):
-                log.record(machine_.clock, RULE_RETIRED,
-                           f"{key[1][0][0]}@{key[1][0][1]}=>{key[0]}")
-            hooks._known_rules = current
-            return rules
-
-        ai_organizer.run = ai_run
-
-        decay_organizer = runtime.decay_organizer
-        original_decay_run = decay_organizer.run
-
-        def decay_run(machine_):
-            original_decay_run(machine_)
-            log.record(machine_.clock, DECAY, "dcg",
-                       {"total": f"{runtime.state.dcg.total_weight:.0f}"})
-
-        decay_organizer.run = decay_run
-
-
-def attach_event_log(runtime) -> EventLog:
-    """Create an :class:`EventLog`, hook it into ``runtime``, return it."""
-    log = EventLog()
-    LoggingHooks(log).install(runtime)
-    return log

@@ -18,9 +18,8 @@ from typing import Dict, Optional, Sequence
 
 from repro.aos.controller import CompilationThread, Controller
 from repro.aos.cost_accounting import (AI_ORGANIZER, ALL_COMPONENTS, APP,
-                                       CONTROLLER, DECAY_ORGANIZER,
-                                       LISTENERS, METHOD_ORGANIZER,
-                                       CostAccounting)
+                                       DECAY_ORGANIZER, LISTENERS,
+                                       METHOD_ORGANIZER, CostAccounting)
 from repro.aos.database import AOSDatabase
 from repro.aos.listeners import (MethodListener, TerminationStatsProbe,
                                  TraceListener)
@@ -30,14 +29,13 @@ from repro.aos.organizers import (AIOrganizer, AOSState, DCGOrganizer,
 from repro.compiler.code_cache import CodeCache
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.interpreter import Machine
+from repro.jvm.interpreter import Machine, join_sinks
 from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.policies.base import ContextSensitivityPolicy
 from repro.provenance.metrics import fold_into_telemetry
-from repro.provenance.reasons import EventKind
 from repro.provenance.recorder import NULL_PROVENANCE, ProvenanceRecorder
-from repro.telemetry.progress import ProgressTracker, instrument_progress
+from repro.telemetry.progress import ProgressTracker, main_loop_points
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder
 
 
@@ -183,18 +181,21 @@ class AdaptiveRuntime:
             self.machine.osr_liveness = self.planner.loop_live_index()
         self.machine.telemetry = self.telemetry
         self.code_cache.telemetry = self.telemetry
-        self.code_cache.provenance = self.provenance
         self.telemetry.bind(
             lambda: self.machine.clock,
             lambda component: self.accounting.cycles.get(component, 0.0))
         self.provenance.bind(lambda: self.machine.clock)
         # Progress points (see repro.telemetry.progress) are pure
-        # instrumentation like telemetry and provenance: the tracker
-        # becomes the machine's event sink, and marking charges no
-        # cycles, so tracked runs stay cycle-identical to untracked ones.
+        # instrumentation like telemetry and provenance: the tracker marks
+        # the entry method's top-level loops and charges no cycles.
         self.progress = progress
         if progress is not None:
-            instrument_progress(self.machine, program, progress)
+            progress.bind(lambda: self.machine.clock)
+            progress.loops.update(main_loop_points(program))
+        # One sink for the run (DESIGN.md, "Events"): a bare run keeps
+        # NULL_EVENTS and so builds the stock code.
+        self.machine.events = join_sinks(progress, self.telemetry,
+                                         self.provenance)
 
         # ``sample_phase`` (in [0, 1)) offsets the first timer tick, playing
         # the role of Jikes RVM's timer nondeterminism: the paper reports
@@ -233,6 +234,9 @@ class AdaptiveRuntime:
         if clock >= self._next_decay:
             with self.telemetry.span(DECAY_ORGANIZER, "decay_organizer"):
                 self.decay_organizer.run(machine)
+            on_decay = getattr(machine.events, "decay", None)
+            if on_decay is not None:
+                on_decay(self.state.dcg.total_weight)
             self._next_decay = machine.clock + costs.decay_period
 
         machine.next_event = min(self._next_sample, self._next_organizer,
@@ -267,6 +271,10 @@ class AdaptiveRuntime:
             self.dcg_organizer.run(machine, self.trace_listener)
         with telemetry.span(AI_ORGANIZER, "ai_organizer"):
             self.ai_organizer.run(machine)
+        on_rules = getattr(machine.events, "rules", None)
+        if (on_rules is not None
+                and self.state.rules_fingerprint != fingerprint):
+            on_rules(self.state.rules)
         with telemetry.span(METHOD_ORGANIZER, "hot_methods_organizer"):
             self.hot_methods_organizer.run(machine, self.method_listener,
                                            self.controller)
@@ -275,17 +283,15 @@ class AdaptiveRuntime:
         self.controller.process_events(machine)
         self.compilation_thread.run(machine,
                                     self.controller.compilation_queue)
-        if self.state.rules_fingerprint != fingerprint:
-            telemetry.instant(AI_ORGANIZER, "rules_changed",
-                              rules=len(self.state.rules))
         telemetry.end_span(wake_id)
 
     # -- OSR ---------------------------------------------------------------------
 
     def _osr_request(self, method_id: str) -> None:
-        """Machine OSR trigger: note the event, forward to the controller."""
-        self.telemetry.instant(CONTROLLER, "osr_request", method=method_id)
-        self.provenance.event(EventKind.OSR, method_id)
+        """Machine OSR trigger: fire ``osr``, forward to the controller."""
+        on_osr = getattr(self.machine.events, "osr", None)
+        if on_osr is not None:
+            on_osr(method_id)
         self.controller.osr_request(method_id)
 
     # -- class loading -------------------------------------------------------------
@@ -312,14 +318,12 @@ class AdaptiveRuntime:
                     # still in flight), clearing here would orphan the
                     # remaining selectors and leave a later class load
                     # unable to ever invalidate this method.
-                    if self.code_cache.invalidate(
-                            root_id, selector=selector,
-                            loaded_class=class_name):
-                        self.database.log_invalidation(
-                            root_id, selector, self.machine.clock)
-                        self.telemetry.instant(
-                            CONTROLLER, "invalidation", method=root_id,
-                            selector=selector, loaded_class=class_name)
+                    removed = self.code_cache.invalidate(root_id)
+                    if removed is not None:
+                        on_invalidate = getattr(self.machine.events,
+                                                "invalidate", None)
+                        if on_invalidate is not None:
+                            on_invalidate(removed, selector, class_name)
                         self.database.clear_cha_dependencies(root_id)
                         # Deoptimized back to baseline: re-arm OSR so a
                         # still-hot loop can request recompilation.
@@ -381,7 +385,7 @@ class AdaptiveRuntime:
             inline_entries=machine.stats.inline_entries,
             calls=machine.stats.calls,
             osr_transfers=machine.stats.osr_transfers,
-            invalidations=self.database.invalidation_count,
+            invalidations=cache.invalidated_compilations,
             elided_entries=machine.stats.elided_entries,
             deopt_entries=machine.stats.deopt_entries,
             deopt_exits=machine.stats.deopt_exits,

@@ -410,14 +410,15 @@ def _cmd_termination(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from repro.aos.event_log import attach_event_log
+    from repro.aos.event_log import EventLog
     from repro.compiler.tree_printer import render_code_cache
     from repro.workloads.spec import build_benchmark
 
     generated = build_benchmark(args.benchmark, scale=args.scale)
     runtime = AdaptiveRuntime(generated.program,
                               make_policy(args.policy, args.depth))
-    log = attach_event_log(runtime)
+    log = EventLog(runtime.machine)
+    runtime.machine.events = log
     runtime.run()
 
     print(render_code_cache(runtime.code_cache, top=args.top))

@@ -19,8 +19,6 @@ from typing import Dict, List, Optional, Set
 from repro.compiler.compiled_method import CompiledMethod
 from repro.jvm.costs import CostModel
 from repro.jvm.program import MethodDef
-from repro.provenance.reasons import EventKind
-from repro.provenance.recorder import NULL_PROVENANCE
 from repro.telemetry.recorder import NULL_RECORDER
 
 
@@ -32,9 +30,6 @@ class CodeCache:
         #: Telemetry sink for size counters (the adaptive runtime swaps in
         #: its recorder); the NullRecorder default costs nothing.
         self.telemetry = NULL_RECORDER
-        #: Provenance sink for eviction/invalidation events (same swap-in
-        #: pattern; the NullProvenance default is a no-op).
-        self.provenance = NULL_PROVENANCE
         self._baseline: Set[str] = set()
         self._opt: Dict[str, CompiledMethod] = {}
         self._versions: Dict[str, int] = {}
@@ -76,19 +71,16 @@ class CodeCache:
     def next_version(self, method_id: str) -> int:
         return self._versions.get(method_id, 0) + 1
 
-    def install(self, compiled: CompiledMethod) -> None:
-        """Install new optimized code, replacing any previous version."""
+    def install(self, compiled: CompiledMethod) -> Optional[CompiledMethod]:
+        """Install new optimized code; return the version it replaced.
+
+        The replaced version stops receiving new invocations: an eviction
+        in the live-code-space sense (cumulative ``opt_code_bytes`` still
+        counts it, faithfully to Jikes RVM 2.1.1's non-reclaiming code
+        space).
+        """
         method_id = compiled.method.id
         replaced = self._opt.get(method_id)
-        if replaced is not None:
-            # The old version stops receiving new invocations: an eviction
-            # in the live-code-space sense (cumulative opt_code_bytes still
-            # counts it, faithfully to Jikes RVM 2.1.1's non-reclaiming
-            # code space).
-            self.provenance.event(
-                EventKind.EVICTION, method_id, version=replaced.version,
-                code_bytes=replaced.code_bytes,
-                replaced_by=compiled.version)
         self._opt[method_id] = compiled
         self._versions[method_id] = compiled.version
         self.opt_compilations += 1
@@ -100,35 +92,31 @@ class CodeCache:
         self.telemetry.gauge("code_cache.live_opt_code_bytes",
                              self.live_opt_code_bytes())
         self.telemetry.gauge("code_cache.installed_methods", len(self._opt))
+        return replaced
 
     def opt_methods(self) -> List[CompiledMethod]:
         """Currently installed optimized methods (latest versions only)."""
         return list(self._opt.values())
 
-    def invalidate(self, method_id: str, **context) -> bool:
-        """Discard installed optimized code (CHA dependency broken).
+    def invalidate(self, method_id: str) -> Optional[CompiledMethod]:
+        """Discard installed optimized code (CHA dependency broken);
+        return it, or ``None`` when none is installed.
 
         Future invocations fall back to baseline code until the adaptive
         system recompiles; the version counter keeps advancing so the
         recompile is observably a new version.  In-flight activations keep
         running the old inline tree -- which is exactly what pre-existence
         licenses (their receivers predate the class that just loaded).
-
-        ``context`` (e.g. the broken selector and the class whose loading
-        broke it) is attached to the provenance event verbatim.
         """
         removed = self._opt.pop(method_id, None)
         if removed is None:
-            return False
+            return None
         self.invalidated_compilations += 1
-        self.provenance.event(
-            EventKind.INVALIDATE, method_id, version=removed.version,
-            code_bytes=removed.code_bytes, **context)
         self.telemetry.count("code_cache.invalidations")
         self.telemetry.gauge("code_cache.live_opt_code_bytes",
                              self.live_opt_code_bytes())
         self.telemetry.gauge("code_cache.installed_methods", len(self._opt))
-        return True
+        return removed
 
     def live_opt_code_bytes(self) -> int:
         """Bytes of the latest versions only (alternative code-space view)."""

@@ -22,6 +22,7 @@ from its statement lists (see :mod:`repro.jvm.lowering`).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
 from repro.aos.cost_accounting import CostAccounting
@@ -34,8 +35,15 @@ from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["MAX_STACK_DEPTH", "Machine", "MachineStats", "NULL_EVENTS",
-           "NullEvents"]
+__all__ = ["EVENTS", "MAX_STACK_DEPTH", "Machine", "MachineStats",
+           "NULL_EVENTS", "NullEvents", "join_sinks"]
+
+#: Every event a sink may consume (DESIGN.md, "Events"): the six the
+#: generated code and the OSR helper fire, then the eight the adaptive
+#: system fires.
+EVENTS = ("dispatch", "elided", "osr_entry", "deopt_exit", "local",
+          "progress", "compile", "eviction", "invalidate", "osr", "rules",
+          "decay", "plan", "plan_deferred")
 
 
 class NullEvents:
@@ -47,6 +55,43 @@ class NullEvents:
 
 #: The machine's default :attr:`Machine.events`.
 NULL_EVENTS = NullEvents()
+
+
+def join_sinks(*members):
+    """One sink for ``members``: it consumes each event some member
+    consumes, calling those members' handlers in order.
+
+    Members consuming nothing (``None``, the null recorders) are
+    dropped; with none left the join is :data:`NULL_EVENTS`, and with
+    one it is that member.  ``progress`` fires for the union of the
+    consuming members' ``loops`` tables.
+    """
+    members = [member for member in members
+               if any(getattr(member, name, None) is not None
+                      for name in EVENTS)]
+    if not members:
+        return NULL_EVENTS
+    if len(members) == 1:
+        return members[0]
+    joined = SimpleNamespace()
+    for name in EVENTS:
+        handlers = [getattr(member, name) for member in members
+                    if getattr(member, name, None) is not None]
+        if handlers:
+            setattr(joined, name, handlers[0] if len(handlers) == 1
+                    else _fan_out(handlers))
+    if hasattr(joined, "progress"):
+        joined.loops = {key: point for member in members
+                        if getattr(member, "progress", None) is not None
+                        for key, point in member.loops.items()}
+    return joined
+
+
+def _fan_out(handlers: list) -> Callable[..., None]:
+    def fire(*args, **kwargs) -> None:
+        for handler in handlers:
+            handler(*args, **kwargs)
+    return fire
 
 
 class MachineStats:
@@ -86,9 +131,9 @@ class Machine:
         self.tick_handler = tick_handler
 
         self.clock = 0.0
-        #: Telemetry sink (spans for lazy baseline compiles, OSR instants);
-        #: the adaptive runtime swaps in its recorder, the NullRecorder
-        #: default charges and allocates nothing.
+        #: Telemetry sink (spans for lazy baseline compiles); the adaptive
+        #: runtime swaps in its recorder, the NullRecorder default charges
+        #: and allocates nothing.
         self.telemetry = NULL_RECORDER
         #: The next clock value at which :attr:`tick_handler` fires.
         self.next_event = float("inf")
@@ -116,12 +161,12 @@ class Machine:
         #: ``len(live) * costs.osr_map_in_cost``.
         self.osr_liveness = None
         #: The event sink (DESIGN.md, "Events").  A sink implements only
-        #: the events it reads -- ``dispatch``, ``elided``, ``osr_entry``,
-        #: ``deopt_exit``, ``local`` and ``progress`` (naming its points in
-        #: a ``loops`` table) -- and :meth:`run` builds firing code for
-        #: those alone.  Events charge no cycles and a sink must not
-        #: mutate machine state, so an observed run is cycle-identical to
-        #: a bare one.
+        #: the :data:`EVENTS` it reads (``progress`` names its points in
+        #: a ``loops`` table); :meth:`run` builds firing code for those
+        #: alone, and the adaptive system looks each of its own up when
+        #: it fires.  Events charge no cycles and a sink must not mutate
+        #: machine state, so an observed run is cycle-identical to a bare
+        #: one.
         self.events = NULL_EVENTS
 
     # -- cost charging -----------------------------------------------------

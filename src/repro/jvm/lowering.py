@@ -395,8 +395,6 @@ def lower_run(m: Machine):
                                 m.charge(APP, map_in)
                             if on_osr_entry is not None:
                                 on_osr_entry(method_id, stmt, locals_)
-                            m.telemetry.instant(APP, "osr_transfer",
-                                                method=method_id)
             backedges[method_id] = edges + count
             if root is None:
                 return None

@@ -7,9 +7,9 @@ strings that used to be scattered through
 decision logs diffable: two runs can only be aligned record-by-record
 when "why" is an enumerable value, not prose.
 
-:class:`EventKind` is the shared event vocabulary used by *both* the
-provenance recorder and :mod:`repro.aos.event_log` (whose module-level
-constants are derived from it), so the two logs cannot drift apart.
+:class:`EventKind` is the event vocabulary of both the provenance
+recorder's event records and :mod:`repro.aos.event_log`'s timeline, so
+the two logs cannot drift apart.
 
 Versioning policy: enum **values** are part of the on-disk JSONL schema
 (see :mod:`repro.provenance.records`).  Renaming or removing a value is
@@ -127,11 +127,11 @@ def reason_value(reason: Union["ReasonCode", str]) -> str:
 
 
 class EventKind(enum.Enum):
-    """Shared vocabulary of adaptive-system events.
+    """Shared vocabulary of adaptive-system event records.
 
-    :mod:`repro.aos.event_log` derives its module-level kind constants
-    from the first six members; the provenance recorder's event records
-    use the same values, so the two logs speak one language.
+    :mod:`repro.aos.event_log` records the first six kinds and the
+    provenance recorder the others plus ``invalidate`` and ``osr``, so
+    the two logs speak one language.
     """
 
     COMPILE = "compile"
@@ -140,17 +140,9 @@ class EventKind(enum.Enum):
     INVALIDATE = "invalidate"
     OSR = "osr"
     DECAY = "decay"
-    # Provenance-only kinds (controller and code-cache provenance).
     PLAN = "plan"
     PLAN_DEFERRED = "plan_deferred"
     EVICTION = "eviction"
-
-
-def event_value(kind: Union["EventKind", str]) -> str:
-    """Normalize an :class:`EventKind` member or plain string to its value."""
-    if isinstance(kind, EventKind):
-        return kind.value
-    return str(kind)
 
 
 # -- verdicts ------------------------------------------------------------------

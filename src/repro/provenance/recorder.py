@@ -10,16 +10,18 @@ whose methods are all no-ops.
 
 The recorder is a passive sink: the oracle reports each verdict, the
 compilation thread brackets each compile (so decision records inherit
-the compilation's version), and the controller/code cache/runtime drop
-event records.  :meth:`ProvenanceRecorder.bind` attaches the cycle
-clock, exactly like the telemetry recorder.
+the compilation's version), and as a machine event sink it turns the
+adaptive system's ``plan``, ``plan_deferred``, ``eviction``,
+``invalidate`` and ``osr`` events into event records (DESIGN.md,
+"Events").  :meth:`ProvenanceRecorder.bind` attaches the cycle clock,
+exactly like the telemetry recorder.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.provenance.reasons import event_value, reason_value
+from repro.provenance.reasons import EventKind, reason_value
 from repro.provenance.records import (CompilationRecord, DecisionRecord,
                                       EventRecord, ProvenanceRecord,
                                       dump_jsonl, final_decisions,
@@ -110,13 +112,35 @@ class ProvenanceRecorder:
             coverage=coverage, guard_kind=guard_kind,
             profile_weight=profile_weight))
 
-    # -- events -----------------------------------------------------------------
+    # -- events (DESIGN.md, "Events") -------------------------------------------
 
-    def event(self, kind, subject: str, **detail: Any) -> None:
-        """Record one controller/cache/runtime event."""
+    def _event(self, kind: EventKind, subject: str, **detail: Any) -> None:
         self.records.append(EventRecord(
-            clock=self._clock(), kind=event_value(kind), subject=subject,
-            detail=dict(detail)))
+            clock=self._clock(), kind=kind.value, subject=subject,
+            detail=detail))
+
+    def plan(self, plan, rule_count: int) -> None:
+        self._event(EventKind.PLAN, plan.method_id, reason=plan.reason,
+                    version=plan.version, rules=rule_count,
+                    rules_fingerprint=plan.rules_fingerprint)
+
+    def plan_deferred(self, method_id: str, trigger: str, why: str,
+                      **evidence: Any) -> None:
+        self._event(EventKind.PLAN_DEFERRED, method_id, trigger=trigger,
+                    why=why, **evidence)
+
+    def eviction(self, replaced, compiled) -> None:
+        self._event(EventKind.EVICTION, replaced.method.id,
+                    version=replaced.version, code_bytes=replaced.code_bytes,
+                    replaced_by=compiled.version)
+
+    def invalidate(self, removed, selector: str, loaded_class: str) -> None:
+        self._event(EventKind.INVALIDATE, removed.method.id,
+                    version=removed.version, code_bytes=removed.code_bytes,
+                    selector=selector, loaded_class=loaded_class)
+
+    def osr(self, method_id: str) -> None:
+        self._event(EventKind.OSR, method_id)
 
     # -- queries ----------------------------------------------------------------
 
@@ -184,9 +208,6 @@ class NullProvenance:
         pass
 
     def decision(self, **kwargs: Any) -> None:
-        pass
-
-    def event(self, kind, subject: str, **detail: Any) -> None:
         pass
 
 

@@ -21,8 +21,7 @@ from repro.telemetry.recorder import (NULL_RECORDER, HistogramData,
                                       SpanRecord, TelemetryRecorder,
                                       TelemetrySnapshot)
 from repro.telemetry.progress import (ProgressPointStats, ProgressTracker,
-                                      instrument_progress, main_loop_points,
-                                      progress_rate)
+                                      main_loop_points, progress_rate)
 from repro.telemetry.chrome_trace import (to_chrome_trace, trace_events,
                                           write_chrome_trace)
 from repro.telemetry.summary import (component_totals, fractions, reconcile,
@@ -38,7 +37,7 @@ __all__ = [
     "NULL_RECORDER", "HistogramData", "InstantRecord", "NullRecorder",
     "ProgressPointStats", "ProgressTracker",
     "SpanRecord", "TelemetryRecorder", "TelemetrySnapshot",
-    "cell_label", "component_totals", "fractions", "instrument_progress",
+    "cell_label", "component_totals", "fractions",
     "label_cell_snapshots", "main_loop_points",
     "merge_cell_telemetry", "merge_component_totals",
     "merge_counters", "merge_histograms", "merged_chrome_trace",

@@ -132,19 +132,3 @@ def main_loop_points(program: Program,
         return {id(loops[0]): "main"}
     return {id(stmt): f"phase{index}"
             for index, stmt in enumerate(loops)}
-
-
-def instrument_progress(machine, program: Program,
-                        tracker: ProgressTracker) -> Dict[int, str]:
-    """Make ``tracker`` the machine's event sink, marking entry loops.
-
-    Binds the tracker to the machine clock, adds the program's entry-loop
-    points to its :attr:`~ProgressTracker.loops`, and returns them as
-    ``{id(loop): name}`` (empty when the entry method has no top-level
-    loop).
-    """
-    points = main_loop_points(program)
-    tracker.bind(lambda: machine.clock)
-    tracker.loops.update(points)
-    machine.events = tracker
-    return points

@@ -2,16 +2,17 @@
 
 The recorder is the write side of the ``repro.telemetry`` subsystem:
 components open **spans** (begin/end intervals on the simulated clock),
-drop **instant events** (invalidations, OSR requests, rule changes), bump
-**counters**, sample **gauges**, and feed **histograms**.  Everything is
-timestamped with the machine's cycle clock, so two runs of the same
-configuration produce byte-identical telemetry.
+bump **counters**, sample **gauges**, and feed **histograms**; as a
+machine event sink (DESIGN.md, "Events") it records **instants** for
+invalidations, OSR requests and transfers, and rule-set changes.
+Everything is timestamped with the machine's cycle clock, so two runs of
+the same configuration produce byte-identical telemetry.
 
-Like :class:`~repro.aos.event_log.EventLog`, telemetry is pure
-instrumentation: it charges no simulated cycles and changes no decisions,
-so a traced run and an untraced run are cycle-identical.  Un-instrumented
-runs pay nothing at all -- every instrumentation point defaults to the
-:data:`NULL_RECORDER` singleton, whose methods are all no-ops.
+Like every event sink, telemetry is pure instrumentation: it charges no
+simulated cycles and changes no decisions, so a traced run and an
+untraced run are cycle-identical.  Un-instrumented runs pay nothing at
+all -- every instrumentation point defaults to the :data:`NULL_RECORDER`
+singleton, whose methods are all no-ops and which consumes no event.
 
 Exact cost attribution
 ----------------------
@@ -32,6 +33,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.aos.cost_accounting import AI_ORGANIZER, APP, CONTROLLER
 
 
 @dataclass
@@ -220,6 +223,21 @@ class TelemetryRecorder:
         if histogram is None:
             histogram = self.histograms[name] = HistogramData()
         histogram.observe(value)
+
+    # -- events (DESIGN.md, "Events") --------------------------------------------
+
+    def invalidate(self, removed, selector: str, loaded_class: str) -> None:
+        self.instant(CONTROLLER, "invalidation", method=removed.method.id,
+                     selector=selector, loaded_class=loaded_class)
+
+    def osr(self, method_id: str) -> None:
+        self.instant(CONTROLLER, "osr_request", method=method_id)
+
+    def osr_entry(self, method_id: str, loop_stmt, locals_) -> None:
+        self.instant(APP, "osr_transfer", method=method_id)
+
+    def rules(self, rules) -> None:
+        self.instant(AI_ORGANIZER, "rules_changed", rules=len(rules))
 
     # -- export ------------------------------------------------------------------
 

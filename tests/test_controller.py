@@ -10,11 +10,14 @@ from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
 from repro.jvm.costs import CostModel
 from repro.jvm.hierarchy import ClassHierarchy
+from repro.jvm.interpreter import NULL_EVENTS
 from repro.jvm.program import Const, Return, StaticCall, Work
 from repro.workloads.builder import ProgramBuilder
 
 
 class FakeMachine:
+    events = NULL_EVENTS
+
     def __init__(self):
         self.clock = 0.0
         self.accounting = CostAccounting()

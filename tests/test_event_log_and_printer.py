@@ -1,76 +1,93 @@
 """Tests for the AOS event log and the inline-tree pretty printer."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.aos.event_log import (COMPILE, DECAY, EVENT_KINDS, Event,
-                                 EventLog, INVALIDATE, OSR, RULE_ADDED,
-                                 RULE_RETIRED, attach_event_log,
-                                 format_detail)
+from repro.aos.database import CompilationEvent
+from repro.aos.event_log import EventLog
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.tree_printer import render_code_cache, render_inline_tree
 from repro.policies import make_policy
+from repro.profiles.trace import InlineRule, TraceKey
 from repro.workloads import lazy_loading
 from repro.workloads.hashmap_example import build as build_hashmap
 
 
+def compile_event(method_id, version=1, reason="hot", inlined=40):
+    return CompilationEvent(method_id, version, inlined, 64, 100.0, 0.0,
+                            reason)
+
+
+def rule(callee, caller, site):
+    return InlineRule(TraceKey(callee, ((caller, site),)), 1.0, 0.1)
+
+
+def attach(runtime):
+    log = EventLog(runtime.machine)
+    runtime.machine.events = log
+    return log
+
+
 class TestEventLogUnit:
-    def test_record_and_query(self):
-        log = EventLog()
-        log.record(100.0, COMPILE, "C.m", "v1")
-        log.record(200.0, COMPILE, "C.n", "v1")
-        log.record(300.0, OSR, "C.m")
+    @pytest.fixture
+    def machine(self):
+        return SimpleNamespace(clock=0.0)
+
+    def test_record_and_query(self, machine):
+        log = EventLog(machine)
+        for clock, method_id in ((100.0, "C.m"), (200.0, "C.n")):
+            machine.clock = clock
+            log.compile(compile_event(method_id))
+        machine.clock = 300.0
+        log.osr("C.m")
         assert len(log) == 3
-        assert [e.subject for e in log.of_kind(COMPILE)] == ["C.m", "C.n"]
-        assert [e.kind for e in log.about("C.m")] == [COMPILE, OSR]
-        assert [e.clock for e in log.between(150.0, 250.0)] == [200.0]
+        assert [e.subject for e in log.of_kind("compile")] == ["C.m", "C.n"]
+        assert [(e.clock, e.kind) for e in log.events] == [
+            (100.0, "compile"), (200.0, "compile"), (300.0, "osr")]
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            EventLog().record(0.0, "party", "x")
-
-    def test_counts(self):
-        log = EventLog()
-        log.record(1.0, COMPILE, "a")
-        log.record(2.0, COMPILE, "b")
+    def test_counts(self, machine):
+        log = EventLog(machine)
+        log.compile(compile_event("a"))
+        log.compile(compile_event("b"))
         counts = log.counts()
-        assert counts[COMPILE] == 2
-        assert counts[DECAY] == 0
+        assert counts["compile"] == 2
+        assert counts["decay"] == 0
 
-    def test_rendering(self):
-        log = EventLog()
-        log.record(1.0, COMPILE, "C.m", "v1 hot 40bc")
+    def test_rendering(self, machine):
+        log = EventLog(machine)
+        log.compile(compile_event("C.m"))
         timeline = log.render_timeline()
-        assert "C.m" in timeline and "v1 hot" in timeline
+        assert "C.m" in timeline and "version=v1 reason=hot" in timeline
         summary = log.render_summary()
         assert "compile" in summary
 
-    def test_structured_detail_accepted_and_flattened(self):
-        log = EventLog()
-        log.record(1.0, COMPILE, "C.m",
-                   {"version": "v1", "reason": "hot", "inlined_bc": 40})
+    def test_structured_detail_accepted_and_flattened(self, machine):
+        log = EventLog(machine)
+        log.compile(compile_event("C.m"))
         [event] = log.events
         assert event.detail == {"version": "v1", "reason": "hot",
                                 "inlined_bc": 40}
-        assert event.detail_text == "version=v1 reason=hot inlined_bc=40"
-        assert "version=v1" in log.render_timeline()
+        assert "version=v1 reason=hot inlined_bc=40" in log.render_timeline()
 
-    def test_format_detail_passthrough_for_strings(self):
-        assert format_detail("plain text") == "plain text"
-        assert format_detail({}) == ""
-        assert Event(0.0, COMPILE, "C.m", "legacy").detail_text == "legacy"
+    def test_rule_changes_logged_in_sorted_key_order(self, machine):
+        log = EventLog(machine)
+        log.rules([rule("B.f", "A.m", 2), rule("A.f", "A.m", 1)])
+        log.rules([rule("C.f", "A.m", 3), rule("A.f", "A.m", 1)])
+        assert [(e.kind, e.subject) for e in log.events] == [
+            ("rule_added", "A.m@1=>A.f"), ("rule_added", "A.m@2=>B.f"),
+            ("rule_added", "A.m@3=>C.f"), ("rule_retired", "A.m@2=>B.f")]
 
-    def test_record_copies_mutable_detail(self):
-        log = EventLog()
-        payload = {"selector": "poly"}
-        log.record(1.0, INVALIDATE, "C.m", payload)
-        payload["selector"] = "mutated"
-        assert log.events[0].detail == {"selector": "poly"}
-
-    def test_kind_vocabulary_shared_with_provenance(self):
-        from repro.provenance import EventKind
-        assert set(EVENT_KINDS) == {kind.value for kind in EventKind}
-        assert RULE_ADDED == EventKind.RULE_ADDED.value
-        assert RULE_RETIRED == EventKind.RULE_RETIRED.value
+    def test_invalidate_osr_and_decay_details(self, machine):
+        log = EventLog(machine)
+        removed = SimpleNamespace(method=SimpleNamespace(id="C.m"))
+        log.invalidate(removed, "area", "Square")
+        log.osr("C.n")
+        log.decay(1234.4)
+        assert [(e.subject, e.detail) for e in log.events] == [
+            ("C.m", {"selector": "area"}),
+            ("C.n", {"trigger": "backedge threshold"}),
+            ("dcg", {"total": "1234"})]
 
 
 class TestEventLogIntegration:
@@ -78,17 +95,17 @@ class TestEventLogIntegration:
     def logged_run(self):
         built = build_hashmap(iterations=4000)
         runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2))
-        log = attach_event_log(runtime)
+        log = attach(runtime)
         result = runtime.run()
         return runtime, log, result
 
     def test_compiles_logged(self, logged_run):
         runtime, log, result = logged_run
-        assert len(log.of_kind(COMPILE)) == result.opt_compilations
+        assert len(log.of_kind("compile")) == result.opt_compilations
 
     def test_rules_logged(self, logged_run):
         _runtime, log, result = logged_run
-        added = log.of_kind(RULE_ADDED)
+        added = log.of_kind("rule_added")
         assert len(added) >= result.rule_count
 
     def test_logging_is_cycle_neutral(self):
@@ -98,16 +115,16 @@ class TestEventLogIntegration:
 
         built2 = build_hashmap(iterations=2000)
         logged = AdaptiveRuntime(built2.program, make_policy("fixed", 2))
-        attach_event_log(logged)
+        attach(logged)
         logged_result = logged.run()
         assert logged_result.total_cycles == plain_result.total_cycles
 
     def test_invalidation_logged(self):
         built = lazy_loading.build(iterations=15_000)
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
-        log = attach_event_log(runtime)
+        log = attach(runtime)
         result = runtime.run()
-        assert len(log.of_kind(INVALIDATE)) == result.invalidations
+        assert len(log.of_kind("invalidate")) == result.invalidations
         assert result.invalidations >= 1
 
     def test_events_chronological(self, logged_run):

@@ -1,0 +1,111 @@
+"""One event stream: ``join_sinks``, and each AOS event firing once into
+every consumer of the run's sink."""
+
+import pytest
+
+from repro.aos.event_log import EventLog
+from repro.aos.runtime import AdaptiveRuntime
+from repro.jvm.interpreter import EVENTS, NULL_EVENTS, join_sinks
+from repro.policies import make_policy
+from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
+from repro.telemetry import NULL_RECORDER, TelemetryRecorder
+from repro.workloads import lazy_loading
+
+
+class OsrAndProgress:
+    """Consumes ``osr`` and ``progress``, noting every call."""
+
+    def __init__(self, loops=None):
+        self.calls = []
+        self.loops = loops or {}
+
+    def osr(self, method_id):
+        self.calls.append(("osr", method_id))
+
+    def progress(self, name):
+        self.calls.append(("progress", name))
+
+
+class OnlyRules:
+    def __init__(self):
+        self.calls = []
+
+    def rules(self, rules):
+        self.calls.append(("rules", rules))
+
+
+class TestJoinSinks:
+    def test_no_member_is_the_null_sink(self):
+        assert join_sinks() is NULL_EVENTS
+        assert join_sinks(None, NULL_RECORDER, NULL_PROVENANCE) \
+            is NULL_EVENTS
+
+    def test_one_member_is_that_member(self):
+        member = OnlyRules()
+        assert join_sinks(member) is member
+        assert join_sinks(None, member, NULL_RECORDER) is member
+
+    def test_exposes_only_consumed_events(self):
+        joined = join_sinks(OsrAndProgress(), OnlyRules())
+        assert [name for name in EVENTS if hasattr(joined, name)] == [
+            "progress", "osr", "rules"]
+
+    def test_shared_event_reaches_every_member(self):
+        first, second, third = OsrAndProgress(), OsrAndProgress(), \
+            OnlyRules()
+        joined = join_sinks(first, second, third)
+        joined.osr("C.m")
+        joined.rules([])
+        assert first.calls == second.calls == [("osr", "C.m")]
+        assert third.calls == [("rules", [])]
+
+    def test_progress_loops_are_the_members_union(self):
+        joined = join_sinks(OsrAndProgress({1: "main"}),
+                            OsrAndProgress({2: "phase1"}), OnlyRules())
+        assert joined.loops == {1: "main", 2: "phase1"}
+
+
+class TestEachEventFiresOnce:
+    """Telemetry, provenance and an event log joined on one run that
+    invalidates and requests OSR: each consumer sees each event once."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        built = lazy_loading.build(iterations=15_000)
+        telemetry = TelemetryRecorder(label="stream")
+        provenance = ProvenanceRecorder(label="stream")
+        runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
+                                  telemetry=telemetry, provenance=provenance)
+        log = EventLog(runtime.machine)
+        runtime.machine.events = join_sinks(runtime.machine.events, log)
+        requests = []
+        forward = runtime.controller.osr_request
+
+        def osr_request(method_id):
+            requests.append((runtime.machine.clock, method_id))
+            forward(method_id)
+
+        runtime.controller.osr_request = osr_request
+        result = runtime.run()
+        return result, requests, telemetry.snapshot(), provenance, log
+
+    @staticmethod
+    def _seen(run, kind, instant):
+        _result, _requests, snapshot, provenance, log = run
+        return ([(e.clock, e.subject) for e in log.of_kind(kind)],
+                [(e.clock, e.subject) for e in provenance.events
+                 if e.kind == kind],
+                [(i.clock, i.args["method"]) for i in snapshot.instants
+                 if i.name == instant])
+
+    def test_each_invalidation_once(self, run):
+        logged, recorded, traced = self._seen(run, "invalidate",
+                                              "invalidation")
+        assert len(logged) == run[0].invalidations >= 1
+        assert logged == recorded == traced
+
+    def test_each_osr_request_once(self, run):
+        logged, recorded, traced = self._seen(run, "osr", "osr_request")
+        requests = run[1]
+        assert requests
+        assert logged == recorded == traced == requests

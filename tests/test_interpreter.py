@@ -30,7 +30,8 @@ from conftest import build_diamond_program
 
 
 class EveryEvent:
-    """An event sink consuming every machine event, ignoring each."""
+    """An event sink consuming every event generated code and the OSR
+    helper fire, ignoring each."""
 
     def __init__(self, loops):
         self.loops = loops

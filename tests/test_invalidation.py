@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aos.event_log import EventLog
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.compiled_method import DIRECT, GUARDED
 from repro.compiler.oracle import InlineOracle
@@ -172,7 +173,7 @@ class TestDependenciesSurviveFailedInvalidation:
         # still in flight) when Square breaks the "area" devirtualization.
         runtime.hierarchy.mark_loaded("Square")
         runtime._on_class_load("Square")
-        assert runtime.database.invalidation_count == 0
+        assert runtime.code_cache.invalidated_compilations == 0
         # The failed invalidation must not have dropped the records: the
         # "name" dependency is still being tracked.
         deps = runtime.database.cha_dependencies().get(self.ROOT, {})
@@ -182,7 +183,7 @@ class TestDependenciesSurviveFailedInvalidation:
         self._install_opt_code(runtime)
         runtime.hierarchy.mark_loaded("Fancy")
         runtime._on_class_load("Fancy")
-        assert runtime.database.invalidation_count == 1
+        assert runtime.code_cache.invalidated_compilations == 1
         assert runtime.code_cache.opt_version(self.ROOT) is None
         assert self.ROOT not in runtime.database.cha_dependencies()
 
@@ -193,7 +194,7 @@ class TestDependenciesSurviveFailedInvalidation:
         runtime.machine._osr_notified.add(self.ROOT)
         runtime.hierarchy.mark_loaded("Square")
         runtime._on_class_load("Square")
-        assert runtime.database.invalidation_count == 1
+        assert runtime.code_cache.invalidated_compilations == 1
         # Deoptimized back to baseline: it may request OSR again.
         assert self.ROOT not in runtime.machine._osr_notified
 
@@ -203,18 +204,19 @@ class TestEndToEndInvalidation:
     def run(self):
         built = lazy_loading.build(iterations=20_000)
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
+        log = runtime.machine.events = EventLog(runtime.machine)
         result = runtime.run()
-        return built, runtime, result
+        return built, runtime, result, log.of_kind("invalidate")
 
     def test_invalidation_happened(self, run):
-        _built, runtime, result = run
+        _built, runtime, result, invalidations = run
         assert result.invalidations >= 1
         assert runtime.code_cache.invalidated_compilations >= 1
+        assert len(invalidations) == result.invalidations
 
     def test_invalidated_method_recompiled(self, run):
-        built, runtime, _result = run
-        invalidated = {root for root, _sel, _clk
-                       in runtime.database.invalidations}
+        built, runtime, _result, invalidations = run
+        invalidated = {event.subject for event in invalidations}
         assert invalidated  # something was devirtualized then broken
         for root_id in invalidated:
             events = runtime.database.compilations_of(root_id)
@@ -222,14 +224,14 @@ class TestEndToEndInvalidation:
             assert len(events) >= 2
 
     def test_final_code_handles_both_classes(self, run):
-        built, runtime, result = run
+        built, runtime, result, _invalidations = run
         # After re-optimization the dispatch is guarded or profile-driven;
         # execution completed correctly either way.
         assert result.return_value == 0
 
     def test_invalidation_clock_matches_load_point(self, run):
-        built, runtime, _result = run
-        _root, _sel, clock = runtime.database.invalidations[0]
+        built, runtime, _result, invalidations = run
+        clock = invalidations[0].clock
         # The class loads at ~load_at/iterations of the app run; just
         # check it happened strictly inside the run.
         assert 0 < clock < runtime.machine.clock

@@ -3,6 +3,7 @@ metrics, explain, diff)."""
 
 import pytest
 
+from repro.jvm.interpreter import EVENTS
 from repro.provenance import (CompilationRecord, DecisionRecord, EventKind,
                               EventRecord, NULL_PROVENANCE,
                               ProvenanceRecorder, ReasonCode, SCHEMA,
@@ -130,11 +131,16 @@ class TestRecorder:
         assert len(recorder) == 0
 
     def test_event_normalizes_kind(self):
+        # Consumed events become records in the EventKind vocabulary.
         recorder = ProvenanceRecorder()
-        recorder.event(EventKind.OSR, "C.m", extra=1)
-        [event] = recorder.events
-        assert event.kind == "osr"
-        assert event.detail == {"extra": 1}
+        recorder.osr("C.m")
+        recorder.plan_deferred("C.n", trigger="missing_edge", why="cooldown")
+        osr, deferred = recorder.events
+        assert (osr.kind, osr.subject, osr.detail) == (
+            EventKind.OSR.value, "C.m", {})
+        assert deferred.kind == EventKind.PLAN_DEFERRED.value
+        assert deferred.detail == {"trigger": "missing_edge",
+                                   "why": "cooldown"}
 
     def test_to_jsonl_includes_label(self):
         recorder = ProvenanceRecorder(label="bench/policy")
@@ -147,8 +153,9 @@ class TestRecorder:
         NULL_PROVENANCE.begin_compilation("m", 1, "hot", 0)
         NULL_PROVENANCE.decision(root="m", verdict="direct")
         NULL_PROVENANCE.end_compilation(0, 0, 0.0)
-        NULL_PROVENANCE.event("osr", "m", any_detail=True)
         assert NULL_PROVENANCE.enabled is False
+        # ...and it consumes no event, so a bare run builds no firing code.
+        assert not any(hasattr(NULL_PROVENANCE, name) for name in EVENTS)
 
 
 class TestMetrics:

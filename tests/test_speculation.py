@@ -197,14 +197,14 @@ class TestSetValuedDependencies:
         # Shape itself resolves to Shape.area -- outside the set -- so
         # use a reload-style no-op: loading nothing new keeps the code.
         runtime._on_class_load("Square")
-        assert runtime.database.invalidation_count == 0
+        assert runtime.code_cache.invalidated_compilations == 0
         assert runtime.code_cache.opt_version(self.ROOT) is not None
 
     def test_load_escaping_set_invalidates(self):
         runtime = self._runtime()
         runtime.hierarchy.mark_loaded("Exotic")
         runtime._on_class_load("Exotic")
-        assert runtime.database.invalidation_count == 1
+        assert runtime.code_cache.invalidated_compilations == 1
         assert runtime.code_cache.opt_version(self.ROOT) is None
         assert self.ROOT not in runtime.database.cha_dependencies()
 

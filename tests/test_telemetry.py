@@ -235,6 +235,14 @@ class TestChromeTraceExport:
         if result.osr_transfers:
             assert "osr_transfer" in names
         assert "rules_changed" in names
+        # Rule changes are stamped inside the organizer wake that made
+        # them, right after the AI organizer.
+        wakes = [(span.begin, span.end) for span in snapshot.spans
+                 if span.name == "organizer_wake"]
+        for instant in snapshot.instants:
+            if instant.name == "rules_changed":
+                assert any(begin <= instant.clock <= end
+                           for begin, end in wakes), instant
 
     def test_write_chrome_trace_round_trips(self, jess_traced, tmp_path):
         _runtime, _result, snapshot = jess_traced

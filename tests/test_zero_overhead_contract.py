@@ -1,9 +1,9 @@
 """The zero-overhead contract, as one test.
 
 Every instrumentation surface -- telemetry, decision provenance and the
-machine's event sink (progress points and the soundness replays'
-consumers) -- must charge zero simulated cycles and change zero
-decisions.  The contract is what makes the observability stack
+machine's event sink (progress points, the soundness replays' consumers
+and the AOS event log) -- must charge zero simulated cycles and change
+zero decisions.  The contract is what makes the observability stack
 trustworthy: a recorded run *is* the stock run, cached results stay
 valid whether or not they were recorded, and the soundness replays'
 numbers are the stock numbers of their configuration.
@@ -21,11 +21,12 @@ import pytest
 
 from repro.aos.runtime import AdaptiveRuntime
 from repro.jvm.costs import DEFAULT_COSTS
-from repro.jvm.interpreter import NULL_EVENTS
+from repro.jvm.interpreter import EVENTS, NULL_EVENTS
 from repro.policies import make_policy
 from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.telemetry import NULL_RECORDER, TelemetryRecorder
 from repro.telemetry.progress import ProgressTracker
+from repro.workloads import lazy_loading
 from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
 
@@ -34,13 +35,17 @@ from conftest import build_diamond_program
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hashmap_fixed2.decisions.jsonl")
 
+#: The adaptive system's events every input that compiles fires.
+AOS_EVENTS = {"compile", "plan", "plan_deferred", "rules"}
+
 #: name -> (program builder, (policy family, depth), cost overrides,
-#: events the run fires); between them the inputs fire all six.
+#: events the run fires); between them the inputs fire all fourteen.
 INPUTS = {
     # The golden workload.
     "hashmap-fixed2": (lambda: build_hashmap(iterations=4000).program,
                        ("fixed", 2), {},
-                       {"dispatch", "osr_entry", "local", "progress"}),
+                       {"dispatch", "osr_entry", "local", "progress", "osr"}
+                       | AOS_EVENTS),
     # Deoptimization exits.
     "mtrt-planned": (lambda: build_benchmark("mtrt", scale=0.05).program,
                      ("hybrid2", 4),
@@ -48,21 +53,26 @@ INPUTS = {
                       "deopt_planning_enabled": True,
                       "deopt_strategy": "planned"},
                      {"dispatch", "osr_entry", "deopt_exit", "local",
-                      "progress"}),
+                      "progress", "eviction", "decay"} | AOS_EVENTS),
     # Elided guards: speculation on, planning off.
     "mtrt-speculation": (lambda: build_benchmark("mtrt", scale=0.05).program,
                          ("hybrid2", 4), {"speculation_enabled": True},
                          {"dispatch", "elided", "osr_entry", "local",
-                          "progress"}),
+                          "progress", "eviction", "decay"} | AOS_EVENTS),
     # The dispatch-edge soundness replay's unit-test program.
     "diamond-cins": (lambda: build_diamond_program()[0], ("cins", 1), {},
                      {"dispatch", "local", "progress"}),
+    # CHA invalidation: the only input whose class load breaks code.
+    "lazy-cins": (lambda: lazy_loading.build(iterations=15000).program,
+                  ("cins", 1), {},
+                  {"dispatch", "osr_entry", "local", "progress", "osr",
+                   "eviction", "invalidate", "decay"} | AOS_EVENTS),
 }
 
 
 class EverySink(ProgressTracker):
-    """A progress tracker that consumes the five other events as well,
-    recording which of the six fired."""
+    """A progress tracker that consumes the thirteen other events as
+    well, recording which of the fourteen fired."""
 
     def __init__(self):
         super().__init__(label="contract")
@@ -86,6 +96,30 @@ class EverySink(ProgressTracker):
 
     def local(self, locals_, index, is_read):
         self.fired.add("local")
+
+    def compile(self, event):
+        self.fired.add("compile")
+
+    def eviction(self, replaced, compiled):
+        self.fired.add("eviction")
+
+    def invalidate(self, removed, selector, loaded_class):
+        self.fired.add("invalidate")
+
+    def osr(self, method_id):
+        self.fired.add("osr")
+
+    def rules(self, rules):
+        self.fired.add("rules")
+
+    def decay(self, total_weight):
+        self.fired.add("decay")
+
+    def plan(self, plan, rule_count):
+        self.fired.add("plan")
+
+    def plan_deferred(self, method_id, trigger, why, **evidence):
+        self.fired.add("plan_deferred")
 
 
 def _runtime(name, **instruments):
@@ -149,6 +183,16 @@ def test_bare_run_matches_golden_recorded_run():
     with open(GOLDEN_PATH) as handle:
         assert recorder.to_jsonl() == handle.read()
     assert _fingerprint(_bare_run()) == _fingerprint(recorded)
+
+
+def test_every_event_is_covered():
+    """A new event cannot skip the contract: the sink must consume it
+    and some input must fire it."""
+    sink = EverySink()
+    assert [name for name in EVENTS
+            if not callable(getattr(sink, name, None))] == []
+    assert set().union(*(fires for *_, fires in INPUTS.values())) \
+        == set(EVENTS)
 
 
 @pytest.mark.parametrize("name", INPUTS)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint the closed provenance/verifier vocabularies against DESIGN.md.
+"""Lint the closed provenance/verifier/event vocabularies against DESIGN.md.
 
 The decision logs are diffable only because "why" is an enumerable
 value; that property erodes silently when a new code lands in an enum
@@ -11,8 +11,9 @@ longer exists.  This lint makes the drift loud:
   with the ``INLINE_REASONS``/``REFUSAL_REASONS`` partition, and that
   partition must be an exact disjoint cover of ``REASON_CODES``.
 * ``EventKind``: the DESIGN.md event-kind table and the enum must
-  match, and ``aos/event_log.py``'s derived constants must be a subset
-  of the enum's values.
+  match.
+* ``EVENTS``: the DESIGN.md Events table must name exactly the events a
+  machine sink may consume.
 * ``VerifierError``: every code in ``VERIFIER_CODES`` must be
   documented in DESIGN.md (and no documented code may be dead).
 * Derived copies: the oracle's ``RECORDED_REFUSALS`` must be refusal
@@ -70,8 +71,8 @@ def backticked(text: str) -> frozenset:
 
 def main() -> int:
     from repro.analysis.verifier import VERIFIER_CODES
-    from repro.aos import event_log
     from repro.compiler.oracle import RECORDED_REFUSALS
+    from repro.jvm.interpreter import EVENTS
     from repro.provenance.reasons import (EventKind, INLINE_REASONS,
                                           REASON_CODES, REFUSAL_REASONS)
 
@@ -114,25 +115,25 @@ def main() -> int:
               f"{'inline' if actual_inline else 'refused'}")
 
     # -- EventKind ---------------------------------------------------------
-    event_values = frozenset(kind.value for kind in EventKind)
+    kind_values = frozenset(kind.value for kind in EventKind)
     event_table = parse_table(design, "| Kind | Emitted when |")
     check(bool(event_table), "DESIGN.md event-kind table not found")
-    for kind in sorted(event_values - set(event_table)):
+    for kind in sorted(kind_values - set(event_table)):
         problems.append(
             f"event kind `{kind}` is not documented in the DESIGN.md "
             "event-kind table")
-    for kind in sorted(set(event_table) - event_values):
+    for kind in sorted(set(event_table) - kind_values):
         problems.append(
             f"DESIGN.md documents event kind `{kind}` which does not "
             "exist in EventKind")
-    derived = frozenset((event_log.COMPILE, event_log.RULE_ADDED,
-                         event_log.RULE_RETIRED, event_log.INVALIDATE,
-                         event_log.OSR, event_log.DECAY))
-    check(derived <= event_values,
-          "aos/event_log.py constants drifted from EventKind: "
-          f"{sorted(derived - event_values)}")
-    check(frozenset(event_log.EVENT_KINDS) == event_values,
-          "aos/event_log.py EVENT_KINDS != EventKind values")
+
+    # -- EVENTS --------------------------------------------------------------
+    sink_table = set(parse_table(
+        design, "| Event | Arguments | Fires | Consumers |"))
+    check(sink_table == set(EVENTS),
+          "the DESIGN.md Events table does not name exactly EVENTS: "
+          f"missing {sorted(set(EVENTS) - sink_table)}, "
+          f"extra {sorted(sink_table - set(EVENTS))}")
 
     # -- VerifierError codes -----------------------------------------------
     documented = backticked(design)
@@ -151,7 +152,8 @@ def main() -> int:
         print(f"check_vocab: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     counts = (f"{len(REASON_CODES)} reason codes, "
-              f"{len(event_values)} event kinds, "
+              f"{len(kind_values)} event kinds, "
+              f"{len(EVENTS)} events, "
               f"{len(VERIFIER_CODES)} verifier codes")
     print(f"check_vocab: OK ({counts}; enums, DESIGN.md tables, and "
           "derived constants in sync)")
