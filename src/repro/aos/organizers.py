@@ -288,9 +288,11 @@ class MissingEdgeOrganizer:
                 if predicted and stmt.kind in (S_VIRTUAL_CALL,
                                                S_INTERFACE_CALL):
                     # Mirror the oracle: a guarded inline only happens when
-                    # the predicted targets cover enough dispatches.
+                    # the predicted targets cover enough dispatches.  Ties
+                    # break by id, in the oracle's order (``predicted``
+                    # follows set order, which string hashing decides).
                     chosen = set(sorted(predicted,
-                                        key=lambda t: -predicted[t])
+                                        key=lambda t: (-predicted[t], t))
                                  [:self._costs.max_guarded_targets])
                     coverage = guard_coverage(
                         self._site_traces.get(site_key, ()),

@@ -302,6 +302,31 @@ class TestMissingEdgeOrganizer:
         controller = FakeController()
         assert organizer.run(FakeMachine(), controller) == 1
 
+    @pytest.mark.parametrize("order", [("A.poly", "B.poly"),
+                                       ("B.poly", "A.poly")])
+    def test_tied_targets_chosen_by_id(self, order, monkeypatch):
+        # Two targets tie on rule weight at a one-target cut; only A covers
+        # enough dispatches.  Whatever order the prediction lists them in
+        # (it follows set order), the replay picks A, as the oracle does.
+        from repro.aos import organizers
+        from repro.profiles.trace import InlineRule
+        costs = CostModel(max_guarded_targets=1)
+        state, cache, _db, organizer = self._setup(costs)
+        body = [VirtualCall(5, "poly", Arg(0), dst=0), Return(Const(0))]
+        caller = MethodDef("C", "caller", 1, True, body, bytecodes=40)
+        cache.install(make_compiled(caller, fingerprint=111))
+        self._hot_method(state, caller, costs)
+        state.rules_fingerprint = 222
+        state.rules = [InlineRule(key(target, ("C.caller", 5)), 10.0, 0.05)
+                       for target in order]
+        state.dcg.add(key("A.poly", ("C.caller", 5)), 85.0)
+        state.dcg.add(key("B.poly", ("C.caller", 5)), 15.0)
+        monkeypatch.setattr(organizers, "candidate_targets",
+                            lambda rules, context: dict.fromkeys(order, 10.0))
+        controller = FakeController()
+        assert organizer.run(FakeMachine(), controller) == 1
+        assert controller.recompiles == ["C.caller"]
+
     def test_version_cap_respected(self, costs):
         state, cache, _db, organizer = self._setup(costs)
         caller = self._method_with_call()
