@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aos.organizers import AIOrganizer
+from repro.aos.organizers import AIOrganizer, rules_fingerprint_of
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.metrics.report import format_table
@@ -40,8 +40,7 @@ class _FrozenAIOrganizer:
     def __init__(self, state, rules: Sequence[InlineRule]):
         self._state = state
         self._rules = list(rules)
-        self._fingerprint = hash(tuple((r.key.callee, r.key.context)
-                                       for r in self._rules))
+        self._fingerprint = rules_fingerprint_of(self._rules)
 
     def run(self, machine) -> List[InlineRule]:
         state = self._state

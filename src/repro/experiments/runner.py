@@ -38,7 +38,7 @@ from repro.aos.listeners import TerminationStatsProbe
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.experiments.cell_cache import (CellCache, cell_cache_root,
                                           result_from_dict, result_to_dict)
-from repro.experiments.config import SweepConfig
+from repro.experiments.config import SweepConfig, sweep_stamp
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.policies import make_policy
 from repro.provenance.recorder import ProvenanceRecorder
@@ -232,6 +232,9 @@ class SweepResults:
     telemetry: Optional[Dict[CellKey, TelemetrySnapshot]] = None
     #: Cells that failed even after retry, keyed like ``cells``.
     failures: Dict[CellKey, CellFailure] = field(default_factory=dict)
+    #: :func:`~repro.experiments.config.sweep_stamp` of the code that ran
+    #: the sweep; ``None`` for a snapshot written before stamping.
+    stamp: Optional[dict] = field(default_factory=sweep_stamp)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -270,6 +273,7 @@ class SweepResults:
 
     def to_json(self) -> str:
         payload = {
+            "stamp": self.stamp,
             "config": dataclasses.asdict(self.config),
             "cells": [
                 {"key": list(key), "result": result_to_dict(result)}
@@ -296,7 +300,8 @@ class SweepResults:
         for raw in payload.get("failures", []):
             failure = CellFailure(**raw)
             failures[failure.key] = failure
-        return cls(config=config, cells=cells, failures=failures)
+        return cls(config=config, cells=cells, failures=failures,
+                   stamp=payload.get("stamp"))
 
 
 # -- the fault-tolerant cell executors -----------------------------------------
@@ -499,19 +504,6 @@ def _write_monolithic(cache_path: str, results: SweepResults) -> None:
         handle.write(results.to_json())
 
 
-def _migrate_legacy_cells(legacy: SweepResults, cache: CellCache) -> None:
-    """Seed the per-cell cache from a monolithic (legacy) sweep file.
-
-    Entries are fingerprinted under the *legacy* config's phases and
-    scale, so they are reused exactly when a new sweep would reproduce
-    them -- including sweeps over a different benchmark/family subset.
-    """
-    for key, result in legacy.cells.items():
-        fingerprint = legacy.config.cell_fingerprint(*key)
-        if not cache.has(fingerprint):
-            cache.store(fingerprint, key, result)
-
-
 def load_or_run_sweep(cache_path: str,
                       config: Optional[SweepConfig] = None,
                       verbose: bool = False,
@@ -520,13 +512,14 @@ def load_or_run_sweep(cache_path: str,
     """Load, resume, or run a sweep, keeping ``cache_path`` up to date.
 
     ``cache_path`` is the monolithic JSON snapshot (kept for the figure
-    pipeline and as the fast path when its config matches exactly); the
-    per-cell resumable cache lives beside it in
-    ``cell_cache_root(cache_path)``.  A legacy monolithic file whose
-    config does *not* match is migrated cell-by-cell into the per-cell
-    cache, so its overlapping cells are still reused.  ``use_cache=False``
-    ignores and overwrites every cache; ``resume=False`` keeps the
-    monolithic fast path but skips the per-cell layer.
+    pipeline and as the fast path); the per-cell resumable cache lives
+    beside it in ``cell_cache_root(cache_path)``.  The snapshot is served
+    only when its stamp (fingerprint version and cost model) and its
+    config both match exactly; otherwise the sweep runs, resuming from
+    the per-cell cache, whose fingerprints carry the same two inputs.
+    ``use_cache=False`` ignores and overwrites every cache;
+    ``resume=False`` keeps the monolithic fast path but skips the
+    per-cell layer.
     """
     if config is None:
         config = SweepConfig()
@@ -536,11 +529,11 @@ def load_or_run_sweep(cache_path: str,
         return results
 
     cache = CellCache(cell_cache_root(cache_path)) if resume else None
-    legacy: Optional[SweepResults] = None
+    snapshot: Optional[SweepResults] = None
     if os.path.exists(cache_path):
         try:
             with open(cache_path) as handle:
-                legacy = SweepResults.from_json(handle.read())
+                snapshot = SweepResults.from_json(handle.read())
         except (ValueError, KeyError, TypeError) as exc:
             # Corrupt or structurally stale cache: say so before quietly
             # regenerating, so surprising re-runs are explicable.
@@ -548,16 +541,14 @@ def load_or_run_sweep(cache_path: str,
                 f"sweep cache {cache_path!r} is unreadable "
                 f"({type(exc).__name__}: {exc}); regenerating it",
                 RuntimeWarning, stacklevel=2)
-    if legacy is not None:
-        if cache is not None:
-            _migrate_legacy_cells(legacy, cache)
-        if legacy.config == config and not legacy.failures:
-            # With decision logs requested, the monolithic fast path is
-            # only valid when every cell's log is actually on disk.
-            if not config.decision_logs or (cache is not None and all(
-                    cache.has_decision_log(config.cell_fingerprint(*key))
-                    for key in config.configurations())):
-                return legacy
+    if (snapshot is not None and snapshot.stamp == sweep_stamp()
+            and snapshot.config == config and not snapshot.failures):
+        # With decision logs requested, the monolithic fast path is
+        # only valid when every cell's log is actually on disk.
+        if not config.decision_logs or (cache is not None and all(
+                cache.has_decision_log(config.cell_fingerprint(*key))
+                for key in config.configurations())):
+            return snapshot
 
     results = run_sweep(config, verbose=verbose, cache=cache)
     _write_monolithic(cache_path, results)

@@ -12,7 +12,8 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.cell_cache import CellCache, cell_cache_root
 from repro.experiments.config import (DEFAULT_PHASES, DEPTHS,
-                                      POLICY_FAMILIES, SweepConfig)
+                                      FINGERPRINT_VERSION, POLICY_FAMILIES,
+                                      SweepConfig, cost_model_fingerprint)
 from repro.experiments.figures import (FIGURE6_COMPONENTS, figure2, figure4,
                                        figure5, figure6, headline, table1,
                                        termination_stats)
@@ -285,24 +286,41 @@ class TestResumableSweep:
         assert set(results.cells) == set(config.configurations())
         assert not results.failures
 
-    def test_legacy_monolithic_cache_migrates_to_cells(self, tiny_sweep,
-                                                       tmp_path,
-                                                       monkeypatch):
+    @pytest.mark.parametrize("config", [TINY, SMALL],
+                             ids=["same-config", "subset"])
+    def test_stale_snapshot_is_rerun_and_not_migrated(self, tiny_sweep,
+                                                      tmp_path, monkeypatch,
+                                                      config):
+        # A snapshot stamped by another fingerprint version holds results
+        # the current code need not reproduce: it is neither served nor
+        # copied into the per-cell cache, whatever config asks for it.
         path = tmp_path / "sweep.json"
-        path.write_text(tiny_sweep.to_json())
+        payload = json.loads(tiny_sweep.to_json())
+        payload["stamp"] = {"version": FINGERPRINT_VERSION - 1,
+                            "costs": cost_model_fingerprint()}
+        path.write_text(json.dumps(payload))
         executed = []
         monkeypatch.setattr(runner, "_cell_worker",
                             _counting_worker(executed))
-        # A different (subset) config: the monolithic fast path cannot
-        # serve it, but every requested cell exists in the legacy file.
-        sub = SweepConfig(benchmarks=("db",), families=("fixed",),
-                          depths=(2,), phases=(0.0,), scale=0.05, jobs=1)
-        results = load_or_run_sweep(str(path), sub)
-        assert executed == []
-        assert set(results.cells) == set(sub.configurations())
-        for key in results.cells:
-            assert results.cells[key] == tiny_sweep.cells[key]
-        assert os.path.isdir(cell_cache_root(str(path)))
+        results = load_or_run_sweep(str(path), config)
+        assert sorted(executed) == sorted(config.configurations())
+        assert set(results.cells) == set(config.configurations())
+        cached = CellCache(cell_cache_root(str(path))).load_many(
+            {key: config.cell_fingerprint(*key)
+             for key in TINY.configurations()})
+        assert set(cached) == set(config.configurations())
+
+    def test_unstamped_snapshot_is_rerun(self, tiny_sweep, tmp_path,
+                                         monkeypatch):
+        path = tmp_path / "sweep.json"
+        payload = json.loads(tiny_sweep.to_json())
+        payload.pop("stamp", None)
+        path.write_text(json.dumps(payload))
+        executed = []
+        monkeypatch.setattr(runner, "_cell_worker",
+                            _counting_worker(executed))
+        load_or_run_sweep(str(path), TINY, resume=False)
+        assert sorted(executed) == sorted(TINY.configurations())
 
 
 class TestFailureSerialization:

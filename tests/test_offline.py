@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.aos.organizers import AOSState, rules_fingerprint_of
 from repro.experiments.offline import (OfflineComparison,
+                                       _FrozenAIOrganizer,
                                        collect_full_profile,
                                        compare_online_offline,
                                        derive_offline_rules,
@@ -38,6 +40,16 @@ class TestRuleDerivation:
 
 
 class TestPinnedRun:
+    def test_pinned_fingerprint_is_the_aos_fingerprint(self):
+        # The AOS's CRC, not the builtin hash() that PYTHONHASHSEED salts.
+        dcg = DynamicCallGraph()
+        dcg.add(TraceKey("Hot", (("C", 1),)), 1000.0)
+        dcg.add(TraceKey("Warm", (("C", 2), ("B", 7))), 500.0)
+        rules = derive_offline_rules(dcg)
+        state = AOSState()
+        _FrozenAIOrganizer(state, rules).run(None)
+        assert state.rules_fingerprint == rules_fingerprint_of(rules)
+
     def test_rules_stay_pinned(self):
         dcg, _ = collect_full_profile("jess", "fixed", 2, scale=SCALE)
         rules = derive_offline_rules(dcg)
