@@ -31,7 +31,7 @@ from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.opt_compiler import OptCompiler
 from repro.compiler.oracle import InlineOracle
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CENTI, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import Program
 from repro.provenance.recorder import NULL_PROVENANCE
@@ -82,7 +82,8 @@ class Controller:
         self._hot_events: Dict[str, float] = {}
         self._missing_edge_events: Set[str] = set()
         self._osr_events: Set[str] = set()
-        self._last_plan_clock: Dict[str, float] = {}
+        #: Clock (centi-cycles) of each method's last compilation plan.
+        self._last_plan_clock: Dict[str, int] = {}
         self.compilation_queue: Deque[CompilationPlan] = deque()
         self.decisions_evaluated = 0
         self.plans_created = 0
@@ -164,8 +165,9 @@ class Controller:
             if compiled.rules_fingerprint == self._state.rules_fingerprint:
                 continue  # installed code already reflects the rules
             # Rate-limit profile-driven recompilation of any one method.
-            last = self._last_plan_clock.get(method_id, float("-inf"))
-            if machine.clock - last < costs.recompile_cooldown:
+            last = self._last_plan_clock.get(method_id)
+            if (last is not None and machine.clock - last
+                    < to_centi(costs.recompile_cooldown)):
                 if on_deferred is not None:
                     on_deferred(method_id, trigger="missing_edge",
                                 why="cooldown")
@@ -282,7 +284,7 @@ class CompilationThread:
                 inlined_bytecodes=compiled.inlined_bytecodes,
                 code_bytes=compiled.code_bytes,
                 compile_cycles=compiled.compile_cycles,
-                clock=machine.clock,
+                clock=machine.clock / CENTI,
                 reason=plan.reason)
             self._database.log_compilation(event)
             on_compile = getattr(machine.events, "compile", None)

@@ -4,12 +4,16 @@ Figure 6 of the paper reports the percentage of execution time spent in
 each AOS component (listeners, organizers, controller, compilation thread).
 Every cycle the simulation spends is attributed to exactly one of the
 components below; ``APP`` covers the application itself (including dispatch
-overhead and inline guards, which are application-visible costs).
+overhead and inline guards, which are application-visible costs).  Cycles
+are counted in exact centi-cycles, so the application's share is simply
+the clock minus every AOS component, and nothing accumulates it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence
+
+from repro.jvm.costs import CENTI
 
 #: Component names, mirroring Figure 6's legend.
 APP = "app"
@@ -46,35 +50,47 @@ def component_share(cycles: Mapping[str, float],
 
 
 class CostAccounting:
-    """Accumulates cycles per component and answers Figure-6-style queries."""
+    """Centi-cycles charged to each AOS component, answering
+    Figure-6-style queries at a given clock (in centi-cycles).
+
+    The application is never charged here: its share is the clock minus
+    every AOS component, exact because every charge is a whole number of
+    centi-cycles.
+    """
 
     def __init__(self) -> None:
-        self.cycles: Dict[str, float] = {name: 0.0 for name in ALL_COMPONENTS}
+        self.cycles: Dict[str, int] = {name: 0 for name in AOS_COMPONENTS}
 
-    def charge(self, component: str, cycles: float) -> None:
-        self.cycles[component] += cycles
+    def charge(self, component: str, centi: int) -> None:
+        self.cycles[component] += centi
 
-    @property
-    def total(self) -> float:
-        return sum(self.cycles.values())
+    def app(self, clock: int) -> int:
+        """The application's centi-cycles when the clock reads ``clock``."""
+        return clock - sum(self.cycles.values())
 
-    def fractions(self) -> Dict[str, float]:
-        """Fraction of total execution time per component (sums to 1)."""
-        total = self.total
-        if total == 0:
+    def snapshot(self, clock: int) -> Dict[str, float]:
+        """Cycles per component, ``APP`` included, at ``clock``."""
+        out = {APP: self.app(clock) / CENTI}
+        for name, centi in self.cycles.items():
+            out[name] = centi / CENTI
+        return out
+
+    def fractions(self, clock: int) -> Dict[str, float]:
+        """Fraction of ``clock`` per component (sums to 1)."""
+        if clock == 0:
             return {name: 0.0 for name in ALL_COMPONENTS}
-        return {name: c / total for name, c in self.cycles.items()}
+        out = {APP: self.app(clock) / clock}
+        for name, centi in self.cycles.items():
+            out[name] = centi / clock
+        return out
 
-    def aos_fraction(self) -> float:
-        """Fraction of execution time spent in all AOS components combined."""
-        total = self.total
-        if total == 0:
+    def aos_fraction(self, clock: int) -> float:
+        """Fraction of ``clock`` spent in all AOS components combined."""
+        if clock == 0:
             return 0.0
-        return sum(self.cycles[name] for name in AOS_COMPONENTS) / total
-
-    def snapshot(self) -> Dict[str, float]:
-        return dict(self.cycles)
+        return sum(self.cycles.values()) / clock
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v:.0f}" for k, v in self.cycles.items() if v)
+        parts = ", ".join(f"{k}={v / CENTI:.0f}"
+                          for k, v in self.cycles.items() if v)
         return f"<CostAccounting {parts}>"

@@ -10,7 +10,7 @@ consumes the adaptive system's ``compile``, ``invalidate``, ``osr``,
     runtime.machine.events = EventLog(runtime.machine)
 
 Each event becomes an :class:`~repro.provenance.records.EventRecord`
-stamped with the machine's cycle clock, in the
+stamped with the machine's clock in cycles, in the
 :class:`~repro.provenance.reasons.EventKind` vocabulary the provenance log
 uses.  Like every sink it charges no cycles and changes no decisions, so
 logged and unlogged runs are cycle-identical.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.jvm.costs import CENTI
 from repro.metrics.report import format_table
 from repro.provenance.reasons import EventKind
 from repro.provenance.records import EventRecord
@@ -37,7 +38,8 @@ class EventLog:
 
     def _record(self, kind: EventKind, subject: str, **detail: Any) -> None:
         self.events.append(
-            EventRecord(self._machine.clock, kind.value, subject, detail))
+            EventRecord(self._machine.clock / CENTI, kind.value, subject,
+                        detail))
 
     # -- events ------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ profile data limited to the execution so far.
 from __future__ import annotations
 
 import random
+from math import ceil
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -27,7 +28,7 @@ from repro.aos.organizers import (AIOrganizer, AOSState, DCGOrganizer,
                                   DecayOrganizer, HotMethodsOrganizer,
                                   MissingEdgeOrganizer)
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import DEFAULT_COSTS, CostModel
+from repro.jvm.costs import CENTI, DEFAULT_COSTS, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine, join_sinks
 from repro.jvm.program import Program
@@ -181,16 +182,16 @@ class AdaptiveRuntime:
             self.machine.osr_liveness = self.planner.loop_live_index()
         self.machine.telemetry = self.telemetry
         self.code_cache.telemetry = self.telemetry
-        self.telemetry.bind(
-            lambda: self.machine.clock,
-            lambda component: self.accounting.cycles.get(component, 0.0))
-        self.provenance.bind(lambda: self.machine.clock)
+        # Instruments read cycles: each reading is one true division of
+        # the centi-cycle clock or of one component's total.
+        self.telemetry.bind(self._cycles, self._component_cycles)
+        self.provenance.bind(self._cycles)
         # Progress points (see repro.telemetry.progress) are pure
         # instrumentation like telemetry and provenance: the tracker marks
         # the entry method's top-level loops and charges no cycles.
         self.progress = progress
         if progress is not None:
-            progress.bind(lambda: self.machine.clock)
+            progress.bind(self._cycles)
             progress.loops.update(main_loop_points(program))
         # One sink for the run (DESIGN.md, "Events"): a bare run keeps
         # NULL_EVENTS and so builds the stock code.
@@ -205,10 +206,14 @@ class AdaptiveRuntime:
         if not 0.0 <= sample_phase < 1.0:
             raise ValueError(f"sample_phase must be in [0, 1), "
                              f"got {sample_phase}")
+        #
+        # Deadlines are compared with the clock as whole centi-cycles:
+        # ``*_due`` is ``ceil(CENTI * deadline)`` for a deadline in cycles.
         self._next_sample = float(costs.sample_interval) * (1.0 + sample_phase)
-        self._next_organizer = float(costs.organizer_period) \
-            * (1.0 + sample_phase)
-        self._next_decay = float(costs.decay_period)
+        self._sample_due = ceil(CENTI * self._next_sample)
+        self._organizer_due = ceil(
+            CENTI * (float(costs.organizer_period) * (1.0 + sample_phase)))
+        self._decay_due = to_centi(costs.decay_period)
         # Timer ticks jitter around the nominal interval (as real timers
         # do); without jitter, fixed-interval sampling aliases against the
         # workload's loop structure and skews the profile's weight
@@ -221,26 +226,39 @@ class AdaptiveRuntime:
         clock = machine.clock
         costs = self.costs
 
-        while clock >= self._next_sample:
+        while clock >= self._sample_due:
             self._take_sample(machine)
             self._next_sample += costs.sample_interval \
                 * (0.5 + self._timer_rng.random())
+            self._sample_due = ceil(CENTI * self._next_sample)
             clock = machine.clock
 
-        if clock >= self._next_organizer:
+        if clock >= self._organizer_due:
             self._organizer_wake(machine)
-            self._next_organizer = machine.clock + costs.organizer_period
+            self._organizer_due = (machine.clock
+                                   + to_centi(costs.organizer_period))
 
-        if clock >= self._next_decay:
+        if clock >= self._decay_due:
             with self.telemetry.span(DECAY_ORGANIZER, "decay_organizer"):
                 self.decay_organizer.run(machine)
             on_decay = getattr(machine.events, "decay", None)
             if on_decay is not None:
                 on_decay(self.state.dcg.total_weight)
-            self._next_decay = machine.clock + costs.decay_period
+            self._decay_due = machine.clock + to_centi(costs.decay_period)
 
-        machine.next_event = min(self._next_sample, self._next_organizer,
-                                 self._next_decay)
+        machine.next_event = min(self._sample_due, self._organizer_due,
+                                 self._decay_due)
+
+    def _cycles(self) -> float:
+        """The clock in cycles."""
+        return self.machine.clock / CENTI
+
+    def _component_cycles(self, component: str) -> float:
+        """``component``'s cycles so far (0 for a non-accounting track)."""
+        accounting = self.accounting
+        if component == APP:
+            return accounting.app(self.machine.clock) / CENTI
+        return accounting.cycles.get(component, 0) / CENTI
 
     def _take_sample(self, machine: Machine) -> None:
         costs = self.costs
@@ -334,8 +352,8 @@ class AdaptiveRuntime:
 
     def run(self, args: Sequence[Value] = ()) -> RunResult:
         """Execute the program to completion; return the collected metrics."""
-        self.machine.next_event = min(self._next_sample, self._next_organizer,
-                                      self._next_decay)
+        self.machine.next_event = min(self._sample_due, self._organizer_due,
+                                      self._decay_due)
         value = self.machine.run(args)
         # Flush whatever the listeners buffered after the last wake, so
         # post-run profile inspection (and the offline-rule experiments)
@@ -362,8 +380,8 @@ class AdaptiveRuntime:
             program_name=self.program.name,
             policy_name=self.policy.name,
             return_value=value,
-            total_cycles=machine.clock,
-            component_cycles=self.accounting.snapshot(),
+            total_cycles=machine.clock / CENTI,
+            component_cycles=self.accounting.snapshot(machine.clock),
             opt_code_bytes=cache.opt_code_bytes,
             live_opt_code_bytes=cache.live_opt_code_bytes(),
             opt_compilations=cache.opt_compilations,

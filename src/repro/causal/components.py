@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 from repro.aos.cost_accounting import (COMPILATION, LISTENERS, ORGANIZERS,
                                        component_share)
 from repro.aos.runtime import RunResult
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CENTI, CostModel, to_centi
 from repro.jvm.errors import ConfigError
 
 
@@ -114,6 +114,10 @@ def apply_virtual_speedup(costs: CostModel, component: str,
     component 25% faster (its cost fields scale to 75%), ``1.0`` makes
     it free.  ``factor`` must lie in ``(0, 1]`` -- a zero speedup is
     the baseline run, not an experiment.
+
+    Each scaled cost is rounded to whole centi-cycles, half to even (the
+    clock's unit, :data:`~repro.jvm.costs.CENTI`), so the scaled model
+    charges exactly the cycles it states.
     """
     if not 0.0 < factor <= 1.0:
         raise ConfigError(
@@ -121,7 +125,8 @@ def apply_virtual_speedup(costs: CostModel, component: str,
     spec = get_component(component)
     remaining = 1.0 - factor
     return costs.replace(**{
-        name: getattr(costs, name) * remaining for name in spec.cost_fields
+        name: to_centi(getattr(costs, name) * remaining) / CENTI
+        for name in spec.cost_fields
     })
 
 

@@ -50,7 +50,8 @@ BASELINE = "baseline"
 
 #: Bumped whenever causal fingerprint inputs or the cached cell format
 #: change incompatibly.
-CAUSAL_FINGERPRINT_VERSION = 2
+#: 3: cycles are exact centi-cycle sums (results moved by float noise).
+CAUSAL_FINGERPRINT_VERSION = 3
 
 #: Workload-generator seed offset between a cell's replicates.  Every
 #: replicate perturbs the generator differently while the hot-path

@@ -52,7 +52,8 @@ DEFAULT_PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
 
 #: Bumped whenever the fingerprint inputs or the cached cell format
 #: change incompatibly; old cache entries then simply stop matching.
-FINGERPRINT_VERSION = 2
+#: 3: cycles are exact centi-cycle sums (results moved by float noise).
+FINGERPRINT_VERSION = 3
 
 
 def cost_model_fingerprint(costs: CostModel = DEFAULT_COSTS) -> str:

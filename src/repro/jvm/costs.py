@@ -10,7 +10,11 @@ individual experiments never re-tune them.
 Units
 -----
 * **cycles** -- the abstract unit of simulated time.  One unit of ``Work``
-  in a method body costs one cycle at the optimizing tier.
+  in a method body costs one cycle at the optimizing tier.  The machine's
+  clock counts whole **centi-cycles** (:data:`CENTI` per cycle): every
+  constant here is a whole number of cycles or a two-decimal multiplier,
+  so every charge is a whole number of centi-cycles and the clock sums
+  them exactly, in any order.
 * **bytecodes** -- static size of a method body.  Method size classes
   (tiny/small/medium/large) are expressed in bytecodes relative to the size
   of a call instruction, exactly mirroring Section 3.1 of the paper.
@@ -21,6 +25,22 @@ Units
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
+
+#: Centi-cycles per cycle: the unit of the machine's clock and of
+#: per-component cost accounting.  Cycles are converted to it where a
+#: charge is made and back (one true division) where a result is reported.
+CENTI = 100
+
+
+def to_centi(cycles: float) -> int:
+    """``cycles`` as whole centi-cycles, rounded half to even.
+
+    Exact for every charge the default constants produce; only a scaled
+    cost model (see :func:`repro.causal.components.apply_virtual_speedup`)
+    can ask for a finer charge, which this rounds.
+    """
+    return round(cycles * CENTI)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +358,15 @@ class CostModel:
     osr_map_in_cost: int = OSR_MAP_IN_COST
     osr_map_out_cost: int = OSR_MAP_OUT_COST
     deopt_strategy: str = DEOPT_STRATEGY
+
+    @property
+    def centi_mults(self) -> Tuple[int, int, int]:
+        """Centi-cycles per unit of work in baseline, optimized and
+        inlined code: 260, 100 and 92 under the default constants."""
+        return (to_centi(self.baseline_exec_mult),
+                to_centi(self.opt_exec_mult),
+                to_centi(self.opt_exec_mult
+                         * (1.0 - self.inline_work_discount)))
 
     @property
     def estimated_opt_speedup(self) -> float:

@@ -22,12 +22,13 @@ from its statement lists (see :mod:`repro.jvm.lowering`).
 
 from __future__ import annotations
 
+import sys
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
-from repro.aos.cost_accounting import CostAccounting
+from repro.aos.cost_accounting import APP, CostAccounting
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CostModel, to_centi
 from repro.jvm.frames import Frame
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.lowering import MAX_STACK_DEPTH, lower_run
@@ -35,8 +36,12 @@ from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["EVENTS", "MAX_STACK_DEPTH", "Machine", "MachineStats",
+__all__ = ["EVENTS", "MAX_STACK_DEPTH", "Machine", "MachineStats", "NEVER",
            "NULL_EVENTS", "NullEvents", "join_sinks"]
+
+#: :attr:`Machine.next_event` when no tick is due: an int beyond any clock
+#: a run reaches, so the per-charge tick check compares two ints.
+NEVER = sys.maxsize
 
 #: Every event a sink may consume (DESIGN.md, "Events"): the six the
 #: generated code and the OSR helper fire, then the eight the adaptive
@@ -130,13 +135,16 @@ class Machine:
         self.accounting = accounting if accounting is not None else CostAccounting()
         self.tick_handler = tick_handler
 
-        self.clock = 0.0
+        #: Simulated time in whole centi-cycles (``repro.jvm.costs.CENTI``
+        #: per cycle), so every sum of charges is exact.
+        self.clock = 0
         #: Telemetry sink (spans for lazy baseline compiles); the adaptive
         #: runtime swaps in its recorder, the NullRecorder default charges
         #: and allocates nothing.
         self.telemetry = NULL_RECORDER
-        #: The next clock value at which :attr:`tick_handler` fires.
-        self.next_event = float("inf")
+        #: The clock value (centi-cycles) at which :attr:`tick_handler`
+        #: next fires.
+        self.next_event = NEVER
         #: Source-level shadow stack (includes inlined activations).
         self.stack: List[Frame] = []
         self.stats = MachineStats()
@@ -172,16 +180,20 @@ class Machine:
     # -- cost charging -----------------------------------------------------
 
     def charge(self, component: str, cycles: float) -> None:
-        """Advance the clock, attribute cycles, and fire any due tick."""
-        self.clock += cycles
-        self.accounting.charge(component, cycles)
-        if self.clock >= self.next_event and not self._in_tick:
+        """Advance the clock by ``cycles`` in whole centi-cycles, attribute
+        them to an AOS ``component`` (``APP`` is the clock's remainder),
+        and fire any due tick."""
+        centi = to_centi(cycles)
+        self.clock = clock = self.clock + centi
+        if component != APP:
+            self.accounting.charge(component, centi)
+        if clock >= self.next_event and not self._in_tick:
             self._fire_tick()
 
     def _fire_tick(self) -> None:
         handler = self.tick_handler
         if handler is None:
-            self.next_event = float("inf")
+            self.next_event = NEVER
             return
         self._in_tick = True
         try:

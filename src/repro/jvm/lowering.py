@@ -20,6 +20,7 @@ from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Optional
 
 from repro.aos.cost_accounting import APP, COMPILATION
+from repro.jvm.costs import to_centi
 from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
                                             PLAN_OSR_EXIT)
 from repro.jvm.errors import ExecutionError
@@ -191,17 +192,16 @@ def lower_run(m: Machine):
     ``release`` empties them when the run returns.
 
     The charge sequence emitted for every application charge is
-    :meth:`Machine.charge` for that component: the same float added to
-    the clock, then to the accounting, then the same tick check.
+    :meth:`Machine.charge` for ``APP``: the same whole centi-cycles added
+    to the clock, then the same tick check.  Nothing accumulates the
+    application's cycles; they are the clock's remainder.
     """
     costs = m.costs
     stats = m.stats
     stack = m.stack
-    acc = m.accounting.cycles
     code_cache = m.code_cache
     fire = m._fire_tick
-    mults = (costs.baseline_exec_mult, costs.opt_exec_mult,
-             costs.opt_exec_mult * (1.0 - costs.inline_work_discount))
+    mults = costs.centi_mults
 
     osr_liveness = m.osr_liveness
     events = m.events
@@ -230,14 +230,17 @@ def lower_run(m: Machine):
         for table in (units, resolutions, bodies, invoked, leaves):
             table.clear()
 
+    def centi(cost, tier: int) -> int:
+        """``cost`` cycles of work at ``tier``, in whole centi-cycles."""
+        return round(cost * mults[tier])
+
     # -- invocation ---------------------------------------------------------
 
     def invoke(method, args: tuple, site, cycles=None):
         """Out-of-line invocation of ``method`` (its own physical frame),
-        first charging the call's ``cycles`` when given."""
+        first charging the call's ``cycles`` (centi-cycles) when given."""
         if cycles is not None:
             m.clock = clock = m.clock + cycles
-            acc[APP] += cycles
             if clock >= m.next_event and not m._in_tick:
                 fire()
         if len(stack) >= MAX_STACK_DEPTH:
@@ -301,8 +304,7 @@ def lower_run(m: Machine):
                     return result
         return run_once
 
-    shared = {"m": m, "stats": stats, "stack": stack, "acc": acc,
-              "fire": fire, "invoke": invoke, "zeros": zeros,
+    shared = {"m": m, "stats": stats, "stack": stack, "fire": fire, "invoke": invoke, "zeros": zeros,
               "mark_loaded": m.hierarchy.mark_loaded,
               "on_dispatch": on_dispatch, "on_elided": on_elided,
               "on_deopt_exit": on_deopt_exit, "on_progress": on_progress}
@@ -311,7 +313,7 @@ def lower_run(m: Machine):
         """The baseline function of a leaf body.  Every leaf has the same
         text, so it is emitted once per run; later leaves share its code
         and differ only in their first three defaults."""
-        cycles = cost * mults[BASELINE]
+        cycles = centi(cost, BASELINE)
         if leaves:
             first = leaves[0]
             return FunctionType(first.__code__, globals(), None,
@@ -417,7 +419,7 @@ def lower_run(m: Machine):
             k = stmt.kind
             if k == S_WORK:
                 emit_work(src, depth, src.bind(stmt.cost),
-                          src.bind(stmt.cost * mults[tier]))
+                          src.bind(centi(stmt.cost, tier)))
             elif k in _CALLS:
                 decision = (None if node is None
                             else node.decisions.get(stmt.site))
@@ -485,9 +487,8 @@ def lower_run(m: Machine):
         emit_charge(src, depth, cycles)
 
     def emit_charge(src, depth: int, cycles: str) -> None:
-        src.use("m", "acc", "fire")
+        src.use("m", "fire")
         src.line(depth, f"m.clock = clock = m.clock + {cycles}")
-        src.line(depth, f"acc[APP] += {cycles}")
         src.line(depth, "if clock >= m.next_event and not m._in_tick:")
         src.line(depth + 1, "fire()")
 
@@ -508,7 +509,7 @@ def lower_run(m: Machine):
                 return
             emit_invoke(src, depth, src.bind(m.program.method(stmt.target)),
                         call_args, src.bind(stmt.site), stmt.dst,
-                        costs.call_overhead * mults[tier])
+                        centi(costs.call_overhead, tier))
             return
         site = src.bind(stmt.site)
         src.use("stats")
@@ -539,15 +540,14 @@ def lower_run(m: Machine):
         if decision is None:
             src.line(depth, "stats.dispatches += 1")
             emit_invoke(src, depth, "resolved", "call_args", site, stmt.dst,
-                        dispatch_cost * mults[tier])
+                        centi(dispatch_cost, tier))
             return
         # GUARDED: run each option's step in order, then fall back, as
         # the site's guard plan says.
-        emit_steps(src, depth, stmt, site, decision, 0,
-                   mults[tier], dispatch_cost)
+        emit_steps(src, depth, stmt, site, decision, 0, tier, dispatch_cost)
 
     def emit_steps(src, depth: int, stmt, site: str, decision, index: int,
-                   mult: float, dispatch_cost: float) -> None:
+                   tier: int, dispatch_cost: float) -> None:
         """Option ``index`` of a guarded site onward, each step entering
         its option or going on to the next, then the fallback."""
         plan, options = decision.plan, decision.options
@@ -560,8 +560,8 @@ def lower_run(m: Machine):
                 # guard).
                 src.line(depth, "stats.deopt_exits += 1")
                 emit_charge(src, depth, src.bind(
-                    len(plan.live) * costs.osr_map_out_cost
-                    + dispatch_cost * mults[BASELINE]))
+                    to_centi(len(plan.live) * costs.osr_map_out_cost)
+                    + centi(dispatch_cost, BASELINE)))
                 if on_deopt_exit is not None:
                     src.use("on_deopt_exit")
                     src.line(depth, f"on_deopt_exit({site}, "
@@ -573,14 +573,14 @@ def lower_run(m: Machine):
             src.line(depth, "stats.guard_misses += 1")
             src.line(depth, "stats.dispatches += 1")
             emit_invoke(src, depth, "resolved", "call_args", site, stmt.dst,
-                        dispatch_cost * mult)
+                        centi(dispatch_cost, tier))
             return
         option = options[index]
         target = src.bind(option.target)
         elided = plan.elided(index, len(options))
         if elided is None:
             src.line(depth, "stats.guard_tests += 1")
-            emit_charge(src, depth, src.bind(costs.guard_test * mult))
+            emit_charge(src, depth, src.bind(centi(costs.guard_test, tier)))
             src.line(depth, f"if {target} is resolved:")
         elif elided == PLAN_OSR_EXIT:
             # Cheap-exit OSR point: the compiled code carries no test at
@@ -611,7 +611,7 @@ def lower_run(m: Machine):
             return
         emit_enter(src, depth + 1, option, stmt, target)
         src.line(depth, "else:")
-        emit_steps(src, depth + 1, stmt, site, decision, index + 1, mult,
+        emit_steps(src, depth + 1, stmt, site, decision, index + 1, tier,
                    dispatch_cost)
 
     def emit_elided(src, depth: int, site: str, kind: str, option) -> None:
@@ -648,7 +648,7 @@ def lower_run(m: Machine):
         else:
             cost, value = leaf
             emit_work(src, depth + 1, src.bind(cost),
-                      src.bind(cost * mults[INLINED]))
+                      src.bind(centi(cost, INLINED)))
         src.line(depth, "finally:")
         src.line(depth + 1, "stack.pop()")
         if stmt.dst is not None:
@@ -657,9 +657,9 @@ def lower_run(m: Machine):
                 else src.bind(value)))
 
     def emit_invoke(src, depth: int, target: str, call_args: str,
-                    site: str, dst, cycles: Optional[float]) -> None:
-        """``invoke``, which charges the call's ``cycles`` once its
-        arguments are built."""
+                    site: str, dst, cycles: Optional[int]) -> None:
+        """``invoke``, which charges the call's ``cycles`` (centi-cycles)
+        once its arguments are built."""
         src.use("invoke")
         call = (f"invoke({target}, {call_args}, {site})" if cycles is None
                 else f"invoke({target}, {call_args}, {site}, "

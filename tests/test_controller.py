@@ -8,7 +8,7 @@ from repro.aos.cost_accounting import COMPILATION, CONTROLLER, CostAccounting
 from repro.aos.database import AOSDatabase
 from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import NULL_EVENTS
 from repro.jvm.program import Const, Return, StaticCall, Work
@@ -16,15 +16,21 @@ from repro.workloads.builder import ProgramBuilder
 
 
 class FakeMachine:
+    """A clock and an accountant, in centi-cycles like ``Machine``."""
+
     events = NULL_EVENTS
 
     def __init__(self):
-        self.clock = 0.0
+        self.clock = 0
         self.accounting = CostAccounting()
 
     def charge(self, component, cycles):
-        self.clock += cycles
-        self.accounting.charge(component, cycles)
+        centi = to_centi(cycles)
+        self.clock += centi
+        self.accounting.charge(component, centi)
+
+    def cycles(self, component):
+        return self.accounting.snapshot(self.clock)[component]
 
 
 def build_env(costs=None):
@@ -87,8 +93,7 @@ class TestAnalyticModel:
         machine = FakeMachine()
         controller.method_is_hot("C.small_hot", 50.0)
         controller.process_events(machine)
-        assert machine.accounting.cycles[CONTROLLER] == \
-            costs.controller_event_cost
+        assert machine.cycles(CONTROLLER) == costs.controller_event_cost
 
     def test_already_optimized_hot_event_ignored(self):
         (_p, _h, _s, cache, _db, controller, thread, _c) = build_env()
@@ -110,7 +115,7 @@ class TestMissingEdgeRecompiles:
         assert cache.opt_version("C.small_hot").version == 1
 
         state.rules_fingerprint = 12345
-        machine.clock += costs.recompile_cooldown + 1
+        machine.clock += to_centi(costs.recompile_cooldown + 1)
         controller.recompile_for_missing_edge("C.small_hot")
         assert controller.process_events(machine) == 1
         thread.run(machine, controller.compilation_queue)
@@ -134,7 +139,7 @@ class TestMissingEdgeRecompiles:
         controller.method_is_hot("C.small_hot", 50.0)
         controller.process_events(machine)
         thread.run(machine, controller.compilation_queue)
-        machine.clock += costs.recompile_cooldown + 1
+        machine.clock += to_centi(costs.recompile_cooldown + 1)
         state.rules_fingerprint = \
             cache.opt_version("C.small_hot").rules_fingerprint
         controller.recompile_for_missing_edge("C.small_hot")
@@ -147,7 +152,7 @@ class TestMissingEdgeRecompiles:
         controller.process_events(machine)
         thread.run(machine, controller.compilation_queue)
         for fp in range(2, MAX_OPT_VERSIONS + 3):
-            machine.clock += costs.recompile_cooldown + 1
+            machine.clock += to_centi(costs.recompile_cooldown + 1)
             state.rules_fingerprint = fp
             controller.recompile_for_missing_edge("C.small_hot")
             controller.process_events(machine)
@@ -171,7 +176,7 @@ class TestCompilationThread:
         controller.process_events(machine)
         done = thread.run(machine, controller.compilation_queue)
         assert done == 1
-        assert machine.accounting.cycles[COMPILATION] > 0
+        assert machine.cycles(COMPILATION) > 0
         assert len(database.compilations) == 1
         event = database.compilations[0]
         assert event.method_id == "C.small_hot"

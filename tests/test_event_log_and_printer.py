@@ -8,6 +8,7 @@ from repro.aos.database import CompilationEvent
 from repro.aos.event_log import EventLog
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.tree_printer import render_code_cache, render_inline_tree
+from repro.jvm.costs import to_centi
 from repro.policies import make_policy
 from repro.profiles.trace import InlineRule, TraceKey
 from repro.workloads import lazy_loading
@@ -32,14 +33,14 @@ def attach(runtime):
 class TestEventLogUnit:
     @pytest.fixture
     def machine(self):
-        return SimpleNamespace(clock=0.0)
+        return SimpleNamespace(clock=0)
 
     def test_record_and_query(self, machine):
         log = EventLog(machine)
         for clock, method_id in ((100.0, "C.m"), (200.0, "C.n")):
-            machine.clock = clock
+            machine.clock = to_centi(clock)
             log.compile(compile_event(method_id))
-        machine.clock = 300.0
+        machine.clock = to_centi(300.0)
         log.osr("C.m")
         assert len(log) == 3
         assert [e.subject for e in log.of_kind("compile")] == ["C.m", "C.n"]

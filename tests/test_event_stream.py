@@ -5,6 +5,7 @@ import pytest
 
 from repro.aos.event_log import EventLog
 from repro.aos.runtime import AdaptiveRuntime
+from repro.jvm.costs import CENTI
 from repro.jvm.interpreter import EVENTS, NULL_EVENTS, join_sinks
 from repro.policies import make_policy
 from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
@@ -82,7 +83,7 @@ class TestEachEventFiresOnce:
         forward = runtime.controller.osr_request
 
         def osr_request(method_id):
-            requests.append((runtime.machine.clock, method_id))
+            requests.append((runtime.machine.clock / CENTI, method_id))
             forward(method_id)
 
         runtime.controller.osr_request = osr_request

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aos.cost_accounting import APP, CostAccounting
+from repro.aos.cost_accounting import CostAccounting
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.oracle import InlineOracle
 from repro.jvm.costs import CostModel
@@ -63,7 +63,7 @@ class TestExecution:
         program2, _ = build_program(iterations=50)
         m2, _ = machine_for(program2, pricey)
         m2.run()
-        assert m2.accounting.cycles[APP] > m1.accounting.cycles[APP]
+        assert m2.accounting.app(m2.clock) > m1.accounting.app(m1.clock)
 
     def test_dispatch_counted(self):
         program, _site = build_program(iterations=10)

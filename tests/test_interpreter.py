@@ -13,11 +13,11 @@ from repro.compiler.compiled_method import (DIRECT, GUARDED, PLAN_PREEXIST,
                                             CompiledMethod, GuardOption,
                                             GuardPlan, InlineDecision,
                                             InlineNode)
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CENTI, CostModel
 from repro.jvm.errors import ExecutionError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm import lowering
-from repro.jvm.interpreter import MAX_STACK_DEPTH, Machine
+from repro.jvm.interpreter import MAX_STACK_DEPTH, NEVER, Machine
 from repro.jvm.program import (Add, Arg, Const, If, Let, Local, Loop, Mod,
                                Mul, New, NewPool, Pick, Return, StaticCall,
                                Sub, VirtualCall, Work)
@@ -61,6 +61,11 @@ def machine_for(program, costs=None, tick=None):
     cache = CodeCache(costs)
     return Machine(program, hierarchy, cache, costs,
                    CostAccounting(), tick)
+
+
+def cycles(m):
+    """Cycles per component, ``APP`` included, at the machine's clock."""
+    return m.accounting.snapshot(m.clock)
 
 
 def run_main(body, costs=None, classes=(), extra_methods=None):
@@ -284,7 +289,7 @@ class TestCostAccounting:
     def test_work_charged_at_baseline_multiplier(self):
         costs = CostModel()
         m, _ = run_main([Work(100)], costs=costs)
-        app = m.accounting.cycles[APP]
+        app = cycles(m)[APP]
         assert app == pytest.approx(100 * costs.baseline_exec_mult)
 
     def test_baseline_compile_charged_once(self):
@@ -299,7 +304,7 @@ class TestCostAccounting:
         callee_bc = m.program.method("Main.callee").bytecodes
         main_bc = m.program.method("Main.main").bytecodes
         expected = (callee_bc + main_bc) * costs.baseline_compile_cycles_per_bc
-        assert m.accounting.cycles[COMPILATION] == pytest.approx(expected)
+        assert cycles(m)[COMPILATION] == pytest.approx(expected)
         assert m.code_cache.baseline_compiled_methods == 2
 
     def test_call_overhead_charged(self):
@@ -309,7 +314,7 @@ class TestCostAccounting:
         m, _ = run_main([StaticCall(0, "Main.callee")], costs=costs,
                         extra_methods=extra)
         # Two Work-free methods: APP cycles == one call overhead (scaled).
-        assert m.accounting.cycles[APP] == pytest.approx(
+        assert cycles(m)[APP] == pytest.approx(
             costs.call_overhead * costs.baseline_exec_mult)
 
     def test_virtual_dispatch_costs_more_than_static(self):
@@ -322,7 +327,7 @@ class TestCostAccounting:
         program, _ = build_diamond_program(iterations=5)
         m = machine_for(program)
         m.run()
-        assert m.clock == pytest.approx(m.accounting.total)
+        assert m.clock / CENTI == pytest.approx(sum(cycles(m).values()))
 
 
 class TestTicks:
@@ -330,12 +335,12 @@ class TestTicks:
         fired = []
 
         def tick(machine):
-            fired.append(machine.clock)
-            machine.next_event = float("inf")
+            fired.append(machine.clock / CENTI)
+            machine.next_event = NEVER
 
         program, _ = build_diamond_program(iterations=50)
         m = machine_for(program, tick=tick)
-        m.next_event = 50.0
+        m.next_event = 50 * CENTI
         m.run()
         assert len(fired) == 1
         assert fired[0] >= 50.0
@@ -348,12 +353,12 @@ class TestTicks:
             depth["max"] = max(depth["max"], depth["now"])
             # Charging inside the tick must not recurse into the handler.
             machine.charge(APP, 1000.0)
-            machine.next_event = machine.clock + 10.0
+            machine.next_event = machine.clock + 10 * CENTI
             depth["now"] -= 1
 
         program, _ = build_diamond_program(iterations=50)
         m = machine_for(program, tick=tick)
-        m.next_event = 10.0
+        m.next_event = 10 * CENTI
         m.run()
         assert depth["max"] == 1
 

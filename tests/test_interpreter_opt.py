@@ -9,7 +9,7 @@ activations.
 
 import pytest
 
-from repro.aos.cost_accounting import APP, CostAccounting
+from repro.aos.cost_accounting import CostAccounting
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import (CompiledMethod, DIRECT, GUARDED,
                                             GuardOption, InlineDecision,
@@ -119,7 +119,7 @@ class TestGuards:
         miss, _ = machine_with_plan(program, ["B"])
         miss.run()
         # The miss run pays the guard plus the full dispatch.
-        assert miss.accounting.cycles[APP] > hit.accounting.cycles[APP]
+        assert miss.accounting.app(miss.clock) > hit.accounting.app(hit.clock)
 
 
 class TestInlineDiscount:
@@ -129,4 +129,5 @@ class TestInlineDiscount:
         inlined.run()
         plain, _ = machine_with_plan(program, [])
         plain.run()
-        assert inlined.accounting.cycles[APP] < plain.accounting.cycles[APP]
+        assert (inlined.accounting.app(inlined.clock)
+                < plain.accounting.app(plain.clock))

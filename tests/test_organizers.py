@@ -13,7 +13,7 @@ from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import (CompiledMethod, GuardOption,
                                             InlineDecision, InlineNode,
                                             DIRECT, GUARDED)
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CostModel, to_centi
 from repro.jvm.frames import Frame
 from repro.jvm.program import (Arg, Const, MethodDef, Return, StaticCall,
                                VirtualCall, Work)
@@ -22,15 +22,20 @@ from repro.profiles.trace import TraceKey
 
 
 class FakeMachine:
-    """Just enough machine for organizers: a clock and an accountant."""
+    """Just enough machine for organizers: a clock and an accountant, in
+    centi-cycles like ``Machine``."""
 
     def __init__(self):
-        self.clock = 0.0
+        self.clock = 0
         self.accounting = CostAccounting()
 
     def charge(self, component, cycles):
-        self.clock += cycles
-        self.accounting.charge(component, cycles)
+        centi = to_centi(cycles)
+        self.clock += centi
+        self.accounting.charge(component, centi)
+
+    def cycles(self, component):
+        return self.accounting.snapshot(self.clock)[component]
 
 
 class FakeController:
@@ -69,8 +74,7 @@ class TestDCGOrganizer:
         assert organizer.run(machine, listener) == 2
         assert state.dcg.weight(key("D", ("C", 1))) == 2.0
         assert listener.buffer == []
-        assert machine.accounting.cycles[AI_ORGANIZER] == \
-            2 * costs.dcg_ingest_cost
+        assert machine.cycles(AI_ORGANIZER) == 2 * costs.dcg_ingest_cost
 
     def test_empty_buffer_free(self, state, costs):
         policy = ContextInsensitive()
@@ -153,7 +157,7 @@ class TestHotMethodsOrganizer:
         listener.buffer.extend(["C.m"] * costs.hot_method_samples)
         organizer.run(machine, listener, controller)
         assert controller.hot == [("C.m", float(costs.hot_method_samples))]
-        assert machine.accounting.cycles[METHOD_ORGANIZER] > 0
+        assert machine.cycles(METHOD_ORGANIZER) > 0
 
     def test_below_bar_not_reported(self, state, costs):
         organizer = HotMethodsOrganizer(state, costs)
@@ -184,7 +188,7 @@ class TestDecayOrganizer:
             pytest.approx(10.0 * costs.decay_rate)
         assert state.method_samples["C.m"] == \
             pytest.approx(10.0 * costs.decay_rate)
-        assert machine.accounting.cycles[DECAY_ORGANIZER] > 0
+        assert machine.cycles(DECAY_ORGANIZER) > 0
 
     def test_tiny_method_counts_dropped(self, state, costs):
         state.method_samples["C.m"] = 0.1

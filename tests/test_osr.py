@@ -6,7 +6,7 @@ from repro.aos.cost_accounting import APP
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import CompiledMethod, InlineNode
-from repro.jvm.costs import CostModel, DEFAULT_COSTS
+from repro.jvm.costs import CENTI, CostModel, DEFAULT_COSTS
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine
 from repro.jvm.program import (Arg, Const, If, Local, Loop, Lt, Return,
@@ -153,16 +153,17 @@ class TestOSR:
                     + 3 * 5 * opt                 # rest of the If's list
                     + 3 * 3 * base                # outer loop's own list
                     + 11 * base)                  # method body, after
-        assert machine.accounting.cycles[APP] == pytest.approx(expected)
+        app = machine.accounting.snapshot(machine.clock)[APP]
+        assert app == pytest.approx(expected)
         assert machine.stats.osr_transfers == 3
         # Each loop reads the method's counter on entry and writes entry
         # value + its own trip count on exit, so the outer loop's exit
         # (0 + 3) overwrites the inner loops' 60.
         assert machine.backedge_counts == {"Main.main": 3}
         assert machine.stats.work_cycles == 1 + 60 * 2 + 15 + 9 + 11
-        # Exact floats, as the tree-walking interpreter computed them.
-        assert repr(machine.clock) == "296.8"
-        assert repr(machine.accounting.cycles[APP]) == "240.79999999999998"
+        # Exact sums in whole centi-cycles, each converted once.
+        assert repr(machine.clock / CENTI) == "296.8"
+        assert repr(app) == "240.8"
 
     def test_counts_accumulate_across_loop_executions(self):
         # A method whose loop runs multiple times accumulates back edges

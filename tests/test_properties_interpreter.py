@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.aos.cost_accounting import APP, CostAccounting
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import CENTI, CostModel
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine
 from repro.jvm.program import (Add, Arg, ClassDef, Const, If, Let, Local,
@@ -72,6 +72,11 @@ def build_program(body):
     return b.build()
 
 
+def cycles(machine):
+    """Cycles per component, ``APP`` included, at the machine's clock."""
+    return machine.accounting.snapshot(machine.clock)
+
+
 def execute(body, costs=None):
     program = build_program(body)
     costs = costs or CostModel()
@@ -94,7 +99,8 @@ class TestRandomPrograms:
     @given(bodies)
     def test_clock_equals_accounting(self, body):
         machine, _value = execute(body)
-        assert abs(machine.clock - machine.accounting.total) < 1e-6
+        assert abs(machine.clock / CENTI - sum(cycles(machine).values())) \
+            < 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(bodies)
@@ -108,7 +114,7 @@ class TestRandomPrograms:
         machine, _value = execute(body)
         costs = machine.costs
         expected = machine.stats.work_cycles * costs.baseline_exec_mult
-        assert machine.accounting.cycles[APP] >= expected - 1e-6
+        assert cycles(machine)[APP] >= expected - 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(bodies)
@@ -117,8 +123,7 @@ class TestRandomPrograms:
         fast_costs = CostModel(baseline_exec_mult=1.5)
         slow, _ = execute(body, slow_costs)
         fast, _ = execute(body, fast_costs)
-        assert slow.accounting.cycles[APP] >= \
-            fast.accounting.cycles[APP] - 1e-6
+        assert cycles(slow)[APP] >= cycles(fast)[APP] - 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(bodies)

@@ -148,7 +148,7 @@ class TestZeroOverheadContract:
 class TestSummaryReconciliation:
     def test_span_totals_equal_cost_accounting(self, jess_traced):
         runtime, _result, snapshot = jess_traced
-        accounting = runtime.accounting.snapshot()
+        accounting = runtime.accounting.snapshot(runtime.machine.clock)
         totals = component_totals(snapshot)
         for component in AOS_COMPONENTS:
             assert totals.get(component, 0.0) == pytest.approx(
@@ -157,7 +157,7 @@ class TestSummaryReconciliation:
 
     def test_fractions_match_cost_accounting(self, jess_traced):
         runtime, _result, snapshot = jess_traced
-        expected = runtime.accounting.fractions()
+        expected = runtime.accounting.fractions(runtime.machine.clock)
         measured = fractions(snapshot)
         for component, value in expected.items():
             assert measured[component] == pytest.approx(value, abs=1e-12)
@@ -325,7 +325,7 @@ class TestSweepTelemetry:
         from repro.experiments.runner import SweepResults
         results = run_sweep(self.TINY, collect_telemetry=True)
         payload = json.loads(results.to_json())
-        assert set(payload) == {"config", "cells"}  # no telemetry key
+        assert set(payload) == {"stamp", "config", "cells"}  # no telemetry
         loaded = SweepResults.from_json(results.to_json())
         assert loaded.telemetry is None
         assert set(loaded.cells) == set(results.cells)
