@@ -46,12 +46,15 @@ MAX_OPT_VERSIONS = 4
 
 
 def rules_fingerprint_of(rules) -> int:
-    """Process-independent fingerprint of a rule set.
+    """Process-independent fingerprint of a rule *list*, in its order.
 
-    The builtin ``hash()`` is salted by PYTHONHASHSEED, so the AOS uses a
-    CRC over the sorted-stable rule identity instead: rule-set equality
-    still gates recompilation, and decision-provenance logs recorded on
-    different machines carry comparable fingerprints.
+    The AI organizer lists its rules by descending weight, so the
+    fingerprint changes when two rules swap places by weight, not only
+    when the rule set changes; a changed fingerprint does not imply a
+    changed set.  The builtin ``hash()`` is salted by PYTHONHASHSEED, so
+    the AOS uses a CRC over each rule's identity instead, and
+    decision-provenance logs recorded on different machines carry
+    comparable fingerprints.
     """
     return zlib.crc32(repr(
         tuple((r.key.callee, r.key.context) for r in rules)).encode())

@@ -189,8 +189,10 @@ class CompiledMethod:
     version:
         Recompilation counter for the root method (1 = first opt compile).
     rules_fingerprint:
-        Hash of the inlining-rule set used, letting the missing-edge
-        organizer cheaply detect "compiled before this rule existed".
+        :func:`~repro.aos.organizers.rules_fingerprint_of` of the rule
+        list used, in weight order, letting the missing-edge organizer
+        cheaply skip code compiled under the current list.  The same
+        rules in another order fingerprint differently.
     """
 
     __slots__ = ("root", "inlined_bytecodes", "code_bytes", "compile_cycles",

@@ -36,9 +36,8 @@ CENTI = 100
 def to_centi(cycles: float) -> int:
     """``cycles`` as whole centi-cycles, rounded half to even.
 
-    Exact for every charge the default constants produce; only a scaled
-    cost model (see :func:`repro.causal.components.apply_virtual_speedup`)
-    can ask for a finer charge, which this rounds.
+    Exact for every charge the default constants produce; a finer charge
+    (from an overridden or virtually sped-up cost model) is rounded.
     """
     return round(cycles * CENTI)
 
