@@ -50,7 +50,7 @@ BASELINE = "baseline"
 
 #: Bumped whenever causal fingerprint inputs or the cached cell format
 #: change incompatibly.
-#: 3: cycles are exact centi-cycle sums (results moved by float noise).
+#: 3: simulated cycles are exact sums of whole centi-cycles.
 CAUSAL_FINGERPRINT_VERSION = 3
 
 #: Workload-generator seed offset between a cell's replicates.  Every

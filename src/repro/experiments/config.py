@@ -52,7 +52,7 @@ DEFAULT_PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
 
 #: Bumped whenever the fingerprint inputs or the cached cell format
 #: change incompatibly; old cache entries then simply stop matching.
-#: 3: cycles are exact centi-cycle sums (results moved by float noise).
+#: 3: simulated cycles are exact sums of whole centi-cycles.
 FINGERPRINT_VERSION = 3
 
 
