@@ -13,8 +13,8 @@ profile data limited to the execution so far.
 from __future__ import annotations
 
 import random
-from math import ceil
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Dict, Optional, Sequence
 
 from repro.aos.controller import CompilationThread, Controller
@@ -206,7 +206,6 @@ class AdaptiveRuntime:
         if not 0.0 <= sample_phase < 1.0:
             raise ValueError(f"sample_phase must be in [0, 1), "
                              f"got {sample_phase}")
-        #
         # Deadlines are compared with the clock as whole centi-cycles:
         # ``*_due`` is ``ceil(CENTI * deadline)`` for a deadline in cycles.
         self._next_sample = float(costs.sample_interval) * (1.0 + sample_phase)

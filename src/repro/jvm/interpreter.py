@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.aos.cost_accounting import APP, CostAccounting
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CostModel, to_centi
+from repro.jvm.costs import CENTI, CostModel, to_centi
 from repro.jvm.frames import Frame
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.lowering import MAX_STACK_DEPTH, lower_run
@@ -183,7 +183,9 @@ class Machine:
         """Advance the clock by ``cycles`` in whole centi-cycles, attribute
         them to an AOS ``component`` (``APP`` is the clock's remainder),
         and fire any due tick."""
-        centi = to_centi(cycles)
+        centi = cycles * CENTI
+        if type(centi) is not int:  # a whole-cycle cost needs no rounding
+            centi = to_centi(cycles)
         self.clock = clock = self.clock + centi
         if component != APP:
             self.accounting.charge(component, centi)
