@@ -20,9 +20,9 @@ from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Optional
 
 from repro.aos.cost_accounting import APP, COMPILATION
-from repro.jvm.costs import to_centi
 from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
                                             PLAN_OSR_EXIT)
+from repro.jvm.costs import to_centi
 from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
 from repro.jvm.program import (
@@ -304,7 +304,8 @@ def lower_run(m: Machine):
                     return result
         return run_once
 
-    shared = {"m": m, "stats": stats, "stack": stack, "fire": fire, "invoke": invoke, "zeros": zeros,
+    shared = {"m": m, "stats": stats, "stack": stack, "fire": fire,
+              "invoke": invoke, "zeros": zeros,
               "mark_loaded": m.hierarchy.mark_loaded,
               "on_dispatch": on_dispatch, "on_elided": on_elided,
               "on_deopt_exit": on_deopt_exit, "on_progress": on_progress}
