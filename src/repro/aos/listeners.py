@@ -181,24 +181,6 @@ class TerminationStatsProbe:
                 break
         histogram[position] = histogram.get(position, 0) + 1
 
-    def absorb(self, other: "TerminationStatsProbe") -> None:
-        """Fold another probe's recorded state into this one.
-
-        The best-of-N harness runs each sampling phase under its own
-        fresh probe and absorbs only the *best* run's probe into the
-        caller's -- so the reported statistics describe the run actually
-        reported, not a mixture of all N attempts.  Callers sharing one
-        probe across cells still aggregate across those best runs.
-        """
-        self.samples += other.samples
-        for mine, theirs in ((self.first_parameterless,
-                              other.first_parameterless),
-                             (self.first_class_method,
-                              other.first_class_method),
-                             (self.first_large, other.first_large)):
-            for position, count in theirs.items():
-                mine[position] = mine.get(position, 0) + count
-
     # -- the paper's quoted statistics -----------------------------------------
 
     def fraction_immediately_parameterless(self) -> float:

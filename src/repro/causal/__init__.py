@@ -10,8 +10,8 @@ buy -- which is not the same as how much time they account for.
 
 * :mod:`~repro.causal.components` -- the registry of virtually-speedable
   components and their cost-field/accounting mappings;
-* :mod:`~repro.causal.engine` -- the multi-seed experiment grid, run on
-  the sweep harness's fault-tolerant pool and per-cell cache;
+* :mod:`~repro.causal.engine` -- the multi-seed experiment grid, run
+  through the sweep harness's cell loop and per-cell cache;
 * :mod:`~repro.causal.report` -- confidence intervals, rankings, and the
   versioned ``repro.causal/v1`` bundle.
 """

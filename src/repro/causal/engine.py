@@ -7,16 +7,17 @@ matching *baseline cell* (same benchmark, family, seed; stock costs).
 The per-seed paired speedups feed the report layer's confidence
 intervals.
 
-The grid reuses the sweep harness wholesale: cells fan out over the
-fault-tolerant process pool of :mod:`repro.experiments.runner` with a
-causal-specific worker, and finished cells persist through the same
-content-addressed :class:`~repro.experiments.cell_cache.CellCache` --
-the causal fingerprint hashes the *scaled* cost model plus the seed
+The grid runs through the sweep's cell loop,
+:func:`repro.experiments.runner.run_cells`, with a causal worker, a
+causal fingerprint and its own cache-acceptance test, so cells fan out
+over the same fault-tolerant process pool and persist through the same
+content-addressed :class:`~repro.experiments.cell_cache.CellCache`.
+The causal fingerprint hashes the *scaled* cost model plus the seed
 index, so interrupted grids resume for free and a factor change never
 aliases a cached cell.
 
-Cell keys are sweep-shaped ``(str, str, int)`` tuples so the pool
-helpers apply unchanged: the middle slot carries
+Cell keys are sweep-shaped ``(str, str, int)`` tuples so the cell loop
+applies unchanged: the middle slot carries
 ``"<family>+<component>@<factor>"`` (or ``"<family>+baseline"``) and
 the integer slot is the seed index.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,9 +34,8 @@ from repro.aos.runtime import RunResult
 from repro.causal.components import apply_virtual_speedup, component_names
 from repro.experiments.cell_cache import CellCache
 from repro.experiments.config import cost_model_fingerprint
-from repro.experiments.runner import (CellFailure, CellKey,
-                                      _run_cell_with_retry,
-                                      _run_cells_parallel, run_single)
+from repro.experiments.runner import (CellFailure, CellKey, CellOutcome,
+                                      run_cells, run_single)
 from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.errors import ConfigError
 from repro.telemetry.progress import ProgressTracker
@@ -176,13 +175,11 @@ def config_fingerprint(config: CausalConfig, key: CellKey) -> str:
 
 # -- the worker ---------------------------------------------------------------
 
-def _causal_worker(args) -> Tuple[CellKey, RunResult, None, None]:
+def _causal_worker(args) -> CellOutcome:
     """Run one causal cell; module-level so the process pool can pickle it.
 
-    Returns the ``(key, result, snapshot, log)`` shape the sweep pool
-    helpers expect; causal cells carry their measurements inside
-    :attr:`RunResult.progress_points`, so the snapshot/log slots stay
-    empty.
+    Causal cells carry their measurements inside
+    :attr:`RunResult.progress_points`, so the log slot stays empty.
     """
     (benchmark, family, depth, phase, scale, seed_index,
      component, factor) = args
@@ -198,7 +195,7 @@ def _causal_worker(args) -> Tuple[CellKey, RunResult, None, None]:
     tracker = ProgressTracker(label=f"{key[0]}/{key[1]}/seed{seed_index}")
     result = run_single(benchmark, family, depth, phase, scale, costs,
                         progress=tracker, generated=generated)
-    return key, result, None, None
+    return result, None
 
 
 # -- results ------------------------------------------------------------------
@@ -241,70 +238,29 @@ class CausalResults:
 def run_causal(config: Optional[CausalConfig] = None,
                cache: Optional[CellCache] = None,
                verbose: bool = False) -> CausalResults:
-    """Run the causal grid, fanning cells out over worker processes.
+    """Run the causal grid through :func:`~repro.experiments.runner.run_cells`.
 
-    Mirrors :func:`repro.experiments.runner.run_sweep`: cached cells are
-    loaded up front, fresh results persist the moment a worker finishes,
-    cells that fail even after retry are recorded instead of aborting.
+    As in a sweep, cached cells are served up front, fresh results
+    persist the moment a worker finishes, and cells that fail even after
+    retry are recorded instead of aborting.  A cached cell without
+    progress points (e.g. a pre-causal cache collision) cannot feed rate
+    math, so it is re-run.
     """
     if config is None:
         config = CausalConfig()
     config.validate()
-    cells = config.cells()
-    total = len(cells)
-    results: Dict[CellKey, RunResult] = {}
-    failures: Dict[CellKey, CellFailure] = {}
-
-    fingerprints: Dict[CellKey, str] = {}
-    if cache is not None:
-        fingerprints = {key: config_fingerprint(config, key)
-                        for key in cells}
-        results.update(cache.load_many(fingerprints))
-        # A cell cached without progress points (e.g. killed mid-write or
-        # a pre-causal cache collision) cannot feed rate math; re-run it.
-        stale = [key for key, result in results.items()
-                 if result.progress_points is None]
-        for key in stale:
-            del results[key]
-        if verbose and results:
-            print(f"  resumed {len(results)}/{total} causal cell(s) "
-                  f"from {cache.root}")
-
-    pending = [key for key in cells if key not in results]
-    done = len(results)
-
-    def finish(key: CellKey, result: RunResult, snapshot, log) -> None:
-        nonlocal done
-        results[key] = result
-        if cache is not None:
-            cache.store(fingerprints[key], key, result)
-        done += 1
-        if verbose:
-            print(f"  [{done}/{total}] done {key}")
-
-    def fail(key: CellKey, failure: CellFailure) -> None:
-        nonlocal done
-        failures[key] = failure
-        done += 1
-        if verbose:
-            print(f"  [{done}/{total}] FAILED {key}: "
-                  f"{failure.error_type}: {failure.message}")
 
     def args_for(key: CellKey):
         benchmark, family, component, factor, seed_index = parse_key(key)
         return (benchmark, family, config.depth, config.phase, config.scale,
                 seed_index, component, factor)
 
-    if pending:
-        jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 2)
-        jobs = min(jobs, len(pending))
-        if jobs > 1:
-            pending = _run_cells_parallel(pending, args_for, jobs,
-                                          config.cell_timeout, finish, fail,
-                                          worker=_causal_worker)
-        for key in pending:
-            _run_cell_with_retry(key, args_for(key), finish, fail,
-                                 worker=_causal_worker)
+    results, failures = run_cells(
+        {key: args_for(key) for key in config.cells()}, _causal_worker,
+        lambda key: config_fingerprint(config, key),
+        lambda fingerprint, result: result.progress_points is not None,
+        cache=cache, jobs=config.jobs, timeout=config.cell_timeout,
+        verbose=verbose)
 
     missing_baselines = [
         (benchmark, family)

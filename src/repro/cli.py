@@ -120,13 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-cell timeout in seconds when running "
                             "on a worker pool")
-    sweep.add_argument("--resume", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="reuse completed cells from the per-cell "
-                            "cache and rerun only the missing ones "
-                            "(--no-resume disables)")
     sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore every cache and rerun the full sweep")
+                       help="ignore the per-cell cache and rerun the full "
+                            "sweep")
     sweep.add_argument("--decision-logs", action="store_true",
                        help="persist each cell's best-run decision-"
                             "provenance log next to its cached result "
@@ -352,8 +348,7 @@ def _cmd_sweep(args) -> int:
         scale=args.scale, jobs=args.jobs, cell_timeout=args.timeout,
         decision_logs=args.decision_logs)
     results = load_or_run_sweep(args.out, config, verbose=True,
-                                use_cache=not args.no_cache,
-                                resume=args.resume)
+                                use_cache=not args.no_cache)
     print(f"sweep cached at {args.out} ({len(results.cells)} cells, "
           f"{len(results.failures)} failed)")
     for key in sorted(results.failures):

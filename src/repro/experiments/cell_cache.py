@@ -2,10 +2,10 @@
 
 One sweep cell = one JSON file, written atomically the moment the cell's
 worker finishes and named by the cell's content fingerprint (see
-:func:`repro.experiments.config.cell_fingerprint`).  This replaces the
-old all-or-nothing monolithic cache, whose single file lost every
-completed cell to one corrupt byte or one crashed worker -- exactly the
-failure mode profile-collection pipelines have to survive.
+:func:`repro.experiments.config.cell_fingerprint`).  It is the only
+cache sweeps and causal grids read: a sweep's results file
+(``sweep.json``) is written for ``repro figures`` and never read back,
+so one corrupt byte or one crashed worker costs at most one cell.
 
 Properties the harness relies on:
 
@@ -33,7 +33,7 @@ import warnings
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.aos.runtime import RunResult
-from repro.provenance.records import read_decision_log, write_decision_log
+from repro.provenance.records import write_decision_log
 
 #: Schema version of one cell entry file.
 CELL_FORMAT = 1
@@ -56,7 +56,7 @@ def result_from_dict(raw: Mapping) -> RunResult:
 
 
 def cell_cache_root(cache_path: str) -> str:
-    """The per-cell cache directory paired with a monolithic cache path.
+    """The per-cell cache directory paired with a sweep results file.
 
     ``sweep.json`` gets its cells in ``sweep.cells/`` next to it, so the
     two stay visibly associated and one ``rm -r`` clears both.
@@ -144,21 +144,3 @@ class CellCache:
         path = self.decision_log_path(fingerprint)
         write_decision_log(path, records, meta or {})
         return path
-
-    def load_decision_log(self, fingerprint: str):
-        """``(meta, records)`` for a cached log, or ``None``.
-
-        Same tolerance policy as :meth:`load`: missing is silent, corrupt
-        warns and costs a re-record, never the sweep.
-        """
-        path = self.decision_log_path(fingerprint)
-        try:
-            return read_decision_log(path)
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            warnings.warn(
-                f"decision log {path!r} is unreadable "
-                f"({type(exc).__name__}: {exc}); ignoring it",
-                RuntimeWarning, stacklevel=2)
-            return None

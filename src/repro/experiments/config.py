@@ -62,13 +62,6 @@ def cost_model_fingerprint(costs: CostModel = DEFAULT_COSTS) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def sweep_stamp() -> dict:
-    """What a monolithic sweep snapshot must match to be served: the
-    fingerprint version and the cost model the sweep ran under."""
-    return {"version": FINGERPRINT_VERSION,
-            "costs": cost_model_fingerprint(DEFAULT_COSTS)}
-
-
 def cell_fingerprint(benchmark: str, family: str, depth: int,
                      phases: Sequence[float], scale: float,
                      costs: CostModel = DEFAULT_COSTS) -> str:

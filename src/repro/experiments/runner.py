@@ -8,20 +8,19 @@ once per cell and shared by every phase run (generation is
 seed-deterministic and each :class:`AdaptiveRuntime` owns its own
 hierarchy and code cache, so per-phase regeneration was pure waste).
 
-Cells are independent, so the sweep fans out over worker processes.  The
-pool layer is fault tolerant: a cell whose worker crashes or raises is
-retried once serially and then recorded as a structured
-:class:`CellFailure` instead of killing the sweep, a per-cell timeout
-bounds stragglers, and when process pools are unavailable the sweep
-degrades to in-process execution.  Each finished cell is persisted
-immediately through the content-addressed per-cell cache
-(:mod:`repro.experiments.cell_cache`), making interrupted sweeps
-resumable: ``run_sweep`` first loads every valid cached cell and only
-dispatches the missing ones.
+Cells are independent.  :func:`run_cells` is the one cell loop, shared
+with the causal grid (:mod:`repro.causal.engine`): it serves cells from
+the content-addressed per-cell cache
+(:mod:`repro.experiments.cell_cache`), fans the rest out over worker
+processes and persists each finished cell at once, so an interrupted run
+resumes where it died.  A cell whose worker crashes or raises is retried
+once serially and then recorded as a structured :class:`CellFailure`
+instead of killing the run, a per-cell timeout bounds stragglers, and
+when process pools are unavailable the cells run in-process.
 
 Results are plain dataclasses; :class:`SweepResults` offers the lookups
-the figure formatters need plus JSON (de)serialization so expensive
-sweeps can be cached on disk.
+the figure formatters need plus JSON (de)serialization, and
+:func:`load_or_run_sweep` writes that JSON for ``repro figures``.
 """
 
 from __future__ import annotations
@@ -31,20 +30,19 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aos.listeners import TerminationStatsProbe
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.experiments.cell_cache import (CellCache, cell_cache_root,
                                           result_from_dict, result_to_dict)
-from repro.experiments.config import SweepConfig, sweep_stamp
+from repro.experiments.config import SweepConfig
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.policies import make_policy
 from repro.provenance.recorder import ProvenanceRecorder
 from repro.provenance.records import ProvenanceRecord
 from repro.telemetry.progress import ProgressTracker
-from repro.telemetry.recorder import TelemetryRecorder, TelemetrySnapshot
+from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.spec import GeneratedBenchmark, build_benchmark
 
 #: Key identifying one sweep cell.
@@ -113,92 +111,48 @@ DecisionLog = Tuple[Dict[str, object], List[ProvenanceRecord]]
 def run_cell(benchmark: str, family: str, depth: int,
              phases: Sequence[float], scale: float = 1.0,
              costs: CostModel = DEFAULT_COSTS,
-             probe: Optional[TerminationStatsProbe] = None,
-             collect_telemetry: bool = False,
              collect_provenance: bool = False) \
-        -> Union[RunResult, Tuple]:
+        -> Tuple[RunResult, Optional[DecisionLog]]:
     """Best-of-phases run for one sweep cell (paper methodology).
 
     The benchmark program is generated once and shared by all phase runs;
     every :class:`AdaptiveRuntime` builds its own hierarchy, code cache,
     and profile state, so runs stay independent.
 
-    When a ``probe`` is passed, each phase runs under its own fresh
-    :class:`TerminationStatsProbe` and only the *best* run's probe state
-    is folded into the caller's probe -- the termination statistics then
-    describe the run actually reported, not a mixture of all N attempts.
-    With ``collect_telemetry`` each phase likewise runs under a fresh
-    :class:`TelemetryRecorder` and the best run's frozen snapshot is
-    returned alongside its :class:`RunResult`; with
-    ``collect_provenance`` the best run's :data:`DecisionLog` (header
-    meta plus record stream) is appended to the return tuple.  The
-    return shape follows the flags: ``result``,
-    ``(result, snapshot)``, ``(result, log)``, or
-    ``(result, snapshot, log)``.
+    Returns ``(result, log)``: the best run and, with
+    ``collect_provenance``, that run's :data:`DecisionLog` (header meta
+    plus record stream); ``log`` is ``None`` otherwise.
     """
     generated = build_benchmark(benchmark, scale=scale)
     best: Optional[RunResult] = None
-    best_snapshot: Optional[TelemetrySnapshot] = None
     best_log: Optional[DecisionLog] = None
-    best_probe: Optional[TerminationStatsProbe] = None
     for phase in phases:
-        recorder = None
-        if collect_telemetry:
-            recorder = TelemetryRecorder(
-                label=f"{benchmark}/{family}/max{depth}@{phase:g}")
         provenance = None
         if collect_provenance:
             provenance = ProvenanceRecorder(
                 label=f"{benchmark}/{family}/max{depth}@{phase:g}")
-        phase_probe = None
-        if probe is not None:
-            phase_probe = TerminationStatsProbe(costs, horizon=probe.horizon)
         result = run_single(benchmark, family, depth, phase, scale, costs,
-                            probe=phase_probe, telemetry=recorder,
                             provenance=provenance, generated=generated)
         if best is None or result.total_cycles < best.total_cycles:
             best = result
-            best_probe = phase_probe
-            if recorder is not None:
-                best_snapshot = recorder.snapshot()
             if provenance is not None:
                 best_log = (decision_log_meta(benchmark, family, depth,
                                               phase, scale, result),
                             provenance.records)
     assert best is not None
-    if probe is not None and best_probe is not None:
-        probe.absorb(best_probe)
-    extras: List[object] = []
-    if collect_telemetry:
-        assert best_snapshot is not None
-        extras.append(best_snapshot)
-    if collect_provenance:
-        assert best_log is not None
-        extras.append(best_log)
-    if extras:
-        return (best, *extras)
-    return best
+    return best, best_log
 
 
-def _cell_worker(args) \
-        -> Tuple[CellKey, RunResult, Optional[TelemetrySnapshot],
-                 Optional[DecisionLog]]:
-    (benchmark, family, depth, phases, scale, probe,
-     collect_telemetry, collect_provenance) = args
-    snapshot: Optional[TelemetrySnapshot] = None
-    log: Optional[DecisionLog] = None
-    outcome = run_cell(benchmark, family, depth, phases, scale,
-                       probe=probe, collect_telemetry=collect_telemetry,
-                       collect_provenance=collect_provenance)
-    if collect_telemetry and collect_provenance:
-        result, snapshot, log = outcome
-    elif collect_telemetry:
-        result, snapshot = outcome
-    elif collect_provenance:
-        result, log = outcome
-    else:
-        result = outcome
-    return (benchmark, family, depth), result, snapshot, log
+#: What a cell worker returns: the cell's result and, for a sweep cell
+#: run with decision logs, its best run's :data:`DecisionLog`.
+CellOutcome = Tuple[RunResult, Optional[DecisionLog]]
+
+
+def _cell_worker(args) -> CellOutcome:
+    """Run one sweep cell; module-level so the process pool can pickle it."""
+    benchmark, family, depth, phases, scale, decision_logs = args
+    return run_cell(benchmark, family, depth, phases, scale,
+                    collect_provenance=decision_logs)
 
 
 @dataclass
@@ -225,16 +179,8 @@ class SweepResults:
 
     config: SweepConfig
     cells: Dict[CellKey, RunResult]
-    #: Per-cell telemetry snapshots when the sweep ran with
-    #: ``collect_telemetry``; ``None`` otherwise.  Deliberately excluded
-    #: from the JSON cache (the on-disk format is unchanged), so loading a
-    #: cached sweep yields ``telemetry=None``.
-    telemetry: Optional[Dict[CellKey, TelemetrySnapshot]] = None
     #: Cells that failed even after retry, keyed like ``cells``.
     failures: Dict[CellKey, CellFailure] = field(default_factory=dict)
-    #: :func:`~repro.experiments.config.sweep_stamp` of the code that ran
-    #: the sweep; ``None`` for a snapshot written before stamping.
-    stamp: Optional[dict] = field(default_factory=sweep_stamp)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -273,7 +219,6 @@ class SweepResults:
 
     def to_json(self) -> str:
         payload = {
-            "stamp": self.stamp,
             "config": dataclasses.asdict(self.config),
             "cells": [
                 {"key": list(key), "result": result_to_dict(result)}
@@ -287,6 +232,11 @@ class SweepResults:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepResults":
+        """Rebuild results from :meth:`to_json` text.
+
+        Files written by older versions may carry a ``stamp`` (ignored)
+        and may lack ``failures`` or ``config.cell_timeout``.
+        """
         payload = json.loads(text)
         raw_config = payload["config"]
         for field_name in ("benchmarks", "families", "depths", "phases"):
@@ -300,124 +250,146 @@ class SweepResults:
         for raw in payload.get("failures", []):
             failure = CellFailure(**raw)
             failures[failure.key] = failure
-        return cls(config=config, cells=cells, failures=failures,
-                   stamp=payload.get("stamp"))
+        return cls(config=config, cells=cells, failures=failures)
 
 
-# -- the fault-tolerant cell executors -----------------------------------------
+# -- the fault-tolerant cell loop ------------------------------------------------
 
-#: ``finish(key, result, snapshot, log)`` / ``fail(key, failure)`` sinks.
-_FinishFn = Callable[[CellKey, RunResult, Optional[TelemetrySnapshot],
-                      Optional[DecisionLog]], None]
-_FailFn = Callable[[CellKey, "CellFailure"], None]
+def run_cells(cells: Mapping[CellKey, object],
+              worker: Callable[[object], CellOutcome],
+              fingerprint: Callable[[CellKey], str],
+              accept: Callable[[str, RunResult], bool],
+              cache: Optional[CellCache] = None, jobs: int = 0,
+              timeout: Optional[float] = None, verbose: bool = False) \
+        -> Tuple[Dict[CellKey, RunResult], Dict[CellKey, CellFailure]]:
+    """Run every cell not already cached; returns ``(results, failures)``.
 
+    ``cells`` maps each cell key to the argument ``worker`` is called
+    with; a worker returns ``(result, log)`` (see :data:`CellOutcome`).
+    With a ``cache``, a cell whose entry under ``fingerprint(key)`` loads
+    and passes ``accept(fingerprint, result)`` is served from it; every
+    fresh result (and log) is stored the moment its worker finishes, so
+    an interrupted run resumes where it died.
 
-def _run_cell_with_retry(key: CellKey, args, finish: _FinishFn,
-                         fail: _FailFn, attempts_before: int = 0,
-                         worker=None) -> None:
-    """Run one cell in-process; retry up to :data:`MAX_CELL_ATTEMPTS`.
-
-    ``attempts_before`` counts attempts already burned on a worker pool
-    (a crashed or erroring worker), so a pool failure gets exactly one
-    serial retry before the failure is recorded.  ``worker`` swaps the
-    cell function (the causal-profiler grid reuses this fault-tolerance
-    layer with its own worker); it must return the same
-    ``(key, result, snapshot, log)`` shape as :func:`_cell_worker`.
+    With ``jobs`` above one (0 = every core) the pending cells fan out
+    over a process pool, so ``worker`` must be picklable.  A cell whose
+    worker raises, in the pool or in-process, is retried once serially
+    and then recorded as a :class:`CellFailure`; a pool cell that exceeds
+    ``timeout`` seconds is recorded without a retry.  Cells stranded by a
+    broken pool, and every cell when no pool can be created, run
+    in-process.
     """
-    if worker is None:
-        worker = _cell_worker
-    attempts = attempts_before
-    last: Optional[BaseException] = None
-    while attempts < MAX_CELL_ATTEMPTS:
-        attempts += 1
-        try:
-            _key, result, snapshot, log = worker(args)
-        except Exception as exc:
-            last = exc
-            continue
-        finish(key, result, snapshot, log)
-        return
-    assert last is not None
-    fail(key, CellFailure(
-        benchmark=key[0], family=key[1], depth=key[2],
-        error_type=type(last).__name__, message=str(last),
-        attempts=attempts))
+    results: Dict[CellKey, RunResult] = {}
+    failures: Dict[CellKey, CellFailure] = {}
+    total = len(cells)
+    fingerprints: Dict[CellKey, str] = {}
+    if cache is not None:
+        fingerprints = {key: fingerprint(key) for key in cells}
+        results = {key: result for key, result
+                   in cache.load_many(fingerprints).items()
+                   if accept(fingerprints[key], result)}
+        if verbose and results:
+            print(f"  resumed {len(results)}/{total} cell(s) "
+                  f"from {cache.root}")
+    done = len(results)
 
+    def finish(key: CellKey, outcome: CellOutcome) -> None:
+        nonlocal done
+        result, log = outcome
+        results[key] = result
+        if cache is not None:
+            cache.store(fingerprints[key], key, result)
+            if log is not None:
+                meta, records = log
+                cache.store_decision_log(fingerprints[key], records, meta)
+        done += 1
+        if verbose:
+            print(f"  [{done}/{total}] done {key}")
 
-def _run_cells_parallel(pending: Sequence[CellKey], args_for, jobs: int,
-                        timeout: Optional[float], finish: _FinishFn,
-                        fail: _FailFn, worker=None) -> List[CellKey]:
-    """Fan pending cells out over a process pool, fault-tolerantly.
+    def fail(key: CellKey, error_type: str, message: str,
+             attempts: int) -> None:
+        nonlocal done
+        failures[key] = CellFailure(
+            benchmark=key[0], family=key[1], depth=key[2],
+            error_type=error_type, message=message, attempts=attempts)
+        done += 1
+        if verbose:
+            print(f"  [{done}/{total}] FAILED {key}: {error_type}: "
+                  f"{message}")
 
-    Returns the cells that still need in-process execution: all of them
-    when no pool could be created (platforms without working
-    ``multiprocessing``), or the cells stranded when a worker crash broke
-    the pool.  In-worker exceptions are retried once serially right here;
-    per-cell timeouts become recorded failures (the cell already proved
-    it exceeds its budget, so it is not retried).  ``worker`` swaps the
-    cell function (see :func:`_run_cell_with_retry`); it must be
-    picklable (module-level).
-    """
-    if worker is None:
-        worker = _cell_worker
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures.process import BrokenProcessPool
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        futures = [(key, executor.submit(worker, args_for(key)))
-                   for key in pending]
-    except Exception as exc:
-        warnings.warn(
-            f"worker pool unavailable ({type(exc).__name__}: {exc}); "
-            f"running sweep cells in-process",
-            RuntimeWarning, stacklevel=3)
-        return list(pending)
-
-    stranded: List[CellKey] = []
-    try:
-        for key, future in futures:
+    def run_in_process(key: CellKey, attempts: int = 0) -> None:
+        last: Optional[Exception] = None
+        while attempts < MAX_CELL_ATTEMPTS:
+            attempts += 1
             try:
-                _key, result, snapshot, log = future.result(timeout=timeout)
-            except FutureTimeout:
-                future.cancel()
-                fail(key, CellFailure(
-                    benchmark=key[0], family=key[1], depth=key[2],
-                    error_type="TimeoutError",
-                    message=f"cell exceeded the per-cell timeout "
-                            f"of {timeout:g}s",
-                    attempts=1))
-            except BrokenProcessPool:
-                # The pool lost a worker process (crash/OOM-kill); the
-                # cells it still owed us run serially instead.
-                stranded.append(key)
-            except Exception:
-                _run_cell_with_retry(key, args_for(key), finish, fail,
-                                     attempts_before=1, worker=worker)
-            else:
-                finish(key, result, snapshot, log)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return stranded
+                outcome = worker(cells[key])
+            except Exception as exc:
+                last = exc
+                continue
+            finish(key, outcome)
+            return
+        assert last is not None
+        fail(key, type(last).__name__, str(last), attempts)
+
+    pending = [key for key in cells if key not in results]
+    jobs = min(jobs if jobs > 0 else (os.cpu_count() or 2), len(pending))
+    if jobs > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import TimeoutError as FutureTimeout
+            from concurrent.futures.process import BrokenProcessPool
+            executor = ProcessPoolExecutor(max_workers=jobs)
+            futures = [(key, executor.submit(worker, cells[key]))
+                       for key in pending]
+        except Exception as exc:
+            warnings.warn(
+                f"worker pool unavailable ({type(exc).__name__}: {exc}); "
+                f"running sweep cells in-process",
+                RuntimeWarning, stacklevel=3)
+        else:
+            pending = []
+            timed_out = False
+            try:
+                for key, future in futures:
+                    try:
+                        outcome = future.result(timeout=timeout)
+                    except FutureTimeout:
+                        timed_out = True
+                        future.cancel()
+                        fail(key, "TimeoutError",
+                             f"cell exceeded the per-cell timeout of "
+                             f"{timeout:g}s", 1)
+                    except BrokenProcessPool:
+                        # The pool lost a worker process (crash/OOM-kill);
+                        # the cells it still owed us run serially instead.
+                        pending.append(key)
+                    except Exception:
+                        run_in_process(key, attempts=1)
+                    else:
+                        finish(key, outcome)
+            finally:
+                # A timed-out cell's worker is still running it.  Stop
+                # the workers instead of letting the pool's exit handler
+                # wait for them: ProcessPoolExecutor has no public call
+                # for this before Python 3.14.
+                workers = (list(executor._processes.values())
+                           if timed_out else [])
+                executor.shutdown(wait=False, cancel_futures=True)
+                for process in workers:
+                    process.terminate()
+    for key in pending:
+        run_in_process(key)
+    return results, failures
 
 
 def run_sweep(config: Optional[SweepConfig] = None,
               verbose: bool = False,
-              collect_telemetry: bool = False,
               cache: Optional[CellCache] = None) -> SweepResults:
-    """Run the full sweep, fanning cells out over worker processes.
+    """Run the full sweep through :func:`run_cells`.
 
-    With a ``cache``, every valid cached cell is loaded up front and only
-    the missing cells are dispatched; each fresh result is persisted the
-    moment its worker finishes, so an interrupted sweep resumes where it
-    died.  Cells that fail even after retry land in
+    With a ``cache``, every valid cached cell is served from it and only
+    the missing cells run.  Cells that fail even after retry land in
     ``SweepResults.failures`` instead of aborting the sweep.
-
-    With ``collect_telemetry`` every *freshly run* cell's best run
-    carries a frozen :class:`TelemetrySnapshot` back from its worker
-    process; cells served from the cache have no snapshot (see
-    :func:`repro.telemetry.aggregate.merge_cell_telemetry` for combining
-    partial maps across resumed runs).
 
     With ``config.decision_logs`` every freshly run cell's best run also
     carries its decision-provenance record stream back, persisted as
@@ -428,128 +400,43 @@ def run_sweep(config: Optional[SweepConfig] = None,
     """
     if config is None:
         config = SweepConfig()
-    cells = list(config.configurations())
-    total = len(cells)
-    results: Dict[CellKey, RunResult] = {}
-    failures: Dict[CellKey, CellFailure] = {}
-    telemetry: Optional[Dict[CellKey, TelemetrySnapshot]] = \
-        {} if collect_telemetry else None
     if config.decision_logs and cache is None:
         warnings.warn(
             "decision_logs requested without a per-cell cache; logs have "
             "nowhere to go and will be discarded",
             RuntimeWarning, stacklevel=2)
 
-    fingerprints: Dict[CellKey, str] = {}
-    if cache is not None:
-        fingerprints = {key: config.cell_fingerprint(*key) for key in cells}
-        results.update(cache.load_many(fingerprints))
-        if config.decision_logs:
-            # Results without a decision log must re-run to produce one.
-            results = {key: result for key, result in results.items()
-                       if cache.has_decision_log(fingerprints[key])}
-        if verbose and results:
-            print(f"  resumed {len(results)}/{total} cell(s) "
-                  f"from {cache.root}")
+    def accept(fingerprint: str, result: RunResult) -> bool:
+        # Results without a decision log must re-run to produce one.
+        return not config.decision_logs or cache.has_decision_log(fingerprint)
 
-    pending = [key for key in cells if key not in results]
-    done = len(results)
-
-    def finish(key: CellKey, result: RunResult,
-               snapshot: Optional[TelemetrySnapshot],
-               log: Optional["DecisionLog"]) -> None:
-        nonlocal done
-        results[key] = result
-        if telemetry is not None and snapshot is not None:
-            telemetry[key] = snapshot
-        if cache is not None:
-            cache.store(fingerprints[key], key, result)
-            if log is not None:
-                meta, records = log
-                cache.store_decision_log(fingerprints[key], records, meta)
-        done += 1
-        if verbose:
-            print(f"  [{done}/{total}] done {key}")
-
-    def fail(key: CellKey, failure: CellFailure) -> None:
-        nonlocal done
-        failures[key] = failure
-        done += 1
-        if verbose:
-            print(f"  [{done}/{total}] FAILED {key}: "
-                  f"{failure.error_type}: {failure.message}")
-
-    def args_for(key: CellKey):
-        return (key[0], key[1], key[2], config.phases, config.scale,
-                None, collect_telemetry, config.decision_logs)
-
-    if pending:
-        jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 2)
-        jobs = min(jobs, len(pending))
-        if jobs > 1:
-            pending = _run_cells_parallel(pending, args_for, jobs,
-                                          config.cell_timeout, finish, fail)
-        for key in pending:
-            _run_cell_with_retry(key, args_for(key), finish, fail)
-
-    return SweepResults(config=config, cells=results, telemetry=telemetry,
-                        failures=failures)
-
-
-def _write_monolithic(cache_path: str, results: SweepResults) -> None:
-    cache_dir = os.path.dirname(cache_path)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    with open(cache_path, "w") as handle:
-        handle.write(results.to_json())
+    cells = {key: (*key, config.phases, config.scale, config.decision_logs)
+             for key in config.configurations()}
+    results, failures = run_cells(
+        cells, _cell_worker, lambda key: config.cell_fingerprint(*key),
+        accept, cache=cache, jobs=config.jobs, timeout=config.cell_timeout,
+        verbose=verbose)
+    return SweepResults(config=config, cells=results, failures=failures)
 
 
 def load_or_run_sweep(cache_path: str,
                       config: Optional[SweepConfig] = None,
                       verbose: bool = False,
-                      use_cache: bool = True,
-                      resume: bool = True) -> SweepResults:
-    """Load, resume, or run a sweep, keeping ``cache_path`` up to date.
+                      use_cache: bool = True) -> SweepResults:
+    """Run a sweep through the per-cell cache and write ``cache_path``.
 
-    ``cache_path`` is the monolithic JSON snapshot (kept for the figure
-    pipeline and as the fast path); the per-cell resumable cache lives
-    beside it in ``cell_cache_root(cache_path)``.  The snapshot is served
-    only when its stamp (fingerprint version and cost model) and its
-    config both match exactly; otherwise the sweep runs, resuming from
-    the per-cell cache, whose fingerprints carry the same two inputs.
-    ``use_cache=False`` ignores and overwrites every cache;
-    ``resume=False`` keeps the monolithic fast path but skips the
-    per-cell layer.
+    Cells are served from and stored in ``cell_cache_root(cache_path)``;
+    ``cache_path`` itself is only written, as the input of
+    ``repro figures``.  ``use_cache=False`` runs every cell afresh
+    without touching the per-cell cache.
     """
     if config is None:
         config = SweepConfig()
-    if not use_cache:
-        results = run_sweep(config, verbose=verbose)
-        _write_monolithic(cache_path, results)
-        return results
-
-    cache = CellCache(cell_cache_root(cache_path)) if resume else None
-    snapshot: Optional[SweepResults] = None
-    if os.path.exists(cache_path):
-        try:
-            with open(cache_path) as handle:
-                snapshot = SweepResults.from_json(handle.read())
-        except (ValueError, KeyError, TypeError) as exc:
-            # Corrupt or structurally stale cache: say so before quietly
-            # regenerating, so surprising re-runs are explicable.
-            warnings.warn(
-                f"sweep cache {cache_path!r} is unreadable "
-                f"({type(exc).__name__}: {exc}); regenerating it",
-                RuntimeWarning, stacklevel=2)
-    if (snapshot is not None and snapshot.stamp == sweep_stamp()
-            and snapshot.config == config and not snapshot.failures):
-        # With decision logs requested, the monolithic fast path is
-        # only valid when every cell's log is actually on disk.
-        if not config.decision_logs or (cache is not None and all(
-                cache.has_decision_log(config.cell_fingerprint(*key))
-                for key in config.configurations())):
-            return snapshot
-
+    cache = CellCache(cell_cache_root(cache_path)) if use_cache else None
     results = run_sweep(config, verbose=verbose, cache=cache)
-    _write_monolithic(cache_path, results)
+    cache_dir = os.path.dirname(cache_path)
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+    with open(cache_path, "w") as handle:
+        handle.write(results.to_json())
     return results

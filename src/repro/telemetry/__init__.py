@@ -9,8 +9,6 @@ The subsystem has four parts:
   (open in Perfetto), one track per AOS component;
 * :mod:`~repro.telemetry.summary` -- per-component overhead tables that
   reconcile exactly with :class:`~repro.aos.cost_accounting.CostAccounting`;
-* :mod:`~repro.telemetry.aggregate` -- merging recorders across sweep
-  worker processes into combined tables and multi-process traces;
 * :mod:`~repro.telemetry.progress` -- progress points: named throughput
   markers on the cycle clock (Coz-style), the measurement surface of the
   causal profiler (:mod:`repro.causal`).
@@ -26,22 +24,12 @@ from repro.telemetry.chrome_trace import (to_chrome_trace, trace_events,
                                           write_chrome_trace)
 from repro.telemetry.summary import (component_totals, fractions, reconcile,
                                      span_stats, summarize)
-from repro.telemetry.aggregate import (cell_label, label_cell_snapshots,
-                                       merge_cell_telemetry,
-                                       merge_component_totals, merge_counters,
-                                       merge_histograms, merged_chrome_trace,
-                                       render_aggregate,
-                                       write_merged_chrome_trace)
 
 __all__ = [
     "NULL_RECORDER", "HistogramData", "InstantRecord", "NullRecorder",
     "ProgressPointStats", "ProgressTracker",
     "SpanRecord", "TelemetryRecorder", "TelemetrySnapshot",
-    "cell_label", "component_totals", "fractions",
-    "label_cell_snapshots", "main_loop_points",
-    "merge_cell_telemetry", "merge_component_totals",
-    "merge_counters", "merge_histograms", "merged_chrome_trace",
-    "progress_rate", "reconcile", "render_aggregate", "span_stats",
+    "component_totals", "fractions", "main_loop_points",
+    "progress_rate", "reconcile", "span_stats",
     "summarize", "to_chrome_trace", "trace_events", "write_chrome_trace",
-    "write_merged_chrome_trace",
 ]

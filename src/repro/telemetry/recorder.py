@@ -86,22 +86,12 @@ class HistogramData:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "HistogramData") -> None:
-        """Fold another histogram into this one (for sweep aggregation)."""
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-
 
 @dataclass
 class TelemetrySnapshot:
-    """A frozen, picklable copy of everything a recorder collected.
+    """A frozen copy of everything a recorder collected.
 
-    Snapshots are what crosses process boundaries in sweep aggregation and
-    what the exporters (:mod:`repro.telemetry.chrome_trace`,
+    Snapshots are what the exporters (:mod:`repro.telemetry.chrome_trace`,
     :mod:`repro.telemetry.summary`) consume.
     """
 

@@ -6,22 +6,23 @@ The sweeps here run at tiny scale -- the point is plumbing correctness
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.cell_cache import CellCache, cell_cache_root
+from repro.experiments.cell_cache import CellCache
 from repro.experiments.config import (DEFAULT_PHASES, DEPTHS,
                                       FINGERPRINT_VERSION, POLICY_FAMILIES,
                                       SweepConfig, cost_model_fingerprint)
 from repro.experiments.figures import (FIGURE6_COMPONENTS, figure2, figure4,
                                        figure5, figure6, headline, table1,
                                        termination_stats)
-from repro.aos.listeners import TerminationStatsProbe
 from repro.experiments.runner import (CellFailure, SweepResults,
                                       _cell_worker, load_or_run_sweep,
                                       run_cell, run_single, run_sweep)
-from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.errors import ExecutionError
 from repro.workloads.spec import BENCHMARK_ORDER
 
@@ -55,7 +56,9 @@ class TestRunner:
         assert result.program_name == "jess"
 
     def test_run_cell_takes_best_of_phases(self):
-        best = run_cell("jess", "cins", 1, phases=(0.0, 0.5), scale=0.05)
+        best, log = run_cell("jess", "cins", 1, phases=(0.0, 0.5),
+                             scale=0.05)
+        assert log is None
         single0 = run_single("jess", "cins", 1, phase=0.0, scale=0.05)
         single5 = run_single("jess", "cins", 1, phase=0.5, scale=0.05)
         assert best.total_cycles == min(single0.total_cycles,
@@ -85,47 +88,6 @@ class TestSerialization:
                 tiny_sweep.cells[key].total_cycles
             assert loaded.cells[key].depth_histogram == \
                 tiny_sweep.cells[key].depth_histogram
-
-    def test_load_or_run_uses_cache(self, tiny_sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text(tiny_sweep.to_json())
-        loaded = load_or_run_sweep(str(path), TINY)
-        assert set(loaded.cells) == set(tiny_sweep.cells)
-
-    def test_load_or_run_regenerates_on_mismatch(self, tiny_sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text(tiny_sweep.to_json())
-        other = SweepConfig(benchmarks=("db",), families=("fixed",),
-                            depths=(2,), phases=(0.0,), scale=0.05, jobs=1)
-        regenerated = load_or_run_sweep(str(path), other)
-        assert regenerated.config == other
-
-    def test_corrupt_cache_regenerated_with_warning(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text("{not json!")
-        small = SweepConfig(benchmarks=("db",), families=("fixed",),
-                            depths=(2,), phases=(0.0,), scale=0.05, jobs=1)
-        with pytest.warns(RuntimeWarning, match="regenerating"):
-            result = load_or_run_sweep(str(path), small)
-        assert result.config == small
-
-    def test_truncated_cache_regenerated_with_warning(self, tiny_sweep,
-                                                      tmp_path):
-        # A partially written cache (e.g. a killed sweep) is valid-looking
-        # JSON syntax up to the cut, but unreadable; the warning must name
-        # the path and the failure so the silent re-run is explicable.
-        path = tmp_path / "sweep.json"
-        path.write_text(tiny_sweep.to_json()[:200])
-        small = SweepConfig(benchmarks=("db",), families=("fixed",),
-                            depths=(2,), phases=(0.0,), scale=0.05, jobs=1)
-        with pytest.warns(RuntimeWarning) as captured:
-            result = load_or_run_sweep(str(path), small)
-        assert result.config == small
-        message = str(captured[0].message)
-        assert str(path) in message
-        assert "unreadable" in message
-        # The fresh sweep replaced the truncated file on disk.
-        assert SweepResults.from_json(path.read_text()).config == small
 
 
 SMALL = SweepConfig(benchmarks=("jess",), families=("fixed",),
@@ -186,7 +148,7 @@ class TestResumableSweep:
         monkeypatch.setattr(runner, "_cell_worker", dying)
         with pytest.raises(KeyboardInterrupt):
             load_or_run_sweep(path, config)
-        assert not os.path.exists(path)  # monolithic file never written
+        assert not os.path.exists(path)  # results file never written
 
         executed = []
         monkeypatch.setattr(runner, "_cell_worker",
@@ -196,6 +158,23 @@ class TestResumableSweep:
             len(config.configurations()) - completed_before_kill
         assert set(results.cells) == set(config.configurations())
         assert os.path.exists(path)
+
+    def test_results_file_is_written_but_never_read(self, tmp_path):
+        # The per-cell cache is the only cache: a doctored results file
+        # is not served, and the next run rewrites it from the cells.
+        path = tmp_path / "sweep.json"
+        first = load_or_run_sweep(str(path), SMALL)
+        payload = json.loads(path.read_text())
+        for entry in payload["cells"]:
+            if entry["key"] == ["jess", "fixed", 2]:
+                entry["result"]["total_cycles"] += 1
+        path.write_text(json.dumps(payload))
+
+        again = load_or_run_sweep(str(path), SMALL)
+        cell = first.result("jess", "fixed", 2)
+        assert again.result("jess", "fixed", 2) == cell
+        rewritten = SweepResults.from_json(path.read_text())
+        assert rewritten.result("jess", "fixed", 2) == cell
 
     def test_cached_and_fresh_cells_bit_identical(self, tmp_path):
         cache = CellCache(str(tmp_path / "cells"))
@@ -286,41 +265,34 @@ class TestResumableSweep:
         assert set(results.cells) == set(config.configurations())
         assert not results.failures
 
-    @pytest.mark.parametrize("config", [TINY, SMALL],
-                             ids=["same-config", "subset"])
-    def test_stale_snapshot_is_rerun_and_not_migrated(self, tiny_sweep,
-                                                      tmp_path, monkeypatch,
-                                                      config):
-        # A snapshot stamped by another fingerprint version holds results
-        # the current code need not reproduce: it is neither served nor
-        # copied into the per-cell cache, whatever config asks for it.
-        path = tmp_path / "sweep.json"
-        payload = json.loads(tiny_sweep.to_json())
-        payload["stamp"] = {"version": FINGERPRINT_VERSION - 1,
-                            "costs": cost_model_fingerprint()}
-        path.write_text(json.dumps(payload))
-        executed = []
-        monkeypatch.setattr(runner, "_cell_worker",
-                            _counting_worker(executed))
-        results = load_or_run_sweep(str(path), config)
-        assert sorted(executed) == sorted(config.configurations())
-        assert set(results.cells) == set(config.configurations())
-        cached = CellCache(cell_cache_root(str(path))).load_many(
-            {key: config.cell_fingerprint(*key)
-             for key in TINY.configurations()})
-        assert set(cached) == set(config.configurations())
-
-    def test_unstamped_snapshot_is_rerun(self, tiny_sweep, tmp_path,
-                                         monkeypatch):
-        path = tmp_path / "sweep.json"
-        payload = json.loads(tiny_sweep.to_json())
-        payload.pop("stamp", None)
-        path.write_text(json.dumps(payload))
-        executed = []
-        monkeypatch.setattr(runner, "_cell_worker",
-                            _counting_worker(executed))
-        load_or_run_sweep(str(path), TINY, resume=False)
-        assert sorted(executed) == sorted(TINY.configurations())
+    def test_timed_out_worker_does_not_outlive_the_run(self, tmp_path):
+        # A timed-out cell's worker keeps running; the pool's exit
+        # handler would wait for it unless the loop stops it.
+        (tmp_path / "sleepy.py").write_text(
+            "import time\n"
+            "def worker(seconds):\n"
+            "    time.sleep(seconds)\n"
+            "    return None, None\n")
+        script = (
+            "from repro.experiments.runner import run_cells\n"
+            "import sleepy\n"
+            "results, failures = run_cells(\n"
+            "    {('slow', 'x', 0): 20, ('fast', 'x', 0): 0}, sleepy.worker,\n"
+            "    str, lambda fingerprint, result: True, jobs=2, timeout=1)\n"
+            "print(sorted(results), [(key, failure.error_type)\n"
+            "                        for key, failure in failures.items()])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        start = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == \
+            "[('fast', 'x', 0)] [(('slow', 'x', 0), 'TimeoutError')]"
+        assert elapsed < 10
 
 
 class TestFailureSerialization:
@@ -342,54 +314,19 @@ class TestFailureSerialization:
 
     def test_from_json_accepts_legacy_payload(self, tiny_sweep):
         # Payloads written before per-cell caching carry neither the
-        # failures list nor the cell_timeout field.
+        # failures list nor the cell_timeout field; payloads written
+        # while the results file was still read back carry a stamp,
+        # which is ignored.
         payload = json.loads(tiny_sweep.to_json())
         payload["config"].pop("cell_timeout")
         assert "failures" not in payload
-        loaded = SweepResults.from_json(json.dumps(payload))
-        assert loaded.config == tiny_sweep.config
-        assert loaded.failures == {}
-
-
-class TestProbeThreading:
-    def test_run_cell_threads_probe(self):
-        probe = TerminationStatsProbe(DEFAULT_COSTS)
-        run_cell("jess", "fixed", 2, phases=(0.0,), scale=0.05, probe=probe)
-        assert probe.samples > 0
-        assert sum(probe.first_parameterless.values()) == probe.samples
-
-    def test_probe_describes_best_run_only(self):
-        # Regression: run_cell used to thread one shared probe through
-        # every phase, so its statistics aggregated all N attempts.  The
-        # probe must describe the *reported* (best) run: its sample
-        # count matches that run's traces_recorded (probe and trace
-        # listener sample at the same ticks under the same gate).
-        probe = TerminationStatsProbe(DEFAULT_COSTS)
-        best = run_cell("jess", "fixed", 2, phases=(0.0, 0.5), scale=0.05,
-                        probe=probe)
-        assert probe.samples == best.traces_recorded
-
-    def test_probe_aggregates_across_cells(self):
-        # A probe shared across cells still accumulates -- one best run
-        # per cell.
-        probe = TerminationStatsProbe(DEFAULT_COSTS)
-        first = run_cell("jess", "fixed", 2, phases=(0.0, 0.5), scale=0.05,
-                         probe=probe)
-        second = run_cell("db", "fixed", 2, phases=(0.0, 0.5), scale=0.05,
-                          probe=probe)
-        assert probe.samples == first.traces_recorded + \
-            second.traces_recorded
-        assert sum(probe.first_parameterless.values()) == probe.samples
-
-    def test_cell_worker_threads_probe(self):
-        probe = TerminationStatsProbe(DEFAULT_COSTS)
-        key, result, snapshot, log = _cell_worker(
-            ("jess", "fixed", 2, (0.0,), 0.05, probe, False, False))
-        assert key == ("jess", "fixed", 2)
-        assert result.total_cycles > 0
-        assert snapshot is None
-        assert log is None
-        assert probe.samples > 0
+        stamped = dict(payload, stamp={"version": FINGERPRINT_VERSION,
+                                       "costs": cost_model_fingerprint()})
+        for legacy in (payload, stamped):
+            loaded = SweepResults.from_json(json.dumps(legacy))
+            assert loaded.config == tiny_sweep.config
+            assert loaded.cells == tiny_sweep.cells
+            assert loaded.failures == {}
 
 
 class TestFigures:

@@ -12,8 +12,9 @@ def two_cell_results():
     config = SweepConfig(benchmarks=("jess",), families=("fixed",),
                          depths=(2,), phases=(0.0,), scale=0.05, jobs=1)
     cells = {}
-    cells[("jess", "cins", 1)] = run_cell("jess", "cins", 1, (0.0,), 0.05)
-    cells[("jess", "fixed", 2)] = run_cell("jess", "fixed", 2, (0.0,), 0.05)
+    cells[("jess", "cins", 1)], _ = run_cell("jess", "cins", 1, (0.0,), 0.05)
+    cells[("jess", "fixed", 2)], _ = run_cell("jess", "fixed", 2, (0.0,),
+                                              0.05)
     return SweepResults(config=config, cells=cells)
 
 

@@ -17,16 +17,12 @@ import pytest
 from repro.aos.cost_accounting import (AOS_COMPONENTS, APP, COMPILATION,
                                        LISTENERS)
 from repro.aos.runtime import AdaptiveRuntime
-from repro.experiments.config import SweepConfig
-from repro.experiments.runner import run_single, run_sweep
+from repro.experiments.runner import run_single
 from repro.policies import make_policy
 from repro.telemetry import (NULL_RECORDER, HistogramData, NullRecorder,
-                             TelemetryRecorder, cell_label, component_totals,
-                             fractions, label_cell_snapshots,
-                             merge_cell_telemetry, merge_component_totals,
-                             merge_counters, merge_histograms,
-                             merged_chrome_trace, reconcile, render_aggregate,
-                             summarize, to_chrome_trace, write_chrome_trace)
+                             TelemetryRecorder, component_totals, fractions,
+                             reconcile, summarize, to_chrome_trace,
+                             write_chrome_trace)
 from repro.workloads.spec import build_benchmark
 
 SCALE = 0.05
@@ -252,113 +248,3 @@ class TestChromeTraceExport:
             loaded = json.load(handle)
         assert len(loaded["traceEvents"]) == events
         assert loaded["otherData"]["total_cycles"] == snapshot.total_cycles
-
-
-class TestAggregation:
-    @pytest.fixture(scope="class")
-    def two_runs(self):
-        _rt1, _r1, snap1 = traced_run("jess", "fixed", 2)
-        _rt2, _r2, snap2 = traced_run("db", "hybrid1", 2)
-        return {"jess/fixed": snap1, "db/hybrid1": snap2}
-
-    def test_component_totals_sum(self, two_runs):
-        merged = merge_component_totals(two_runs)
-        for component in (APP, COMPILATION):
-            assert merged[component] == pytest.approx(sum(
-                component_totals(s).get(component, 0.0)
-                for s in two_runs.values()))
-
-    def test_counters_sum(self, two_runs):
-        merged = merge_counters(two_runs)
-        key = "code_cache.baseline_compilations"
-        assert merged[key] == sum(s.counters[key] for s in two_runs.values())
-
-    def test_histograms_fold(self, two_runs):
-        merged = merge_histograms(two_runs)
-        histogram = merged["opt_compile.cycles"]
-        assert histogram.count == sum(
-            s.histograms["opt_compile.cycles"].count
-            for s in two_runs.values())
-
-    def test_merged_trace_has_one_pid_per_run(self, two_runs):
-        trace = merged_chrome_trace(two_runs)
-        pids = {event["pid"] for event in trace["traceEvents"]}
-        assert pids == {1, 2}
-        names = {event["args"]["name"] for event in trace["traceEvents"]
-                 if event["name"] == "process_name"}
-        assert names == set(two_runs)
-
-    def test_render_aggregate(self, two_runs):
-        data, rendered = render_aggregate(two_runs)
-        assert data["total_cycles"] > 0
-        assert "Aggregate telemetry over 2 runs" in rendered
-
-
-class TestSweepTelemetry:
-    TINY = SweepConfig(benchmarks=("jess",), families=("fixed",),
-                       depths=(2,), phases=(0.0, 0.5), scale=SCALE, jobs=1)
-
-    def test_sweep_without_telemetry_has_none(self):
-        results = run_sweep(self.TINY)
-        assert results.telemetry is None
-
-    def test_sweep_collects_per_cell_snapshots(self):
-        results = run_sweep(self.TINY, collect_telemetry=True)
-        assert results.telemetry is not None
-        assert set(results.telemetry) == set(results.cells)
-        for key, snapshot in results.telemetry.items():
-            # The snapshot belongs to the best-of-phases run that was kept.
-            assert snapshot.total_cycles == results.cells[key].total_cycles
-            assert snapshot.spans
-
-    def test_sweep_telemetry_survives_worker_processes(self):
-        config = SweepConfig(benchmarks=("jess", "db"), families=("fixed",),
-                             depths=(2,), phases=(0.0,), scale=SCALE, jobs=2)
-        results = run_sweep(config, collect_telemetry=True)
-        assert set(results.telemetry) == set(results.cells)
-        merged = merge_component_totals(
-            {"/".join(map(str, key)): snap
-             for key, snap in results.telemetry.items()})
-        assert merged[APP] > 0
-
-    def test_cache_format_unchanged(self):
-        from repro.experiments.runner import SweepResults
-        results = run_sweep(self.TINY, collect_telemetry=True)
-        payload = json.loads(results.to_json())
-        assert set(payload) == {"stamp", "config", "cells"}  # no telemetry
-        loaded = SweepResults.from_json(results.to_json())
-        assert loaded.telemetry is None
-        assert set(loaded.cells) == set(results.cells)
-
-
-class TestCellTelemetryMerge:
-    A = ("jess", "fixed", 2)
-    B = ("db", "class", 4)
-
-    def test_cell_label(self):
-        assert cell_label(self.A) == "jess/fixed/max2"
-
-    def test_label_cell_snapshots(self):
-        snap = object()
-        assert label_cell_snapshots({self.A: snap}) == \
-            {"jess/fixed/max2": snap}
-
-    def test_merge_unions_partial_runs(self):
-        first, second = object(), object()
-        merged = merge_cell_telemetry({self.A: first}, {self.B: second})
-        assert merged == {self.A: first, self.B: second}
-
-    def test_merge_later_run_wins_and_none_skipped(self):
-        stale, fresh = object(), object()
-        merged = merge_cell_telemetry({self.A: stale}, None,
-                                      {self.A: fresh})
-        assert merged == {self.A: fresh}
-
-    def test_merged_map_feeds_existing_aggregators(self):
-        # The labelled union of two partial sweeps reconciles with the
-        # run-level aggregation helpers.
-        _rt, _res, snap_a = traced_run("jess", "fixed", 2)
-        _rt, _res, snap_b = traced_run("db", "fixed", 2)
-        merged = merge_cell_telemetry({self.A: snap_a}, {("db", "fixed", 2): snap_b})
-        totals = merge_component_totals(label_cell_snapshots(merged))
-        assert totals[APP] > 0
