@@ -39,7 +39,6 @@ from repro.profiles.partial_match import (applicable_rules, candidate_targets,
                                           contexts_compatible,
                                           ordered_candidates)
 from repro.profiles.dcg import DynamicCallGraph
-from repro.profiles.cct import CallingContextTree, CCTNode
 
 # -- compiler ---------------------------------------------------------------------
 from repro.compiler.size_estimator import (SizeClass, classify,
@@ -96,8 +95,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_COMPONENTS", "AOSDatabase", "AOS_COMPONENTS", "APP",
-    "AdaptiveRuntime", "Add", "Arg", "CCTNode", "CallingContextTree",
-    "CausalConfig", "CausalResults", "ClassDef", "ClassHierarchy",
+    "AdaptiveRuntime", "Add", "Arg", "CausalConfig", "CausalResults",
+    "ClassDef", "ClassHierarchy",
     "ClassMethods", "CodeCache", "CompilationError", "CompilationEvent",
     "CompiledMethod", "ConfigError", "Const", "Context", "ContextInsensitive",
     "ContextSensitivityPolicy", "CostAccounting", "CostModel", "DEFAULT_COSTS",

@@ -17,11 +17,9 @@ the same pairs repeatedly during one compilation.
 
 from __future__ import annotations
 
-import math
 import weakref
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Set
 
-from repro.compiler.compiled_method import GuardOption, InlineNode
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import MethodDef
 
@@ -76,31 +74,3 @@ def clear_accept_cache() -> None:
     _accept_cache.clear()
     _accept_hits = 0
     _accept_misses = 0
-
-
-def order_guard_targets(
-        candidates: Sequence[Tuple[MethodDef, float]]) -> List[MethodDef]:
-    """Order guarded-inline targets hottest-first, deterministically.
-
-    Guard tests execute in this order at runtime, so putting the dominant
-    target first minimizes expected guard cost (the mechanism behind the
-    paper's jess speedup: fewer guards executed before the hit).  Equal
-    weights tie-break on ``method.id``; a NaN or infinite weight would
-    make the order depend on input position, so non-finite weights are
-    rejected outright.
-    """
-    for method, weight in candidates:
-        if not math.isfinite(weight):
-            raise ValueError(
-                f"non-finite guard weight {weight!r} for {method.id}")
-    ranked = sorted(candidates, key=lambda item: (-item[1], item[0].id))
-    return [method for method, _weight in ranked]
-
-
-def build_guard_options(targets: Sequence[MethodDef],
-                        nodes: Sequence[InlineNode]) -> List[GuardOption]:
-    """Pair each target with its inline-tree node as a guarded option."""
-    if len(targets) != len(nodes):
-        raise ValueError("targets and nodes must align")
-    return [GuardOption(t, n, guard_class=t.klass)
-            for t, n in zip(targets, nodes)]

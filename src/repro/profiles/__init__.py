@@ -1,1 +1,1 @@
-"""Context-sensitive profile data: traces, DCG, partial matching, CCT."""
+"""Context-sensitive profile data: traces, DCG, partial matching."""

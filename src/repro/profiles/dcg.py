@@ -78,14 +78,6 @@ class DynamicCallGraph:
 
     # -- projections ---------------------------------------------------------
 
-    def edge_weights(self) -> Dict[TraceKey, float]:
-        """Context-insensitive projection: weights aggregated to depth 1."""
-        out: Dict[TraceKey, float] = {}
-        for key, weight in self._weights.items():
-            edge = key.edge
-            out[edge] = out.get(edge, 0.0) + weight
-        return out
-
     def site_target_distribution(self, caller_id: str,
                                  site: int) -> Dict[str, float]:
         """``{callee: weight}`` observed at one call site, all contexts."""

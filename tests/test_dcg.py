@@ -69,12 +69,6 @@ class TestHotTraces:
 
 
 class TestProjections:
-    def test_edge_weights_aggregate_contexts(self, dcg):
-        dcg.add(key("D", ("C", 1), ("A", 2)), 3.0)
-        dcg.add(key("D", ("C", 1), ("B", 3)), 4.0)
-        edges = dcg.edge_weights()
-        assert edges[key("D", ("C", 1))] == 7.0
-
     def test_site_target_distribution(self, dcg):
         dcg.add(key("D1", ("C", 1)), 3.0)
         dcg.add(key("D2", ("C", 1), ("A", 2)), 5.0)

@@ -1,13 +1,7 @@
 """Unit tests for guard synthesis helpers."""
 
-import math
-
-import pytest
-
-from repro.compiler.compiled_method import InlineNode
-from repro.compiler.guards import (accept_cache_info, build_guard_options,
-                                   classes_for_target, clear_accept_cache,
-                                   order_guard_targets)
+from repro.compiler.guards import (accept_cache_info, classes_for_target,
+                                   clear_accept_cache)
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import ClassDef, Const, MethodDef, Program, Return
 
@@ -68,53 +62,3 @@ class TestAcceptanceSetMemoization:
         classes_for_target(hierarchy, "ping", base_ping)
         info = accept_cache_info()
         assert info["misses"] == 2 and info["hits"] == 0
-
-
-class TestOrdering:
-    def _m(self, name):
-        return MethodDef("C", name, 1, False, [Return(Const(0))])
-
-    def test_hottest_first(self):
-        a, b = self._m("a"), self._m("b")
-        ordered = order_guard_targets([(a, 1.0), (b, 9.0)])
-        assert [m.name for m in ordered] == ["b", "a"]
-
-    def test_ties_broken_by_id(self):
-        a, b = self._m("a"), self._m("b")
-        ordered = order_guard_targets([(b, 5.0), (a, 5.0)])
-        assert [m.name for m in ordered] == ["a", "b"]
-
-    def test_tie_order_independent_of_input_position(self):
-        a, b, c = self._m("a"), self._m("b"), self._m("c")
-        forward = order_guard_targets([(a, 5.0), (b, 5.0), (c, 5.0)])
-        backward = order_guard_targets([(c, 5.0), (b, 5.0), (a, 5.0)])
-        assert [m.id for m in forward] == [m.id for m in backward]
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     -float("inf")])
-    def test_non_finite_weights_rejected(self, bad):
-        a, b = self._m("a"), self._m("b")
-        with pytest.raises(ValueError, match="non-finite"):
-            order_guard_targets([(a, 1.0), (b, bad)])
-
-    def test_finite_weights_pass_validation(self):
-        a = self._m("a")
-        assert math.isfinite(1e300)
-        assert order_guard_targets([(a, 1e300)]) == [a]
-
-
-class TestBuildOptions:
-    def _m(self, name):
-        return MethodDef("C", name, 1, False, [Return(Const(0))])
-
-    def test_pairs_targets_with_nodes(self):
-        a, b = self._m("a"), self._m("b")
-        nodes = [InlineNode(a, 1), InlineNode(b, 1)]
-        options = build_guard_options([a, b], nodes)
-        assert [o.target.name for o in options] == ["a", "b"]
-        assert all(o.guard_class == "C" for o in options)
-
-    def test_misaligned_rejected(self):
-        a = self._m("a")
-        with pytest.raises(ValueError):
-            build_guard_options([a], [])

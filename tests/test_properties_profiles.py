@@ -1,9 +1,8 @@
 """Property-based tests (hypothesis) for the profile data structures.
 
 These pin down the algebraic invariants the rest of the system leans on:
-Equation-3 matching behaves like prefix compatibility, the DCG conserves
-weight under ingestion and scales it under decay, and the calling-context
-tree round-trips the trace multiset it was built from.
+Equation-3 matching behaves like prefix compatibility, and the DCG
+conserves weight under ingestion and scales it under decay.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.profiles.cct import CallingContextTree
 from repro.profiles.dcg import PRUNE_EPSILON, DynamicCallGraph
 from repro.profiles.partial_match import (candidate_targets,
                                           contexts_compatible)
@@ -127,46 +125,3 @@ class TestDCGProperties:
         hot = dcg.hot_traces(0.10)
         cutoff = 0.10 * dcg.total_weight
         assert all(weight > cutoff for _key, weight in hot)
-
-    @given(st.lists(st.tuples(trace_keys, weights), max_size=30))
-    def test_edge_projection_conserves_weight(self, samples):
-        dcg = DynamicCallGraph()
-        for key, weight in samples:
-            dcg.add(key, weight)
-        edges = dcg.edge_weights()
-        assert math.isclose(sum(edges.values()), dcg.total_weight,
-                            abs_tol=1e-6)
-        assert all(k.depth == 1 for k in edges)
-
-
-# -- CCT ---------------------------------------------------------------------------
-
-class TestCCTProperties:
-    @given(st.lists(st.tuples(trace_keys, weights), max_size=25))
-    def test_round_trip_preserves_trace_multiset(self, samples):
-        cct = CallingContextTree()
-        expected = {}
-        for key, weight in samples:
-            cct.add_trace(key, weight)
-            expected[key] = expected.get(key, 0.0) + weight
-        back = cct.to_trace_weights()
-        assert set(back) == set(expected)
-        for key, weight in expected.items():
-            assert math.isclose(back[key], weight, abs_tol=1e-6)
-
-    @given(st.lists(st.tuples(trace_keys, weights), max_size=25))
-    def test_total_weight_conserved(self, samples):
-        cct = CallingContextTree()
-        for key, weight in samples:
-            cct.add_trace(key, weight)
-        assert math.isclose(cct.total_weight(),
-                            sum(w for _k, w in samples), abs_tol=1e-6)
-
-    @given(st.lists(st.tuples(trace_keys, weights), min_size=1, max_size=25))
-    def test_shared_prefixes_compress(self, samples):
-        # Node count never exceeds total context elements + callees.
-        cct = CallingContextTree()
-        for key, weight in samples:
-            cct.add_trace(key, weight)
-        upper = sum(k.depth + 1 for k, _w in samples)
-        assert cct.node_count() <= upper
