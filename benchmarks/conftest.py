@@ -9,8 +9,10 @@ bench formats its slice of it.  Two environment knobs:
 * ``REPRO_BENCH_PHASES`` -- comma-separated sampling phases (default
   ``0.0,0.33,0.66``; the paper used best-of-20, we default to best-of-3).
 
-The cache lives next to this file and is keyed by the full sweep config,
-so changing either knob regenerates it.
+The per-cell cache lives next to this file (``.sweep_cache.cells/``)
+and keys each cell by its content fingerprint, so changing either knob
+reruns exactly the cells it changes; ``.sweep_cache.json`` is only
+written, as the sweep's results file.
 """
 
 from __future__ import annotations
