@@ -419,24 +419,24 @@ def run_sweep(config: Optional[SweepConfig] = None,
     return SweepResults(config=config, cells=results, failures=failures)
 
 
-def load_or_run_sweep(cache_path: str,
+def load_or_run_sweep(path: str,
                       config: Optional[SweepConfig] = None,
                       verbose: bool = False,
                       use_cache: bool = True) -> SweepResults:
-    """Run a sweep through the per-cell cache and write ``cache_path``.
+    """Run a sweep through the per-cell cache and write its results file.
 
-    Cells are served from and stored in ``cell_cache_root(cache_path)``;
-    ``cache_path`` itself is only written, as the input of
-    ``repro figures``.  ``use_cache=False`` runs every cell afresh
-    without touching the per-cell cache.
+    Cells are served from and stored in ``cell_cache_root(path)``;
+    ``path`` itself is only written, as the input of ``repro figures``.
+    ``use_cache=False`` runs every cell afresh without touching the
+    per-cell cache.
     """
     if config is None:
         config = SweepConfig()
-    cache = CellCache(cell_cache_root(cache_path)) if use_cache else None
+    cache = CellCache(cell_cache_root(path)) if use_cache else None
     results = run_sweep(config, verbose=verbose, cache=cache)
-    cache_dir = os.path.dirname(cache_path)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    with open(cache_path, "w") as handle:
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w") as handle:
         handle.write(results.to_json())
     return results
