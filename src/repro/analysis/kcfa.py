@@ -111,13 +111,6 @@ class ContextTargets:
     def monomorphic(self) -> bool:
         return len(self.targets) == 1
 
-    def majority_target(self) -> Optional[str]:
-        """Highest-weight target (lexicographic tie-break), or None."""
-        if not self.targets:
-            return None
-        return min(self.target_weights,
-                   key=lambda tw: (-tw[1], tw[0]))[0]
-
 
 @dataclass
 class KSite:

@@ -69,9 +69,6 @@ class AOSState:
         self.rules_fingerprint: int = 0
         self.method_samples: Dict[str, float] = {}
 
-    def total_method_samples(self) -> float:
-        return sum(self.method_samples.values())
-
 
 class DCGOrganizer:
     """Drains the trace listener's buffer into the dynamic call graph."""

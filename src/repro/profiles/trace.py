@@ -52,13 +52,6 @@ class TraceKey:
         return len(self.context)
 
     @property
-    def edge(self) -> "TraceKey":
-        """The depth-1 (context-insensitive) projection of this trace."""
-        if len(self.context) == 1:
-            return self
-        return TraceKey(self.callee, (self.context[0],))
-
-    @property
     def immediate_caller(self) -> str:
         return self.context[0][0]
 

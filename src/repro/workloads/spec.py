@@ -33,7 +33,7 @@ documentation -- in the generator's vocabulary:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.jvm.errors import ConfigError
 from repro.workloads.generator import (BenchmarkSpec, GeneratedBenchmark,
@@ -163,11 +163,6 @@ SPECS: Dict[str, BenchmarkSpec] = {
                 SharedMediumSpec(static=False, medium_work=30)),
         cond_patterns=2, helper_chain=3),
 }
-
-
-def benchmark_names() -> Tuple[str, ...]:
-    """All benchmark names, in the paper's presentation order."""
-    return BENCHMARK_ORDER
 
 
 def build_benchmark(name: str,

@@ -19,14 +19,6 @@ class TestTraceKey:
         with pytest.raises(ValueError):
             TraceKey("D", ())
 
-    def test_edge_projection(self):
-        k = key("D", ("C", 1), ("B", 2))
-        assert k.edge == TraceKey("D", (("C", 1),))
-
-    def test_edge_of_depth1_is_self(self):
-        k = key("D", ("C", 1))
-        assert k.edge is k
-
     def test_immediate_caller_and_site(self):
         k = key("D", ("C", 7), ("B", 2))
         assert k.immediate_caller == "C"
