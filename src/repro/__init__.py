@@ -70,9 +70,8 @@ from repro.aos.listeners import (MethodListener, TerminationStatsProbe,
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 
 # -- telemetry -------------------------------------------------------------------------
-from repro.telemetry import (NullRecorder, ProgressTracker,
-                             TelemetryRecorder, TelemetrySnapshot,
-                             to_chrome_trace)
+from repro.telemetry import (ProgressTracker, TelemetryRecorder,
+                             TelemetrySnapshot, to_chrome_trace)
 
 # -- decision provenance -----------------------------------------------------------------
 from repro.provenance import (DecisionRecord, EventKind, ProvenanceRecorder,
@@ -105,7 +104,7 @@ __all__ = [
     "ImprecisionDriven", "InlineDecision", "InlineNode", "InlineOracle",
     "InlineRule", "Instance", "InterfaceCall", "LargeMethods", "Let", "Local",
     "Loop", "Machine", "MachineStats", "MethodDef", "MethodListener", "Mod",
-    "Mul", "New", "NewPool", "NullRecorder", "OptCompiler", "POLICY_LABELS",
+    "Mul", "New", "NewPool", "OptCompiler", "POLICY_LABELS",
     "ParameterlessClassMethods", "ParameterlessLargeMethods",
     "ParameterlessMethods", "Pick", "Program", "ProgramError",
     "ProgressTracker", "ProvenanceRecorder", "ReasonCode", "ReproError",

@@ -44,8 +44,6 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import MethodDef, Program
 from repro.profiles.trace import Context
 from repro.provenance.reasons import GUARD_METHOD_TEST, ReasonCode
-from repro.provenance.recorder import NULL_PROVENANCE
-from repro.telemetry.recorder import NULL_RECORDER
 
 
 class StaticOracle(InlineOracle):
@@ -54,12 +52,10 @@ class StaticOracle(InlineOracle):
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  costs: CostModel, graph: StaticCallGraph,
                  on_refusal: Optional[RefusalSink] = None,
-                 on_cha_dependency: Optional[DependencySink] = None,
-                 telemetry=NULL_RECORDER, provenance=NULL_PROVENANCE):
+                 on_cha_dependency: Optional[DependencySink] = None):
         super().__init__(program, hierarchy, costs, rules=(),
                          on_refusal=on_refusal, dcg=None,
-                         on_cha_dependency=on_cha_dependency,
-                         telemetry=telemetry, provenance=provenance)
+                         on_cha_dependency=on_cha_dependency)
         self._graph = graph
         # A site is "statically hot" when its share of the program's total
         # static call frequency crosses the same threshold the adaptive
@@ -194,12 +190,10 @@ class StaticContextOracle(StaticOracle):
                  costs: CostModel, graph: StaticCallGraph,
                  kgraph: ContextSensitiveCallGraph,
                  on_refusal: Optional[RefusalSink] = None,
-                 on_cha_dependency: Optional[DependencySink] = None,
-                 telemetry=NULL_RECORDER, provenance=NULL_PROVENANCE):
+                 on_cha_dependency: Optional[DependencySink] = None):
         super().__init__(program, hierarchy, costs, graph,
                          on_refusal=on_refusal,
-                         on_cha_dependency=on_cha_dependency,
-                         telemetry=telemetry, provenance=provenance)
+                         on_cha_dependency=on_cha_dependency)
         self._kgraph = kgraph
         self._known_prefix: CallString = ()
 

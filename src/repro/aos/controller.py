@@ -34,8 +34,6 @@ from repro.compiler.oracle import InlineOracle
 from repro.jvm.costs import CENTI, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import Program
-from repro.provenance.recorder import NULL_PROVENANCE
-from repro.telemetry.recorder import NULL_RECORDER
 
 #: Inlining typically grows the compiled size; the controller's cost model
 #: assumes this expansion factor when estimating compile cost up front.
@@ -58,7 +56,6 @@ class Controller:
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  state: AOSState, code_cache: CodeCache,
                  database: AOSDatabase, costs: CostModel,
-                 telemetry=NULL_RECORDER, provenance=NULL_PROVENANCE,
                  oracle_factory=None, planner=None):
         self._program = program
         self._hierarchy = hierarchy
@@ -66,17 +63,15 @@ class Controller:
         self._code_cache = code_cache
         self._database = database
         self._costs = costs
-        self._telemetry = telemetry
-        self._provenance = provenance
         #: Optional guard planner handed to every *stock* oracle.
         #: Factory-made oracles (static policies) keep their fixed keyword
         #: contract and never see it.
         self._planner = planner
         #: Optional hook replacing the stock :class:`InlineOracle` for
         #: every compilation plan.  Called with the same keyword wiring
-        #: the stock oracle receives (refusal/CHA-dependency sinks,
-        #: telemetry, provenance); policies expose it as ``make_oracle``
-        #: so e.g. the static oracle rides the unmodified controller.
+        #: the stock oracle receives (refusal and CHA-dependency sinks);
+        #: policies expose it as ``make_oracle`` so e.g. the static
+        #: oracle rides the unmodified controller.
         self._oracle_factory = oracle_factory
 
         self._hot_events: Dict[str, float] = {}
@@ -123,10 +118,11 @@ class Controller:
         self._osr_events.clear()
 
         events = len(hot_events) + len(missing) + len(osr)
-        span_id = None
+        on_begin = None
         if events:
-            span_id = self._telemetry.begin_span(
-                CONTROLLER, "process_events", events=events)
+            on_begin = getattr(machine.events, "begin", None)
+            if on_begin is not None:
+                on_begin(CONTROLLER, "process_events", events=events)
             machine.charge(CONTROLLER, events * costs.controller_event_cost)
         self.decisions_evaluated += events
         on_deferred = getattr(machine.events, "plan_deferred", None)
@@ -176,11 +172,8 @@ class Controller:
             created += 1
 
         self.plans_created += created
-        if span_id is not None:
-            self._telemetry.count("controller.events", events)
-            if created:
-                self._telemetry.count("controller.plans", created)
-            self._telemetry.end_span(span_id, plans=created)
+        if on_begin is not None:
+            machine.events.end(plans=created)
         return created
 
     def _approve_first_compile(self, method_id: str, samples: float) -> bool:
@@ -205,14 +198,12 @@ class Controller:
             oracle = self._oracle_factory(
                 self._program, self._hierarchy, self._costs,
                 on_refusal=database.record_refusal,
-                on_cha_dependency=database.record_cha_dependency,
-                telemetry=self._telemetry, provenance=self._provenance)
+                on_cha_dependency=database.record_cha_dependency)
         else:
             oracle = InlineOracle(
                 self._program, self._hierarchy, self._costs, state.rules,
                 on_refusal=database.record_refusal, dcg=state.dcg,
                 on_cha_dependency=database.record_cha_dependency,
-                telemetry=self._telemetry, provenance=self._provenance,
                 planner=self._planner)
         plan = CompilationPlan(
             method_id=method_id,
@@ -231,65 +222,50 @@ class CompilationThread:
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  code_cache: CodeCache, database: AOSDatabase,
-                 costs: CostModel, telemetry=NULL_RECORDER,
-                 provenance=NULL_PROVENANCE, planner=None):
+                 costs: CostModel, planner=None):
         self._compiler = OptCompiler(program, hierarchy, costs,
-                                     telemetry=telemetry, planner=planner)
+                                     planner=planner)
         self._program = program
         self._code_cache = code_cache
         self._database = database
-        self._telemetry = telemetry
-        self._provenance = provenance
         self.compilations_done = 0
 
     def run(self, machine, queue: Deque[CompilationPlan]) -> int:
-        telemetry = self._telemetry
-        provenance = self._provenance
+        events = machine.events
+        on_begin = getattr(events, "begin", None)
+        on_decision = getattr(events, "decision", None)
+        on_compile = getattr(events, "compile", None)
         done = 0
         while queue:
             plan = queue.popleft()
             method = self._program.method(plan.method_id)
             # Fresh code records fresh CHA dependencies; drop the old set.
             self._database.clear_cha_dependencies(plan.method_id)
-            span_id = telemetry.begin_span(
-                COMPILATION, "opt_compile", method=plan.method_id,
-                version=plan.version, reason=plan.reason)
-            # Bracket the compile so the oracle's decision records carry
-            # this compilation's version.
-            provenance.begin_compilation(plan.method_id, plan.version,
-                                         plan.reason, plan.rules_fingerprint)
+            if on_begin is not None:
+                on_begin(COMPILATION, "opt_compile", method=plan.method_id,
+                         version=plan.version, reason=plan.reason)
             compiled = self._compiler.compile(
-                method, plan.oracle, plan.version, plan.rules_fingerprint)
+                method, plan.oracle, plan.version, plan.rules_fingerprint,
+                on_decision=on_decision)
             machine.charge(COMPILATION, compiled.compile_cycles)
-            provenance.end_compilation(compiled.inlined_bytecodes,
-                                       compiled.code_bytes,
-                                       compiled.compile_cycles)
             replaced = self._code_cache.install(compiled)
-            on_eviction = getattr(machine.events, "eviction", None)
-            if replaced is not None and on_eviction is not None:
-                on_eviction(replaced, compiled)
-            telemetry.end_span(
-                span_id, self_cycles=compiled.compile_cycles,
-                inlined_bytecodes=compiled.inlined_bytecodes,
-                code_bytes=compiled.code_bytes,
-                inline_nodes=compiled.inline_node_count(),
-                guards=compiled.guard_count(),
-                guards_elided=compiled.elided_guard_count())
-            telemetry.observe("opt_compile.cycles", compiled.compile_cycles)
-            telemetry.observe("opt_compile.inlined_bytecodes",
-                              compiled.inlined_bytecodes)
-            event = CompilationEvent(
+            if on_begin is not None:
+                events.end(self_cycles=compiled.compile_cycles,
+                           inlined_bytecodes=compiled.inlined_bytecodes,
+                           code_bytes=compiled.code_bytes,
+                           inline_nodes=compiled.inline_node_count(),
+                           guards=compiled.guard_count(),
+                           guards_elided=compiled.elided_guard_count())
+            self._database.log_compilation(CompilationEvent(
                 method_id=plan.method_id,
                 version=plan.version,
                 inlined_bytecodes=compiled.inlined_bytecodes,
                 code_bytes=compiled.code_bytes,
                 compile_cycles=compiled.compile_cycles,
                 clock=machine.clock / CENTI,
-                reason=plan.reason)
-            self._database.log_compilation(event)
-            on_compile = getattr(machine.events, "compile", None)
+                reason=plan.reason))
             if on_compile is not None:
-                on_compile(event)
+                on_compile(plan, compiled, replaced)
             done += 1
         self.compilations_done += done
         return done

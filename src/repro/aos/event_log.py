@@ -43,10 +43,10 @@ class EventLog:
 
     # -- events ------------------------------------------------------------------
 
-    def compile(self, event) -> None:
-        self._record(EventKind.COMPILE, event.method_id,
-                     version=f"v{event.version}", reason=event.reason,
-                     inlined_bc=event.inlined_bytecodes)
+    def compile(self, plan, compiled, replaced) -> None:
+        self._record(EventKind.COMPILE, plan.method_id,
+                     version=f"v{plan.version}", reason=plan.reason,
+                     inlined_bc=compiled.inlined_bytecodes)
 
     def invalidate(self, removed, selector: str, loaded_class: str) -> None:
         self._record(EventKind.INVALIDATE, removed.method.id,

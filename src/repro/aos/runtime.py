@@ -13,14 +13,15 @@ profile data limited to the execution so far.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from math import ceil
 from typing import Dict, Optional, Sequence
 
 from repro.aos.controller import CompilationThread, Controller
-from repro.aos.cost_accounting import (AI_ORGANIZER, ALL_COMPONENTS, APP,
-                                       DECAY_ORGANIZER, LISTENERS,
-                                       METHOD_ORGANIZER, CostAccounting)
+from repro.aos.cost_accounting import (AI_ORGANIZER, APP, DECAY_ORGANIZER,
+                                       LISTENERS, METHOD_ORGANIZER,
+                                       CostAccounting)
 from repro.aos.database import AOSDatabase
 from repro.aos.listeners import (MethodListener, TerminationStatsProbe,
                                  TraceListener)
@@ -34,10 +35,31 @@ from repro.jvm.interpreter import Machine, join_sinks
 from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.policies.base import ContextSensitivityPolicy
-from repro.provenance.metrics import fold_into_telemetry
-from repro.provenance.recorder import NULL_PROVENANCE, ProvenanceRecorder
+from repro.provenance.recorder import ProvenanceRecorder
 from repro.telemetry.progress import ProgressTracker, main_loop_points
-from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder
+from repro.telemetry.recorder import TelemetryRecorder
+
+#: What :func:`span` returns when no sink consumes ``begin``.
+_NO_SPAN = nullcontext()
+
+
+def span(machine: Machine, component: str, name: str, **args):
+    """A span on ``component``'s track around a ``with`` body: ``begin``
+    on entry and ``end`` on exit, or nothing when no sink consumes
+    ``begin`` (DESIGN.md, "Events")."""
+    events = machine.events
+    if getattr(events, "begin", None) is None:
+        return _NO_SPAN
+    return _span(events, component, name, args)
+
+
+@contextmanager
+def _span(events, component: str, name: str, args: dict):
+    events.begin(component, name, **args)
+    try:
+        yield
+    finally:
+        events.end()
 
 
 @dataclass
@@ -121,17 +143,6 @@ class AdaptiveRuntime:
         self.program = program
         self.policy = policy
         self.costs = costs
-        self.probe = probe
-        # Telemetry is pure instrumentation (see repro.telemetry): it
-        # charges no cycles, so traced and untraced runs are
-        # cycle-identical.  The NullRecorder default makes every
-        # instrumentation point a no-op.
-        self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
-        # Decision provenance follows the same contract (see
-        # repro.provenance): recording changes no decisions and charges no
-        # cycles, so recorded and unrecorded runs are bit-identical.
-        self.provenance = (provenance if provenance is not None
-                           else NULL_PROVENANCE)
 
         self.hierarchy = ClassHierarchy(program)
         self.code_cache = CodeCache(costs)
@@ -160,8 +171,6 @@ class AdaptiveRuntime:
         # policies have none and get the profile-directed InlineOracle.
         self.controller = Controller(program, self.hierarchy, self.state,
                                      self.code_cache, self.database, costs,
-                                     telemetry=self.telemetry,
-                                     provenance=self.provenance,
                                      oracle_factory=getattr(
                                          policy, "make_oracle", None),
                                      planner=self.planner)
@@ -169,7 +178,6 @@ class AdaptiveRuntime:
             self.state, self.code_cache, self.database, costs)
         self.compilation_thread = CompilationThread(
             program, self.hierarchy, self.code_cache, self.database, costs,
-            telemetry=self.telemetry, provenance=self.provenance,
             planner=self.planner)
 
         self.machine = Machine(program, self.hierarchy, self.code_cache,
@@ -180,23 +188,20 @@ class AdaptiveRuntime:
             # Loop OSR transfers now charge the liveness-derived map-in
             # cost; keyed by statement identity (shared objects).
             self.machine.osr_liveness = self.planner.loop_live_index()
-        self.machine.telemetry = self.telemetry
-        self.code_cache.telemetry = self.telemetry
-        # Instruments read cycles: each reading is one true division of
-        # the centi-cycle clock or of one component's total.
-        self.telemetry.bind(self._cycles, self._component_cycles)
-        self.provenance.bind(self._cycles)
-        # Progress points (see repro.telemetry.progress) are pure
-        # instrumentation like telemetry and provenance: the tracker marks
-        # the entry method's top-level loops and charges no cycles.
+        # The instruments are event sinks that read the machine they
+        # watch; they charge no cycles and change no decisions, so an
+        # instrumented run is cycle-identical to a bare one, which keeps
+        # NULL_EVENTS and so builds the stock code (DESIGN.md, "Events").
+        # The progress tracker marks the entry method's top-level loops.
         self.progress = progress
         if progress is not None:
-            progress.bind(self._cycles)
             progress.loops.update(main_loop_points(program))
-        # One sink for the run (DESIGN.md, "Events"): a bare run keeps
-        # NULL_EVENTS and so builds the stock code.
-        self.machine.events = join_sinks(progress, self.telemetry,
-                                         self.provenance)
+        instruments = [instrument for instrument
+                       in (progress, telemetry, provenance, probe)
+                       if instrument is not None]
+        for instrument in instruments:
+            instrument.machine = self.machine
+        self.machine.events = join_sinks(*instruments)
 
         # ``sample_phase`` (in [0, 1)) offsets the first timer tick, playing
         # the role of Jikes RVM's timer nondeterminism: the paper reports
@@ -238,7 +243,7 @@ class AdaptiveRuntime:
                                    + to_centi(costs.organizer_period))
 
         if clock >= self._decay_due:
-            with self.telemetry.span(DECAY_ORGANIZER, "decay_organizer"):
+            with span(machine, DECAY_ORGANIZER, "decay_organizer"):
                 self.decay_organizer.run(machine)
             on_decay = getattr(machine.events, "decay", None)
             if on_decay is not None:
@@ -248,59 +253,50 @@ class AdaptiveRuntime:
         machine.next_event = min(self._sample_due, self._organizer_due,
                                  self._decay_due)
 
-    def _cycles(self) -> float:
-        """The clock in cycles."""
-        return self.machine.clock / CENTI
-
-    def _component_cycles(self, component: str) -> float:
-        """``component``'s cycles so far (0 for a non-accounting track)."""
-        accounting = self.accounting
-        if component == APP:
-            return accounting.app(self.machine.clock) / CENTI
-        return accounting.cycles.get(component, 0) / CENTI
-
     def _take_sample(self, machine: Machine) -> None:
         costs = self.costs
-        telemetry = self.telemetry
+        events = machine.events
         stack = machine.stack
-        span_id = telemetry.begin_span(LISTENERS, "sample_tick")
+        on_begin = getattr(events, "begin", None)
+        if on_begin is not None:
+            on_begin(LISTENERS, "sample_tick")
         self.method_listener.sample(stack)
         machine.charge(LISTENERS, costs.method_listener_cost)
         key = self.trace_listener.sample(stack)
         if key is not None:
             machine.charge(LISTENERS,
                            self.trace_listener.walk_cost(key, costs))
-        if self.probe is not None:
-            self.probe.sample(stack)
-        telemetry.end_span(span_id,
-                           depth=0 if key is None else key.depth)
+        on_sample = getattr(events, "sample", None)
+        if on_sample is not None:
+            on_sample(stack)
+        if on_begin is not None:
+            events.end(depth=0 if key is None else key.depth)
         # A full trace buffer wakes the DCG organizer early (Section 3.3).
         if len(self.trace_listener.buffer) >= costs.trace_buffer_capacity:
-            with telemetry.span(AI_ORGANIZER, "dcg_organizer",
-                                trigger="buffer_full"):
+            with span(machine, AI_ORGANIZER, "dcg_organizer",
+                      trigger="buffer_full"):
                 self.dcg_organizer.run(machine, self.trace_listener)
 
     def _organizer_wake(self, machine: Machine) -> None:
-        telemetry = self.telemetry
         fingerprint = self.state.rules_fingerprint
-        wake_id = telemetry.begin_span("scheduler", "organizer_wake")
-        with telemetry.span(AI_ORGANIZER, "dcg_organizer"):
-            self.dcg_organizer.run(machine, self.trace_listener)
-        with telemetry.span(AI_ORGANIZER, "ai_organizer"):
-            self.ai_organizer.run(machine)
-        on_rules = getattr(machine.events, "rules", None)
-        if (on_rules is not None
-                and self.state.rules_fingerprint != fingerprint):
-            on_rules(self.state.rules)
-        with telemetry.span(METHOD_ORGANIZER, "hot_methods_organizer"):
-            self.hot_methods_organizer.run(machine, self.method_listener,
-                                           self.controller)
-        with telemetry.span(AI_ORGANIZER, "missing_edge_organizer"):
-            self.missing_edge_organizer.run(machine, self.controller)
-        self.controller.process_events(machine)
-        self.compilation_thread.run(machine,
-                                    self.controller.compilation_queue)
-        telemetry.end_span(wake_id)
+        with span(machine, "scheduler", "organizer_wake"):
+            with span(machine, AI_ORGANIZER, "dcg_organizer"):
+                self.dcg_organizer.run(machine, self.trace_listener)
+            with span(machine, AI_ORGANIZER, "ai_organizer"):
+                self.ai_organizer.run(machine)
+            on_rules = getattr(machine.events, "rules", None)
+            if (on_rules is not None
+                    and self.state.rules_fingerprint != fingerprint):
+                on_rules(self.state.rules)
+            with span(machine, METHOD_ORGANIZER, "hot_methods_organizer"):
+                self.hot_methods_organizer.run(machine,
+                                               self.method_listener,
+                                               self.controller)
+            with span(machine, AI_ORGANIZER, "missing_edge_organizer"):
+                self.missing_edge_organizer.run(machine, self.controller)
+            self.controller.process_events(machine)
+            self.compilation_thread.run(machine,
+                                        self.controller.compilation_queue)
 
     # -- OSR ---------------------------------------------------------------------
 
@@ -353,23 +349,18 @@ class AdaptiveRuntime:
         """Execute the program to completion; return the collected metrics."""
         self.machine.next_event = min(self._sample_due, self._organizer_due,
                                       self._decay_due)
-        value = self.machine.run(args)
+        machine = self.machine
+        value = machine.run(args)
         # Flush whatever the listeners buffered after the last wake, so
         # post-run profile inspection (and the offline-rule experiments)
         # see every sample taken.
-        with self.telemetry.span(AI_ORGANIZER, "dcg_organizer",
-                                 trigger="final_flush"):
-            self.dcg_organizer.run(self.machine, self.trace_listener)
-        with self.telemetry.span(METHOD_ORGANIZER, "hot_methods_organizer",
-                                 trigger="final_flush"):
-            self.hot_methods_organizer.run(self.machine,
-                                           self.method_listener,
+        with span(machine, AI_ORGANIZER, "dcg_organizer",
+                  trigger="final_flush"):
+            self.dcg_organizer.run(machine, self.trace_listener)
+        with span(machine, METHOD_ORGANIZER, "hot_methods_organizer",
+                  trigger="final_flush"):
+            self.hot_methods_organizer.run(machine, self.method_listener,
                                            self.controller)
-        if self.provenance.enabled:
-            # Fold the derived provenance metrics (dilution ratio, guard
-            # eliminations, refusal histogram) into telemetry gauges so
-            # they land in snapshots and the Chrome-trace export.
-            fold_into_telemetry(self.provenance.decisions, self.telemetry)
         return self._result(value)
 
     def _result(self, value: Value) -> RunResult:

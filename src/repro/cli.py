@@ -561,8 +561,7 @@ def _cmd_causal(args) -> int:
         family = config.families[0]
         recorder = TelemetryRecorder(
             label=f"{benchmark}/{family}+{top}@{factor:g}")
-        tracker = ProgressTracker(label=recorder.label,
-                                  telemetry=recorder)
+        tracker = ProgressTracker(label=recorder.label)
         run_single(benchmark, family, config.depth, phase=config.phase,
                    scale=config.scale,
                    costs=apply_virtual_speedup(DEFAULT_COSTS, top, factor),

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Set
 from repro.compiler.compiled_method import CompiledMethod
 from repro.jvm.costs import CostModel
 from repro.jvm.program import MethodDef
-from repro.telemetry.recorder import NULL_RECORDER
 
 
 class CodeCache:
@@ -27,9 +26,6 @@ class CodeCache:
 
     def __init__(self, costs: CostModel):
         self._costs = costs
-        #: Telemetry sink for size counters (the adaptive runtime swaps in
-        #: its recorder); the NullRecorder default costs nothing.
-        self.telemetry = NULL_RECORDER
         self._baseline: Set[str] = set()
         self._opt: Dict[str, CompiledMethod] = {}
         self._versions: Dict[str, int] = {}
@@ -57,9 +53,6 @@ class CodeCache:
         self.baseline_compiled_methods += 1
         self.baseline_compiled_bytecodes += method.bytecodes
         self.baseline_code_bytes += method.bytecodes * self._costs.baseline_bytes_per_bc
-        self.telemetry.count("code_cache.baseline_compilations")
-        self.telemetry.count("code_cache.baseline_code_bytes",
-                             method.bytecodes * self._costs.baseline_bytes_per_bc)
         return float(cycles)
 
     # -- optimizing tier ---------------------------------------------------
@@ -87,11 +80,6 @@ class CodeCache:
         self.opt_code_bytes += compiled.code_bytes
         self.opt_compile_cycles += compiled.compile_cycles
         self.opt_inlined_bytecodes += compiled.inlined_bytecodes
-        self.telemetry.count("code_cache.opt_compilations")
-        self.telemetry.count("code_cache.opt_code_bytes", compiled.code_bytes)
-        self.telemetry.gauge("code_cache.live_opt_code_bytes",
-                             self.live_opt_code_bytes())
-        self.telemetry.gauge("code_cache.installed_methods", len(self._opt))
         return replaced
 
     def opt_methods(self) -> List[CompiledMethod]:
@@ -112,10 +100,6 @@ class CodeCache:
         if removed is None:
             return None
         self.invalidated_compilations += 1
-        self.telemetry.count("code_cache.invalidations")
-        self.telemetry.gauge("code_cache.live_opt_code_bytes",
-                             self.live_opt_code_bytes())
-        self.telemetry.gauge("code_cache.installed_methods", len(self._opt))
         return removed
 
     def live_opt_code_bytes(self) -> int:

@@ -16,7 +16,8 @@ executed on every path to the site.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from functools import partial
+from typing import Callable, Iterator, List, Optional
 
 from repro.compiler.compiled_method import (DIRECT, GUARDED, PLAN_DOMINATED,
                                             PLAN_FULL_GUARD, CompiledMethod,
@@ -32,7 +33,6 @@ from repro.jvm.program import (S_IF, S_INTERFACE_CALL, S_LOOP,
                                S_STATIC_CALL, S_VIRTUAL_CALL, MethodDef,
                                Program, Stmt)
 from repro.profiles.trace import Context
-from repro.telemetry.recorder import NULL_RECORDER
 
 
 def iter_call_sites(body) -> Iterator[Stmt]:
@@ -52,31 +52,32 @@ class OptCompiler:
     """Simulated optimizing compiler for one program."""
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
-                 costs: CostModel, telemetry=NULL_RECORDER,
-                 planner=None):
+                 costs: CostModel, planner=None):
         self._program = program
         self._hierarchy = hierarchy
         self._costs = costs
-        self._telemetry = telemetry
         #: Optional :class:`repro.analysis.deopt.DeoptPlanner`; with
         #: speculation enabled its analysis feeds the dominance pass.
         self._planner = planner
 
     def compile(self, method: MethodDef, oracle: InlineOracle,
-                version: int = 1,
-                rules_fingerprint: int = 0) -> CompiledMethod:
-        """Compile ``method`` at the optimizing tier under ``oracle``."""
+                version: int = 1, rules_fingerprint: int = 0,
+                on_decision: Optional[Callable[..., None]] = None) \
+            -> CompiledMethod:
+        """Compile ``method`` at the optimizing tier under ``oracle``.
+
+        ``on_decision`` is the event sink's ``decision`` handler, fired
+        once per verdict (DESIGN.md, "Events").
+        """
         root = InlineNode(method, depth=0)
         # Mutable single-element list so nested expansion sees committed size.
         total_size = [method.bytecodes]
-        sites = [0, 0]  # [considered, inlined] across the whole expansion
-        self._expand(root, (), total_size, method, oracle, sites)
+        report = (None if on_decision is None
+                  else partial(on_decision, method, version))
+        self._expand(root, (), total_size, method, oracle, report)
         if self._planner is not None and self._costs.speculation_enabled:
             self._elide_dominated(root)
 
-        self._telemetry.count("opt_compiler.compiles")
-        self._telemetry.count("opt_compiler.sites_considered", sites[0])
-        self._telemetry.count("opt_compiler.sites_inlined", sites[1])
         inlined_bytecodes = total_size[0]
         code_bytes = inlined_bytecodes * self._costs.opt_bytes_per_bc
         compile_cycles = inlined_bytecodes * self._costs.opt_compile_cycles_per_bc
@@ -87,17 +88,21 @@ class OptCompiler:
 
     def _expand(self, node: InlineNode, context_above: Context,
                 total_size: List[int], root: MethodDef,
-                oracle: InlineOracle, sites: List[int]) -> None:
-        """Decide every call site in ``node`` and recurse into inlined bodies."""
+                oracle: InlineOracle,
+                report: Optional[Callable[..., None]]) -> None:
+        """Decide every call site in ``node`` and recurse into inlined
+        bodies, passing each verdict to ``report`` when it is set."""
         for stmt in iter_call_sites(node.method.body):
-            sites[0] += 1
             comp_context: Context = (
                 ((node.method.id, stmt.site),) + context_above)
+            current_size = total_size[0]
             decision = oracle.decide(stmt, comp_context, node.depth,
-                                     total_size[0], root)
+                                     current_size, root)
+            if report is not None:
+                report(stmt, comp_context, node.depth, current_size,
+                       decision)
             if not decision.inline:
                 continue
-            sites[1] += 1
 
             const_args = count_constant_args(stmt.args)
             options = []
@@ -108,7 +113,7 @@ class OptCompiler:
                     target, child,
                     guard_class=target.klass if decision.guarded else None))
                 self._expand(child, comp_context, total_size, root, oracle,
-                             sites)
+                             report)
 
             kind = GUARDED if decision.guarded else DIRECT
             node.decisions[stmt.site] = InlineDecision(kind, options,
@@ -164,8 +169,6 @@ class OptCompiler:
                         decision.plan = GuardPlan(
                             PLAN_DOMINATED,
                             dominator=(dom_selector, dom_option.target))
-                        self._telemetry.count(
-                            "opt_compiler.guards_elided_dominated")
                         break
 
 

@@ -31,10 +31,9 @@ CHA invalidation assumes.
 Every verdict carries a :class:`~repro.provenance.reasons.ReasonCode` --
 a closed vocabulary instead of free text -- plus the evidence behind it
 (size class, size estimate, Equation-3 coverage, profile weight, guard
-kind), and is reported to the compilation's
-:class:`~repro.provenance.recorder.ProvenanceRecorder` when one is
-attached.  Recording is pure instrumentation: it changes no decisions
-and charges no cycles.
+kind).  The oracle records nothing itself: the optimizing compiler fires
+each verdict as the machine's ``decision`` event (DESIGN.md, "Events"),
+which decision provenance and telemetry consume.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ from repro.provenance.reasons import (GUARD_CLASS_TEST, GUARD_METHOD_TEST,
                                       GUARD_PREEXISTENCE, ReasonCode,
                                       VERDICT_DIRECT, VERDICT_GUARDED,
                                       VERDICT_REFUSED, reason_value)
-from repro.provenance.recorder import NULL_PROVENANCE
-from repro.telemetry.recorder import NULL_RECORDER
 
 #: Refusal reasons that are permanent for a given rule set and therefore
 #: recorded in the AOS database (the missing-edge organizer must not keep
@@ -183,16 +180,12 @@ class InlineOracle:
                  on_refusal: Optional[RefusalSink] = None,
                  dcg=None,
                  on_cha_dependency: Optional[DependencySink] = None,
-                 telemetry=NULL_RECORDER,
-                 provenance=NULL_PROVENANCE,
                  planner=None):
         self._program = program
         self._hierarchy = hierarchy
         self._costs = costs
         self._on_refusal = on_refusal
         self._on_cha_dependency = on_cha_dependency
-        self._telemetry = telemetry
-        self._provenance = provenance
         #: Optional :class:`repro.analysis.deopt.DeoptPlanner` (duck-typed:
         #: ``plan_site`` and ``plans_exits``), the one place that chooses
         #: every guarded site's plan.  ``None`` -- the default, and the
@@ -224,35 +217,12 @@ class InlineOracle:
         inline nesting depth of the site.
         """
         if isinstance(stmt, StaticCall):
-            site_kind, selector = "static", stmt.target
-            decision = self._decide_static(stmt, comp_context, depth,
-                                           current_size, root)
-        elif isinstance(stmt, (VirtualCall, InterfaceCall)):
-            site_kind = ("interface" if isinstance(stmt, InterfaceCall)
-                         else "virtual")
-            selector = stmt.selector
-            decision = self._decide_virtual(stmt, comp_context, depth,
-                                            current_size, root)
-        else:
-            raise TypeError(f"not a call statement: {stmt!r}")
-        self._telemetry.count("oracle.decisions")
-        if decision.inline:
-            self._telemetry.count("oracle.inlines.guarded" if decision.guarded
-                                  else "oracle.inlines.direct")
-        if self._provenance.enabled:
-            caller_id, site = comp_context[0]
-            self._provenance.decision(
-                root=root.id, caller=caller_id, site=site, depth=depth,
-                site_kind=site_kind, selector=selector,
-                verdict=decision.verdict, reason=decision.reason,
-                context=comp_context,
-                targets=[t.id for t in decision.targets],
-                size_class=decision.size_class,
-                size_estimate=decision.estimate,
-                current_size=current_size, coverage=decision.coverage,
-                guard_kind=decision.guard_kind,
-                profile_weight=decision.weight)
-        return decision
+            return self._decide_static(stmt, comp_context, depth,
+                                       current_size, root)
+        if isinstance(stmt, (VirtualCall, InterfaceCall)):
+            return self._decide_virtual(stmt, comp_context, depth,
+                                        current_size, root)
+        raise TypeError(f"not a call statement: {stmt!r}")
 
     def profile_predicts(self, caller_id: str, site: int,
                          comp_context: Context) -> Dict[str, float]:
@@ -504,5 +474,4 @@ class InlineOracle:
                 reason: ReasonCode) -> None:
         code = reason_value(reason)
         if self._on_refusal is not None and code in RECORDED_REFUSALS:
-            self._telemetry.count(f"oracle.refusals.{code}")
             self._on_refusal(caller_id, site, callee_id, code)

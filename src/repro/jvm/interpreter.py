@@ -34,7 +34,6 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.lowering import MAX_STACK_DEPTH, lower_run
 from repro.jvm.program import Program
 from repro.jvm.values import Value
-from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["EVENTS", "MAX_STACK_DEPTH", "Machine", "MachineStats", "NEVER",
            "NULL_EVENTS", "NullEvents", "join_sinks"]
@@ -44,11 +43,11 @@ __all__ = ["EVENTS", "MAX_STACK_DEPTH", "Machine", "MachineStats", "NEVER",
 NEVER = sys.maxsize
 
 #: Every event a sink may consume (DESIGN.md, "Events"): the six the
-#: generated code and the OSR helper fire, then the eight the adaptive
-#: system fires.
+#: generated code and the OSR helper fire, the two that bracket a span,
+#: then the nine the adaptive system fires.
 EVENTS = ("dispatch", "elided", "osr_entry", "deopt_exit", "local",
-          "progress", "compile", "eviction", "invalidate", "osr", "rules",
-          "decay", "plan", "plan_deferred")
+          "progress", "begin", "end", "sample", "decision", "compile",
+          "invalidate", "osr", "rules", "decay", "plan", "plan_deferred")
 
 
 class NullEvents:
@@ -66,10 +65,10 @@ def join_sinks(*members):
     """One sink for ``members``: it consumes each event some member
     consumes, calling those members' handlers in order.
 
-    Members consuming nothing (``None``, the null recorders) are
-    dropped; with none left the join is :data:`NULL_EVENTS`, and with
-    one it is that member.  ``progress`` fires for the union of the
-    consuming members' ``loops`` tables.
+    Members consuming nothing (``None``, say) are dropped; with none
+    left the join is :data:`NULL_EVENTS`, and with one it is that
+    member.  ``progress`` fires for the union of the consuming members'
+    ``loops`` tables.
     """
     members = [member for member in members
                if any(getattr(member, name, None) is not None
@@ -138,10 +137,6 @@ class Machine:
         #: Simulated time in whole centi-cycles (``repro.jvm.costs.CENTI``
         #: per cycle), so every sum of charges is exact.
         self.clock = 0
-        #: Telemetry sink (spans for lazy baseline compiles); the adaptive
-        #: runtime swaps in its recorder, the NullRecorder default charges
-        #: and allocates nothing.
-        self.telemetry = NULL_RECORDER
         #: The clock value (centi-cycles) at which :attr:`tick_handler`
         #: next fires.
         self.next_event = NEVER

@@ -212,6 +212,8 @@ def lower_run(m: Machine):
     on_local = getattr(events, "local", None)
     on_progress = getattr(events, "progress", None)
     points = events.loops if on_progress is not None else {}
+    on_begin = getattr(events, "begin", None)
+    on_end = getattr(events, "end", None)
     # Every activation's locals are ``zeros * num_locals``.  When the sink
     # consumes ``local`` they are a list whose slot reads and writes fire
     # it, so no statement or call needs a test of its own.
@@ -275,16 +277,16 @@ def lower_run(m: Machine):
         A leaf body is kept at once.
         """
         if not code_cache.has_baseline(method.id):
-            # ``self_cycles`` is passed explicitly: the charge can fire a
-            # timer tick whose organizer spans nest inside this one, and
-            # the accounting delta would then fold their compilation-
-            # thread cycles into this span.
-            span_id = m.telemetry.begin_span(
-                COMPILATION, "baseline_compile", method=method.id)
+            if on_begin is not None:
+                on_begin(COMPILATION, "baseline_compile", method=method.id)
             cycles = code_cache.compile_baseline(method)
             m.charge(COMPILATION, cycles)
-            m.telemetry.end_span(span_id, self_cycles=cycles,
-                                 bytecodes=method.bytecodes)
+            if on_end is not None:
+                # ``self_cycles`` is passed explicitly: the charge can fire
+                # a timer tick whose organizer spans nest inside this one,
+                # and the accounting delta would then fold their
+                # compilation-thread cycles into this span.
+                on_end(self_cycles=cycles, bytecodes=method.bytecodes)
         body = method.body
         leaf = _leaf_shape(body)
         if leaf is not None:

@@ -142,14 +142,12 @@ class StaticOraclePolicy(ContextSensitivityPolicy):
         self._graphs: Dict[int, object] = {}
 
     def make_oracle(self, program, hierarchy, costs, *, on_refusal=None,
-                    on_cha_dependency=None, telemetry=None, provenance=None):
+                    on_cha_dependency=None):
         """Controller hook: build a :class:`StaticOracle` for one plan."""
         # Imported lazily: repro.analysis sits above the policy layer,
         # and only this one policy reaches up into it.
         from repro.analysis.callgraph import build_call_graph
         from repro.analysis.static_oracle import StaticOracle
-        from repro.provenance.recorder import NULL_PROVENANCE
-        from repro.telemetry.recorder import NULL_RECORDER
 
         graph = self._graphs.get(id(program))
         if graph is None:
@@ -158,10 +156,7 @@ class StaticOraclePolicy(ContextSensitivityPolicy):
             self._graphs[id(program)] = graph
         return StaticOracle(
             program, hierarchy, costs, graph, on_refusal=on_refusal,
-            on_cha_dependency=on_cha_dependency,
-            telemetry=telemetry if telemetry is not None else NULL_RECORDER,
-            provenance=(provenance if provenance is not None
-                        else NULL_PROVENANCE))
+            on_cha_dependency=on_cha_dependency)
 
 
 class StaticContextOraclePolicy(StaticOraclePolicy):
@@ -193,13 +188,11 @@ class StaticContextOraclePolicy(StaticOraclePolicy):
         return f"{self.label}(k={self.k})"
 
     def make_oracle(self, program, hierarchy, costs, *, on_refusal=None,
-                    on_cha_dependency=None, telemetry=None, provenance=None):
+                    on_cha_dependency=None):
         """Controller hook: build a :class:`StaticContextOracle`."""
         from repro.analysis.callgraph import build_call_graph
         from repro.analysis.kcfa import build_kcfa_graph
         from repro.analysis.static_oracle import StaticContextOracle
-        from repro.provenance.recorder import NULL_PROVENANCE
-        from repro.telemetry.recorder import NULL_RECORDER
 
         graph = self._graphs.get(id(program))
         if graph is None:
@@ -213,7 +206,4 @@ class StaticContextOraclePolicy(StaticOraclePolicy):
             self._kgraphs[id(program)] = kgraph
         return StaticContextOracle(
             program, hierarchy, costs, graph, kgraph,
-            on_refusal=on_refusal, on_cha_dependency=on_cha_dependency,
-            telemetry=telemetry if telemetry is not None else NULL_RECORDER,
-            provenance=(provenance if provenance is not None
-                        else NULL_PROVENANCE))
+            on_refusal=on_refusal, on_cha_dependency=on_cha_dependency)

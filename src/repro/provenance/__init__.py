@@ -8,7 +8,8 @@ class, Equation-3 coverage, guard kind, profile weight), plus controller
 recompilation decisions and code-cache evictions/invalidations, all on
 the simulated cycle clock and all at **zero cycle overhead**: recording
 changes no decisions and charges no cycles, so recorded and unrecorded
-runs are bit-identical.
+runs are bit-identical.  The recorder consumes the machine's events
+(DESIGN.md, "Events"); nothing below the adaptive runtime holds it.
 
 Parts:
 
@@ -16,14 +17,14 @@ Parts:
   :class:`EventKind` vocabularies (shared with the AOS event log);
 * :mod:`~repro.provenance.records` -- record dataclasses and the
   versioned JSONL schema;
-* :mod:`~repro.provenance.recorder` -- the zero-overhead
-  :class:`ProvenanceRecorder` / :data:`NULL_PROVENANCE` pair;
+* :mod:`~repro.provenance.recorder` -- the :class:`ProvenanceRecorder`
+  event sink;
 * :mod:`~repro.provenance.explain` -- per-site decision trees
   (``repro explain``);
 * :mod:`~repro.provenance.diff` -- cross-run decision diffing
   (``repro decisions diff``);
 * :mod:`~repro.provenance.metrics` -- derived metrics (dilution ratio,
-  guard eliminations, refusal histogram) folded into telemetry.
+  guard eliminations, refusal histogram) over decision records.
 """
 
 from repro.provenance.reasons import (EventKind, GUARD_CLASS_TEST,
@@ -39,14 +40,12 @@ from repro.provenance.records import (CompilationRecord, DecisionRecord,
                                       parse_jsonl, read_decision_log,
                                       record_from_dict, record_to_dict,
                                       split_records, write_decision_log)
-from repro.provenance.recorder import (NULL_PROVENANCE, NullProvenance,
-                                       ProvenanceRecorder)
+from repro.provenance.recorder import ProvenanceRecorder
 from repro.provenance.explain import (available_roots, explain_method,
                                       format_decision)
 from repro.provenance.diff import (DecisionDiff, Flip, diff_decisions,
                                    diff_logs, render_diff)
 from repro.provenance.metrics import (derived_metrics, dilution_ratio,
-                                      fold_into_telemetry,
                                       guard_elimination_count,
                                       refusal_histogram)
 
@@ -54,14 +53,12 @@ __all__ = [
     "CompilationRecord", "DecisionDiff", "DecisionRecord", "EventKind",
     "EventRecord", "Flip", "GUARD_CLASS_TEST", "GUARD_KINDS",
     "GUARD_METHOD_TEST", "GUARD_PREEXISTENCE", "INLINE_REASONS",
-    "NULL_PROVENANCE", "NullProvenance", "ProvenanceRecord",
-    "ProvenanceRecorder", "REASON_CODES", "REFUSAL_REASONS", "ReasonCode",
-    "SCHEMA", "VERDICTS", "VERDICT_DIRECT", "VERDICT_GUARDED",
-    "VERDICT_REFUSED", "available_roots", "derived_metrics",
-    "diff_decisions", "diff_logs", "dilution_ratio", "dump_jsonl",
-    "explain_method", "final_decisions", "fold_into_telemetry",
-    "format_decision", "guard_elimination_count", "parse_jsonl",
-    "read_decision_log", "record_from_dict", "record_to_dict",
-    "refusal_histogram", "render_diff", "split_records",
-    "write_decision_log",
+    "ProvenanceRecord", "ProvenanceRecorder", "REASON_CODES",
+    "REFUSAL_REASONS", "ReasonCode", "SCHEMA", "VERDICTS", "VERDICT_DIRECT",
+    "VERDICT_GUARDED", "VERDICT_REFUSED", "available_roots",
+    "derived_metrics", "diff_decisions", "diff_logs", "dilution_ratio",
+    "dump_jsonl", "explain_method", "final_decisions", "format_decision",
+    "guard_elimination_count", "parse_jsonl", "read_decision_log",
+    "record_from_dict", "record_to_dict", "refusal_histogram",
+    "render_diff", "split_records", "write_decision_log",
 ]

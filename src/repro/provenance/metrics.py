@@ -12,11 +12,6 @@ run metrics do not expose directly:
   0.0 means every guard covers its full context; values near the
   ``guard_coverage_min`` complement mean guards barely clear the
   skew test and will miss often.
-
-:func:`fold_into_telemetry` publishes them as gauges on a
-:class:`~repro.telemetry.recorder.TelemetryRecorder`, so they land in
-:class:`~repro.telemetry.recorder.TelemetrySnapshot` and the Chrome
-trace export alongside the component timelines.
 """
 
 from __future__ import annotations
@@ -85,15 +80,3 @@ def derived_metrics(decisions: Sequence[DecisionRecord]) -> Dict[str, float]:
         metrics[f"provenance.refusals.{reason}"] = float(count)
     return metrics
 
-
-def fold_into_telemetry(decisions: Sequence[DecisionRecord],
-                        telemetry) -> Dict[str, float]:
-    """Publish the derived metrics as telemetry gauges; returns them.
-
-    Gauges are pure instrumentation (no simulated cycles), so folding
-    preserves the cycle-identity contract of both subsystems.
-    """
-    metrics = derived_metrics(decisions)
-    for name, value in metrics.items():
-        telemetry.gauge(name, value)
-    return metrics

@@ -3,8 +3,8 @@
 The subsystem has four parts:
 
 * :mod:`~repro.telemetry.recorder` -- deterministic spans, instants,
-  counters, gauges, and histograms on the simulated cycle clock, with a
-  zero-overhead :class:`NullRecorder` default;
+  counters and gauges on the simulated cycle clock, recorded by a
+  machine event sink (an untraced run fires no event);
 * :mod:`~repro.telemetry.chrome_trace` -- Chrome trace-event JSON export
   (open in Perfetto), one track per AOS component;
 * :mod:`~repro.telemetry.summary` -- per-component overhead tables that
@@ -14,10 +14,8 @@ The subsystem has four parts:
   causal profiler (:mod:`repro.causal`).
 """
 
-from repro.telemetry.recorder import (NULL_RECORDER, HistogramData,
-                                      InstantRecord, NullRecorder,
-                                      SpanRecord, TelemetryRecorder,
-                                      TelemetrySnapshot)
+from repro.telemetry.recorder import (InstantRecord, SpanRecord,
+                                      TelemetryRecorder, TelemetrySnapshot)
 from repro.telemetry.progress import (ProgressPointStats, ProgressTracker,
                                       main_loop_points, progress_rate)
 from repro.telemetry.chrome_trace import (to_chrome_trace, trace_events,
@@ -26,8 +24,7 @@ from repro.telemetry.summary import (component_totals, fractions, reconcile,
                                      span_stats, summarize)
 
 __all__ = [
-    "NULL_RECORDER", "HistogramData", "InstantRecord", "NullRecorder",
-    "ProgressPointStats", "ProgressTracker",
+    "InstantRecord", "ProgressPointStats", "ProgressTracker",
     "SpanRecord", "TelemetryRecorder", "TelemetrySnapshot",
     "component_totals", "fractions", "main_loop_points",
     "progress_rate", "reconcile", "span_stats",

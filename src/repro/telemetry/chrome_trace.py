@@ -5,7 +5,7 @@ The output loads directly into Perfetto (https://ui.perfetto.dev) or
 AOS component from :data:`repro.aos.cost_accounting.ALL_COMPONENTS`,
 complete events (``ph: "X"``) for spans, instant events (``ph: "i"``)
 for invalidations/OSR/rule changes, and counter events (``ph: "C"``)
-for the code-cache and controller time series.
+for the counter and gauge series.
 
 Simulated cycles are emitted one-to-one as trace microseconds (``ts`` /
 ``dur``); the absolute unit is meaningless for a simulation, but ratios

@@ -7,27 +7,26 @@ report predicted speedups as *progress-rate* changes (marks per cycle)
 rather than raw total-cycle deltas, so a what-if that merely shifts work
 around without completing transactions faster scores zero.
 
-The tracker is a machine event sink (it consumes ``progress``) and
-follows the zero-overhead contract: marking a progress point charges no
-simulated cycles and changes no decisions, so a tracked run is
-cycle-identical to an untracked one.  Only loops in its :attr:`loops`
-table get a mark; every other loop lowers as in an untracked run.
+The tracker is a machine event sink (it consumes ``progress``) that
+reads the clock of the machine it watches, and follows the zero-overhead
+contract: marking a progress point charges no simulated cycles and
+changes no decisions, so a tracked run is cycle-identical to an
+untracked one.  Only loops in its :attr:`loops` table get a mark; every
+other loop lowers as in an untracked run.
 
-When a :class:`~repro.telemetry.recorder.TelemetryRecorder` is attached,
-every mark is mirrored as a ``progress/<name>`` counter sample, which
-the Chrome-trace exporter renders as a throughput track -- the causal
-profiler's experiment annotations ride along in the trace metadata.
+A :class:`~repro.telemetry.recorder.TelemetryRecorder` on the same run
+counts each mark as a ``progress/<name>`` sample, which the Chrome-trace
+exporter renders as a throughput track -- the causal profiler's
+experiment annotations ride along in the trace metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Dict, Optional
 
+from repro.jvm.costs import CENTI
 from repro.jvm.program import Loop, MethodDef, Program
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.telemetry.recorder import TelemetryRecorder
 
 
 @dataclass
@@ -47,31 +46,25 @@ class ProgressPointStats:
 class ProgressTracker:
     """Counts progress-point hits against the simulated cycle clock."""
 
-    def __init__(self, label: str = "run",
-                 telemetry: Optional["TelemetryRecorder"] = None):
+    #: The watched machine; the adaptive runtime sets it.
+    machine = None
+
+    def __init__(self, label: str = "run"):
         self.label = label
-        self.telemetry = telemetry
         self.points: Dict[str, ProgressPointStats] = {}
         #: ``id(loop statement) -> point name``: the machine fires
         #: :meth:`progress` once per completed iteration of each loop.
         self.loops: Dict[int, str] = {}
-        self._clock: Callable[[], float] = lambda: 0.0
-
-    def bind(self, clock: Callable[[], float]) -> None:
-        """Attach the cycle-clock source (the adaptive runtime does this)."""
-        self._clock = clock
 
     def progress(self, name: str) -> None:
         """The ``progress`` event: one completion of the named point."""
-        clock = self._clock()
+        clock = self.machine.clock / CENTI
         stats = self.points.get(name)
         if stats is None:
             stats = self.points[name] = ProgressPointStats()
             stats.first_clock = clock
         stats.count += 1
         stats.last_clock = clock
-        if self.telemetry is not None:
-            self.telemetry.count(f"progress/{name}")
 
     # -- queries -----------------------------------------------------------
 

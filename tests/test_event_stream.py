@@ -8,8 +8,8 @@ from repro.aos.runtime import AdaptiveRuntime
 from repro.jvm.costs import CENTI
 from repro.jvm.interpreter import EVENTS, NULL_EVENTS, join_sinks
 from repro.policies import make_policy
-from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
-from repro.telemetry import NULL_RECORDER, TelemetryRecorder
+from repro.provenance import ProvenanceRecorder
+from repro.telemetry import TelemetryRecorder
 from repro.workloads import lazy_loading
 
 
@@ -35,16 +35,29 @@ class OnlyRules:
         self.calls.append(("rules", rules))
 
 
+class Compiles:
+    """Consumes ``compile``, noting each compilation and what it
+    replaced."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.calls = []
+
+    def compile(self, plan, compiled, replaced):
+        self.calls.append((self.machine.clock / CENTI, plan.method_id,
+                           plan.version,
+                           None if replaced is None else replaced.version))
+
+
 class TestJoinSinks:
     def test_no_member_is_the_null_sink(self):
         assert join_sinks() is NULL_EVENTS
-        assert join_sinks(None, NULL_RECORDER, NULL_PROVENANCE) \
-            is NULL_EVENTS
+        assert join_sinks(None, NULL_EVENTS, object()) is NULL_EVENTS
 
     def test_one_member_is_that_member(self):
         member = OnlyRules()
         assert join_sinks(member) is member
-        assert join_sinks(None, member, NULL_RECORDER) is member
+        assert join_sinks(None, member, NULL_EVENTS) is member
 
     def test_exposes_only_consumed_events(self):
         joined = join_sinks(OsrAndProgress(), OnlyRules())
@@ -68,7 +81,8 @@ class TestJoinSinks:
 
 class TestEachEventFiresOnce:
     """Telemetry, provenance and an event log joined on one run that
-    invalidates and requests OSR: each consumer sees each event once."""
+    invalidates, recompiles and requests OSR: each consumer sees each
+    event once."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -78,7 +92,9 @@ class TestEachEventFiresOnce:
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
                                   telemetry=telemetry, provenance=provenance)
         log = EventLog(runtime.machine)
-        runtime.machine.events = join_sinks(runtime.machine.events, log)
+        compiles = Compiles(runtime.machine)
+        runtime.machine.events = join_sinks(runtime.machine.events, log,
+                                            compiles)
         requests = []
         forward = runtime.controller.osr_request
 
@@ -88,11 +104,12 @@ class TestEachEventFiresOnce:
 
         runtime.controller.osr_request = osr_request
         result = runtime.run()
-        return result, requests, telemetry.snapshot(), provenance, log
+        return (result, requests, telemetry.snapshot(), provenance, log,
+                compiles.calls)
 
     @staticmethod
     def _seen(run, kind, instant):
-        _result, _requests, snapshot, provenance, log = run
+        _result, _requests, snapshot, provenance, log, _compiles = run
         return ([(e.clock, e.subject) for e in log.of_kind(kind)],
                 [(e.clock, e.subject) for e in provenance.events
                  if e.kind == kind],
@@ -110,3 +127,27 @@ class TestEachEventFiresOnce:
         requests = run[1]
         assert requests
         assert logged == recorded == traced == requests
+
+    def test_each_compilation_once(self, run):
+        result, _requests, snapshot, provenance, log, compiles = run
+        logged = [(e.clock, e.subject, int(e.detail["version"][1:]))
+                  for e in log.of_kind("compile")]
+        recorded = [(c.clock, c.method, c.version)
+                    for c in provenance.compilations]
+        traced = [(s.end, s.args["method"], s.args["version"])
+                  for s in snapshot.spans if s.name == "opt_compile"]
+        assert len(recorded) == result.opt_compilations >= 1
+        assert logged == recorded == traced == [c[:3] for c in compiles]
+        # An eviction record follows each compilation that replaced
+        # installed code, and no other.
+        evictions = [(e.clock, e.subject, e.detail["replaced_by"],
+                      e.detail["version"]) for e in provenance.events
+                     if e.kind == "eviction"]
+        assert evictions
+        assert evictions == [c for c in compiles if c[3] is not None]
+
+    def test_each_decision_once(self, run):
+        _result, _requests, snapshot, provenance, _log, _compiles = run
+        assert provenance.decisions
+        assert (len(provenance.decisions)
+                == snapshot.counters["oracle.decisions"])

@@ -1,8 +1,11 @@
 """Progress points: registration, marking, rates, and persistence."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.aos.runtime import AdaptiveRuntime
+from repro.jvm.costs import to_centi
 from repro.jvm.program import Loop
 from repro.policies import make_policy
 from repro.telemetry.progress import (ProgressTracker, main_loop_points,
@@ -12,14 +15,18 @@ from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
 
 
+def watching(tracker):
+    """``tracker`` attached to a stand-in for the machine it watches."""
+    tracker.machine = SimpleNamespace(clock=0)
+    return tracker
+
+
 class TestTracker:
     def test_marks_accumulate_with_clock(self):
-        tracker = ProgressTracker()
-        clock = {"now": 0.0}
-        tracker.bind(lambda: clock["now"])
-        clock["now"] = 10.0
+        tracker = watching(ProgressTracker())
+        tracker.machine.clock = to_centi(10.0)
         tracker.progress("main")
-        clock["now"] = 30.0
+        tracker.machine.clock = to_centi(30.0)
         tracker.progress("main")
         stats = tracker.points["main"]
         assert stats.count == 2
@@ -27,7 +34,7 @@ class TestTracker:
         assert stats.last_clock == 30.0
 
     def test_rate_is_marks_per_1000_cycles(self):
-        tracker = ProgressTracker()
+        tracker = watching(ProgressTracker())
         for _ in range(5):
             tracker.progress("main")
         assert tracker.rate(10_000.0) == pytest.approx(0.5)
@@ -35,7 +42,7 @@ class TestTracker:
         assert tracker.rate(0.0) == 0.0
 
     def test_summary_is_json_ready_and_sorted(self):
-        tracker = ProgressTracker()
+        tracker = watching(ProgressTracker())
         tracker.progress("phase1")
         tracker.progress("phase0")
         summary = tracker.summary()
@@ -43,12 +50,17 @@ class TestTracker:
         assert summary["phase0"]["count"] == 1.0
 
     def test_telemetry_mirroring(self):
+        # Telemetry on the same run counts the tracker's marks itself; it
+        # names no progress points of its own.
         recorder = TelemetryRecorder(label="t")
-        tracker = ProgressTracker(telemetry=recorder)
-        tracker.progress("main")
-        tracker.progress("main")
-        snapshot = recorder.snapshot()
-        assert "progress/main" in snapshot.counter_series
+        tracker = ProgressTracker()
+        built = build_hashmap(iterations=300)
+        AdaptiveRuntime(built.program, make_policy("fixed", 2),
+                        telemetry=recorder, progress=tracker).run()
+        assert recorder.loops == {}
+        series = recorder.snapshot().counter_series["progress/main"]
+        assert len(series) == tracker.points["main"].count == 300
+        assert series[-1] == (tracker.points["main"].last_clock, 300.0)
 
 
 class TestProgressRate:

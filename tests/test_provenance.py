@@ -1,16 +1,20 @@
 """Unit tests for the decision-provenance layer (records, recorder,
 metrics, explain, diff)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.jvm.interpreter import EVENTS
+from repro.aos.controller import CompilationPlan
+from repro.compiler.oracle import Decision
+from repro.jvm.costs import to_centi
+from repro.jvm.program import StaticCall
 from repro.provenance import (CompilationRecord, DecisionRecord, EventKind,
-                              EventRecord, NULL_PROVENANCE,
-                              ProvenanceRecorder, ReasonCode, SCHEMA,
-                              derived_metrics, diff_decisions,
+                              EventRecord, ProvenanceRecorder, ReasonCode,
+                              SCHEMA, derived_metrics, diff_decisions,
                               dilution_ratio, dump_jsonl, explain_method,
-                              final_decisions, fold_into_telemetry,
-                              guard_elimination_count, parse_jsonl,
+                              final_decisions, guard_elimination_count,
+                              parse_jsonl,
                               read_decision_log, record_from_dict,
                               record_to_dict, refusal_histogram,
                               render_diff, split_records,
@@ -99,40 +103,57 @@ class TestRecords:
         assert [len(decisions), len(compilations), len(events)] == [1, 1, 1]
 
 
+def watching(recorder, clock=0.0):
+    """``recorder`` attached to a stand-in for the machine it watches."""
+    recorder.machine = SimpleNamespace(clock=to_centi(clock))
+    return recorder
+
+
+def compile_args(method_id="C.m", version=1, replaced=None):
+    """A ``compile`` event's arguments: (plan, compiled, replaced)."""
+    plan = CompilationPlan(method_id, None, version, 99, "hot")
+    compiled = SimpleNamespace(version=version, inlined_bytecodes=10,
+                               code_bytes=60, compile_cycles=1000.0)
+    return plan, compiled, replaced
+
+
 class TestRecorder:
     def test_decisions_inherit_open_compilation_version(self):
-        recorder = ProvenanceRecorder()
-        recorder.bind(lambda: 42.0)
-        recorder.begin_compilation("C.m", 3, "hot", 99)
-        recorder.decision(root="C.m", caller="C.m", site=1, depth=0,
-                          site_kind="static", selector="C.t",
-                          verdict="direct", reason=ReasonCode.TINY,
-                          context=(("C.m", 1),), targets=("C.t",))
-        recorder.end_compilation(10, 60, 1000.0)
+        # Each decision event carries its compilation's version; the
+        # compile event that follows counts the decisions since the last.
+        recorder = watching(ProvenanceRecorder(), clock=42.0)
+        root = SimpleNamespace(id="C.m")
+        recorder.decision(root, 3, StaticCall(1, "C.t"), (("C.m", 1),), 0,
+                          12, Decision.direct(SimpleNamespace(id="C.t"),
+                                              ReasonCode.TINY))
+        recorder.compile(*compile_args(version=3))
         [record] = recorder.decisions
         assert record.version == 3
         assert record.clock == 42.0
+        assert (record.site_kind, record.selector) == ("static", "C.t")
         assert record.reason == "tiny"
+        assert record.targets == ("C.t",)
         [compilation] = recorder.compilations
         assert compilation.decisions == 1
         assert compilation.code_bytes == 60
+        recorder.compile(*compile_args(version=4))
+        assert recorder.compilations[1].decisions == 0
 
-    def test_decision_without_compilation_gets_version_zero(self):
-        recorder = ProvenanceRecorder()
-        recorder.decision(root="C.m", caller="C.m", site=1, depth=0,
-                          site_kind="static", selector="C.t",
-                          verdict="refused", reason="depth",
-                          context=(("C.m", 1),))
-        assert recorder.decisions[0].version == 0
-
-    def test_end_without_begin_is_noop(self):
-        recorder = ProvenanceRecorder()
-        recorder.end_compilation(0, 0, 0.0)
-        assert len(recorder) == 0
+    def test_compile_replacing_code_records_an_eviction(self):
+        recorder = watching(ProvenanceRecorder(), clock=7.0)
+        old = SimpleNamespace(method=SimpleNamespace(id="C.m"), version=1,
+                              code_bytes=48)
+        recorder.compile(*compile_args(version=2, replaced=old))
+        compilation, eviction = recorder.records
+        assert isinstance(compilation, CompilationRecord)
+        assert (eviction.kind, eviction.subject, eviction.clock) == (
+            EventKind.EVICTION.value, "C.m", 7.0)
+        assert eviction.detail == {"version": 1, "code_bytes": 48,
+                                   "replaced_by": 2}
 
     def test_event_normalizes_kind(self):
         # Consumed events become records in the EventKind vocabulary.
-        recorder = ProvenanceRecorder()
+        recorder = watching(ProvenanceRecorder())
         recorder.osr("C.m")
         recorder.plan_deferred("C.n", trigger="missing_edge", why="cooldown")
         osr, deferred = recorder.events
@@ -147,15 +168,6 @@ class TestRecorder:
         meta, _records = parse_jsonl(recorder.to_jsonl({"scale": 0.1}))
         assert meta["label"] == "bench/policy"
         assert meta["scale"] == 0.1
-
-    def test_null_provenance_is_inert(self):
-        NULL_PROVENANCE.bind(lambda: 0.0)
-        NULL_PROVENANCE.begin_compilation("m", 1, "hot", 0)
-        NULL_PROVENANCE.decision(root="m", verdict="direct")
-        NULL_PROVENANCE.end_compilation(0, 0, 0.0)
-        assert NULL_PROVENANCE.enabled is False
-        # ...and it consumes no event, so a bare run builds no firing code.
-        assert not any(hasattr(NULL_PROVENANCE, name) for name in EVENTS)
 
 
 class TestMetrics:
@@ -193,17 +205,6 @@ class TestMetrics:
         assert metrics["provenance.decisions"] == 2.0
         assert metrics["provenance.guard_eliminations"] == 1.0
         assert metrics["provenance.refusals.space"] == 1.0
-
-        class Sink:
-            def __init__(self):
-                self.gauges = {}
-
-            def gauge(self, name, value):
-                self.gauges[name] = value
-
-        sink = Sink()
-        fold_into_telemetry(records, sink)
-        assert sink.gauges == metrics
 
 
 class TestExplain:

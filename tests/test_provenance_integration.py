@@ -70,16 +70,6 @@ class TestRecordedRun:
         assert f"of {root}" in out
         assert "@" in out  # at least one call-site line
 
-    def test_telemetry_gauges_folded(self):
-        from repro.telemetry.recorder import TelemetryRecorder
-        telemetry = TelemetryRecorder()
-        recorder = ProvenanceRecorder()
-        run_single("db", "cins", 4, scale=SCALE, telemetry=telemetry,
-                   provenance=recorder)
-        gauges = set(telemetry.gauges)
-        assert "provenance.decisions" in gauges
-        assert "provenance.dilution_ratio" in gauges
-
 
 class TestCrossPolicyDiff:
     def test_cins_vs_fixed4_reports_verdict_flips(self):

@@ -3,7 +3,7 @@
 Covers the three contract points of the telemetry design:
 
 * **zero overhead** -- a traced run and an untraced run of the same
-  configuration are cycle-identical (the NullRecorder/EventLog guarantee);
+  configuration are cycle-identical (the event-sink guarantee);
 * **schema validity** -- exported Chrome traces carry the required
   trace-event keys with non-negative, per-track monotone timestamps;
 * **measurement honesty** -- per-component span totals reconcile exactly
@@ -11,16 +11,17 @@ Covers the three contract points of the telemetry design:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.aos.cost_accounting import (AOS_COMPONENTS, APP, COMPILATION,
-                                       LISTENERS)
+                                       LISTENERS, CostAccounting)
 from repro.aos.runtime import AdaptiveRuntime
 from repro.experiments.runner import run_single
+from repro.jvm.costs import to_centi
 from repro.policies import make_policy
-from repro.telemetry import (NULL_RECORDER, HistogramData, NullRecorder,
-                             TelemetryRecorder, component_totals, fractions,
+from repro.telemetry import (TelemetryRecorder, component_totals, fractions,
                              reconcile, summarize, to_chrome_trace,
                              write_chrome_trace)
 from repro.workloads.spec import build_benchmark
@@ -43,38 +44,45 @@ def jess_traced():
     return traced_run()
 
 
+def watching(recorder, clock=0.0):
+    """``recorder`` attached to a stand-in for the machine it watches."""
+    recorder.machine = SimpleNamespace(clock=to_centi(clock),
+                                       accounting=CostAccounting())
+    return recorder
+
+
 class TestRecorder:
     def test_span_records_clock_interval(self):
-        recorder = TelemetryRecorder()
-        clock = [10.0]
-        recorder.bind(lambda: clock[0])
-        span_id = recorder.begin_span("c1", "work", detail="x")
-        clock[0] = 25.0
-        recorder.end_span(span_id, extra=1)
+        recorder = watching(TelemetryRecorder(), clock=10.0)
+        recorder.begin("c1", "work", detail="x")
+        recorder.machine.clock = to_centi(25.0)
+        recorder.end(extra=1)
         (span,) = recorder.spans
         assert (span.begin, span.end) == (10.0, 25.0)
         assert span.duration == 15.0
         assert span.args == {"detail": "x", "extra": 1}
 
     def test_self_cycles_uses_component_delta(self):
-        recorder = TelemetryRecorder()
-        cycles = {"c1": 100.0}
-        recorder.bind(lambda: 0.0, lambda c: cycles.get(c, 0.0))
-        span_id = recorder.begin_span("c1", "work")
-        cycles["c1"] = 140.0
-        recorder.end_span(span_id)
-        assert recorder.spans[0].self_cycles == 40.0
+        recorder = watching(TelemetryRecorder())
+        accounting = recorder.machine.accounting
+        accounting.charge(LISTENERS, to_centi(100.0))
+        recorder.begin(LISTENERS, "work")
+        recorder.begin("scheduler", "wake")  # no accounting track
+        accounting.charge(LISTENERS, to_centi(40.0))
+        recorder.end()
+        recorder.end()
+        wake, work = recorder.spans
+        assert (wake.name, wake.self_cycles) == ("wake", 0.0)
+        assert (work.name, work.self_cycles) == ("work", 40.0)
 
     def test_explicit_self_cycles_wins(self):
-        recorder = TelemetryRecorder()
-        with pytest.raises(TypeError):
-            recorder.end_span()  # span_id is required
-        span_id = recorder.begin_span("c1", "work")
-        recorder.end_span(span_id, self_cycles=7.0)
+        recorder = watching(TelemetryRecorder())
+        recorder.begin("c1", "work")
+        recorder.end(self_cycles=7.0)
         assert recorder.spans[0].self_cycles == 7.0
 
     def test_counters_and_gauges(self):
-        recorder = TelemetryRecorder()
+        recorder = watching(TelemetryRecorder())
         recorder.count("n", 2.0)
         recorder.count("n")
         recorder.gauge("g", 5.0)
@@ -84,23 +92,10 @@ class TestRecorder:
         assert [v for _t, v in recorder.counter_series["n"]] == [2.0, 3.0]
         assert [v for _t, v in recorder.counter_series["g"]] == [5.0, 3.0]
 
-    def test_histogram_buckets(self):
-        histogram = HistogramData()
-        for value in (0.5, 1.0, 3.0, 100.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.minimum == 0.5 and histogram.maximum == 100.0
-        assert histogram.mean == pytest.approx(104.5 / 4)
-        assert histogram.buckets[0] == 2      # <= 1.0
-        assert histogram.buckets[2] == 1      # (2, 4]
-        assert histogram.buckets[7] == 1      # (64, 128]
-
     def test_snapshot_closes_open_spans_and_is_frozen(self):
-        recorder = TelemetryRecorder(label="x")
-        clock = [1.0]
-        recorder.bind(lambda: clock[0])
-        recorder.begin_span("c1", "dangling")
-        clock[0] = 9.0
+        recorder = watching(TelemetryRecorder(label="x"), clock=1.0)
+        recorder.begin("c1", "dangling")
+        recorder.machine.clock = to_centi(9.0)
         snapshot = recorder.snapshot()
         assert snapshot.label == "x"
         assert snapshot.total_cycles == 9.0
@@ -108,17 +103,14 @@ class TestRecorder:
         recorder.count("later")
         assert "later" not in snapshot.counters
 
-    def test_null_recorder_is_inert(self):
-        null = NullRecorder()
-        assert not null.enabled and not NULL_RECORDER.enabled
-        with null.span("c1", "work"):
-            null.count("n")
-            null.gauge("g", 1.0)
-            null.observe("h", 2.0)
-            null.instant("c1", "e")
-        null.end_span(null.begin_span("c1", "w"))
-        snapshot = null.snapshot()
-        assert snapshot.spans == [] and snapshot.counters == {}
+    def test_decision_counts_verdicts(self):
+        recorder = watching(TelemetryRecorder())
+        for inline, guarded in ((True, False), (True, True), (False, False)):
+            decision = SimpleNamespace(inline=inline, guarded=guarded)
+            recorder.decision(None, 1, None, (), 0, 0, decision)
+        assert recorder.counters == {"oracle.decisions": 3.0,
+                                     "oracle.inlines.direct": 1.0,
+                                     "oracle.inlines.guarded": 1.0}
 
 
 class TestZeroOverheadContract:

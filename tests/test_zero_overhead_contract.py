@@ -1,9 +1,9 @@
 """The zero-overhead contract, as one test.
 
-Every instrumentation surface -- telemetry, decision provenance and the
-machine's event sink (progress points, the soundness replays' consumers
-and the AOS event log) -- must charge zero simulated cycles and change
-zero decisions.  The contract is what makes the observability stack
+Every instrument -- telemetry, decision provenance, progress points and
+the termination-statistics probe, all sinks of the machine's events like
+the soundness replays' consumers and the AOS event log -- must charge
+zero simulated cycles and change zero decisions.  The contract is what makes the observability stack
 trustworthy: a recorded run *is* the stock run, cached results stay
 valid whether or not they were recorded, and the soundness replays'
 numbers are the stock numbers of their configuration.
@@ -19,12 +19,13 @@ import os
 
 import pytest
 
+from repro.aos.listeners import TerminationStatsProbe
 from repro.aos.runtime import AdaptiveRuntime
 from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.interpreter import EVENTS, NULL_EVENTS
 from repro.policies import make_policy
-from repro.provenance import NULL_PROVENANCE, ProvenanceRecorder
-from repro.telemetry import NULL_RECORDER, TelemetryRecorder
+from repro.provenance import ProvenanceRecorder
+from repro.telemetry import TelemetryRecorder
 from repro.telemetry.progress import ProgressTracker
 from repro.workloads import lazy_loading
 from repro.workloads.hashmap_example import build as build_hashmap
@@ -35,44 +36,52 @@ from conftest import build_diamond_program
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hashmap_fixed2.decisions.jsonl")
 
+#: What :class:`EverySink` notes for a ``compile`` that replaced
+#: installed code (an eviction).
+REPLACED = "compile:replaced"
+
+#: The events every input fires (a span brackets each baseline compile).
+RUN_EVENTS = {"dispatch", "local", "progress", "begin", "end"}
+
 #: The adaptive system's events every input that compiles fires.
-AOS_EVENTS = {"compile", "plan", "plan_deferred", "rules"}
+AOS_EVENTS = {"sample", "decision", "compile", "plan", "plan_deferred",
+              "rules"}
 
 #: name -> (program builder, (policy family, depth), cost overrides,
-#: events the run fires); between them the inputs fire all fourteen.
+#: events the run fires); between them the inputs fire all seventeen,
+#: and some compile replaces installed code.
 INPUTS = {
     # The golden workload.
     "hashmap-fixed2": (lambda: build_hashmap(iterations=4000).program,
                        ("fixed", 2), {},
-                       {"dispatch", "osr_entry", "local", "progress", "osr"}
-                       | AOS_EVENTS),
+                       {"osr_entry", "osr"} | RUN_EVENTS | AOS_EVENTS),
     # Deoptimization exits.
     "mtrt-planned": (lambda: build_benchmark("mtrt", scale=0.05).program,
                      ("hybrid2", 4),
                      {"speculation_enabled": True,
                       "deopt_planning_enabled": True,
                       "deopt_strategy": "planned"},
-                     {"dispatch", "osr_entry", "deopt_exit", "local",
-                      "progress", "eviction", "decay"} | AOS_EVENTS),
+                     {"osr_entry", "deopt_exit", REPLACED, "decay"}
+                     | RUN_EVENTS | AOS_EVENTS),
     # Elided guards: speculation on, planning off.
     "mtrt-speculation": (lambda: build_benchmark("mtrt", scale=0.05).program,
                          ("hybrid2", 4), {"speculation_enabled": True},
-                         {"dispatch", "elided", "osr_entry", "local",
-                          "progress", "eviction", "decay"} | AOS_EVENTS),
+                         {"elided", "osr_entry", REPLACED, "decay"}
+                         | RUN_EVENTS | AOS_EVENTS),
     # The dispatch-edge soundness replay's unit-test program.
     "diamond-cins": (lambda: build_diamond_program()[0], ("cins", 1), {},
-                     {"dispatch", "local", "progress"}),
+                     RUN_EVENTS),
     # CHA invalidation: the only input whose class load breaks code.
     "lazy-cins": (lambda: lazy_loading.build(iterations=15000).program,
                   ("cins", 1), {},
-                  {"dispatch", "osr_entry", "local", "progress", "osr",
-                   "eviction", "invalidate", "decay"} | AOS_EVENTS),
+                  {"osr_entry", "osr", REPLACED, "invalidate", "decay"}
+                  | RUN_EVENTS | AOS_EVENTS),
 }
 
 
 class EverySink(ProgressTracker):
-    """A progress tracker that consumes the thirteen other events as
-    well, recording which of the fourteen fired."""
+    """A progress tracker that consumes the sixteen other events as
+    well, recording which of the seventeen fired."""
 
     def __init__(self):
         super().__init__(label="contract")
@@ -97,11 +106,23 @@ class EverySink(ProgressTracker):
     def local(self, locals_, index, is_read):
         self.fired.add("local")
 
-    def compile(self, event):
-        self.fired.add("compile")
+    def begin(self, component, name, **args):
+        self.fired.add("begin")
 
-    def eviction(self, replaced, compiled):
-        self.fired.add("eviction")
+    def end(self, self_cycles=None, **args):
+        self.fired.add("end")
+
+    def sample(self, stack):
+        self.fired.add("sample")
+
+    def decision(self, root, version, stmt, comp_context, depth,
+                 current_size, decision):
+        self.fired.add("decision")
+
+    def compile(self, plan, compiled, replaced):
+        self.fired.add("compile")
+        if replaced is not None:
+            self.fired.add(REPLACED)
 
     def invalidate(self, removed, selector, loaded_class):
         self.fired.add("invalidate")
@@ -130,9 +151,8 @@ def _runtime(name, **instruments):
 
 
 def _bare_run(name="hashmap-fixed2"):
-    """The stock configuration: every instrument at its null default."""
-    runtime = _runtime(name, telemetry=NULL_RECORDER,
-                       provenance=NULL_PROVENANCE)
+    """The stock configuration: no instrument, so no event fires."""
+    runtime = _runtime(name)
     assert runtime.machine.events is NULL_EVENTS
     return runtime.run()
 
@@ -141,7 +161,8 @@ def _fully_instrumented_run(name, sink):
     """Same run with every instrument attached at once."""
     return _runtime(name, telemetry=TelemetryRecorder(label="contract"),
                     provenance=ProvenanceRecorder(label="contract"),
-                    progress=sink).run()
+                    progress=sink,
+                    probe=TerminationStatsProbe(DEFAULT_COSTS)).run()
 
 
 def _fingerprint(result) -> dict:
@@ -192,7 +213,7 @@ def test_every_event_is_covered():
     assert [name for name in EVENTS
             if not callable(getattr(sink, name, None))] == []
     assert set().union(*(fires for *_, fires in INPUTS.values())) \
-        == set(EVENTS)
+        == set(EVENTS) | {REPLACED}
 
 
 @pytest.mark.parametrize("name", INPUTS)
