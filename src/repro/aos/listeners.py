@@ -149,7 +149,8 @@ class TerminationStatsProbe:
     Independently of the active policy, records for each sample where the
     first parameterless method, first class (static) method, and first
     large method occur in the call chain (positions are 0 for the callee
-    itself, 1 for its caller, and so on, capped at ``horizon``).
+    itself, 1 for its caller, and so on, capped at ``horizon``).  It is a
+    machine event sink consuming ``sample`` (DESIGN.md, "Events").
     """
 
     def __init__(self, costs: CostModel, horizon: int = 6):

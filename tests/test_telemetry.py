@@ -103,15 +103,6 @@ class TestRecorder:
         recorder.count("later")
         assert "later" not in snapshot.counters
 
-    def test_decision_counts_verdicts(self):
-        recorder = watching(TelemetryRecorder())
-        for inline, guarded in ((True, False), (True, True), (False, False)):
-            decision = SimpleNamespace(inline=inline, guarded=guarded)
-            recorder.decision(None, 1, None, (), 0, 0, decision)
-        assert recorder.counters == {"oracle.decisions": 3.0,
-                                     "oracle.inlines.direct": 1.0,
-                                     "oracle.inlines.guarded": 1.0}
-
 
 class TestZeroOverheadContract:
     def test_traced_run_is_cycle_identical(self):

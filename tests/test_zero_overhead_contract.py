@@ -3,10 +3,11 @@
 Every instrument -- telemetry, decision provenance, progress points and
 the termination-statistics probe, all sinks of the machine's events like
 the soundness replays' consumers and the AOS event log -- must charge
-zero simulated cycles and change zero decisions.  The contract is what makes the observability stack
-trustworthy: a recorded run *is* the stock run, cached results stay
-valid whether or not they were recorded, and the soundness replays'
-numbers are the stock numbers of their configuration.
+zero simulated cycles and change zero decisions.  The contract is what
+makes the observability stack trustworthy: a recorded run *is* the stock
+run, cached results stay valid whether or not they were recorded, and
+the soundness replays' numbers are the stock numbers of their
+configuration.
 
 The anchor is the committed golden decision log (the hashmap example
 under fixed:2): a fully bare run must be cycle-identical to the
