@@ -15,7 +15,7 @@ from repro.workloads import lazy_loading
 from repro.workloads.hashmap_example import build as build_hashmap
 
 
-def compile_event(method_id, version=1, reason="hot", inlined=40):
+def compile_args(method_id, version=1, reason="hot", inlined=40):
     """A ``compile`` event's arguments: (plan, compiled, replaced)."""
     plan = CompilationPlan(method_id, None, version, 0, reason)
     return plan, SimpleNamespace(inlined_bytecodes=inlined), None
@@ -40,7 +40,7 @@ class TestEventLogUnit:
         log = EventLog(machine)
         for clock, method_id in ((100.0, "C.m"), (200.0, "C.n")):
             machine.clock = to_centi(clock)
-            log.compile(*compile_event(method_id))
+            log.compile(*compile_args(method_id))
         machine.clock = to_centi(300.0)
         log.osr("C.m")
         assert len(log) == 3
@@ -50,15 +50,15 @@ class TestEventLogUnit:
 
     def test_counts(self, machine):
         log = EventLog(machine)
-        log.compile(*compile_event("a"))
-        log.compile(*compile_event("b"))
+        log.compile(*compile_args("a"))
+        log.compile(*compile_args("b"))
         counts = log.counts()
         assert counts["compile"] == 2
         assert counts["decay"] == 0
 
     def test_rendering(self, machine):
         log = EventLog(machine)
-        log.compile(*compile_event("C.m"))
+        log.compile(*compile_args("C.m"))
         timeline = log.render_timeline()
         assert "C.m" in timeline and "version=v1 reason=hot" in timeline
         summary = log.render_summary()
@@ -66,7 +66,7 @@ class TestEventLogUnit:
 
     def test_structured_detail_accepted_and_flattened(self, machine):
         log = EventLog(machine)
-        log.compile(*compile_event("C.m"))
+        log.compile(*compile_args("C.m"))
         [event] = log.events
         assert event.detail == {"version": "v1", "reason": "hot",
                                 "inlined_bc": 40}
