@@ -1,13 +1,15 @@
 """The mini-JVM program verifier: well-formedness before execution.
 
-:meth:`repro.jvm.program.Program.validate` checks referential integrity
-(targets exist, site ids are unique) and raises on the *first* problem it
-meets.  The verifier goes further and collects *every* problem: it checks
-the class hierarchy is acyclic, every call site's argument arity matches
-every implementation it could dispatch to, ``Arg``/``Local`` slot indices
-are in range for the enclosing method, loop bounds and ``Work`` costs are
-sane, and statement/expression ``kind`` tags belong to the interpreter's
-closed dispatch vocabulary.
+This is the one well-formedness check: :class:`repro.aos.runtime.
+AdaptiveRuntime` runs it on every program before executing it, and
+``repro analyze`` reports it.  It collects *every* problem rather than
+the first: it checks that referenced classes, interfaces, targets and
+selectors exist and site ids are unique, the class hierarchy is acyclic,
+every call site's argument arity matches every implementation it could
+dispatch to, ``Arg``/``Local`` slot indices are in range for the
+enclosing method, loop bounds and ``Work`` costs are sane, and
+statement/expression ``kind`` tags belong to the interpreter's closed
+dispatch vocabulary.
 
 Each finding is a structured :class:`VerifierError` carrying the error
 code, the offending method, the call-site id when one is involved, and a

@@ -139,7 +139,12 @@ class AdaptiveRuntime:
                  telemetry: Optional[TelemetryRecorder] = None,
                  provenance: Optional[ProvenanceRecorder] = None,
                  progress: Optional[ProgressTracker] = None):
-        program.validate()
+        # Verify where the program enters execution: a malformed program
+        # fails here, before anything runs, with a VerificationFailure (a
+        # ProgramError) naming every finding.  Imported locally, as the
+        # planner is below.
+        from repro.analysis.verifier import verify_program
+        verify_program(program).raise_if_failed()
         self.program = program
         self.policy = policy
         self.costs = costs
@@ -158,10 +163,10 @@ class AdaptiveRuntime:
         self.decay_organizer = DecayOrganizer(self.state, costs)
         # Speculation and deopt planning are strictly opt-in via the cost
         # model.  One planner serves both: it owns the run's speculation
-        # analysis and chooses every guarded site's plan.  The import is
-        # local and gated so the default configuration never touches
-        # repro.analysis (layering: aos may depend on analysis, never
-        # the reverse).
+        # analysis and chooses every guarded site's plan.  Its import is
+        # local, like the verifier's above (layering: aos may depend on
+        # analysis, never the reverse), and the default configuration
+        # builds no planner.
         self.planner = None
         if costs.speculation_enabled or costs.deopt_planning_enabled:
             from repro.analysis.deopt import DeoptPlanner

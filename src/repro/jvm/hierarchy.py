@@ -17,7 +17,7 @@ from repro.jvm.program import MethodDef, Program
 
 
 class ClassHierarchy:
-    """Resolution and CHA queries over a validated :class:`Program`.
+    """Resolution and CHA queries over a verified :class:`Program`.
 
     The hierarchy distinguishes *declared* classes from *loaded* (ever
     instantiated) ones.  CHA for devirtualization must reason about the

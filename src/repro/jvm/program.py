@@ -20,7 +20,7 @@ interpreter's lowering step and the static analyses switch on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.jvm.errors import ProgramError
 
@@ -484,15 +484,16 @@ class Program:
     """A closed program: classes, methods, an entry point, and call sites.
 
     Call-site identifiers are allocated by :class:`repro.workloads.builder.
-    ProgramBuilder` and must be unique program-wide; :meth:`validate`
-    enforces this along with referential integrity of call targets.
+    ProgramBuilder` and must be unique program-wide.  The model itself
+    rejects only duplicate declarations; :func:`repro.analysis.verifier.
+    verify_program` checks well-formedness, and the adaptive runtime runs
+    it on every program it executes.
     """
 
     def __init__(self, name: str = "program"):
         self.name = name
         self.classes: Dict[str, ClassDef] = {}
         self.entry: Optional[str] = None
-        self._site_locations: Dict[int, Tuple[str, str]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -529,89 +530,8 @@ class Program:
             raise ProgramError("program has no entry point")
         return self.method(self.entry)
 
-    def site_location(self, site: int) -> Tuple[str, str]:
-        """Return ``(method_id, kind)`` for a call-site id."""
-        return self._site_locations[site]
-
     def total_bytecodes(self) -> int:
         return sum(m.bytecodes for m in self.methods())
-
-    # -- validation --------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check referential integrity; raise :class:`ProgramError` if broken.
-
-        Verifies that superclasses exist and are acyclic, static call
-        targets exist, virtual selectors have at least one implementation,
-        pool/instance class names exist, and call-site ids are unique.
-        """
-        for cls in self.classes.values():
-            for iface in cls.interfaces:
-                if iface not in self.classes:
-                    raise ProgramError(
-                        f"class {cls.name} implements unknown {iface}")
-            seen = {cls.name}
-            sup = cls.superclass
-            while sup is not None:
-                if sup not in self.classes:
-                    raise ProgramError(
-                        f"class {cls.name} extends unknown {sup}")
-                if sup in seen:
-                    raise ProgramError(f"inheritance cycle through {sup}")
-                seen.add(sup)
-                sup = self.classes[sup].superclass
-
-        selectors = set()
-        for m in self.methods():
-            selectors.add(m.name)
-
-        self._site_locations.clear()
-        for m in self.methods():
-            self._validate_body(m, m.body, selectors)
-
-        if self.entry is not None:
-            self.method(self.entry)
-
-    def _validate_body(self, m: MethodDef, body: Sequence[Stmt],
-                       selectors: set) -> None:
-        for stmt in body:
-            k = stmt.kind
-            if k == S_STATIC_CALL:
-                self.method(stmt.target)  # raises when missing
-                self._record_site(stmt.site, m.id, "static")
-            elif k == S_VIRTUAL_CALL:
-                if stmt.selector not in selectors:
-                    raise ProgramError(
-                        f"{m.id}: virtual selector {stmt.selector!r} "
-                        f"has no implementation")
-                self._record_site(stmt.site, m.id, "virtual")
-            elif k == S_INTERFACE_CALL:
-                if stmt.selector not in selectors:
-                    raise ProgramError(
-                        f"{m.id}: interface selector {stmt.selector!r} "
-                        f"has no implementation")
-                self._record_site(stmt.site, m.id, "interface")
-            elif k == S_NEW:
-                if stmt.class_name not in self.classes:
-                    raise ProgramError(
-                        f"{m.id}: New of unknown class {stmt.class_name!r}")
-            elif k == S_NEWPOOL:
-                for cn in stmt.class_names:
-                    if cn not in self.classes:
-                        raise ProgramError(
-                            f"{m.id}: NewPool of unknown class {cn!r}")
-            elif k == S_IF:
-                self._validate_body(m, stmt.then_body, selectors)
-                self._validate_body(m, stmt.else_body, selectors)
-            elif k == S_LOOP:
-                self._validate_body(m, stmt.body, selectors)
-
-    def _record_site(self, site: int, method_id: str, kind: str) -> None:
-        existing = self._site_locations.get(site)
-        if existing is not None and existing != (method_id, kind):
-            raise ProgramError(
-                f"call-site id {site} reused: {existing} vs {(method_id, kind)}")
-        self._site_locations[site] = (method_id, kind)
 
     def __repr__(self) -> str:
         n_methods = sum(len(c.methods) for c in self.classes.values())

@@ -2,27 +2,20 @@
 
 The builder's main job is bookkeeping that the raw
 :mod:`repro.jvm.program` model leaves to the caller: allocating
-program-unique call-site ids, registering classes and methods, and
-validating the result.  Both the hand-written example programs (the
-paper's Figure 1 ``HashMapTest``) and the synthetic benchmark generator
-are written against this API.
+program-unique call-site ids and registering classes and methods.  It
+does not check the finished program; the adaptive runtime verifies every
+program it runs (:mod:`repro.analysis.verifier`).  Both the hand-written
+example programs (the paper's Figure 1 ``HashMapTest``) and the
+synthetic benchmark generator are written against this API.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.jvm.errors import ProgramError
 from repro.jvm.program import (ClassDef, Expr, InterfaceCall, MethodDef,
                                Program, StaticCall, Stmt, VirtualCall)
-
-#: When true, every :meth:`ProgramBuilder.build` additionally runs the
-#: full :mod:`repro.analysis.verifier` pass and raises on any finding.
-#: Off by default (production builds pay only ``Program.validate``); the
-#: test suite turns it on globally, and ``REPRO_VERIFY_BUILDS=1`` turns
-#: it on for ad-hoc runs.
-VERIFY_BUILDS = os.environ.get("REPRO_VERIFY_BUILDS", "0") not in ("", "0")
 
 
 class ProgramBuilder:
@@ -102,24 +95,11 @@ class ProgramBuilder:
     def entry(self, method_id: str) -> None:
         self._program.set_entry(method_id)
 
-    def build(self, verify: Optional[bool] = None) -> Program:
-        """Validate and return the finished program.
-
-        ``verify=True`` (or the module-level :data:`VERIFY_BUILDS` debug
-        gate, when ``verify`` is left unset) additionally runs the full
-        analysis-layer verifier and raises
-        :class:`repro.analysis.verifier.VerificationFailure` with every
-        structured finding if the program is malformed.
-        """
-        self._program.validate()
-        if verify if verify is not None else VERIFY_BUILDS:
-            # Lazy import: the workloads layer must not depend on the
-            # analysis layer except behind this debug gate.
-            from repro.analysis.verifier import verify_program
-            verify_program(self._program).raise_if_failed()
+    def build(self) -> Program:
+        """Return the finished program."""
         return self._program
 
     @property
     def program(self) -> Program:
-        """The (possibly not yet validated) program under construction."""
+        """The program under construction."""
         return self._program

@@ -8,12 +8,7 @@ from repro.jvm.costs import CostModel
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (Arg, Const, Let, Local, Loop, New, Return,
                                StaticCall, VirtualCall, Work)
-from repro.workloads import builder
 from repro.workloads.builder import ProgramBuilder
-
-# Every builder-constructed program in the suite additionally passes the
-# full analysis-layer verifier (the debug gate is off in production).
-builder.VERIFY_BUILDS = True
 
 
 @pytest.fixture

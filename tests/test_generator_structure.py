@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.callgraph import build_call_graph
 from repro.compiler.opt_compiler import iter_call_sites
 from repro.compiler.size_estimator import SizeClass, classify, is_large
 from repro.jvm.costs import DEFAULT_COSTS
@@ -46,9 +47,9 @@ class TestPatternStructure:
 
     def test_dispatch_site_recorded(self, generated):
         site = generated.pattern_sites[0]
-        method_id, kind = generated.program.site_location(site)
-        assert method_id == "P0U.proc0"
-        assert kind == "virtual"
+        info = build_call_graph(generated.program).sites[site]
+        assert info.caller == "P0U.proc0"
+        assert info.kind == "virtual"
 
     def test_depth3_pattern_has_one_wrapper(self, generated):
         wrapper = generated.program.method("P0U.w0_0")
@@ -157,7 +158,7 @@ class TestInterfacePatterns:
         assert "P0I" in program.classes
         assert program.classes["P0B"].interfaces == ("P0I",)
         site = generated.pattern_sites[0]
-        assert program.site_location(site)[1] == "interface"
+        assert build_call_graph(program).sites[site].kind == "interface"
         # The program still runs (and dispatches) correctly.
         runtime = AdaptiveRuntime(program, make_policy("cins", 1))
         result = runtime.run()
@@ -167,7 +168,8 @@ class TestInterfacePatterns:
     def test_default_patterns_stay_virtual(self):
         generated = generate(small_spec())
         site = generated.pattern_sites[0]
-        assert generated.program.site_location(site)[1] == "virtual"
+        assert build_call_graph(generated.program).sites[site].kind == \
+            "virtual"
 
     def test_knob_does_not_change_default_programs(self):
         # The calibrated suite must be unaffected by the knob's existence.

@@ -19,7 +19,6 @@ def _program():
 
     base_ping = declare("Base", "ping")
     mid_ping = declare("Mid", "ping")
-    p.validate()
     return p, base_ping, mid_ping
 
 

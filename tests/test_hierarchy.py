@@ -22,7 +22,6 @@ def _program():
     declare("Mid", "ping")        # overrides Base.ping
     declare("Base", "solo")       # single implementation program-wide
     declare("Other", "ping")      # unrelated implementation
-    p.validate()
     return p
 
 

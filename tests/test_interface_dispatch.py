@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis import verifier
+from repro.analysis.callgraph import build_call_graph
 from repro.aos.cost_accounting import CostAccounting
+from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.oracle import InlineOracle
 from repro.jvm.costs import CostModel
@@ -11,6 +14,7 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine
 from repro.jvm.program import (Arg, Const, InterfaceCall, Local, Loop, New,
                                Return, StaticCall, Work)
+from repro.policies import make_policy
 from repro.profiles.trace import InlineRule, TraceKey
 from repro.workloads.builder import ProgramBuilder
 
@@ -79,8 +83,9 @@ class TestValidation:
         b.cls("C", interfaces=("Ghost",))
         b.static_method("C", "main", [Return(Const(0))])
         b.entry("C.main")
-        with pytest.raises(ProgramError):
-            b.build()
+        with pytest.raises(ProgramError) as exc:
+            AdaptiveRuntime(b.build(), make_policy("cins", 1))
+        assert verifier.UNKNOWN_INTERFACE in exc.value.report.by_code()
 
     def test_unknown_selector_rejected(self):
         b = ProgramBuilder("bad")
@@ -88,12 +93,14 @@ class TestValidation:
         b.static_method("C", "main",
                         [InterfaceCall(0, "ghost", Arg(0))], params=1)
         b.entry("C.main")
-        with pytest.raises(ProgramError):
-            b.build()
+        with pytest.raises(ProgramError) as exc:
+            AdaptiveRuntime(b.build(), make_policy("cins", 1))
+        assert verifier.UNRESOLVED_SELECTOR in exc.value.report.by_code()
 
     def test_site_kind_recorded(self):
         program, site = build_program()
-        assert program.site_location(site) == ("Main.exec", "interface")
+        info = build_call_graph(program).sites[site]
+        assert (info.caller, info.kind) == ("Main.exec", "interface")
 
 
 class TestOracle:

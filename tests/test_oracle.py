@@ -39,7 +39,6 @@ def build_program():
     b.entry("C.root")
     # Root needs a real body size for budgets; fake a caller of size 60.
     b.program.classes["C"].methods["root"].bytecodes = 60
-    b.program.validate()
     return b.program, costs
 
 

@@ -123,71 +123,6 @@ class TestProgramValidation:
         p = self._program()
         assert p.method("C.m").name == "m"
 
-    def test_unknown_superclass_rejected(self):
-        p = self._program()
-        p.add_class(ClassDef("D", superclass="Nope"))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_inheritance_cycle_rejected(self):
-        p = Program("t")
-        p.add_class(ClassDef("A", superclass="B"))
-        p.add_class(ClassDef("B", superclass="A"))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_missing_static_target_rejected(self):
-        p = self._program()
-        cls = p.classes["C"]
-        cls.declare(method(name="bad", body=[StaticCall(0, "C.ghost")]))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_unknown_selector_rejected(self):
-        p = self._program()
-        p.classes["C"].declare(
-            method(name="bad", body=[VirtualCall(0, "ghost", Arg(0))],
-                   params=1))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_duplicate_site_id_rejected(self):
-        p = self._program()
-        p.classes["C"].declare(method(
-            name="a", body=[StaticCall(7, "C.m")]))
-        p.classes["C"].declare(method(
-            name="b", body=[StaticCall(7, "C.m")]))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_same_site_same_location_ok(self):
-        # Validation twice must not trip over its own bookkeeping.
-        p = self._program()
-        p.classes["C"].declare(method(name="a", body=[StaticCall(7, "C.m")]))
-        p.validate()
-        p.validate()
-
-    def test_unknown_new_class_rejected(self):
-        p = self._program()
-        p.classes["C"].declare(method(name="bad", body=[New(0, "Ghost")]))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_unknown_pool_class_rejected(self):
-        p = self._program()
-        p.classes["C"].declare(
-            method(name="bad", body=[NewPool(0, ("C", "Ghost"))]))
-        with pytest.raises(ProgramError):
-            p.validate()
-
-    def test_sites_in_nested_blocks_registered(self):
-        p = self._program()
-        p.classes["C"].declare(method(name="n", params=1, body=[
-            Loop(Const(2), 0, [If(Arg(0), [StaticCall(42, "C.m")], [])]),
-        ]))
-        p.validate()
-        assert p.site_location(42) == ("C.n", "static")
-
     def test_entry_method(self):
         p = self._program()
         p.set_entry("C.m")

@@ -6,11 +6,11 @@ from conftest import build_diamond_program
 from repro.analysis import verifier
 from repro.analysis.verifier import (VERIFIER_CODES, VerificationFailure,
                                      verify_program)
+from repro.aos.runtime import AdaptiveRuntime
 from repro.jvm.program import (Arg, ClassDef, Const, If, Let, Local, Loop,
                                Mod, MethodDef, New, NewPool, Program, Return,
                                StaticCall, VirtualCall, Work)
-from repro.workloads import builder as builder_mod
-from repro.workloads.builder import ProgramBuilder
+from repro.policies import make_policy
 
 
 def program_with(entry_body, classes=(), methods=(), entry_params=0,
@@ -18,7 +18,7 @@ def program_with(entry_body, classes=(), methods=(), entry_params=0,
     """A minimal program: Main.main plus optional extra classes/methods.
 
     ``methods`` entries are (klass, name, num_params, is_static, body).
-    The program is deliberately NOT validated -- the verifier must cope
+    Nothing checks the program on the way in -- the verifier must cope
     with arbitrarily broken input without raising.
     """
     p = Program("broken")
@@ -121,8 +121,9 @@ class TestCallChecks:
 
 class TestBodyChecks:
     def test_unknown_class_in_new(self):
-        p = program_with([New(0, "Ghost"), Return(Const(0))])
-        assert verifier.UNKNOWN_CLASS in codes_of(p)
+        for alloc in (New(0, "Ghost"), NewPool(0, ("Main", "Ghost"))):
+            p = program_with([alloc, Return(Const(0))])
+            assert verifier.UNKNOWN_CLASS in codes_of(p), alloc
 
     def test_empty_pool(self):
         p = program_with([NewPool(0, []), Return(Const(0))])
@@ -187,34 +188,36 @@ class TestBodyChecks:
         assert "body[0].then[0]" in error.describe()
 
 
-class TestBuilderGate:
-    def _malformed_builder(self, name):
-        # Arg(2) is out of range for a parameterless main: a defect
-        # Program.validate misses but the verifier catches.
-        b = ProgramBuilder(name)
-        b.cls("Main")
-        b.method("Main", "main", [Return(Arg(2))], params=0, static=True)
-        b.entry("Main.main")
-        return b
-
-    def test_builder_raises_on_malformed_when_gated(self):
-        assert builder_mod.VERIFY_BUILDS  # conftest turns the gate on
+class TestRuntimeVerifies:
+    def test_runtime_rejects_a_malformed_program_naming_every_finding(self):
+        # A virtual call passing one argument too many and a Return of a
+        # local slot past num_locals: neither is a missing name, and the
+        # runtime must refuse the program before it runs.
+        p = program_with(
+            [New(0, "A"),
+             VirtualCall(1, "ping", Local(0), [Const(7)], dst=1),
+             Return(Local(9))],
+            classes=[ClassDef("A")],
+            methods=[("A", "ping", 1, False, [Return(Const(0))])],
+            num_locals=4)
         with pytest.raises(VerificationFailure) as exc:
-            self._malformed_builder("gated").build()
-        assert exc.value.report.errors[0].code == verifier.ARG_RANGE
-
-    def test_explicit_verify_false_skips_the_gate(self):
-        program = self._malformed_builder("ungated").build(verify=False)
-        assert not verify_program(program).ok
+            AdaptiveRuntime(p, make_policy("cins", 1))
+        report = exc.value.report
+        assert report.by_code() == {verifier.VIRTUAL_ARITY: 1,
+                                    verifier.LOCAL_RANGE: 1}
+        for error in report.errors:
+            assert error.describe() in str(exc.value)
 
 
 class TestRealWorkloads:
+    @pytest.mark.parametrize("seed_offset", range(4))
     @pytest.mark.parametrize("name", [
         "compress", "jess", "db", "javac", "mpegaudio", "mtrt", "jack",
         "SPECjbb2000"])
-    def test_spec_benchmarks_verify_clean(self, name):
+    def test_spec_benchmarks_verify_clean(self, name, seed_offset):
         from repro.workloads.spec import build_benchmark
-        generated = build_benchmark(name, scale=0.05)
+        generated = build_benchmark(name, scale=0.05,
+                                    seed_offset=seed_offset)
         report = verify_program(generated.program)
         assert report.ok, report.render()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.callgraph import build_call_graph
 from repro.jvm.errors import ConfigError, ProgramError
 from repro.jvm.program import Const, Return, Work
 from repro.workloads.builder import ProgramBuilder
@@ -43,16 +44,24 @@ class TestProgramBuilder:
         assert call.site != vcall.site
 
     def test_build_validates(self):
+        from repro.analysis.verifier import UNKNOWN_STATIC_TARGET
+        from repro.aos.runtime import AdaptiveRuntime
+        from repro.policies import make_policy
         b = ProgramBuilder("t")
         b.cls("C")
         b.static_method("C", "m", [b.call("C.ghost")])
-        with pytest.raises(ProgramError):
-            b.build()
+        b.entry("C.m")
+        # build() checks nothing; the runtime refuses the program.
+        with pytest.raises(ProgramError) as exc:
+            AdaptiveRuntime(b.build(), make_policy("cins", 1))
+        assert UNKNOWN_STATIC_TARGET in exc.value.report.by_code()
 
 
 class TestHashMapExample:
     def test_builds_and_validates(self):
+        from repro.analysis.verifier import verify_program
         built = build_hashmap(iterations=5)
+        assert verify_program(built.program).ok
         assert built.program.entry == "HashMapTest.main"
         assert built.sites.cs1 != built.sites.cs2
 
@@ -155,7 +164,7 @@ class TestGeneratedDynamics:
     def test_correlated_pattern_is_context_monomorphic(self, executed):
         generated, runtime, _result = executed
         site = generated.pattern_sites[0]
-        caller = generated.program.site_location(site)[0]
+        caller = build_call_graph(generated.program).sites[site].caller
         dist = runtime.state.dcg.site_target_distribution(caller, site)
         # Globally polymorphic...
         assert len(dist) >= 2
