@@ -80,8 +80,6 @@ class Controller:
         #: Clock (centi-cycles) of each method's last compilation plan.
         self._last_plan_clock: Dict[str, int] = {}
         self.compilation_queue: Deque[CompilationPlan] = deque()
-        self.decisions_evaluated = 0
-        self.plans_created = 0
 
     # -- event intake (called by organizers) -----------------------------------
 
@@ -124,7 +122,6 @@ class Controller:
             if on_begin is not None:
                 on_begin(CONTROLLER, "process_events", events=events)
             machine.charge(CONTROLLER, events * costs.controller_event_cost)
-        self.decisions_evaluated += events
         on_deferred = getattr(machine.events, "plan_deferred", None)
 
         for method_id, samples in hot_events:
@@ -171,7 +168,6 @@ class Controller:
             self._enqueue_plan(machine, method_id, "missing_edge")
             created += 1
 
-        self.plans_created += created
         if on_begin is not None:
             machine.events.end(plans=created)
         return created
@@ -228,14 +224,12 @@ class CompilationThread:
         self._program = program
         self._code_cache = code_cache
         self._database = database
-        self.compilations_done = 0
 
-    def run(self, machine, queue: Deque[CompilationPlan]) -> int:
+    def run(self, machine, queue: Deque[CompilationPlan]) -> None:
         events = machine.events
         on_begin = getattr(events, "begin", None)
         on_decision = getattr(events, "decision", None)
         on_compile = getattr(events, "compile", None)
-        done = 0
         while queue:
             plan = queue.popleft()
             method = self._program.method(plan.method_id)
@@ -266,6 +260,3 @@ class CompilationThread:
                 reason=plan.reason))
             if on_compile is not None:
                 on_compile(plan, compiled, replaced)
-            done += 1
-        self.compilations_done += done
-        return done

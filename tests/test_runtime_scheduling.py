@@ -74,18 +74,6 @@ class TestOrganizerScheduling:
         runtime.run()
         assert max_seen["n"] <= 4
 
-    def test_compilations_happen_at_wakes(self):
-        runtime = runtime_for()
-        result = runtime.run()
-        assert result.opt_compilations == \
-            runtime.compilation_thread.compilations_done
-
-    def test_controller_decisions_counted(self):
-        runtime = runtime_for()
-        runtime.run()
-        assert runtime.controller.decisions_evaluated >= \
-            runtime.controller.plans_created
-
 
 class TestCostOverrides:
     def test_disabling_decay(self):
