@@ -153,13 +153,3 @@ class ClassHierarchy:
             return set(self._subclasses[class_name])
         except KeyError:
             raise ProgramError(f"unknown class {class_name!r}") from None
-
-    def overriders(self, method: MethodDef) -> List[MethodDef]:
-        """Methods that override ``method`` in strict subclasses."""
-        out = []
-        for impl in self._implementations.get(method.name, []):
-            if impl is method:
-                continue
-            if impl.klass in self._subclasses.get(method.klass, set()):
-                out.append(impl)
-        return out

@@ -2,7 +2,8 @@
 
 The paper aggregates per-benchmark speedups with a harmonic mean (the
 ``harMean`` bars of Figures 4-5); this module provides that plus the
-percent-change conventions used throughout the reports.
+speedup convention the figures plot and the confidence intervals the
+causal profiler reports.
 """
 
 from __future__ import annotations
@@ -26,13 +27,6 @@ def harmonic_mean(values: Sequence[float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def percent_change(new: float, old: float) -> float:
-    """``new`` relative to ``old`` as a percentage (positive = bigger)."""
-    if old == 0:
-        raise ValueError("percent change from zero")
-    return 100.0 * (new - old) / old
-
-
 def speedup_percent(baseline_time: float, new_time: float) -> float:
     """Wall-clock speedup as the paper plots it (positive = faster).
 
@@ -52,19 +46,6 @@ def harmonic_mean_speedup(speedups_percent: Iterable[float]) -> float:
     """
     ratios = [1.0 + s / 100.0 for s in speedups_percent]
     return 100.0 * (harmonic_mean(ratios) - 1.0)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used by ablation reports)."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"geometric mean needs positive values, got {v}")
-        product *= v
-    return product ** (1.0 / len(values))
 
 
 def median(values: Sequence[float]) -> float:
@@ -108,10 +89,6 @@ class ConfidenceInterval(NamedTuple):
     low: float
     high: float
     n: int
-
-    @property
-    def half_width(self) -> float:
-        return (self.high - self.low) / 2.0
 
 
 def mean(values: Sequence[float]) -> float:

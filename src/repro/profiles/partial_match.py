@@ -76,13 +76,6 @@ def candidate_targets(rules: Iterable[InlineRule],
     return {callee: weights[callee] for callee in candidates}
 
 
-def rules_for_site(rules: Iterable[InlineRule], caller_id: str,
-                   site: int) -> List[InlineRule]:
-    """Rules whose innermost edge is (caller_id, site) -- any extra context."""
-    return [r for r in rules
-            if r.context[0][0] == caller_id and r.context[0][1] == site]
-
-
 def ordered_candidates(candidates: Dict[str, float]) -> List[Tuple[str, float]]:
     """Candidates sorted hottest-first with deterministic tie-breaking."""
     return sorted(candidates.items(), key=lambda item: (-item[1], item[0]))

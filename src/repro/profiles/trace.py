@@ -52,10 +52,6 @@ class TraceKey:
         return len(self.context)
 
     @property
-    def immediate_caller(self) -> str:
-        return self.context[0][0]
-
-    @property
     def callsite(self) -> int:
         return self.context[0][1]
 

@@ -22,9 +22,7 @@ Parts:
 * :mod:`~repro.provenance.explain` -- per-site decision trees
   (``repro explain``);
 * :mod:`~repro.provenance.diff` -- cross-run decision diffing
-  (``repro decisions diff``);
-* :mod:`~repro.provenance.metrics` -- derived metrics (dilution ratio,
-  guard eliminations, refusal histogram) over decision records.
+  (``repro decisions diff``).
 """
 
 from repro.provenance.reasons import (EventKind, GUARD_CLASS_TEST,
@@ -45,9 +43,6 @@ from repro.provenance.explain import (available_roots, explain_method,
                                       format_decision)
 from repro.provenance.diff import (DecisionDiff, Flip, diff_decisions,
                                    diff_logs, render_diff)
-from repro.provenance.metrics import (derived_metrics, dilution_ratio,
-                                      guard_elimination_count,
-                                      refusal_histogram)
 
 __all__ = [
     "CompilationRecord", "DecisionDiff", "DecisionRecord", "EventKind",
@@ -56,9 +51,8 @@ __all__ = [
     "ProvenanceRecord", "ProvenanceRecorder", "REASON_CODES",
     "REFUSAL_REASONS", "ReasonCode", "SCHEMA", "VERDICTS", "VERDICT_DIRECT",
     "VERDICT_GUARDED", "VERDICT_REFUSED", "available_roots",
-    "derived_metrics", "diff_decisions", "diff_logs", "dilution_ratio",
-    "dump_jsonl", "explain_method", "final_decisions", "format_decision",
-    "guard_elimination_count", "parse_jsonl", "read_decision_log",
-    "record_from_dict", "record_to_dict", "refusal_histogram",
+    "diff_decisions", "diff_logs", "dump_jsonl", "explain_method",
+    "final_decisions", "format_decision", "parse_jsonl",
+    "read_decision_log", "record_from_dict", "record_to_dict",
     "render_diff", "split_records", "write_decision_log",
 ]

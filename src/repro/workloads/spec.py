@@ -190,8 +190,3 @@ def build_benchmark(name: str,
         spec = dataclasses.replace(spec, iterations=iterations,
                                    seed=spec.seed + seed_offset)
     return generate(spec)
-
-
-def build_suite(scale: float = 1.0) -> Dict[str, GeneratedBenchmark]:
-    """Generate the whole suite (Table 1 order)."""
-    return {name: build_benchmark(name, scale) for name in BENCHMARK_ORDER}

@@ -122,18 +122,3 @@ class TestLoadedTargets:
         hierarchy.mark_loaded("Other")
         assert hierarchy.loaded_targets("solo") == frozenset()
 
-
-class TestOverriders:
-    def test_override_found(self, hierarchy):
-        base_ping = hierarchy.resolve("Base", "ping")
-        overriders = hierarchy.overriders(base_ping)
-        assert [m.klass for m in overriders] == ["Mid"]
-
-    def test_unrelated_impl_not_an_overrider(self, hierarchy):
-        base_ping = hierarchy.resolve("Base", "ping")
-        assert all(m.klass != "Other"
-                   for m in hierarchy.overriders(base_ping))
-
-    def test_no_overriders(self, hierarchy):
-        solo = hierarchy.resolve("Base", "solo")
-        assert hierarchy.overriders(solo) == []

@@ -3,7 +3,7 @@ intersection-of-target-sets candidate algorithm (paper Section 3.3)."""
 
 from repro.profiles.partial_match import (applicable_rules, candidate_targets,
                                           contexts_compatible,
-                                          ordered_candidates, rules_for_site)
+                                          ordered_candidates)
 from repro.profiles.trace import InlineRule, TraceKey
 
 
@@ -127,12 +127,6 @@ class TestCandidateTargets:
 
 
 class TestHelpers:
-    def test_rules_for_site(self):
-        rules = [rule("D", ("C", 1)), rule("D", ("C", 2)),
-                 rule("D", ("X", 1))]
-        selected = rules_for_site(rules, "C", 1)
-        assert len(selected) == 1
-
     def test_ordered_candidates_hottest_first(self):
         ordered = ordered_candidates({"A": 1.0, "B": 5.0, "C": 5.0})
         assert ordered == [("B", 5.0), ("C", 5.0), ("A", 1.0)]

@@ -1,5 +1,5 @@
 """Unit tests for the decision-provenance layer (records, recorder,
-metrics, explain, diff)."""
+explain, diff)."""
 
 from types import SimpleNamespace
 
@@ -11,13 +11,10 @@ from repro.jvm.costs import to_centi
 from repro.jvm.program import StaticCall
 from repro.provenance import (CompilationRecord, DecisionRecord, EventKind,
                               EventRecord, ProvenanceRecorder, ReasonCode,
-                              SCHEMA, derived_metrics, diff_decisions,
-                              dilution_ratio, dump_jsonl, explain_method,
-                              final_decisions, guard_elimination_count,
-                              parse_jsonl,
+                              SCHEMA, diff_decisions, dump_jsonl,
+                              explain_method, final_decisions, parse_jsonl,
                               read_decision_log, record_from_dict,
-                              record_to_dict, refusal_histogram,
-                              render_diff, split_records,
+                              record_to_dict, render_diff, split_records,
                               write_decision_log)
 from repro.provenance.diff import FLIP_REASON, FLIP_TARGETS, FLIP_VERDICT
 
@@ -168,43 +165,6 @@ class TestRecorder:
         meta, _records = parse_jsonl(recorder.to_jsonl({"scale": 0.1}))
         assert meta["label"] == "bench/policy"
         assert meta["scale"] == 0.1
-
-
-class TestMetrics:
-    def test_refusal_histogram(self):
-        records = [decision(verdict="refused", reason="budget", targets=()),
-                   decision(verdict="refused", reason="budget", targets=()),
-                   decision(verdict="refused", reason="depth", targets=()),
-                   decision(verdict="direct", reason="tiny")]
-        assert refusal_histogram(records) == {"budget": 2, "depth": 1}
-
-    def test_guard_elimination_counts_dynamic_direct_only(self):
-        records = [decision(site_kind="virtual", verdict="direct"),
-                   decision(site_kind="interface", verdict="direct"),
-                   decision(site_kind="static", verdict="direct"),
-                   decision(site_kind="virtual", verdict="guarded",
-                            reason="profile")]
-        assert guard_elimination_count(records) == 2
-
-    def test_dilution_ratio(self):
-        records = [decision(verdict="guarded", reason="profile",
-                            coverage=0.8),
-                   decision(verdict="guarded", reason="profile",
-                            coverage=1.0),
-                   decision(verdict="guarded", reason="profile"),  # no data
-                   decision(verdict="direct", coverage=0.1)]  # not guarded
-        assert dilution_ratio(records) == pytest.approx(0.1)
-
-    def test_dilution_ratio_empty(self):
-        assert dilution_ratio([]) == 0.0
-
-    def test_derived_metrics_and_fold(self):
-        records = [decision(site_kind="virtual", verdict="direct"),
-                   decision(verdict="refused", reason="space", targets=())]
-        metrics = derived_metrics(records)
-        assert metrics["provenance.decisions"] == 2.0
-        assert metrics["provenance.guard_eliminations"] == 1.0
-        assert metrics["provenance.refusals.space"] == 1.0
 
 
 class TestExplain:

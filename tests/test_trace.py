@@ -21,7 +21,7 @@ class TestTraceKey:
 
     def test_immediate_caller_and_site(self):
         k = key("D", ("C", 7), ("B", 2))
-        assert k.immediate_caller == "C"
+        assert k.context[0] == ("C", 7)
         assert k.callsite == 7
 
     def test_truncated(self):

@@ -9,8 +9,7 @@ from repro.workloads.builder import ProgramBuilder
 from repro.workloads.generator import (BenchmarkSpec, PatternSpec,
                                        SharedMediumSpec, generate)
 from repro.workloads.hashmap_example import build as build_hashmap
-from repro.workloads.spec import (BENCHMARK_ORDER, TABLE1, build_benchmark,
-                                  build_suite)
+from repro.workloads.spec import BENCHMARK_ORDER, TABLE1, build_benchmark
 
 
 class TestProgramBuilder:
@@ -105,10 +104,6 @@ class TestSpecSuite:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ConfigError):
             build_benchmark("quake")
-
-    def test_build_suite_covers_order(self):
-        suite = build_suite(scale=0.05)
-        assert tuple(suite) == BENCHMARK_ORDER
 
 
 class TestSpecValidation:
