@@ -26,6 +26,9 @@ class ClassHierarchy:
     class later can break that -- which is why compiled code records CHA
     dependencies and gets invalidated on class loading (see
     :meth:`mark_loaded` and the AOS database).
+
+    An unknown or cyclic superclass raises :class:`ProgramError`, so
+    callers that skip the verifier fail instead of hanging.
     """
 
     def __init__(self, program: Program):
@@ -41,10 +44,20 @@ class ClassHierarchy:
         self._subclasses: Dict[str, Set[str]] = {name: {name}
                                                  for name in program.classes}
         for name, cls in program.classes.items():
+            seen = {name}
             sup = cls.superclass
             while sup is not None:
+                parent = program.classes.get(sup)
+                if parent is None:
+                    raise ProgramError(
+                        f"class {name} extends unknown class {sup!r}")
+                if sup in seen:
+                    raise ProgramError(
+                        f"inheritance cycle through {sup} (reached from "
+                        f"{name})")
+                seen.add(sup)
                 self._subclasses[sup].add(name)
-                sup = program.classes[sup].superclass
+                sup = parent.superclass
 
         # selector -> set of method ids that implement it anywhere.
         self._implementations: Dict[str, List[MethodDef]] = {}

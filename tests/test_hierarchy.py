@@ -1,7 +1,12 @@
 """Unit tests for class hierarchy analysis."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.analysis.callgraph import build_call_graph
 from repro.jvm.errors import ExecutionError, ProgramError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import ClassDef, Const, MethodDef, Program, Return
@@ -122,3 +127,53 @@ class TestLoadedTargets:
         hierarchy.mark_loaded("Other")
         assert hierarchy.loaded_targets("solo") == frozenset()
 
+
+
+#: Hands a program whose classes ``A`` and ``B`` extend each other to the
+#: entry point named by ``argv[1]`` and prints the error it raises.
+_CYCLE_SCRIPT = """
+import sys
+from repro.analysis.callgraph import build_call_graph
+from repro.jvm.errors import ProgramError
+from repro.jvm.hierarchy import ClassHierarchy
+from repro.jvm.program import ClassDef, Const, MethodDef, Program, Return
+
+program = Program("cycle")
+program.add_class(ClassDef("Main"))
+program.add_class(ClassDef("A", superclass="B"))
+program.add_class(ClassDef("B", superclass="A"))
+program.classes["Main"].declare(
+    MethodDef("Main", "main", 0, True, [Return(Const(0))]))
+program.set_entry("Main.main")
+entry = {"hierarchy": ClassHierarchy, "callgraph": build_call_graph}
+try:
+    entry[sys.argv[1]](program)
+except ProgramError as exc:
+    print(exc)
+"""
+
+
+class TestMalformedHierarchy:
+    """Callers that build a hierarchy without verifying first get a
+    ``ProgramError``, not a hang or a bare ``KeyError``."""
+
+    @pytest.mark.parametrize("entry", ["hierarchy", "callgraph"])
+    def test_inheritance_cycle_raises(self, entry):
+        # A child process bounds the walk, so a regression fails on the
+        # timeout instead of hanging the suite.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _CYCLE_SCRIPT, entry],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "inheritance cycle through" in done.stdout
+
+    @pytest.mark.parametrize("entry", [ClassHierarchy, build_call_graph])
+    def test_unknown_superclass_raises(self, entry):
+        program = _program()
+        program.add_class(ClassDef("Orphan", superclass="Ghost"))
+        with pytest.raises(ProgramError,
+                           match="Orphan extends unknown class 'Ghost'"):
+            entry(program)
