@@ -143,13 +143,32 @@ def verify_program(program: Program) -> VerificationReport:
     return _Verifier(program).run()
 
 
+#: A statement block as path parts: ``("body",)`` for a method body,
+#: extended by ``(index, "then" | "else" | "loop")`` per enclosing
+#: statement.  The walk builds no path string unless it records a finding.
+Block = Tuple[object, ...]
+
+#: One statement: its block and its index within the block.
+Location = Tuple[Block, int]
+
+
+def _path(block: Block, index: int) -> str:
+    """The ``body[2].then[0]``-style path of statement ``index``."""
+    parts = [block[0]]
+    for position in range(1, len(block), 2):
+        parts.append(f"[{block[position]}].{block[position + 1]}")
+    parts.append(f"[{index}]")
+    return "".join(parts)
+
+
 class _Verifier:
     """Single-use walker accumulating :class:`VerifierError` records."""
 
     def __init__(self, program: Program):
         self._program = program
         self._errors: List[VerifierError] = []
-        self._sites: Dict[int, Tuple[str, str]] = {}  # site -> (method, path)
+        # site -> (method id, block, index): formatted only on a duplicate.
+        self._sites: Dict[int, Tuple[str, Block, int]] = {}
         self._sites_checked = 0
         # selector -> implementations, computed without assuming validity.
         self._impls: Dict[str, List[MethodDef]] = {}
@@ -168,7 +187,7 @@ class _Verifier:
             for name in sorted(cls.methods):
                 method = cls.methods[name]
                 methods += 1
-                self._check_body(method, method.body, "body")
+                self._check_body(method, method.body, ("body",))
         return VerificationReport(
             program_name=self._program.name,
             errors=tuple(self._errors),
@@ -177,11 +196,12 @@ class _Verifier:
 
     def _error(self, code: str, message: str,
                method: Optional[MethodDef] = None,
-               site: Optional[int] = None, path: str = "") -> None:
+               site: Optional[int] = None,
+               at: Optional[Location] = None) -> None:
         self._errors.append(VerifierError(
             code=code, message=message,
             method=None if method is None else method.id,
-            site=site, path=path))
+            site=site, path="" if at is None else _path(*at)))
 
     # -- class-level checks ----------------------------------------------------
 
@@ -229,107 +249,108 @@ class _Verifier:
     # -- statement walk --------------------------------------------------------
 
     def _check_body(self, m: MethodDef, body: Sequence[Stmt],
-                    prefix: str) -> None:
+                    block: Block) -> None:
         for i, stmt in enumerate(body):
-            path = f"{prefix}[{i}]"
+            at = (block, i)
             k = stmt.kind
             if k not in KNOWN_STMT_KINDS:
                 self._error(BAD_STMT_KIND,
                             f"unknown statement kind {k!r} "
-                            f"({type(stmt).__name__})", m, path=path)
+                            f"({type(stmt).__name__})", m, at=at)
                 continue
             if k == S_WORK:
                 if not isinstance(stmt.cost, int) or stmt.cost < 0:
                     self._error(WORK_COST,
                                 f"work cost must be a non-negative int, "
-                                f"got {stmt.cost!r}", m, path=path)
+                                f"got {stmt.cost!r}", m, at=at)
             elif k == S_LET:
-                self._check_local(m, stmt.dst, path)
-                self._check_expr(m, stmt.expr, path)
+                self._check_local(m, stmt.dst, at)
+                self._check_expr(m, stmt.expr, at)
             elif k == S_NEW:
-                self._check_local(m, stmt.dst, path)
+                self._check_local(m, stmt.dst, at)
                 if stmt.class_name not in self._program.classes:
                     self._error(UNKNOWN_CLASS,
                                 f"New of unknown class {stmt.class_name!r}",
-                                m, path=path)
+                                m, at=at)
             elif k == S_NEWPOOL:
-                self._check_local(m, stmt.dst, path)
+                self._check_local(m, stmt.dst, at)
                 if not stmt.class_names:
                     self._error(EMPTY_POOL,
                                 "NewPool with no classes can only feed a "
-                                "failing Pick", m, path=path)
+                                "failing Pick", m, at=at)
                 for cn in stmt.class_names:
                     if cn not in self._program.classes:
                         self._error(UNKNOWN_CLASS,
                                     f"NewPool of unknown class {cn!r}",
-                                    m, path=path)
+                                    m, at=at)
             elif k == S_STATIC_CALL:
-                self._check_static_call(m, stmt, path)
+                self._check_static_call(m, stmt, at)
             elif k in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
-                self._check_virtual_call(m, stmt, path)
+                self._check_virtual_call(m, stmt, at)
             elif k == S_IF:
-                self._check_expr(m, stmt.cond, path)
-                self._check_body(m, stmt.then_body, f"{path}.then")
-                self._check_body(m, stmt.else_body, f"{path}.else")
+                self._check_expr(m, stmt.cond, at)
+                self._check_body(m, stmt.then_body, block + (i, "then"))
+                self._check_body(m, stmt.else_body, block + (i, "else"))
             elif k == S_LOOP:
-                self._check_expr(m, stmt.count, path)
-                self._check_local(m, stmt.index_local, path)
+                self._check_expr(m, stmt.count, at)
+                self._check_local(m, stmt.index_local, at)
                 if stmt.count.kind == E_CONST and (
                         not isinstance(stmt.count.value, int)
                         or stmt.count.value < 0):
                     self._error(LOOP_BOUND,
                                 f"constant loop bound must be a "
                                 f"non-negative int, got {stmt.count.value!r}",
-                                m, path=path)
-                self._check_body(m, stmt.body, f"{path}.loop")
+                                m, at=at)
+                self._check_body(m, stmt.body, block + (i, "loop"))
             elif k == S_RETURN:
                 if stmt.expr is not None:
-                    self._check_expr(m, stmt.expr, path)
+                    self._check_expr(m, stmt.expr, at)
 
     # -- call-site checks ------------------------------------------------------
 
-    def _record_site(self, m: MethodDef, site: int, path: str) -> None:
+    def _record_site(self, m: MethodDef, site: int, at: Location) -> None:
         self._sites_checked += 1
         existing = self._sites.get(site)
         if existing is not None:
+            method_id, block, index = existing
             self._error(DUPLICATE_SITE,
                         f"call-site id {site} already used at "
-                        f"{existing[0]}.{existing[1]}", m, site=site,
-                        path=path)
+                        f"{method_id}.{_path(block, index)}", m, site=site,
+                        at=at)
             return
-        self._sites[site] = (m.id, path)
+        self._sites[site] = (m.id,) + at
 
-    def _check_static_call(self, m: MethodDef, stmt, path: str) -> None:
-        self._record_site(m, stmt.site, path)
+    def _check_static_call(self, m: MethodDef, stmt, at: Location) -> None:
+        self._record_site(m, stmt.site, at)
         for arg in stmt.args:
-            self._check_expr(m, arg, path)
+            self._check_expr(m, arg, at)
         if stmt.dst is not None:
-            self._check_local(m, stmt.dst, path)
+            self._check_local(m, stmt.dst, at)
         try:
             target = self._program.method(stmt.target)
         except ProgramError:
             self._error(UNKNOWN_STATIC_TARGET,
                         f"no such method {stmt.target!r}", m,
-                        site=stmt.site, path=path)
+                        site=stmt.site, at=at)
             return
         if len(stmt.args) != target.num_params:
             self._error(STATIC_ARITY,
                         f"{target.id} takes {target.num_params} "
                         f"parameter(s), call passes {len(stmt.args)}",
-                        m, site=stmt.site, path=path)
+                        m, site=stmt.site, at=at)
 
-    def _check_virtual_call(self, m: MethodDef, stmt, path: str) -> None:
-        self._record_site(m, stmt.site, path)
-        self._check_expr(m, stmt.receiver, path)
+    def _check_virtual_call(self, m: MethodDef, stmt, at: Location) -> None:
+        self._record_site(m, stmt.site, at)
+        self._check_expr(m, stmt.receiver, at)
         for arg in stmt.args:
-            self._check_expr(m, arg, path)
+            self._check_expr(m, arg, at)
         if stmt.dst is not None:
-            self._check_local(m, stmt.dst, path)
+            self._check_local(m, stmt.dst, at)
         impls = self._impls.get(stmt.selector, [])
         if not impls:
             self._error(UNRESOLVED_SELECTOR,
                         f"selector {stmt.selector!r} has no implementation",
-                        m, site=stmt.site, path=path)
+                        m, site=stmt.site, at=at)
             return
         # The receiver is passed as the callee's Arg(0), so every possible
         # implementation must declare 1 + len(args) parameter slots.
@@ -340,44 +361,44 @@ class _Verifier:
                             f"{impl.id} takes {impl.num_params} "
                             f"parameter slot(s), dispatch passes {expected} "
                             f"(receiver + {len(stmt.args)})",
-                            m, site=stmt.site, path=path)
+                            m, site=stmt.site, at=at)
 
     # -- expression / slot checks ----------------------------------------------
 
-    def _check_local(self, m: MethodDef, index, path: str) -> None:
+    def _check_local(self, m: MethodDef, index, at: Location) -> None:
         if not isinstance(index, int) or not 0 <= index < m.num_locals:
             self._error(LOCAL_RANGE,
                         f"local slot {index!r} out of range "
-                        f"[0, {m.num_locals})", m, path=path)
+                        f"[0, {m.num_locals})", m, at=at)
 
-    def _check_expr(self, m: MethodDef, expr: Expr, path: str) -> None:
+    def _check_expr(self, m: MethodDef, expr: Expr, at: Location) -> None:
         k = expr.kind
         if k not in KNOWN_EXPR_KINDS:
             self._error(BAD_EXPR_KIND,
                         f"unknown expression kind {k!r} "
-                        f"({type(expr).__name__})", m, path=path)
+                        f"({type(expr).__name__})", m, at=at)
             return
         if k == E_ARG:
             if not isinstance(expr.index, int) \
                     or not 0 <= expr.index < m.num_params:
                 self._error(ARG_RANGE,
                             f"Arg({expr.index!r}) out of range "
-                            f"[0, {m.num_params})", m, path=path)
+                            f"[0, {m.num_params})", m, at=at)
         elif k == E_LOCAL:
             if not isinstance(expr.index, int) \
                     or not 0 <= expr.index < m.num_locals:
                 self._error(LOCAL_RANGE,
                             f"Local({expr.index!r}) out of range "
-                            f"[0, {m.num_locals})", m, path=path)
+                            f"[0, {m.num_locals})", m, at=at)
         elif k in (E_ADD, E_SUB, E_MUL, E_LT):
-            self._check_expr(m, expr.left, path)
-            self._check_expr(m, expr.right, path)
+            self._check_expr(m, expr.left, at)
+            self._check_expr(m, expr.right, at)
         elif k == E_MOD:
-            self._check_expr(m, expr.left, path)
-            self._check_expr(m, expr.right, path)
+            self._check_expr(m, expr.left, at)
+            self._check_expr(m, expr.right, at)
             if expr.right.kind == E_CONST and expr.right.value == 0:
                 self._error(MOD_ZERO, "modulo by constant zero", m,
-                            path=path)
+                            at=at)
         elif k == E_PICK:
-            self._check_expr(m, expr.pool, path)
-            self._check_expr(m, expr.index, path)
+            self._check_expr(m, expr.pool, at)
+            self._check_expr(m, expr.index, at)
