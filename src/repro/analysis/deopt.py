@@ -45,7 +45,7 @@ from repro.compiler.compiled_method import (FULL_GUARD, PLAN_EXHAUSTIVE,
 from repro.jvm.costs import CostModel, DEFAULT_COSTS, DEOPT_STRATEGIES
 from repro.jvm.errors import ConfigError
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.program import MethodDef, Program, Stmt
+from repro.jvm.program import S_IF, S_LOOP, MethodDef, Program, Stmt
 from repro.provenance.reasons import ReasonCode
 
 from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_REFUSE,
@@ -57,6 +57,17 @@ __all__ = ["DeoptPlanner"]
 #: Guard-free entry protected by CHA invalidation of the sole target.
 PREEXIST = GuardPlan(PLAN_PREEXIST,
                      reason=ReasonCode.GUARD_ELIDED_PREEXIST.value)
+
+
+def _has_loop(body: Sequence[Stmt]) -> bool:
+    """Does ``body`` hold a ``Loop``, nested in an ``If`` or not?"""
+    for stmt in body:
+        if stmt.kind == S_LOOP:
+            return True
+        if stmt.kind == S_IF and (_has_loop(stmt.then_body)
+                                  or _has_loop(stmt.else_body)):
+            return True
+    return False
 
 
 class DeoptPlanner:
@@ -101,15 +112,17 @@ class DeoptPlanner:
         return cached
 
     def loop_live_index(self) -> Dict[int, FrozenSet[int]]:
-        """``id(loop_stmt) -> live set`` over every method in the program.
+        """``id(loop_stmt) -> live set`` over every loop in the program.
 
         Statement objects are shared with the executing machine, so this
         is what the interpreter charges OSR map-in costs from and what
-        the soundness replay checks transfers against.
+        the soundness replay checks transfers against.  Only methods
+        with a loop are analyzed; the rest have no entry to add.
         """
         index: Dict[int, FrozenSet[int]] = {}
         for method in self._program.methods():
-            index.update(self.liveness(method).loop_live_by_id)
+            if _has_loop(method.body):
+                index.update(self.liveness(method).loop_live_by_id)
         return index
 
     def _exit_live(self, stmt: Stmt,

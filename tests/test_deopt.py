@@ -9,7 +9,9 @@ import os
 
 import pytest
 
+from repro.analysis import deopt
 from repro.analysis.deopt import DeoptPlanner
+from repro.analysis.liveness import method_liveness
 from repro.analysis.soundness import (LiveStateWatch, check_osr_soundness,
                                       replay)
 from repro.aos.runtime import AdaptiveRuntime
@@ -18,8 +20,8 @@ from repro.compiler.compiled_method import (PLAN_FULL_GUARD, PLAN_OSR_EXIT,
 from repro.jvm.costs import DEFAULT_COSTS, DEOPT_STRATEGIES
 from repro.jvm.errors import ConfigError
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.program import (Arg, Const, Local, New, Return, StaticCall,
-                               VirtualCall, Work)
+from repro.jvm.program import (Arg, Const, If, Let, Local, Loop, Lt, New,
+                               Return, StaticCall, VirtualCall, Work)
 from repro.policies import make_policy
 from repro.provenance import ProvenanceRecorder
 from repro.workloads.builder import ProgramBuilder
@@ -161,6 +163,42 @@ class TestPlanSite:
         program = shapes_program()
         with pytest.raises(ConfigError):
             _planner(program, costs=PLANNED.replace(deopt_strategy="bogus"))
+
+
+class TestLoopLiveIndex:
+    def test_only_methods_with_loops_are_analyzed(self, monkeypatch):
+        b = ProgramBuilder("loops")
+        b.cls("App")
+        b.static_method("App", "flat", [Work(3), Return(Const(0))])
+        b.static_method("App", "looped", [
+            Loop(Const(4), 0, [Work(2)]), Return(Local(0))])
+        b.static_method("App", "nested", [
+            If(Lt(Arg(0), Const(2)),
+               [Loop(Const(3), 1, [Let(2, Local(1))])], [Work(1)]),
+            Return(Local(2))], params=1)
+        b.static_method("App", "main", [Return(Const(0))])
+        program = b.build()
+        analyzed = []
+
+        def counting(method):
+            analyzed.append(method.id)
+            return method_liveness(method)
+
+        monkeypatch.setattr(deopt, "method_liveness", counting)
+        index = _planner(program).loop_live_index()
+        assert sorted(analyzed) == ["App.looped", "App.nested"]
+        full = {}
+        for method in program.methods():
+            full.update(method_liveness(method).loop_live_by_id)
+        assert index == full and len(index) == 2
+
+    def test_index_unchanged_on_a_benchmark(self):
+        program = build_benchmark("db", 0.05).program
+        full = {}
+        for method in program.methods():
+            full.update(method_liveness(method).loop_live_by_id)
+        assert full
+        assert _planner(program).loop_live_index() == full
 
 
 class TestStrategyVocabulary:
