@@ -89,18 +89,18 @@ class TraceListener:
 
         policy = self.policy
         callee = stack[-1].method
-        # Edge 1 determines the per-site depth limit.
         caller_1 = stack[-2].method
         site_1 = stack[-1].site
-        limit = min(policy.max_depth, policy.depth_limit(caller_1.id, site_1))
-
         context: List[Tuple[str, int]] = [(caller_1.id, site_1)]
-        chain: List[MethodDef] = [callee, caller_1]
         reason = "max_depth"
 
         if policy.stop_at(caller_1):
             reason = "stop_at"
-        else:
+        elif policy.max_depth > 1:
+            # Edge 1 determines the per-site depth limit.
+            limit = min(policy.max_depth,
+                        policy.depth_limit(caller_1.id, site_1))
+            chain: List[MethodDef] = [callee, caller_1]
             edges = 1
             while edges < limit:
                 # Gate for edge e+1: can state flow through m_{e-1}?
@@ -118,10 +118,10 @@ class TraceListener:
                     reason = "stop_at"
                     break
 
-        key = TraceKey(callee.id, tuple(context))
+        key = TraceKey(callee.id, context)
         self.buffer.append(key)
         self.samples_taken += 1
-        depth = key.depth
+        depth = len(context)
         self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
         self.termination_reasons[reason] = \
             self.termination_reasons.get(reason, 0) + 1
@@ -134,7 +134,7 @@ class TraceListener:
 
     def walk_cost(self, key: TraceKey, costs: CostModel) -> float:
         """Listener cycles for one sample: per-frame traversal cost."""
-        return (key.depth + 1) * costs.trace_frame_cost
+        return (len(key.context) + 1) * costs.trace_frame_cost
 
     def mean_depth(self) -> float:
         total = sum(self.depth_histogram.values())

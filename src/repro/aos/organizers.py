@@ -23,22 +23,23 @@ organizer.)
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.aos.cost_accounting import (AI_ORGANIZER, DECAY_ORGANIZER,
                                        METHOD_ORGANIZER)
 from repro.aos.database import AOSDatabase
 from repro.aos.listeners import MethodListener, TraceListener
 from repro.compiler.code_cache import CodeCache
-from repro.compiler.compiled_method import GUARDED
+from repro.compiler.compiled_method import GUARDED, InlineNode
 from repro.compiler.opt_compiler import iter_call_sites
-from repro.compiler.oracle import build_site_trace_index, guard_coverage
-from repro.jvm.program import S_INTERFACE_CALL, S_VIRTUAL_CALL
+from repro.compiler.oracle import guard_coverage
+from repro.jvm.program import S_STATIC_CALL
 from repro.jvm.costs import CostModel
 from repro.policies.base import ContextSensitivityPolicy
 from repro.profiles.dcg import DynamicCallGraph
 from repro.profiles.partial_match import candidate_targets
-from repro.profiles.trace import InlineRule
+from repro.profiles.trace import Context, InlineRule, TraceKey
 
 #: Hard cap on optimizing recompilations of one method, bounding any
 #: recompile churn from rapidly-shifting early profiles.
@@ -55,9 +56,18 @@ def rules_fingerprint_of(rules) -> int:
     the AOS uses a CRC over each rule's identity instead, and
     decision-provenance logs recorded on different machines carry
     comparable fingerprints.
+
+    The CRC covers the repr of the tuple of ``(callee, context)`` pairs,
+    joined from each trace's text, which is built once per trace.
     """
-    return zlib.crc32(repr(
-        tuple((r.key.callee, r.key.context) for r in rules)).encode())
+    texts = [_trace_text(rule.key) for rule in rules]
+    trailer = "," if len(texts) == 1 else ""  # as in ``repr((x,))``
+    return zlib.crc32(f"({', '.join(texts)}{trailer})".encode())
+
+
+@lru_cache(maxsize=4096)
+def _trace_text(key: TraceKey) -> str:
+    return repr((key.callee, key.context))
 
 
 class AOSState:
@@ -81,8 +91,9 @@ class DCGOrganizer:
 
     def run(self, machine, trace_listener: TraceListener) -> int:
         samples = trace_listener.drain()
+        add = self._state.dcg.add
         for key in samples:
-            self._state.dcg.add(key)
+            add(key)
         if samples:
             machine.charge(AI_ORGANIZER,
                            len(samples) * self._costs.dcg_ingest_cost)
@@ -126,23 +137,32 @@ class AIOrganizer:
         if total < self._costs.ai_min_total_weight:
             return state.rules  # too little data to act on yet
 
-        threshold = self._costs.hot_edge_threshold
-        hot = state.dcg.hot_traces(threshold)
-        hot_keys = {key for key, _weight in hot}
-        retained_keys = {key for key, _weight in state.dcg.hot_traces(
-            threshold * self.RETAIN_FRACTION)}
+        # One read of the DCG: the retained traces (share above the
+        # retention band) and, among them, the hot ones (share above the
+        # threshold; the band is a fraction of it), cut as
+        # ``DynamicCallGraph.hot_traces`` cuts.  The rules are sorted by a
+        # total order below, so the order of this pass does not matter.
+        retained: Dict[object, float] = {}
+        hot: Dict[object, float] = {}
+        if total > 0.0:
+            threshold = self._costs.hot_edge_threshold
+            retain_cutoff = (threshold * self.RETAIN_FRACTION) * total
+            retained = {key: weight for key, weight in state.dcg.items()
+                        if weight > retain_cutoff}
+            cutoff = threshold * total
+            hot = {key: weight for key, weight in retained.items()
+                   if weight > cutoff}
 
-        for key, weight in hot:
-            self._hot_streak[key] = self._hot_streak.get(key, 0) + 1
+        # A streak counts consecutive hot epochs, so only hot keys keep one.
+        streaks = self._hot_streak
+        self._hot_streak = streaks = {key: streaks.get(key, 0) + 1
+                                      for key in hot}
+        for key, weight in hot.items():
             self._cold_streak.pop(key, None)
-            if (key in self._active
-                    or self._hot_streak[key] >= self.ENTER_STREAK):
+            if key in self._active or streaks[key] >= self.ENTER_STREAK:
                 self._active[key] = weight
-        for key in list(self._hot_streak):
-            if key not in hot_keys:
-                del self._hot_streak[key]
         for key in list(self._active):
-            if key in retained_keys:
+            if key in retained:
                 self._cold_streak.pop(key, None)
                 continue
             streak = self._cold_streak.get(key, 0) + 1
@@ -151,10 +171,10 @@ class AIOrganizer:
                 del self._active[key]
                 del self._cold_streak[key]
 
+        # A TraceKey orders as its (callee, context) tuple.
         rules = [InlineRule(key, weight, weight / total if total else 0.0)
-                 for key, weight in sorted(
-                     self._active.items(),
-                     key=lambda kv: (-kv[1], kv[0].callee, kv[0].context))]
+                 for key, weight in sorted(self._active.items(),
+                                           key=lambda kv: (-kv[1], kv[0]))]
         state.rules = rules
         state.rules_fingerprint = rules_fingerprint_of(rules)
         return rules
@@ -208,6 +228,113 @@ class DecayOrganizer:
                        processed * self._costs.decay_entry_cost)
 
 
+class ReplaySite(NamedTuple):
+    """One call site of a compiled inline tree, as the replay sees it."""
+
+    key: Tuple[str, int]    #: (enclosing method id, site id)
+    context: Context        #: compilation context, innermost first
+    kind: int               #: the call statement's kind
+    depth: int              #: inline depth of the enclosing body
+    guarded: bool           #: a guarded decision inlined targets here
+    inlined: FrozenSet[str]  #: ids of the targets inlined here
+
+
+def site_table(node: InlineNode, ctx_above: Context = ()
+               ) -> Tuple[ReplaySite, ...]:
+    """The call sites of an inline tree in replay walk order.
+
+    The walk visits a body's call sites in statement order, nested
+    blocks included, and descends into a site's inlined bodies right
+    after the site itself.
+    """
+    table: List[ReplaySite] = []
+    method_id = node.method.id
+    for stmt in iter_call_sites(node.method.body):
+        site = stmt.site
+        context = ((method_id, site),) + ctx_above
+        decision = node.decisions.get(site)
+        if decision is None:
+            table.append(ReplaySite(context[0], context, stmt.kind,
+                                    node.depth, False, frozenset()))
+            continue
+        table.append(ReplaySite(
+            context[0], context, stmt.kind, node.depth,
+            decision.kind == GUARDED,
+            frozenset(option.target.id for option in decision.options)))
+        for option in decision.options:
+            table.extend(site_table(option.node, context))
+    return tuple(table)
+
+
+class _Predictions:
+    """One wake's profile predictions, each computed once.
+
+    ``rules_by_site`` maps a site key to ``[rules, depth, cache]``.  A
+    site's prediction depends on its compilation context only as deep as
+    its deepest rule and, at a virtual or interface site, its deepest
+    trace (guard coverage reads those), so ``cache`` holds it per context
+    prefix of that ``depth``; the prefix's head is the site.  ``cache``
+    is ``None`` until :meth:`resolve` picks it: this wake's for a virtual
+    or interface site, whose traces it reads from the DCG, and
+    ``static`` for a static one.  ``static`` outlives the wake: a static
+    site's prediction is read only for its targets, which the rules'
+    traces decide and their weights do not.
+    """
+
+    def __init__(self, state: AOSState, costs: CostModel,
+                 static: Dict[Context, Dict[str, float]]):
+        self.rules_by_site: Dict[Tuple[str, int], list] = {}
+        for rule in state.rules:
+            context = rule.key.context
+            entry = self.rules_by_site.get(context[0])
+            if entry is None:
+                self.rules_by_site[context[0]] = [[rule], len(context),
+                                                  None]
+            else:
+                entry[0].append(rule)
+                if len(context) > entry[1]:
+                    entry[1] = len(context)
+        self._static = static
+        self._dispatched: Dict[Context, Dict[str, float]] = {}
+        self._dcg = state.dcg
+        self._costs = costs
+        self._site_traces: Dict[Tuple[str, int], list] = {}
+
+    def resolve(self, key: Tuple[str, int], kind: int,
+                entry: list) -> Dict[Context, Dict[str, float]]:
+        """Fix a site's prefix depth and prediction cache this wake."""
+        if kind == S_STATIC_CALL:
+            entry[2] = self._static
+            return self._static
+        # The site's traces keep DCG order, as the oracle's site index
+        # does, so coverage sums their weights in its order.
+        traces = [(trace, weight) for trace, weight in self._dcg.items()
+                  if trace.context[0] == key]
+        self._site_traces[key] = traces
+        for trace, _weight in traces:
+            if len(trace.context) > entry[1]:
+                entry[1] = len(trace.context)
+        entry[2] = self._dispatched
+        return self._dispatched
+
+    def predict(self, key: Tuple[str, int], context: Context, kind: int,
+                rules: List[InlineRule]) -> Dict[str, float]:
+        """The targets the oracle would now inline at a site."""
+        predicted = candidate_targets(rules, context)
+        if predicted and kind != S_STATIC_CALL:
+            # Mirror the oracle: a guarded inline only happens when the
+            # predicted targets cover enough dispatches.  Ties break by
+            # id, in the oracle's order (``predicted`` follows set order,
+            # which string hashing decides).
+            chosen = set(sorted(predicted, key=lambda t: (-predicted[t], t))
+                         [:self._costs.max_guarded_targets])
+            coverage = guard_coverage(self._site_traces[key], context,
+                                      chosen)
+            if coverage < self._costs.guard_coverage_min:
+                return {}
+        return predicted
+
+
 class MissingEdgeOrganizer:
     """Detects hot edges that became hot after their caller was compiled.
 
@@ -215,6 +342,11 @@ class MissingEdgeOrganizer:
     checks whether some current rule names a call site in that method whose
     callee is not inlined there.  Unless the AOS database records a refusal
     for that edge, a recompilation event is raised.
+
+    The replay walks each compiled method's :func:`site_table`,
+    built on its first replay and kept on the compiled method.  It
+    charges ``missing_edge_check_cost`` per site walked, up to and
+    including the first one that asks for a recompile.
     """
 
     def __init__(self, state: AOSState, code_cache: CodeCache,
@@ -223,43 +355,58 @@ class MissingEdgeOrganizer:
         self._code_cache = code_cache
         self._database = database
         self._costs = costs
+        #: Static sites' predictions by context prefix, kept while the
+        #: rules name the same traces.
+        self._rule_traces: FrozenSet[TraceKey] = frozenset()
+        self._static: Dict[Context, Dict[str, float]] = {}
 
     def run(self, machine, controller) -> int:
         state = self._state
-        rules_by_site: Dict[Tuple[str, int], List[InlineRule]] = {}
-        for rule in state.rules:
-            rules_by_site.setdefault(rule.context[0], []).append(rule)
-        # The replay must agree with the oracle's guard-coverage test or it
-        # will request recompiles the compiler then declines, forever.
-        self._site_traces = build_site_trace_index(state.dcg)
-
-        self._checks = 0
-        requested = 0
+        fingerprint = state.rules_fingerprint
+        method_samples = state.method_samples
         hot_bar = self._costs.hot_method_samples
+        predictions = None
+        checks = 0
+        requested = 0
         for compiled in self._code_cache.opt_methods():
-            if compiled.rules_fingerprint == state.rules_fingerprint:
+            if compiled.rules_fingerprint == fingerprint:
                 continue  # compiled under the current rules already
-            method_id = compiled.method.id
             if compiled.version >= MAX_OPT_VERSIONS:
                 continue
+            method_id = compiled.method.id
             # Only *hot* optimized methods are examined (Section 3.2).
-            if state.method_samples.get(method_id, 0.0) < hot_bar:
+            if method_samples.get(method_id, 0.0) < hot_bar:
                 continue
-            if self._needs_recompile(compiled.root, (), rules_by_site):
+            sites = compiled.replay_sites
+            if sites is None:
+                sites = compiled.replay_sites = site_table(compiled.root)
+            if not sites:
+                continue
+            if predictions is None:
+                rule_traces = frozenset(rule.key for rule in state.rules)
+                if rule_traces != self._rule_traces:
+                    self._rule_traces = rule_traces
+                    self._static = {}
+                predictions = _Predictions(state, self._costs, self._static)
+            position = self._first_trigger(sites, predictions)
+            if position is None:
+                checks += len(sites)
+            else:
+                checks += position + 1
                 controller.recompile_for_missing_edge(method_id)
                 requested += 1
-        if self._checks:
+        if checks:
             machine.charge(AI_ORGANIZER,
-                           self._checks * self._costs.missing_edge_check_cost)
+                           checks * self._costs.missing_edge_check_cost)
         return requested
 
-    def _needs_recompile(self, node, ctx_above,
-                         rules_by_site: Dict[Tuple[str, int],
-                                             List[InlineRule]]) -> bool:
+    def _first_trigger(self, sites: Tuple[ReplaySite, ...],
+                       predictions: _Predictions) -> Optional[int]:
         """Replay the oracle's profile predictions over an inline tree.
 
-        A recompile is worthwhile when some call site in the compiled code
-        (at its actual compilation context) either
+        Returns the walk position of the first site that makes a
+        recompile worthwhile, or ``None``.  A site does when, at its
+        compilation context, it either
 
         * *misses* a target the current rules would now inline there
           (the edge became hot after the last compile), or
@@ -270,52 +417,35 @@ class MissingEdgeOrganizer:
         Sites the oracle refused for durable reasons (size, space,
         recursion -- recorded in the AOS database) and sites at the
         inline-depth cap are skipped; recommending those again would be
-        pure churn.
+        pure churn.  Only a site some current rule names, or a guarded
+        one, can trigger.
         """
-        method_id = node.method.id
-        for stmt in iter_call_sites(node.method.body):
-            self._checks += 1
-            site = stmt.site
-            site_key = (method_id, site)
-            decision = node.decisions.get(site)
-            inlined = ({option.target.id for option in decision.options}
-                       if decision is not None else set())
-
-            site_rules = rules_by_site.get(site_key)
-            if site_rules and node.depth < self._costs.max_inline_depth:
-                comp_context = ((method_id, site),) + ctx_above
-                predicted = candidate_targets(site_rules, comp_context)
-                if predicted and stmt.kind in (S_VIRTUAL_CALL,
-                                               S_INTERFACE_CALL):
-                    # Mirror the oracle: a guarded inline only happens when
-                    # the predicted targets cover enough dispatches.  Ties
-                    # break by id, in the oracle's order (``predicted``
-                    # follows set order, which string hashing decides).
-                    chosen = set(sorted(predicted,
-                                        key=lambda t: (-predicted[t], t))
-                                 [:self._costs.max_guarded_targets])
-                    coverage = guard_coverage(
-                        self._site_traces.get(site_key, ()),
-                        comp_context, chosen)
-                    if coverage < self._costs.guard_coverage_min:
-                        predicted = {}
-                for target_id in predicted:
-                    if (target_id not in inlined
-                            and not self._database.was_refused(
-                                method_id, site, target_id)):
-                        return True
-                if decision is not None and decision.kind == GUARDED:
-                    for target_id in inlined:
-                        if target_id not in predicted:
-                            return True  # stale guard
-            elif (decision is not None and decision.kind == GUARDED
-                  and not site_rules):
-                return True  # every rule for this guarded site retired
-
-            if decision is not None:
-                comp_context = ((method_id, site),) + ctx_above
-                for option in decision.options:
-                    if self._needs_recompile(option.node, comp_context,
-                                             rules_by_site):
-                        return True
-        return False
+        rules_by_site = predictions.rules_by_site
+        depth_cap = self._costs.max_inline_depth
+        was_refused = self._database.was_refused
+        for position, (key, context, kind, depth, guarded,
+                       inlined) in enumerate(sites):
+            entry = rules_by_site.get(key)
+            if entry is None:
+                if guarded:
+                    return position  # every rule for this site retired
+                continue
+            if depth >= depth_cap:
+                continue
+            cache = entry[2]
+            if cache is None:
+                cache = predictions.resolve(key, kind, entry)
+            prefix = context[:entry[1]]
+            predicted = cache.get(prefix)
+            if predicted is None:
+                predicted = cache[prefix] = predictions.predict(
+                    key, context, kind, entry[0])
+            for target_id in predicted:
+                if (target_id not in inlined
+                        and not was_refused(key[0], key[1], target_id)):
+                    return position
+            if guarded:
+                for target_id in inlined:
+                    if target_id not in predicted:
+                        return position  # stale guard
+        return None

@@ -266,11 +266,12 @@ class AdaptiveRuntime:
         if on_begin is not None:
             on_begin(LISTENERS, "sample_tick")
         self.method_listener.sample(stack)
-        machine.charge(LISTENERS, costs.method_listener_cost)
         key = self.trace_listener.sample(stack)
+        # Neither listener reads the clock, so both pay in one charge.
+        cycles = costs.method_listener_cost
         if key is not None:
-            machine.charge(LISTENERS,
-                           self.trace_listener.walk_cost(key, costs))
+            cycles += self.trace_listener.walk_cost(key, costs)
+        machine.charge(LISTENERS, cycles)
         on_sample = getattr(events, "sample", None)
         if on_sample is not None:
             on_sample(stack)

@@ -193,10 +193,15 @@ class CompiledMethod:
         list used, in weight order, letting the missing-edge organizer
         cheaply skip code compiled under the current list.  The same
         rules in another order fingerprint differently.
+    replay_sites:
+        ``None`` until the missing-edge organizer first replays this
+        code; then the inline tree's call sites in replay walk order, as
+        a tuple of :class:`~repro.aos.organizers.ReplaySite`.  The tree
+        never changes once compiled, so the table is built once.
     """
 
     __slots__ = ("root", "inlined_bytecodes", "code_bytes", "compile_cycles",
-                 "version", "rules_fingerprint")
+                 "version", "rules_fingerprint", "replay_sites")
 
     def __init__(self, root: InlineNode, inlined_bytecodes: int,
                  code_bytes: int, compile_cycles: int, version: int,
@@ -207,6 +212,7 @@ class CompiledMethod:
         self.compile_cycles = compile_cycles
         self.version = version
         self.rules_fingerprint = rules_fingerprint
+        self.replay_sites = None
 
     @property
     def method(self) -> MethodDef:

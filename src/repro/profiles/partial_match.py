@@ -33,10 +33,9 @@ def contexts_compatible(rule_context: Context, comp_context: Context) -> bool:
     always requires at least the immediate (caller, callsite) to match,
     i.e. the rule is about the same call site.
     """
-    for rule_elem, comp_elem in zip(rule_context, comp_context):
-        if rule_elem != comp_elem:
-            return False
-    return True
+    if len(rule_context) <= len(comp_context):
+        return comp_context[:len(rule_context)] == rule_context
+    return rule_context[:len(comp_context)] == comp_context
 
 
 def applicable_rules(rules: Iterable[InlineRule],
@@ -59,10 +58,11 @@ def candidate_targets(rules: Iterable[InlineRule],
     groups: Dict[Context, Set[str]] = {}
     weights: Dict[str, float] = {}
     for rule in rules:
-        if not contexts_compatible(rule.context, comp_context):
+        callee, context = rule.key
+        if not contexts_compatible(context, comp_context):
             continue
-        groups.setdefault(rule.context, set()).add(rule.callee)
-        weights[rule.callee] = weights.get(rule.callee, 0.0) + rule.weight
+        groups.setdefault(context, set()).add(callee)
+        weights[callee] = weights.get(callee, 0.0) + rule.weight
 
     if not groups:
         return {}

@@ -20,7 +20,8 @@ special case.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import List, Sequence, Tuple
 
 #: One context element: (caller method id, call-site id within that caller).
 ContextElement = Tuple[str, int]
@@ -29,22 +30,24 @@ ContextElement = Tuple[str, int]
 Context = Tuple[ContextElement, ...]
 
 
-class TraceKey:
+class TraceKey(namedtuple("TraceKey", ("callee", "context"))):
     """An immutable, hashable (callee, context) pair.
 
     ``context[0]`` is the immediate (caller, callsite) of ``callee``; deeper
     elements walk outward toward ``main``.  A depth-1 key is exactly the
     paper's context-insensitive edge tuple.
+
+    A named tuple, so hashing, equality and field access run in C: the
+    AOS tick hashes keys on every DCG update and rule lookup.  The hash
+    is ``hash((callee, context))``.
     """
 
-    __slots__ = ("callee", "context", "_hash")
+    __slots__ = ()
 
-    def __init__(self, callee: str, context: Context):
+    def __new__(cls, callee: str, context: Context):
         if not context:
             raise ValueError("a trace needs at least one call edge")
-        self.callee = callee
-        self.context = tuple(context)
-        self._hash = hash((callee, self.context))
+        return tuple.__new__(cls, (callee, tuple(context)))
 
     @property
     def depth(self) -> int:
@@ -62,14 +65,6 @@ class TraceKey:
         if depth >= len(self.context):
             return self
         return TraceKey(self.callee, self.context[:depth])
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TraceKey)
-                and self.callee == other.callee
-                and self.context == other.context)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         chain = " <= ".join(f"{c}@{s}" for c, s in self.context)

@@ -9,16 +9,23 @@ from repro.aos.listeners import MethodListener, TraceListener
 from repro.aos.organizers import (AIOrganizer, AOSState, DCGOrganizer,
                                   DecayOrganizer, HotMethodsOrganizer,
                                   MAX_OPT_VERSIONS, MissingEdgeOrganizer)
+from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import (CompiledMethod, GuardOption,
                                             InlineDecision, InlineNode,
                                             DIRECT, GUARDED)
-from repro.jvm.costs import CostModel, to_centi
+from repro.compiler.opt_compiler import iter_call_sites
+from repro.compiler.oracle import build_site_trace_index, guard_coverage
+from repro.jvm.costs import DEFAULT_COSTS, CostModel, to_centi
 from repro.jvm.frames import Frame
 from repro.jvm.program import (Arg, Const, MethodDef, Return, StaticCall,
-                               VirtualCall, Work)
+                               VirtualCall, Work, S_INTERFACE_CALL,
+                               S_VIRTUAL_CALL)
+from repro.policies import make_policy
 from repro.policies.catalog import ContextInsensitive, FixedLevel
-from repro.profiles.trace import TraceKey
+from repro.profiles.partial_match import candidate_targets
+from repro.profiles.trace import InlineRule, TraceKey
+from repro.workloads.spec import build_benchmark
 
 
 class FakeMachine:
@@ -343,3 +350,169 @@ class TestMissingEdgeOrganizer:
                                   10.0, 0.05)]
         controller = FakeController()
         assert organizer.run(FakeMachine(), controller) == 0
+
+
+class TestReplayTable:
+    """The replay walks a cached table of each compiled tree's sites."""
+
+    def test_trigger_inside_inlined_child_charges_its_position(self, costs):
+        # C.caller's site 5 inlines C.mid, whose site 8 misses a hot edge.
+        # Walk order: caller@5, mid@7, mid@8 (the trigger), caller@6.
+        leaf = MethodDef("C", "leaf", 0, True, [Work(3), Return(Const(0))])
+        mid = MethodDef("C", "mid", 0, True,
+                        [StaticCall(7, "C.leaf", dst=0),
+                         StaticCall(8, "C.leaf", dst=0), Return(Const(0))],
+                        bytecodes=30)
+        caller = MethodDef("C", "caller", 0, True,
+                           [StaticCall(5, "C.mid", dst=0),
+                            StaticCall(6, "C.leaf", dst=0), Return(Const(0))],
+                           bytecodes=40)
+        mid_node = InlineNode(mid, 1)
+        mid_node.decisions[7] = InlineDecision(
+            DIRECT, [GuardOption(leaf, InlineNode(leaf, 2))])
+        compiled = make_compiled(caller, fingerprint=111, decisions={
+            5: InlineDecision(DIRECT, [GuardOption(mid, mid_node)])})
+        state = AOSState()
+        cache = CodeCache(costs)
+        cache.install(compiled)
+        organizer = MissingEdgeOrganizer(state, cache, AOSDatabase(), costs)
+        state.method_samples["C.caller"] = costs.hot_method_samples + 1.0
+        state.rules = [InlineRule(key("C.leaf", ("C.mid", 8)), 10.0, 0.05)]
+        state.rules_fingerprint = 222
+
+        machine, controller = FakeMachine(), FakeController()
+        assert organizer.run(machine, controller) == 1
+        assert controller.recompiles == ["C.caller"]
+        assert [site.key for site in compiled.replay_sites] == [
+            ("C.caller", 5), ("C.mid", 7), ("C.mid", 8), ("C.caller", 6)]
+        assert machine.cycles(AI_ORGANIZER) == \
+            3 * costs.missing_edge_check_cost
+
+        table = compiled.replay_sites
+        state.rules_fingerprint = 333
+        assert organizer.run(FakeMachine(), FakeController()) == 1
+        assert compiled.replay_sites is table  # built once
+
+
+def _reference_needs_recompile(node, ctx_above, rules_by_site, site_traces,
+                               database, costs, checks):
+    """The recursive inline-tree replay the site table replaced, kept as
+    the reference: one check per call site visited, in walk order, up to
+    and including the first that asks for a recompile."""
+    method_id = node.method.id
+    for stmt in iter_call_sites(node.method.body):
+        checks[0] += 1
+        site = stmt.site
+        site_key = (method_id, site)
+        decision = node.decisions.get(site)
+        inlined = ({option.target.id for option in decision.options}
+                   if decision is not None else set())
+        site_rules = rules_by_site.get(site_key)
+        if site_rules and node.depth < costs.max_inline_depth:
+            comp_context = ((method_id, site),) + ctx_above
+            predicted = candidate_targets(site_rules, comp_context)
+            if predicted and stmt.kind in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+                chosen = set(sorted(predicted,
+                                    key=lambda t: (-predicted[t], t))
+                             [:costs.max_guarded_targets])
+                coverage = guard_coverage(site_traces.get(site_key, ()),
+                                          comp_context, chosen)
+                if coverage < costs.guard_coverage_min:
+                    predicted = {}
+            for target_id in predicted:
+                if (target_id not in inlined
+                        and not database.was_refused(method_id, site,
+                                                     target_id)):
+                    return True
+            if decision is not None and decision.kind == GUARDED:
+                for target_id in inlined:
+                    if target_id not in predicted:
+                        return True
+        elif (decision is not None and decision.kind == GUARDED
+              and not site_rules):
+            return True
+        if decision is not None:
+            comp_context = ((method_id, site),) + ctx_above
+            for option in decision.options:
+                if _reference_needs_recompile(option.node, comp_context,
+                                              rules_by_site, site_traces,
+                                              database, costs, checks):
+                    return True
+    return False
+
+
+def _reference_replay(organizer):
+    """``(requested method ids, checks)`` of the reference replay over the
+    organizer's current state."""
+    state, costs = organizer._state, organizer._costs
+    rules_by_site = {}
+    for rule in state.rules:
+        rules_by_site.setdefault(rule.context[0], []).append(rule)
+    site_traces = build_site_trace_index(state.dcg)
+    checks, requested = [0], []
+    for compiled in organizer._code_cache.opt_methods():
+        if (compiled.rules_fingerprint == state.rules_fingerprint
+                or compiled.version >= MAX_OPT_VERSIONS
+                or state.method_samples.get(compiled.method.id, 0.0)
+                < costs.hot_method_samples):
+            continue
+        if _reference_needs_recompile(compiled.root, (), rules_by_site,
+                                      site_traces, organizer._database,
+                                      costs, checks):
+            requested.append(compiled.method.id)
+    return requested, checks[0]
+
+
+class _Spy:
+    """Passes calls through, recording the replay's requests and charge."""
+
+    def __init__(self, machine, controller):
+        self._machine = machine
+        self._controller = controller
+        self.requested = []
+        self.charged = 0
+
+    def charge(self, component, cycles):
+        assert component == AI_ORGANIZER
+        self.charged += cycles
+        self._machine.charge(component, cycles)
+
+    def recompile_for_missing_edge(self, method_id):
+        self.requested.append(method_id)
+        self._controller.recompile_for_missing_edge(method_id)
+
+
+SPEC_EXIT = dict(speculation_enabled=True, deopt_planning_enabled=True,
+                 deopt_strategy="osr-exit")
+
+
+@pytest.mark.parametrize("program", ["jess", "db"])
+@pytest.mark.parametrize("family,depth,overrides", [
+    ("cins", 1, {}), ("fixed", 3, {}), ("hybrid2", 4, SPEC_EXIT)])
+def test_replay_matches_recursive_reference(program, family, depth,
+                                            overrides, monkeypatch):
+    """At every wake of a real run, the table replay requests the same
+    methods in the same order and charges the same checks as the
+    recursive replay over the same state."""
+    costs = DEFAULT_COSTS.replace(**overrides)
+    runtime = AdaptiveRuntime(build_benchmark(program, 0.1).program,
+                              make_policy(family, depth, costs), costs)
+    real_run = MissingEdgeOrganizer.run
+    totals = {"wakes": 0, "checks": 0, "requested": 0}
+
+    def checked_run(self, machine, controller):
+        requested, checks = _reference_replay(self)
+        spy = _Spy(machine, controller)
+        count = real_run(self, spy, spy)
+        assert spy.requested == requested
+        assert count == len(requested)
+        assert spy.charged == (checks * costs.missing_edge_check_cost
+                               if checks else 0)
+        totals["wakes"] += 1
+        totals["checks"] += checks
+        totals["requested"] += count
+        return count
+
+    monkeypatch.setattr(MissingEdgeOrganizer, "run", checked_run)
+    runtime.run()
+    assert totals["wakes"] and totals["checks"] and totals["requested"]
