@@ -49,7 +49,7 @@ def main() -> None:
         for event in runtime.database.compilations_of(method_id):
             print(f"  v{event.version} at cycle {event.clock:,.0f} "
                   f"({event.reason}, {event.inlined_bytecodes} bc)")
-        compiled = runtime.code_cache.opt_version(method_id)
+        compiled = runtime.code_cache.installed.get(method_id)
         if compiled is None:
             print("  (currently running at the baseline tier)")
             continue

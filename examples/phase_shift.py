@@ -25,7 +25,7 @@ ITERATIONS = 40000
 
 
 def describe_decisions(runtime, step_site):
-    compiled = runtime.code_cache.opt_version("App.work")
+    compiled = runtime.code_cache.installed.get("App.work")
     if compiled is None:
         return "App.work not optimized"
     decision = compiled.root.decisions.get(step_site)

@@ -15,7 +15,7 @@ and deopt-planner objects only when the cost model opts in):
 * :mod:`repro.analysis.lattice` -- the precision-lattice report:
   per-site target-set sizes across ``CHA ⊇ RTA ⊇ 0CFA ⊇ kCFA ⊇
   observed``, context-rescued sites, and per-tier majority-prediction
-  scores against the fixed-seed dynamic CCT;
+  scores against a fixed-seed replay's per-context dispatch counts;
 * :mod:`repro.analysis.static_oracle` -- profile-free inlining policies
   driven purely by the static graphs (the baselines the paper's online
   system is measured against), flat and context-sensitive;

@@ -189,7 +189,7 @@ def build_call_graph(program: Program,
     entry = program.entry_method()
     builder = _GraphBuilder(program, hierarchy, precision)
     reachable, instantiated = builder.fixpoint(entry)
-    multipliers = {m_id: builder.site_multipliers(program.method(m_id))
+    multipliers = {m_id: method_site_multipliers(program.method(m_id))
                    for m_id in reachable}
     frequency = builder.propagate_frequencies(entry, multipliers)
 
@@ -290,12 +290,6 @@ class _GraphBuilder:
         return reachable, set(self._instantiated)
 
     # -- static frequency estimates -------------------------------------------
-
-    def site_multipliers(self, method: MethodDef) -> Dict[int, float]:
-        """Within-method execution-count estimate for each call site."""
-        out: Dict[int, float] = {}
-        _walk_multipliers(method.body, 1.0, out)
-        return out
 
     def propagate_frequencies(self, entry: MethodDef,
                               multipliers: Dict[str, Dict[int, float]]) \

@@ -10,7 +10,7 @@ protection lattice of "OSR a la carte" (D'Elia & Demetrescu), each a
 * **osr-exit** -- compile the site as an extra OSR point (beyond the
   loop back edges): the fast path pays *no* guard cycles because a
   broken speculation triggers a deoptimization exit that maps the live
-  frame state out (``osr_map_out_cost`` per live local, the pruned
+  frame state out (``OSR_MAP_OUT_COST`` per live local, the pruned
   live-state map) and finishes the dispatch at the baseline tier.
 * **preexist** -- no guard and no exit: only sound when the receiver
   preexists the activation, so CHA invalidation alone protects every
@@ -42,7 +42,8 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 from repro.compiler.compiled_method import (FULL_GUARD, PLAN_EXHAUSTIVE,
                                             PLAN_FULL_GUARD, PLAN_OSR_EXIT,
                                             PLAN_PREEXIST, GuardPlan)
-from repro.jvm.costs import CostModel, DEFAULT_COSTS, DEOPT_STRATEGIES
+from repro.jvm.costs import (CostModel, DEFAULT_COSTS, DEOPT_STRATEGIES,
+                              OSR_MAP_OUT_COST)
 from repro.jvm.errors import ConfigError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import S_IF, S_LOOP, MethodDef, Program, Stmt
@@ -167,7 +168,7 @@ class DeoptPlanner:
                     else costs.virtual_dispatch)
         tier_premium = dispatch * max(
             0.0, costs.baseline_exec_mult - costs.opt_exec_mult)
-        return len(live) * costs.osr_map_out_cost + tier_premium
+        return len(live) * OSR_MAP_OUT_COST + tier_premium
 
     def plan_site(self, stmt: Stmt,
                   comp_context: Sequence[Tuple[str, int]],

@@ -225,7 +225,7 @@ class ContextSensitiveCallGraph:
         ``context`` (truncated to k) and returns the argmax, breaking
         ties toward the lexicographically smallest target id.  This is
         the prediction the precision-lattice report scores against the
-        dynamic CCT's per-context majority.
+        per-context majority of a replay's dispatch counts.
         """
         info = self.sites.get(site)
         if info is None:

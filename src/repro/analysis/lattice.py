@@ -15,8 +15,9 @@ One report answers three questions the paper's motivation turns on:
 3. **How predictive is static context?**  For each tier the report
    scores the statically predicted majority target against the dynamic
    majority from a fixed-seed replay's context-qualified dispatch counts
-   (the dynamic CCT), weighted by dispatch count.  Flat tiers predict
-   one target per site; k-CFA tiers predict per truncated call string.
+   (:class:`~repro.analysis.soundness.DispatchEdges`), weighted by
+   dispatch count.  Flat tiers predict one target per site; k-CFA tiers
+   predict per truncated call string.
 
 ``repro analyze --lattice`` embeds :func:`lattice_to_json` in the
 versioned analysis bundle and prints :func:`render_lattice`.
@@ -71,7 +72,8 @@ class SiteLatticeRow:
 
 @dataclass(frozen=True)
 class TierPrecisionScore:
-    """Majority-target prediction accuracy of one tier vs the dynamic CCT."""
+    """Majority-target prediction accuracy of one tier vs a replay's
+    per-context dispatch counts."""
 
     tier: str
     groups_scored: int      #: (site, truncated context) groups compared
@@ -205,7 +207,7 @@ def _score_tier(tier: str, flat_graphs: Dict[str, StaticCallGraph],
                 edges: ContextEdges) -> TierPrecisionScore:
     """Score one tier's majority-target predictions against the replay.
 
-    Every tier is scored over the *same* dynamic groups -- the CCT's
+    Every tier is scored over the *same* dynamic groups -- the replay's
     (site, full observed call string) pairs -- but each tier's prediction
     may only condition on the prefix it tracks: nothing for flat tiers,
     the string truncated to k for k-CFA.  A context the tier cannot
@@ -298,7 +300,8 @@ def render_lattice(report: LatticeReport) -> str:
         rescued = report.rescued_sites(tier)
         lines.append(f"  rta-poly->{tier}-ctx-mono: {len(rescued)} site(s)"
                      + (f" {rescued}" if rescued else ""))
-    lines.append("  precision scores (majority-target vs dynamic CCT):")
+    lines.append("  precision scores (majority-target vs replay dispatch "
+                 "counts):")
     for s in report.scores:
         lines.append(f"    {s.tier}: {s.score:.3f} "
                      f"({s.matched}/{s.dispatches} dispatches over "

@@ -8,8 +8,9 @@ soundness check proving the static target sets contain every dispatch
 edge a fixed-seed run executes.  ``lattice=True`` additionally embeds
 the full precision-lattice comparison (per-site set sizes across
 ``CHA ⊇ RTA ⊇ 0CFA ⊇ 1CFA ⊇ 2CFA ⊇ observed``, context-rescued sites,
-and per-tier precision scores against the dynamic CCT) and upgrades the
-soundness section to check every tier of the chain from one replay.
+and per-tier precision scores against a replay's per-context dispatch
+counts) and upgrades the soundness section to check every tier of the
+chain from one replay.
 
 Versioning follows the provenance layer's policy: the payload carries
 ``schema = "repro.analysis/v1"``; adding fields is backward compatible,
@@ -485,7 +486,7 @@ def _render_lattice_section(lattice: Dict[str, object]) -> List[str]:
                      + (f" {rescued}" if rescued else ""))
     scores = ", ".join(f"{tier} {entry['score']:.3f}"
                        for tier, entry in lattice["precision_scores"].items())
-    lines.append(f"    precision scores vs dynamic CCT: {scores}")
+    lines.append(f"    precision scores vs replay dispatch counts: {scores}")
     return lines
 
 

@@ -134,11 +134,11 @@ class DispatchEdges:
 
     The call string is read off the machine's source-level shadow stack
     at dispatch time -- innermost-first call-site ids, truncated to
-    ``k`` -- so inlined activations contribute their sites exactly as a
-    CCT walk would see them.  At ``k=0`` every call string is empty: the
-    flat edges.  Counts are per executed dispatch, which makes
-    :attr:`edges` double as the fixed-seed dynamic CCT the precision
-    score compares k-CFA predictions against.
+    ``k`` -- so inlined activations contribute their sites exactly as
+    the source-level call stack holds them.  At ``k=0`` every call
+    string is empty: the flat edges.  Counts are per executed dispatch,
+    which makes :attr:`edges` the per-context dispatch counts the
+    precision score compares k-CFA predictions against.
     """
 
     #: The watched machine; :func:`replay` sets it.

@@ -31,7 +31,8 @@ from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.opt_compiler import OptCompiler
 from repro.compiler.oracle import InlineOracle
-from repro.jvm.costs import CENTI, CostModel, to_centi
+from repro.jvm.costs import (CENTI, FIRST_COMPILE_MIN_WEIGHT, CostModel,
+                              to_centi)
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import Program
 
@@ -125,26 +126,26 @@ class Controller:
         on_deferred = getattr(machine.events, "plan_deferred", None)
 
         for method_id, samples in hot_events:
-            if self._code_cache.opt_version(method_id) is not None:
+            if method_id in self._code_cache.installed:
                 continue  # already optimized; missing-edge path handles more
             if self._approve_first_compile(method_id, samples):
                 self._enqueue_plan(machine, method_id, "hot")
                 created += 1
             elif on_deferred is not None:
                 immature = (self._state.dcg.total_weight
-                            < costs.first_compile_min_weight)
+                            < FIRST_COMPILE_MIN_WEIGHT)
                 on_deferred(method_id, trigger="hot",
                             why="immature_profile" if immature
                             else "unprofitable", samples=samples)
 
         for method_id in osr:
-            if self._code_cache.opt_version(method_id) is not None:
+            if method_id in self._code_cache.installed:
                 continue
             self._enqueue_plan(machine, method_id, "osr")
             created += 1
 
         for method_id in missing:
-            compiled = self._code_cache.opt_version(method_id)
+            compiled = self._code_cache.installed.get(method_id)
             if compiled is None:
                 # Became a candidate before ever being optimized; treat as hot.
                 self._enqueue_plan(machine, method_id, "missing_edge")
@@ -176,7 +177,7 @@ class Controller:
         costs = self._costs
         # Wait for the profile to mature: optimizing against a half-formed
         # rule set just schedules a missing-edge recompile moments later.
-        if self._state.dcg.total_weight < costs.first_compile_min_weight:
+        if self._state.dcg.total_weight < FIRST_COMPILE_MIN_WEIGHT:
             return False
         method = self._program.method(method_id)
         future_time = samples * costs.sample_interval

@@ -9,7 +9,7 @@ compilation event, which the experiment harness reads for its reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class CompilationEvent(NamedTuple):
@@ -28,7 +28,6 @@ class AOSDatabase:
     """Recorded refusals and compilation history."""
 
     def __init__(self) -> None:
-        self._refusals: Set[Tuple[str, int, str]] = set()
         self._refusal_reasons: Dict[Tuple[str, int, str], str] = {}
         self.compilations: List[CompilationEvent] = []
         # CHA dependencies: root method id -> {selector: allowed target
@@ -42,12 +41,10 @@ class AOSDatabase:
 
     def record_refusal(self, caller_id: str, site: int, callee_id: str,
                        reason: str) -> None:
-        key = (caller_id, site, callee_id)
-        self._refusals.add(key)
-        self._refusal_reasons[key] = reason
+        self._refusal_reasons[(caller_id, site, callee_id)] = reason
 
     def was_refused(self, caller_id: str, site: int, callee_id: str) -> bool:
-        return (caller_id, site, callee_id) in self._refusals
+        return (caller_id, site, callee_id) in self._refusal_reasons
 
     def refusal_reason(self, caller_id: str, site: int,
                        callee_id: str) -> Optional[str]:
@@ -55,7 +52,7 @@ class AOSDatabase:
 
     @property
     def refusal_count(self) -> int:
-        return len(self._refusals)
+        return len(self._refusal_reasons)
 
     # -- CHA dependencies ---------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.compiler.compiled_method import GUARDED, InlineNode
 from repro.compiler.opt_compiler import iter_call_sites
 from repro.compiler.oracle import guard_coverage
 from repro.jvm.program import S_STATIC_CALL
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import AI_MIN_TOTAL_WEIGHT, HOT_METHOD_SAMPLES, CostModel
 from repro.policies.base import ContextSensitivityPolicy
 from repro.profiles.dcg import DynamicCallGraph
 from repro.profiles.partial_match import candidate_targets
@@ -134,7 +134,7 @@ class AIOrganizer:
         machine.charge(AI_ORGANIZER,
                        len(state.dcg) * self._costs.ai_examine_cost)
         total = state.dcg.total_weight
-        if total < self._costs.ai_min_total_weight:
+        if total < AI_MIN_TOTAL_WEIGHT:
             return state.rules  # too little data to act on yet
 
         # One read of the DCG: the retained traces (share above the
@@ -200,7 +200,7 @@ class HotMethodsOrganizer:
             counts[method_id] = counts.get(method_id, 0.0) + 1.0
             touched.add(method_id)
         for method_id in sorted(touched):
-            if counts[method_id] >= self._costs.hot_method_samples:
+            if counts[method_id] >= HOT_METHOD_SAMPLES:
                 controller.method_is_hot(method_id, counts[method_id])
         return len(samples)
 
@@ -364,7 +364,6 @@ class MissingEdgeOrganizer:
         state = self._state
         fingerprint = state.rules_fingerprint
         method_samples = state.method_samples
-        hot_bar = self._costs.hot_method_samples
         predictions = None
         checks = 0
         requested = 0
@@ -375,7 +374,7 @@ class MissingEdgeOrganizer:
                 continue
             method_id = compiled.method.id
             # Only *hot* optimized methods are examined (Section 3.2).
-            if method_samples.get(method_id, 0.0) < hot_bar:
+            if method_samples.get(method_id, 0.0) < HOT_METHOD_SAMPLES:
                 continue
             sites = compiled.replay_sites
             if sites is None:

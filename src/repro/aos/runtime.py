@@ -29,7 +29,8 @@ from repro.aos.organizers import (AIOrganizer, AOSState, DCGOrganizer,
                                   DecayOrganizer, HotMethodsOrganizer,
                                   MissingEdgeOrganizer)
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CENTI, DEFAULT_COSTS, CostModel, to_centi
+from repro.jvm.costs import (CENTI, DEFAULT_COSTS, ORGANIZER_PERIOD,
+                              CostModel, to_centi)
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine, join_sinks
 from repro.jvm.program import Program
@@ -221,7 +222,7 @@ class AdaptiveRuntime:
         self._next_sample = float(costs.sample_interval) * (1.0 + sample_phase)
         self._sample_due = ceil(CENTI * self._next_sample)
         self._organizer_due = ceil(
-            CENTI * (float(costs.organizer_period) * (1.0 + sample_phase)))
+            CENTI * (ORGANIZER_PERIOD * (1.0 + sample_phase)))
         self._decay_due = to_centi(costs.decay_period)
         # Timer ticks jitter around the nominal interval (as real timers
         # do); without jitter, fixed-interval sampling aliases against the
@@ -245,7 +246,7 @@ class AdaptiveRuntime:
         if clock >= self._organizer_due:
             self._organizer_wake(machine)
             self._organizer_due = (machine.clock
-                                   + to_centi(costs.organizer_period))
+                                   + to_centi(ORGANIZER_PERIOD))
 
         if clock >= self._decay_due:
             with span(machine, DECAY_ORGANIZER, "decay_organizer"):

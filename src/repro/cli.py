@@ -52,17 +52,18 @@ Commands
     precision-lattice comparison -- per-site target-set sizes across
     ``CHA ⊇ RTA ⊇ 0CFA ⊇ 1CFA ⊇ 2CFA ⊇ observed``, the sites static
     context rescues from RTA polymorphism, and per-tier prediction
-    scores against the fixed-seed dynamic CCT -- and widens the
-    soundness check to every tier of the chain.  ``--speculation`` adds
-    the speculation-risk section: the static dataflow summary
-    (receiver preexistence, dominator availability, invalidation-cone
-    risk), an elision-replay run asserting no elided guard would ever
-    have failed, and the guard-cycle delta against a speculation-off
-    baseline.  ``--deopt`` adds the deoptimization-planning section:
-    the per-method OSR-point table with liveness-derived live-set
-    sizes, the OSR live-state soundness replay (every post-transfer
-    read must be covered by the mapped live set), the planner's chosen
-    per-site strategies, and the planned-vs-guard cycle delta.
+    scores against a fixed-seed replay's per-context dispatch counts --
+    and widens the soundness check to every tier of the chain.
+    ``--speculation`` adds the speculation-risk section: the static
+    dataflow summary (receiver preexistence, dominator availability,
+    invalidation-cone risk), an elision-replay run asserting no elided
+    guard would ever have failed, and the guard-cycle delta against a
+    speculation-off baseline.  ``--deopt`` adds the
+    deoptimization-planning section: the per-method OSR-point table
+    with liveness-derived live-set sizes, the OSR live-state soundness
+    replay (every post-transfer read must be covered by the mapped live
+    set), the planner's chosen per-site strategies, and the
+    planned-vs-guard cycle delta.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (0 = all cores)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-cell timeout in seconds when running "
-                            "on a worker pool")
+                            "on a worker pool (--jobs 1 runs cells "
+                            "in-process, with no timeout)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="ignore the per-cell cache and rerun the full "
                             "sweep")
@@ -246,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes (0 = all cores)")
     causal.add_argument("--timeout", type=float, default=None,
                         help="per-cell timeout in seconds when running "
-                             "on a worker pool")
+                             "on a worker pool (--jobs 1 runs cells "
+                             "in-process, with no timeout)")
     causal.add_argument("--cache", default=None,
                         help="per-cell cache directory; interrupted "
                              "grids resume from it")
@@ -286,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="embed the precision-lattice comparison "
                               "(per-site sizes CHA ⊇ RTA ⊇ 0CFA ⊇ kCFA ⊇ "
                               "observed, context-rescued sites, per-tier "
-                              "precision scores vs the dynamic CCT)")
+                              "precision scores vs a replay's "
+                              "per-context dispatch counts)")
     analyze.add_argument("--speculation", action="store_true",
                          help="embed the speculation-risk section: static "
                               "dataflow summary (preexistence, dominator "

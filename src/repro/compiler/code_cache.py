@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.compiler.compiled_method import CompiledMethod
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import BASELINE_BYTES_PER_BC, CostModel
 from repro.jvm.program import MethodDef
 
 
@@ -27,7 +27,10 @@ class CodeCache:
     def __init__(self, costs: CostModel):
         self._costs = costs
         self._baseline: Set[str] = set()
-        self._opt: Dict[str, CompiledMethod] = {}
+        #: The installed optimized code: method id -> its latest
+        #: :class:`CompiledMethod`.  Read it directly; only
+        #: :meth:`install` and :meth:`invalidate` change it.
+        self.installed: Dict[str, CompiledMethod] = {}
         self._versions: Dict[str, int] = {}
 
         self.baseline_compiled_methods = 0
@@ -52,14 +55,10 @@ class CodeCache:
         cycles = method.bytecodes * self._costs.baseline_compile_cycles_per_bc
         self.baseline_compiled_methods += 1
         self.baseline_compiled_bytecodes += method.bytecodes
-        self.baseline_code_bytes += method.bytecodes * self._costs.baseline_bytes_per_bc
+        self.baseline_code_bytes += method.bytecodes * BASELINE_BYTES_PER_BC
         return float(cycles)
 
     # -- optimizing tier ---------------------------------------------------
-
-    def opt_version(self, method_id: str) -> Optional[CompiledMethod]:
-        """The currently installed optimized code for a method, if any."""
-        return self._opt.get(method_id)
 
     def next_version(self, method_id: str) -> int:
         return self._versions.get(method_id, 0) + 1
@@ -73,8 +72,8 @@ class CodeCache:
         space).
         """
         method_id = compiled.method.id
-        replaced = self._opt.get(method_id)
-        self._opt[method_id] = compiled
+        replaced = self.installed.get(method_id)
+        self.installed[method_id] = compiled
         self._versions[method_id] = compiled.version
         self.opt_compilations += 1
         self.opt_code_bytes += compiled.code_bytes
@@ -84,7 +83,7 @@ class CodeCache:
 
     def opt_methods(self) -> List[CompiledMethod]:
         """Currently installed optimized methods (latest versions only)."""
-        return list(self._opt.values())
+        return list(self.installed.values())
 
     def invalidate(self, method_id: str) -> Optional[CompiledMethod]:
         """Discard installed optimized code (CHA dependency broken);
@@ -96,7 +95,7 @@ class CodeCache:
         running the old inline tree -- which is exactly what pre-existence
         licenses (their receivers predate the class that just loaded).
         """
-        removed = self._opt.pop(method_id, None)
+        removed = self.installed.pop(method_id, None)
         if removed is None:
             return None
         self.invalidated_compilations += 1
@@ -104,7 +103,7 @@ class CodeCache:
 
     def live_opt_code_bytes(self) -> int:
         """Bytes of the latest versions only (alternative code-space view)."""
-        return sum(cm.code_bytes for cm in self._opt.values())
+        return sum(cm.code_bytes for cm in self.installed.values())
 
     # -- Table 1 metrics ---------------------------------------------------
 

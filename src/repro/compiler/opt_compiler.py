@@ -27,7 +27,7 @@ from repro.compiler.guards import classes_for_target
 from repro.compiler.oracle import InlineOracle
 from repro.compiler.size_estimator import (count_constant_args,
                                            estimate_inlined_bytecodes)
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import OPT_BYTES_PER_BC, CostModel
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (S_IF, S_INTERFACE_CALL, S_LOOP,
                                S_STATIC_CALL, S_VIRTUAL_CALL, MethodDef,
@@ -79,7 +79,7 @@ class OptCompiler:
             self._elide_dominated(root)
 
         inlined_bytecodes = total_size[0]
-        code_bytes = inlined_bytecodes * self._costs.opt_bytes_per_bc
+        code_bytes = inlined_bytecodes * OPT_BYTES_PER_BC
         compile_cycles = inlined_bytecodes * self._costs.opt_compile_cycles_per_bc
         return CompiledMethod(root, inlined_bytecodes, code_bytes,
                               compile_cycles, version, rules_fingerprint)

@@ -101,6 +101,7 @@ class SweepConfig:
     #: Per-cell wall-clock budget in seconds when running on a worker
     #: pool; ``None`` disables the limit.  A cell that exceeds it is
     #: recorded as a structured failure instead of stalling the sweep.
+    #: With ``jobs=1`` cells run in-process and no budget applies.
     cell_timeout: Optional[float] = None
     #: Persist each cell's best-run decision-provenance log next to its
     #: cached result (``<fingerprint>.decisions.jsonl``).  Execution-only

@@ -272,12 +272,13 @@ def run_cells(cells: Mapping[CellKey, object],
     an interrupted run resumes where it died.
 
     With ``jobs`` above one (0 = every core) the pending cells fan out
-    over a process pool, so ``worker`` must be picklable.  A cell whose
-    worker raises, in the pool or in-process, is retried once serially
-    and then recorded as a :class:`CellFailure`; a pool cell that exceeds
-    ``timeout`` seconds is recorded without a retry.  Cells stranded by a
-    broken pool, and every cell when no pool can be created, run
-    in-process.
+    over a process pool of at most one worker per pending cell, so
+    ``worker`` must be picklable.  A cell whose worker raises, in the pool
+    or in-process, is retried once serially and then recorded as a
+    :class:`CellFailure`; a pool cell that exceeds ``timeout`` seconds is
+    recorded without a retry.  With ``jobs`` of one every cell runs
+    in-process and ``timeout`` does not apply; so do cells stranded by a
+    broken pool, and every cell when no pool can be created.
     """
     results: Dict[CellKey, RunResult] = {}
     failures: Dict[CellKey, CellFailure] = {}
@@ -332,13 +333,14 @@ def run_cells(cells: Mapping[CellKey, object],
         fail(key, type(last).__name__, str(last), attempts)
 
     pending = [key for key in cells if key not in results]
-    jobs = min(jobs if jobs > 0 else (os.cpu_count() or 2), len(pending))
-    if jobs > 1:
+    jobs = jobs if jobs > 0 else (os.cpu_count() or 2)
+    if jobs > 1 and pending:
         try:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures import TimeoutError as FutureTimeout
             from concurrent.futures.process import BrokenProcessPool
-            executor = ProcessPoolExecutor(max_workers=jobs)
+            executor = ProcessPoolExecutor(
+                max_workers=min(jobs, len(pending)))
             futures = [(key, executor.submit(worker, cells[key]))
                        for key in pending]
         except Exception as exc:

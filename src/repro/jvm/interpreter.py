@@ -161,7 +161,7 @@ class Machine:
         #: liveness pass.  ``None`` (the default) charges no OSR
         #: state-mapping cycles, reproducing pre-planning cycle counts
         #: exactly; when set, each loop OSR transfer additionally pays
-        #: ``len(live) * costs.osr_map_in_cost``.
+        #: ``len(live) * OSR_MAP_IN_COST``.
         self.osr_liveness = None
         #: The event sink (DESIGN.md, "Events").  A sink implements only
         #: the :data:`EVENTS` it reads (``progress`` names its points in

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.aos.cost_accounting import APP, COMPILATION
 from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
                                             PLAN_OSR_EXIT)
-from repro.jvm.costs import to_centi
+from repro.jvm.costs import OSR_MAP_IN_COST, OSR_MAP_OUT_COST, to_centi
 from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
 from repro.jvm.program import (
@@ -200,6 +200,7 @@ def lower_run(m: Machine):
     stats = m.stats
     stack = m.stack
     code_cache = m.code_cache
+    installed = code_cache.installed.get
     fire = m._fire_tick
     mults = costs.centi_mults
 
@@ -250,7 +251,7 @@ def lower_run(m: Machine):
         stats.calls += 1
         stack.append(Frame(method, site, False))
         try:
-            compiled = code_cache.opt_version(method.id)
+            compiled = installed(method.id)
             if compiled is not None:
                 root = compiled.root
                 run = bodies.get(root)
@@ -364,7 +365,7 @@ def lower_run(m: Machine):
         # Mapping the live frame state into the optimized layout is the
         # OSR transition's dominant cost.
         map_in = (None if osr_liveness is None else
-                  len(osr_liveness.get(id(stmt), ())) * costs.osr_map_in_cost)
+                  len(osr_liveness.get(id(stmt), ())) * OSR_MAP_IN_COST)
 
         def loop(args, locals_, count):
             frame = stack[-1]
@@ -390,7 +391,7 @@ def lower_run(m: Machine):
                         m._osr_notified.add(method_id)
                         m.osr_handler(method_id)
                     if root is None:
-                        compiled = code_cache.opt_version(method_id)
+                        compiled = installed(method_id)
                         if compiled is not None:
                             root = compiled.root
                             run = unit(stmt.body, 0, OPTIMIZED, root)
@@ -563,7 +564,7 @@ def lower_run(m: Machine):
                 # guard).
                 src.line(depth, "stats.deopt_exits += 1")
                 emit_charge(src, depth, src.bind(
-                    to_centi(len(plan.live) * costs.osr_map_out_cost)
+                    to_centi(len(plan.live) * OSR_MAP_OUT_COST)
                     + centi(dispatch_cost, BASELINE)))
                 if on_deopt_exit is not None:
                     src.use("on_deopt_exit")

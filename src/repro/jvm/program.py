@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.jvm.costs import CALL_UNITS
 from repro.jvm.errors import ProgramError
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,6 @@ def body_bytecodes(body: Iterable[Stmt]) -> int:
     its header plus both branch bodies, and loop bodies are counted once
     (static size, not dynamic).
     """
-    from repro.jvm.costs import CALL_UNITS
-
     total = 0
     for stmt in body:
         k = stmt.kind

@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import CompiledMethod, InlineNode
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import BASELINE_BYTES_PER_BC, CostModel
 from repro.jvm.program import Const, MethodDef, Return, Work
 
 
@@ -42,9 +42,7 @@ class TestBaselineTier:
     def test_baseline_code_bytes(self, cache):
         m = method("m")
         cache.compile_baseline(m)
-        costs = CostModel()
-        assert cache.baseline_code_bytes == \
-            m.bytecodes * costs.baseline_bytes_per_bc
+        assert cache.baseline_code_bytes == m.bytecodes * BASELINE_BYTES_PER_BC
 
 
 class TestInvalidation:
@@ -53,7 +51,7 @@ class TestInvalidation:
         cm = compiled(m)
         cache.install(cm)
         assert cache.invalidate("C.m")
-        assert cache.opt_version("C.m") is None
+        assert "C.m" not in cache.installed
         assert cache.invalidated_compilations == 1
 
     def test_invalidate_missing_is_noop(self, cache):

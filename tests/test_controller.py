@@ -8,7 +8,7 @@ from repro.aos.cost_accounting import COMPILATION, CONTROLLER, CostAccounting
 from repro.aos.database import AOSDatabase
 from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CostModel, to_centi
+from repro.jvm.costs import FIRST_COMPILE_MIN_WEIGHT, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import NULL_EVENTS
 from repro.jvm.program import Const, Return, StaticCall, Work
@@ -49,7 +49,7 @@ def build_env(costs=None):
     # the tests a mature profile up front.
     from repro.profiles.trace import TraceKey
     state.dcg.add(TraceKey("C.small_hot", (("C.main", 0),)),
-                  costs.first_compile_min_weight + 10)
+                  FIRST_COMPILE_MIN_WEIGHT + 10)
     cache = CodeCache(costs)
     database = AOSDatabase()
     controller = Controller(program, hierarchy, state, cache, database,
@@ -67,7 +67,7 @@ class TestAnalyticModel:
         controller.method_is_hot("C.small_hot", samples)
         assert controller.process_events(machine) == 1
         thread.run(machine, controller.compilation_queue)
-        assert cache.opt_version("C.small_hot") is not None
+        assert "C.small_hot" in cache.installed
 
     def test_barely_sampled_method_denied(self):
         (_p, _h, _s, cache, _db, controller, _t, costs) = build_env()
@@ -75,7 +75,7 @@ class TestAnalyticModel:
         # One sample of a big method: benefit < compile cost.
         controller.method_is_hot("C.big", 1.0)
         assert controller.process_events(machine) == 0
-        assert cache.opt_version("C.big") is None
+        assert "C.big" not in cache.installed
 
     def test_model_formula(self):
         (_p, _h, _s, _c, _db, controller, _t, costs) = build_env()
@@ -112,14 +112,14 @@ class TestMissingEdgeRecompiles:
         controller.method_is_hot("C.small_hot", 50.0)
         controller.process_events(machine)
         thread.run(machine, controller.compilation_queue)
-        assert cache.opt_version("C.small_hot").version == 1
+        assert cache.installed["C.small_hot"].version == 1
 
         state.rules_fingerprint = 12345
         machine.clock += to_centi(costs.recompile_cooldown + 1)
         controller.recompile_for_missing_edge("C.small_hot")
         assert controller.process_events(machine) == 1
         thread.run(machine, controller.compilation_queue)
-        assert cache.opt_version("C.small_hot").version == 2
+        assert cache.installed["C.small_hot"].version == 2
 
     def test_cooldown_blocks_rapid_recompiles(self):
         (_p, _h, state, cache, _db, controller, thread, costs) = build_env()
@@ -141,7 +141,7 @@ class TestMissingEdgeRecompiles:
         thread.run(machine, controller.compilation_queue)
         machine.clock += to_centi(costs.recompile_cooldown + 1)
         state.rules_fingerprint = \
-            cache.opt_version("C.small_hot").rules_fingerprint
+            cache.installed["C.small_hot"].rules_fingerprint
         controller.recompile_for_missing_edge("C.small_hot")
         assert controller.process_events(machine) == 0
 
@@ -157,7 +157,7 @@ class TestMissingEdgeRecompiles:
             controller.recompile_for_missing_edge("C.small_hot")
             controller.process_events(machine)
             thread.run(machine, controller.compilation_queue)
-        assert cache.opt_version("C.small_hot").version <= MAX_OPT_VERSIONS
+        assert cache.installed["C.small_hot"].version <= MAX_OPT_VERSIONS
 
     def test_never_compiled_missing_edge_compiles(self):
         (_p, _h, _s, cache, _db, controller, thread, _c) = build_env()
@@ -165,7 +165,7 @@ class TestMissingEdgeRecompiles:
         controller.recompile_for_missing_edge("C.small_hot")
         assert controller.process_events(machine) == 1
         thread.run(machine, controller.compilation_queue)
-        assert cache.opt_version("C.small_hot") is not None
+        assert "C.small_hot" in cache.installed
 
 
 class TestCompilationThread:

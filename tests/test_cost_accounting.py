@@ -13,7 +13,8 @@ from repro.aos.cost_accounting import (AI_ORGANIZER, ALL_COMPONENTS, APP,
                                        METHOD_ORGANIZER)
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
-from repro.jvm.costs import CENTI, DEFAULT_COSTS, to_centi
+from repro.jvm.costs import (CENTI, DEFAULT_COSTS, INLINE_WORK_DISCOUNT,
+                             to_centi)
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import Machine
 from repro.jvm.program import Const, Return
@@ -97,7 +98,7 @@ AOS_CHARGES = ((LISTENERS, "method_listener_cost"),
 #: Cycles per unit of work at each tier (baseline, optimized, inlined).
 TIER_MULTS = (DEFAULT_COSTS.baseline_exec_mult, DEFAULT_COSTS.opt_exec_mult,
               DEFAULT_COSTS.opt_exec_mult
-              * (1.0 - DEFAULT_COSTS.inline_work_discount))
+              * (1.0 - INLINE_WORK_DISCOUNT))
 
 #: Application charges other than work: each is one unit cost at a tier.
 APP_UNITS = ("call_overhead", "virtual_dispatch", "interface_dispatch",

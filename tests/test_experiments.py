@@ -265,20 +265,27 @@ class TestResumableSweep:
         assert set(results.cells) == set(config.configurations())
         assert not results.failures
 
-    def test_timed_out_worker_does_not_outlive_the_run(self, tmp_path):
-        # A timed-out cell's worker keeps running; the pool's exit
-        # handler would wait for it unless the loop stops it.
+    @staticmethod
+    def _sleepy_run_cells(tmp_path, cells: str):
+        """Run ``run_cells`` with ``jobs=2, timeout=1`` over ``cells`` (the
+        source of a ``key -> seconds to sleep`` dict) in a child process.
+
+        Returns the child's ``results failures`` line, how long
+        ``run_cells`` took in it, and how long the whole child took.
+        """
         (tmp_path / "sleepy.py").write_text(
             "import time\n"
             "def worker(seconds):\n"
             "    time.sleep(seconds)\n"
             "    return None, None\n")
         script = (
+            "import time\n"
             "from repro.experiments.runner import run_cells\n"
             "import sleepy\n"
-            "results, failures = run_cells(\n"
-            "    {('slow', 'x', 0): 20, ('fast', 'x', 0): 0}, sleepy.worker,\n"
+            "start = time.monotonic()\n"
+            f"results, failures = run_cells({cells}, sleepy.worker,\n"
             "    str, lambda fingerprint, result: True, jobs=2, timeout=1)\n"
+            "print(time.monotonic() - start)\n"
             "print(sorted(results), [(key, failure.error_type)\n"
             "                        for key, failure in failures.items()])\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
@@ -290,9 +297,25 @@ class TestResumableSweep:
                               capture_output=True, text=True, timeout=60)
         elapsed = time.monotonic() - start
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == \
+        run_s, outcome = done.stdout.strip().splitlines()
+        return outcome, float(run_s), elapsed
+
+    def test_timed_out_worker_does_not_outlive_the_run(self, tmp_path):
+        # A timed-out cell's worker keeps running; the pool's exit
+        # handler would wait for it unless the loop stops it.
+        outcome, _run_s, elapsed = self._sleepy_run_cells(
+            tmp_path, "{('slow', 'x', 0): 20, ('fast', 'x', 0): 0}")
+        assert outcome == \
             "[('fast', 'x', 0)] [(('slow', 'x', 0), 'TimeoutError')]"
         assert elapsed < 10
+
+    def test_lone_pending_cell_is_bounded_by_the_timeout(self, tmp_path):
+        # One pending cell (a one-cell grid, or the last cell of a resumed
+        # sweep) still runs on the pool when jobs asks for one.
+        outcome, run_s, _elapsed = self._sleepy_run_cells(
+            tmp_path, "{('slow', 'x', 0): 3}")
+        assert outcome == "[] [(('slow', 'x', 0), 'TimeoutError')]"
+        assert run_s < 2
 
 
 class TestFailureSerialization:

@@ -156,7 +156,7 @@ def compile_cell(overrides: dict, shape) -> dict:
     controller.process_events(runtime.machine)
     runtime.compilation_thread.run(runtime.machine,
                                    controller.compilation_queue)
-    compiled = runtime.code_cache.opt_version(root)
+    compiled = runtime.code_cache.installed.get(root)
     (record,) = [r for r in recorder.decisions if r.site_kind == "virtual"]
     dependencies = runtime.database.cha_dependencies().get(root, {})
     return {

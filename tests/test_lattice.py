@@ -1,5 +1,6 @@
 """Tests for the precision-lattice report (per-site tier comparison,
-containment checking, and precision scoring vs the dynamic CCT)."""
+containment checking, and precision scoring vs a replay's per-context
+dispatch counts)."""
 
 import json
 

@@ -6,7 +6,7 @@ from repro.compiler.code_cache import CodeCache
 from repro.compiler.compiled_method import DIRECT, GUARDED, InlineNode
 from repro.compiler.opt_compiler import OptCompiler, iter_call_sites
 from repro.compiler.oracle import InlineOracle
-from repro.jvm.costs import CostModel
+from repro.jvm.costs import OPT_BYTES_PER_BC, CostModel
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (Arg, Const, If, Local, Loop, Return,
                                StaticCall, VirtualCall, Work)
@@ -129,7 +129,7 @@ class TestInlineTree:
         costs = CostModel()
         compiled, _ = compile_root(chain, costs=costs)
         assert compiled.code_bytes == \
-            compiled.inlined_bytecodes * costs.opt_bytes_per_bc
+            compiled.inlined_bytecodes * OPT_BYTES_PER_BC
         assert compiled.compile_cycles == \
             compiled.inlined_bytecodes * costs.opt_compile_cycles_per_bc
 
@@ -175,13 +175,13 @@ class TestCodeCache:
         cache = CodeCache(costs)
         compiled1, _ = compile_root(chain)
         cache.install(compiled1)
-        assert cache.opt_version("C.root") is compiled1
+        assert cache.installed["C.root"] is compiled1
         assert cache.next_version("C.root") == 2
 
         compiled2, _ = compile_root(chain)
         compiled2.version = 2
         cache.install(compiled2)
-        assert cache.opt_version("C.root") is compiled2
+        assert cache.installed["C.root"] is compiled2
         # Cumulative metrics keep both versions; live only the last.
         assert cache.opt_code_bytes == \
             compiled1.code_bytes + compiled2.code_bytes

@@ -16,7 +16,8 @@ from repro.compiler.compiled_method import (CompiledMethod, GuardOption,
                                             DIRECT, GUARDED)
 from repro.compiler.opt_compiler import iter_call_sites
 from repro.compiler.oracle import build_site_trace_index, guard_coverage
-from repro.jvm.costs import DEFAULT_COSTS, CostModel, to_centi
+from repro.jvm.costs import (DEFAULT_COSTS, HOT_METHOD_SAMPLES, CostModel,
+                             to_centi)
 from repro.jvm.frames import Frame
 from repro.jvm.program import (Arg, Const, MethodDef, Return, StaticCall,
                                VirtualCall, Work, S_INTERFACE_CALL,
@@ -161,23 +162,23 @@ class TestHotMethodsOrganizer:
         listener = MethodListener()
         controller = FakeController()
         machine = FakeMachine()
-        listener.buffer.extend(["C.m"] * costs.hot_method_samples)
+        listener.buffer.extend(["C.m"] * HOT_METHOD_SAMPLES)
         organizer.run(machine, listener, controller)
-        assert controller.hot == [("C.m", float(costs.hot_method_samples))]
+        assert controller.hot == [("C.m", float(HOT_METHOD_SAMPLES))]
         assert machine.cycles(METHOD_ORGANIZER) > 0
 
     def test_below_bar_not_reported(self, state, costs):
         organizer = HotMethodsOrganizer(state, costs)
         listener = MethodListener()
         controller = FakeController()
-        listener.buffer.extend(["C.m"] * (costs.hot_method_samples - 1))
+        listener.buffer.extend(["C.m"] * (HOT_METHOD_SAMPLES - 1))
         organizer.run(FakeMachine(), listener, controller)
         assert controller.hot == []
 
     def test_counts_accumulate_across_epochs(self, state, costs):
         organizer = HotMethodsOrganizer(state, costs)
         controller = FakeController()
-        for _ in range(costs.hot_method_samples):
+        for _ in range(HOT_METHOD_SAMPLES):
             listener = MethodListener()
             listener.buffer.append("C.m")
             organizer.run(FakeMachine(), listener, controller)
@@ -219,8 +220,8 @@ class TestMissingEdgeOrganizer:
         organizer = MissingEdgeOrganizer(state, cache, database, costs)
         return state, cache, database, organizer
 
-    def _hot_method(self, state, method, costs):
-        state.method_samples[method.id] = costs.hot_method_samples + 1.0
+    def _hot_method(self, state, method):
+        state.method_samples[method.id] = HOT_METHOD_SAMPLES + 1.0
 
     def _method_with_call(self, callee_id="C.callee", site=5):
         body = [StaticCall(site, callee_id, dst=0), Return(Const(0))]
@@ -234,7 +235,7 @@ class TestMissingEdgeOrganizer:
         state, cache, _db, organizer = self._setup(costs)
         caller = self._method_with_call()
         cache.install(make_compiled(caller, fingerprint=111))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         from repro.profiles.trace import InlineRule
         state.rules = [InlineRule(key("C.callee", ("C.caller", 5)),
@@ -258,7 +259,7 @@ class TestMissingEdgeOrganizer:
         state, cache, _db, organizer = self._setup(costs)
         caller = self._method_with_call()
         cache.install(make_compiled(caller, fingerprint=222))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         from repro.profiles.trace import InlineRule
         state.rules = [InlineRule(key("C.callee", ("C.caller", 5)),
@@ -270,7 +271,7 @@ class TestMissingEdgeOrganizer:
         state, cache, database, organizer = self._setup(costs)
         caller = self._method_with_call()
         cache.install(make_compiled(caller, fingerprint=111))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         database.record_refusal("C.caller", 5, "C.callee", "large")
         state.rules_fingerprint = 222
         from repro.profiles.trace import InlineRule
@@ -287,7 +288,7 @@ class TestMissingEdgeOrganizer:
                                   [GuardOption(callee, InlineNode(callee, 1))])
         cache.install(make_compiled(caller, fingerprint=111,
                                     decisions={5: decision}))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         from repro.profiles.trace import InlineRule
         state.rules = [InlineRule(key("C.callee", ("C.caller", 5)),
@@ -307,7 +308,7 @@ class TestMissingEdgeOrganizer:
                                   InlineNode(stale_target, 1), "A")])
         cache.install(make_compiled(caller, fingerprint=111,
                                     decisions={5: decision}))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         state.rules = []  # every rule for the site retired
         controller = FakeController()
@@ -326,7 +327,7 @@ class TestMissingEdgeOrganizer:
         body = [VirtualCall(5, "poly", Arg(0), dst=0), Return(Const(0))]
         caller = MethodDef("C", "caller", 1, True, body, bytecodes=40)
         cache.install(make_compiled(caller, fingerprint=111))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         state.rules = [InlineRule(key(target, ("C.caller", 5)), 10.0, 0.05)
                        for target in order]
@@ -343,7 +344,7 @@ class TestMissingEdgeOrganizer:
         caller = self._method_with_call()
         cache.install(make_compiled(caller, version=MAX_OPT_VERSIONS,
                                     fingerprint=111))
-        self._hot_method(state, caller, costs)
+        self._hot_method(state, caller)
         state.rules_fingerprint = 222
         from repro.profiles.trace import InlineRule
         state.rules = [InlineRule(key("C.callee", ("C.caller", 5)),
@@ -376,7 +377,7 @@ class TestReplayTable:
         cache = CodeCache(costs)
         cache.install(compiled)
         organizer = MissingEdgeOrganizer(state, cache, AOSDatabase(), costs)
-        state.method_samples["C.caller"] = costs.hot_method_samples + 1.0
+        state.method_samples["C.caller"] = HOT_METHOD_SAMPLES + 1.0
         state.rules = [InlineRule(key("C.leaf", ("C.mid", 8)), 10.0, 0.05)]
         state.rules_fingerprint = 222
 
@@ -454,7 +455,7 @@ def _reference_replay(organizer):
         if (compiled.rules_fingerprint == state.rules_fingerprint
                 or compiled.version >= MAX_OPT_VERSIONS
                 or state.method_samples.get(compiled.method.id, 0.0)
-                < costs.hot_method_samples):
+                < HOT_METHOD_SAMPLES):
             continue
         if _reference_needs_recompile(compiled.root, (), rules_by_site,
                                       site_traces, organizer._database,

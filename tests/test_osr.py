@@ -37,7 +37,7 @@ class TestOSR:
                                   make_policy("cins", 1))
         result = runtime.run()
         assert result.osr_transfers >= 1
-        assert runtime.code_cache.opt_version("Main.main") is not None
+        assert "Main.main" in runtime.code_cache.installed
         # The OSR compile is logged with its own reason.
         events = runtime.database.compilations_of("Main.main")
         assert events and events[0].reason == "osr"

@@ -100,7 +100,7 @@ class TestHashMapContextSensitivity:
 
     def test_right_targets_inlined_per_context(self, fixed2_run):
         built, runtime, _result = fixed2_run
-        compiled = runtime.code_cache.opt_version("HashMapTest.runTest")
+        compiled = runtime.code_cache.installed.get("HashMapTest.runTest")
         if compiled is None:
             pytest.skip("runTest not independently optimized in this run")
         # Inside runTest's inlined copies of get, the hashCode site must

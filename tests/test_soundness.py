@@ -104,7 +104,8 @@ class TestLatticeSoundness:
     def test_context_violation_names_tier_and_context(self, ctxprog):
         program, sites = ctxprog
         kgraph = build_kcfa_graph(program, k=1)
-        # Doctored CCT: under the c1 chain only A.ping is allowed.
+        # Doctored dispatch counts: under the c1 chain only A.ping is
+        # allowed.
         doctored = {(sites["disp"], (sites["c1"],)): {"B.ping": 3}}
         report = check_context_containment(kgraph, doctored)
         assert not report.ok

@@ -198,14 +198,14 @@ class TestSetValuedDependencies:
         # use a reload-style no-op: loading nothing new keeps the code.
         runtime._on_class_load("Square")
         assert runtime.code_cache.invalidated_compilations == 0
-        assert runtime.code_cache.opt_version(self.ROOT) is not None
+        assert self.ROOT in runtime.code_cache.installed
 
     def test_load_escaping_set_invalidates(self):
         runtime = self._runtime()
         runtime.hierarchy.mark_loaded("Exotic")
         runtime._on_class_load("Exotic")
         assert runtime.code_cache.invalidated_compilations == 1
-        assert runtime.code_cache.opt_version(self.ROOT) is None
+        assert self.ROOT not in runtime.code_cache.installed
         assert self.ROOT not in runtime.database.cha_dependencies()
 
     def test_rerecording_intersects_allowed_sets(self):

@@ -44,11 +44,20 @@ class TestFrames:
 
 
 class TestCostModel:
-    def test_defaults_match_module_constants(self):
+    def test_one_definition_per_cost_value(self):
+        # A value is either a CostModel field (or derived property) or a
+        # module constant, never both.
+        import dataclasses
+
         from repro.jvm import costs
+        model_names = {f.name for f in dataclasses.fields(CostModel)} | {
+            name for name, value in vars(CostModel).items()
+            if isinstance(value, property)}
+        mirrored = {name for name in vars(costs)
+                    if not name.startswith("_")
+                    and name.lower() in model_names}
+        assert not mirrored
         model = CostModel()
-        assert model.sample_interval == costs.SAMPLE_INTERVAL
-        assert model.hot_edge_threshold == costs.HOT_EDGE_THRESHOLD
         assert model.tiny_limit == 2 * costs.CALL_UNITS
         assert model.small_limit == 5 * costs.CALL_UNITS
         assert model.medium_limit == 25 * costs.CALL_UNITS
