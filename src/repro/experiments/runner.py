@@ -276,9 +276,10 @@ def run_cells(cells: Mapping[CellKey, object],
     ``worker`` must be picklable.  A cell whose worker raises, in the pool
     or in-process, is retried once serially and then recorded as a
     :class:`CellFailure`; a pool cell that exceeds ``timeout`` seconds is
-    recorded without a retry.  With ``jobs`` of one every cell runs
-    in-process and ``timeout`` does not apply; so do cells stranded by a
-    broken pool, and every cell when no pool can be created.
+    recorded without a retry, its pool is stopped at once, and the cells
+    that pool still owed run on a fresh pool.  With ``jobs`` of one every
+    cell runs in-process and ``timeout`` does not apply; so do cells
+    stranded by a broken pool, and every cell when no pool can be created.
     """
     results: Dict[CellKey, RunResult] = {}
     failures: Dict[CellKey, CellFailure] = {}
@@ -333,8 +334,29 @@ def run_cells(cells: Mapping[CellKey, object],
         fail(key, type(last).__name__, str(last), attempts)
 
     pending = [key for key in cells if key not in results]
+    # Cells a broken pool stranded; they run in-process at the end.
+    stranded: List[CellKey] = []
+
+    def collect(key: CellKey, future, wait: Optional[float] = None) -> bool:
+        """Finish ``key`` from its pool future; False if it timed out."""
+        try:
+            outcome = future.result(timeout=wait)
+        except FutureTimeout:
+            fail(key, "TimeoutError",
+                 f"cell exceeded the per-cell timeout of {timeout:g}s", 1)
+            return False
+        except BrokenProcessPool:
+            # The pool lost a worker process (crash/OOM-kill); the cells
+            # it still owed us run serially instead.
+            stranded.append(key)
+        except Exception:
+            run_in_process(key, attempts=1)
+        else:
+            finish(key, outcome)
+        return True
+
     jobs = jobs if jobs > 0 else (os.cpu_count() or 2)
-    if jobs > 1 and pending:
+    while jobs > 1 and pending:
         try:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures import TimeoutError as FutureTimeout
@@ -348,38 +370,34 @@ def run_cells(cells: Mapping[CellKey, object],
                 f"worker pool unavailable ({type(exc).__name__}: {exc}); "
                 f"running sweep cells in-process",
                 RuntimeWarning, stacklevel=3)
-        else:
-            pending = []
-            timed_out = False
-            try:
-                for key, future in futures:
-                    try:
-                        outcome = future.result(timeout=timeout)
-                    except FutureTimeout:
-                        timed_out = True
-                        future.cancel()
-                        fail(key, "TimeoutError",
-                             f"cell exceeded the per-cell timeout of "
-                             f"{timeout:g}s", 1)
-                    except BrokenProcessPool:
-                        # The pool lost a worker process (crash/OOM-kill);
-                        # the cells it still owed us run serially instead.
-                        pending.append(key)
-                    except Exception:
-                        run_in_process(key, attempts=1)
-                    else:
-                        finish(key, outcome)
-            finally:
-                # A timed-out cell's worker is still running it.  Stop
-                # the workers instead of letting the pool's exit handler
-                # wait for them: ProcessPoolExecutor has no public call
-                # for this before Python 3.14.
-                workers = (list(executor._processes.values())
-                           if timed_out else [])
-                executor.shutdown(wait=False, cancel_futures=True)
-                for process in workers:
-                    process.terminate()
-    for key in pending:
+            break
+        pending = []
+        finished: List = []
+        timed_out = False
+        try:
+            for position, (key, future) in enumerate(futures):
+                if not collect(key, future, timeout):
+                    # The cell's worker still runs it and holds its pool
+                    # slot.  Keep what the other workers have finished,
+                    # stop this pool, and run the cells it still owes
+                    # on a fresh one.
+                    timed_out = True
+                    rest = futures[position + 1:]
+                    finished = [(k, f) for k, f in rest if f.done()]
+                    pending = [k for k, f in rest if not f.done()]
+                    break
+        finally:
+            # Stop the workers instead of letting the pool's exit
+            # handler wait for the timed-out one: ProcessPoolExecutor
+            # has no public call for this before Python 3.14.
+            workers = (list(executor._processes.values())
+                       if timed_out else [])
+            executor.shutdown(wait=False, cancel_futures=True)
+            for process in workers:
+                process.terminate()
+        for key, future in finished:
+            collect(key, future)
+    for key in stranded + pending:
         run_in_process(key)
     return results, failures
 

@@ -4,6 +4,7 @@ The sweeps here run at tiny scale -- the point is plumbing correctness
 (keys, baselines, serialization, rendering), not paper-shaped numbers.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -266,28 +267,33 @@ class TestResumableSweep:
         assert not results.failures
 
     @staticmethod
-    def _sleepy_run_cells(tmp_path, cells: str):
-        """Run ``run_cells`` with ``jobs=2, timeout=1`` over ``cells`` (the
-        source of a ``key -> seconds to sleep`` dict) in a child process.
+    def _sleepy_run_cells(tmp_path, cells: str, timeout: float = 1):
+        """Run ``run_cells`` with ``jobs=2`` and ``timeout`` over ``cells``
+        (the source of a ``key -> seconds to sleep`` dict) in a child
+        process.  Each cell's result is the PID of the process that ran it.
 
         Returns the child's ``results failures`` line, how long
-        ``run_cells`` took in it, and how long the whole child took.
+        ``run_cells`` took in it, how long the whole child took, and the
+        source of the child's ``key -> PID`` results.
         """
         (tmp_path / "sleepy.py").write_text(
+            "import os\n"
             "import time\n"
             "def worker(seconds):\n"
             "    time.sleep(seconds)\n"
-            "    return None, None\n")
+            "    return os.getpid(), None\n")
         script = (
             "import time\n"
             "from repro.experiments.runner import run_cells\n"
             "import sleepy\n"
             "start = time.monotonic()\n"
             f"results, failures = run_cells({cells}, sleepy.worker,\n"
-            "    str, lambda fingerprint, result: True, jobs=2, timeout=1)\n"
+            "    str, lambda fingerprint, result: True, jobs=2,\n"
+            f"    timeout={timeout})\n"
             "print(time.monotonic() - start)\n"
             "print(sorted(results), [(key, failure.error_type)\n"
-            "                        for key, failure in failures.items()])\n")
+            "                        for key, failure in failures.items()])\n"
+            "print(results)\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ,
@@ -297,22 +303,36 @@ class TestResumableSweep:
                               capture_output=True, text=True, timeout=60)
         elapsed = time.monotonic() - start
         assert done.returncode == 0, done.stderr
-        run_s, outcome = done.stdout.strip().splitlines()
-        return outcome, float(run_s), elapsed
+        run_s, outcome, pids = done.stdout.strip().splitlines()
+        return outcome, float(run_s), elapsed, pids
 
     def test_timed_out_worker_does_not_outlive_the_run(self, tmp_path):
         # A timed-out cell's worker keeps running; the pool's exit
         # handler would wait for it unless the loop stops it.
-        outcome, _run_s, elapsed = self._sleepy_run_cells(
+        outcome, _run_s, elapsed, _pids = self._sleepy_run_cells(
             tmp_path, "{('slow', 'x', 0): 20, ('fast', 'x', 0): 0}")
         assert outcome == \
             "[('fast', 'x', 0)] [(('slow', 'x', 0), 'TimeoutError')]"
         assert elapsed < 10
 
+    def test_cells_after_a_timeout_get_every_worker(self, tmp_path):
+        # The timed-out cell's worker still holds its pool slot, so the
+        # cells after it must not queue on the one worker left: they run
+        # on a fresh pool, whose processes have new PIDs.
+        outcome, _run_s, _elapsed, pids = self._sleepy_run_cells(
+            tmp_path,
+            "{('slow', 'x', 0): 20, ('a', 'x', 0): 1, ('b', 'x', 0): 1,"
+            " ('c', 'x', 0): 1, ('d', 'x', 0): 1}", timeout=1.5)
+        short = [('a', 'x', 0), ('b', 'x', 0), ('c', 'x', 0), ('d', 'x', 0)]
+        assert outcome == \
+            f"{short} [(('slow', 'x', 0), 'TimeoutError')]"
+        pids = ast.literal_eval(pids)
+        assert len({pids[key] for key in short}) >= 2
+
     def test_lone_pending_cell_is_bounded_by_the_timeout(self, tmp_path):
         # One pending cell (a one-cell grid, or the last cell of a resumed
         # sweep) still runs on the pool when jobs asks for one.
-        outcome, run_s, _elapsed = self._sleepy_run_cells(
+        outcome, run_s, _elapsed, _pids = self._sleepy_run_cells(
             tmp_path, "{('slow', 'x', 0): 3}")
         assert outcome == "[] [(('slow', 'x', 0), 'TimeoutError')]"
         assert run_s < 2
