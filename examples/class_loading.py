@@ -46,9 +46,11 @@ def main() -> None:
 
     for method_id in sorted({event.subject for event in invalidations}):
         print(f"\ncompilation history of {method_id}:")
-        for event in runtime.database.compilations_of(method_id):
-            print(f"  v{event.version} at cycle {event.clock:,.0f} "
-                  f"({event.reason}, {event.inlined_bytecodes} bc)")
+        for event in log.of_kind("compile"):
+            if event.subject == method_id:
+                print(f"  {event.detail['version']} at cycle "
+                      f"{event.clock:,.0f} ({event.detail['reason']}, "
+                      f"{event.detail['inlined_bc']} bc)")
         compiled = runtime.code_cache.installed.get(method_id)
         if compiled is None:
             print("  (currently running at the baseline tier)")

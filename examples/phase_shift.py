@@ -18,7 +18,7 @@ Run with::
     python examples/phase_shift.py
 """
 
-from repro import AdaptiveRuntime, make_policy
+from repro import AdaptiveRuntime, ProvenanceRecorder, make_policy
 from repro.workloads import phase_shift
 
 ITERATIONS = 40000
@@ -38,23 +38,25 @@ def describe_decisions(runtime, step_site):
 def main() -> None:
     built = phase_shift.build(ITERATIONS)
     program, step_site = built.program, built.step_site
-    runtime = AdaptiveRuntime(program, make_policy("cins", 1))
+    recorder = ProvenanceRecorder()
+    runtime = AdaptiveRuntime(program, make_policy("cins", 1),
+                              provenance=recorder)
     result = runtime.run()
+    history = [record for record in recorder.compilations
+               if record.method == "App.work"]
 
     print(f"two-phase run: {ITERATIONS} iterations, receiver class "
           f"switches A->B at the midpoint")
     print(f"final installed code for App.work: "
           f"{describe_decisions(runtime, step_site)}")
-    print(f"recompilations of App.work: "
-          f"{runtime.database.version_count('App.work')}")
+    print(f"recompilations of App.work: {len(history)}")
     print(f"guard misses during the run: {result.guard_misses} "
           f"(paid while phase-1 guards were stale)")
     print(f"decay organizer ran {runtime.decay_organizer.runs} times")
 
-    history = runtime.database.compilations_of("App.work")
-    for event in history:
-        print(f"  compiled v{event.version} at cycle {event.clock:,.0f} "
-              f"({event.reason})")
+    for record in history:
+        print(f"  compiled v{record.version} at cycle {record.clock:,.0f} "
+              f"({record.reason})")
 
     final_rules = [r for r in runtime.state.rules
                    if r.context[0] == ("App.work", step_site)]

@@ -64,7 +64,7 @@ from repro.jvm.interpreter import Machine, MachineStats
 # -- adaptive optimization system ------------------------------------------------------
 from repro.aos.cost_accounting import (AOS_COMPONENTS, ALL_COMPONENTS, APP,
                                        CostAccounting)
-from repro.aos.database import AOSDatabase, CompilationEvent
+from repro.aos.database import AOSDatabase
 from repro.aos.listeners import (MethodListener, TerminationStatsProbe,
                                  TraceListener)
 from repro.aos.runtime import AdaptiveRuntime, RunResult
@@ -96,8 +96,8 @@ __all__ = [
     "ALL_COMPONENTS", "AOSDatabase", "AOS_COMPONENTS", "APP",
     "AdaptiveRuntime", "Add", "Arg", "CausalConfig", "CausalResults",
     "ClassDef", "ClassHierarchy",
-    "ClassMethods", "CodeCache", "CompilationError", "CompilationEvent",
-    "CompiledMethod", "ConfigError", "Const", "Context", "ContextInsensitive",
+    "ClassMethods", "CodeCache", "CompilationError", "CompiledMethod",
+    "ConfigError", "Const", "Context", "ContextInsensitive",
     "ContextSensitivityPolicy", "CostAccounting", "CostModel", "DEFAULT_COSTS",
     "Decision", "DecisionRecord", "DynamicCallGraph", "EventKind",
     "ExecutionError", "Expr", "FixedLevel", "Frame", "GuardOption", "If",

@@ -2,8 +2,8 @@
 
 Nine coordinated pieces, layered strictly *above* the JVM/compiler
 layers (nothing in :mod:`repro.jvm` or :mod:`repro.compiler` imports
-this package; the runtime hands the compiler duck-typed speculation
-and deopt-planner objects only when the cost model opts in):
+this package; the runtime hands the oracle a duck-typed guard planner
+only when the cost model opts in):
 
 * :mod:`repro.analysis.verifier` -- structural well-formedness checking
   with machine-readable :class:`VerifierError` diagnostics;
@@ -23,7 +23,7 @@ and deopt-planner objects only when the cost model opts in):
   dataflow framework (forward and backward, over the structured
   statement tree, sharing one transfer-function registry) and its
   speculation clients: receiver preexistence, must-available guards
-  for dominance-based elision, and invalidation-cone risk;
+  (one static statistic) and invalidation-cone risk;
 * :mod:`repro.analysis.liveness` -- backward live-variable analysis
   deriving per-statement live sets, per-loop OSR live sets, and
   per-call-site exit live sets;

@@ -31,24 +31,27 @@ machinery to spend those costs deliberately:
   executed on *every* path reaching a program point, with facts killed
   when their receiver local is reassigned.  Must-availability on a
   structured statement tree is exactly dominance of the guard site over
-  the elision site, which is what makes reusing the dominating guard's
-  outcome sound.
+  the later site.  It feeds one static statistic,
+  :func:`static_speculation_summary`'s ``dominator_available_sites``;
+  no run reads it.
 
 * Invalidation cones and churn-weighted risk -- per speculative
   assumption ``(selector, target)``, the set of declared-but-unloaded
   classes whose loading would break the assumption, weighted by a
   static allocation-frequency estimate of how likely each class is to
-  load.  The risk score lets the oracle choose guard vs guard-free vs
-  refuse (``speculation_elide_max_risk`` / ``speculation_refuse_min_risk``).
+  load.  The risk score lets the guard planner choose guard vs
+  guard-free vs refuse (``speculation_elide_max_risk`` /
+  ``speculation_refuse_min_risk``).
 
-:class:`SpeculationAnalysis` is the facade the compiler and oracle hold:
-per-method summaries are computed once and cached (method bodies are
+:class:`SpeculationAnalysis` is the facade the guard planner
+(:class:`repro.analysis.deopt.DeoptPlanner`) holds: per-method
+preexistence summaries are computed once and cached (method bodies are
 immutable), and cone/risk results are cached keyed on the hierarchy's
 load generation.
 
-Layering: this module depends only on :mod:`repro.jvm`; the compiler
-and oracle receive a ``SpeculationAnalysis`` instance by injection and
-never import this module.
+Layering: this module depends only on :mod:`repro.jvm`; the oracle
+receives the planner that holds it by injection, and nothing under
+:mod:`repro.compiler` imports this module.
 """
 
 from __future__ import annotations
@@ -519,16 +522,13 @@ class AvailableGuardAnalysis(ForwardAnalysis):
 
 
 class MethodSummary:
-    """Cached dataflow results for one (immutable) method body."""
+    """Cached preexistence facts for one (immutable) method body."""
 
-    __slots__ = ("method_id", "call_facts", "available", "receiver_tags")
+    __slots__ = ("method_id", "call_facts")
 
-    def __init__(self, method_id: str, call_facts: Dict[int, CallFacts],
-                 available: Dict[int, Tuple], receiver_tags: Dict):
+    def __init__(self, method_id: str, call_facts: Dict[int, CallFacts]):
         self.method_id = method_id
         self.call_facts = call_facts
-        self.available = available
-        self.receiver_tags = receiver_tags
 
 
 #: Loop-nesting frequency multiplier for the static allocation-churn
@@ -560,7 +560,8 @@ class SpeculationVerdict:
 
 
 class SpeculationAnalysis:
-    """Facade over the dataflow clients, held by the oracle and compiler.
+    """Facade over the preexistence client and the cone/risk analysis,
+    held by the guard planner.
 
     One instance serves one ``(program, hierarchy)`` pair for the life
     of a run.  Method summaries are immutable and cached forever;
@@ -585,14 +586,7 @@ class SpeculationAnalysis:
             return cached
         pre = PreexistenceAnalysis()
         pre.analyze(method)
-        avail = AvailableGuardAnalysis()
-        avail.analyze(method)
-        ordered_avail = {
-            site: tuple(sorted(facts))
-            for site, facts in avail.available.items()
-        }
-        built = MethodSummary(method.id, pre.call_facts, ordered_avail,
-                              avail.receiver_tags)
+        built = MethodSummary(method.id, pre.call_facts)
         self._summaries[method.id] = built
         return built
 
@@ -799,8 +793,9 @@ def static_speculation_summary(program: Program,
 
     Computed against a fresh (nothing-loaded) hierarchy: preexistent
     receiver sites, sites with a same-receiver dominating guard
-    available, and per-assumption cone sizes/risks for every virtual
-    selector's implementations.
+    available (the only use of :class:`AvailableGuardAnalysis`, run
+    here per method), and per-assumption cone sizes/risks for every
+    virtual selector's implementations.
     """
     hierarchy = hierarchy or ClassHierarchy(program)
     spec = SpeculationAnalysis(program, hierarchy, costs)
@@ -810,6 +805,8 @@ def static_speculation_summary(program: Program,
     selectors = set()
     for method in program.methods():
         summary = spec.summary(method)
+        avail = AvailableGuardAnalysis()
+        avail.analyze(method)
         for site in sorted(summary.call_facts):
             facts = summary.call_facts[site]
             if facts.selector is None:
@@ -818,10 +815,10 @@ def static_speculation_summary(program: Program,
             selectors.add(facts.selector)
             if facts.receiver is not None:
                 preexistent_sites += 1
-            tag = summary.receiver_tags.get(site)
+            tag = avail.receiver_tags.get(site)
             if tag is not None and any(
                     fact[2] == tag and fact[0] != site
-                    for fact in summary.available.get(site, ())):
+                    for fact in avail.available.get(site, ())):
                 dominated_sites += 1
     risks: List[float] = []
     cone_sizes: List[int] = []

@@ -19,11 +19,10 @@ protection lattice of "OSR a la carte" (D'Elia & Demetrescu), each a
   guard missed, the chosen targets cover every class that can reach
   the site.
 
-(The compiler's dominance pass adds a fifth kind, **dominated**, after
-the fact.)  :meth:`DeoptPlanner.plan_site` picks the kind for every
-guarded site the oracle inlines, under every setting of
-``speculation_enabled``, ``deopt_planning_enabled`` and
-``deopt_strategy``, combining three static inputs: the liveness-derived
+:meth:`DeoptPlanner.plan_site` picks the kind for every guarded site
+the oracle inlines, under every setting of ``speculation_enabled``,
+``deopt_planning_enabled`` and ``deopt_strategy``, and the compiler
+installs it as is.  It combines three static inputs: the liveness-derived
 exit cost (how expensive a mapped exit would be *here*), the
 speculation analysis (whether invalidation-protected entry is safe),
 and the k-CFA precision lattice (whether the compilation context proves
@@ -31,8 +30,8 @@ the site monomorphic, i.e. exits would never be taken).
 
 The runtime builds one planner when either flag is on; it owns the
 run's single :class:`~repro.analysis.dataflow.SpeculationAnalysis`.
-The oracle and compiler receive it by injection and never import this
-module.
+The oracle and the controller receive it by injection and never import
+this module.
 """
 
 from __future__ import annotations

@@ -32,14 +32,12 @@ from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
                                       build_call_graph)
 from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
                                  build_kcfa_graph, truncate)
-from repro.analysis.soundness import (ContextEdges, flatten_context_edges,
+from repro.analysis.soundness import (LATTICE_KS, ContextEdges,
+                                      flatten_context_edges,
                                       observe_context_edges,
                                       truncate_context_edges)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
-
-#: k depths the lattice report always includes.
-LATTICE_KS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,6 @@ class LatticeReport:
 
 
 def build_lattice_report(program: Program,
-                         ks: Tuple[int, ...] = LATTICE_KS,
                          costs: CostModel = DEFAULT_COSTS,
                          phase: float = 0.0,
                          edges: Optional[ContextEdges] = None) \
@@ -135,13 +132,13 @@ def build_lattice_report(program: Program,
                                     costs=costs)
         for precision in (CHA, RTA)}
     kgraphs: Dict[str, ContextSensitiveCallGraph] = {}
-    for k in ks:
+    for k in LATTICE_KS:
         graph = build_kcfa_graph(program, k=k, costs=costs)
         kgraphs[graph.precision] = graph
     tiers = (CHA, RTA) + tuple(kgraphs)
 
     if edges is None:
-        edges = observe_context_edges(program, k=max(ks, default=0),
+        edges = observe_context_edges(program, k=max(LATTICE_KS),
                                       costs=costs, phase=phase)
     flat_observed = flatten_context_edges(edges)
 

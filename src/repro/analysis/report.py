@@ -35,9 +35,8 @@ from repro.analysis.soundness import (DispatchEdges, LiveStateWatch,
                                       check_lattice_soundness,
                                       flatten_context_edges, replay)
 from repro.analysis.verifier import verify_program
-from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
-                                            PLAN_FULL_GUARD, PLAN_OSR_EXIT,
-                                            PLAN_PREEXIST)
+from repro.compiler.compiled_method import (GUARDED, PLAN_FULL_GUARD,
+                                            PLAN_OSR_EXIT, PLAN_PREEXIST)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ConfigError
 from repro.jvm.program import Program
@@ -54,11 +53,9 @@ ANALYZE_PRECISIONS = (CHA, RTA, "0cfa", "kcfa")
 DEFAULT_PRECISIONS = (CHA, RTA)
 
 #: The deopt section's published strategy name per guard-plan kind the
-#: ``planned`` strategy installs.  A dominated site was planned with its
-#: guard; the compiler's dominance pass then reused another guard's.
+#: ``planned`` strategy installs.
 PLAN_REPORT_NAMES = {
     PLAN_FULL_GUARD: "full-guard",
-    PLAN_DOMINATED: "full-guard",
     PLAN_OSR_EXIT: "cheap-exit-osr",
     PLAN_PREEXIST: "guard-free",
 }

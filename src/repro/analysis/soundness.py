@@ -46,6 +46,10 @@ from repro.provenance.diff import DecisionDiff, Flip
 if TYPE_CHECKING:  # pragma: no cover - layering: aos imports analysis
     from repro.aos.runtime import RunResult
 
+#: k depths of the precision chain: the k-CFA tiers the lattice report
+#: compares and :func:`check_lattice_soundness` checks.
+LATTICE_KS = (0, 1, 2)
+
 #: Attribution buckets for decision-diff flips.
 ATTR_STATIC_DECIDED = "static-decided"    #: CHA-monomorphic site
 ATTR_PROFILE_DECIDED = "profile-decided"  #: CHA-polymorphic dispatch site
@@ -209,7 +213,7 @@ class ElisionViolation:
     """
 
     site: int
-    elision_kind: str            #: "preexist", "exhaustive" or "dominated"
+    elision_kind: str            #: "preexist" or "exhaustive"
     entered: str                 #: target whose inlined body was entered
     resolved: str                #: what full dispatch would have called
     count: int = 1               #: dynamic occurrences on this run
@@ -276,8 +280,8 @@ def check_elision_soundness(program: Program,
     :class:`ElisionWatch`, and checks that every entry through an elided
     guard entered exactly the target a full dispatch would have
     resolved.  For preexistence elisions this certifies the invalidation
-    cone did its job; for exhaustive and dominance elisions it certifies
-    the acceptance-set containment argument.
+    cone did its job; for exhaustive elisions it certifies the
+    acceptance-set containment argument.
     """
     watch = ElisionWatch()
     costs = costs.replace(speculation_enabled=True)
@@ -516,7 +520,7 @@ class LatticeSoundnessReport:
         return "\n".join(lines)
 
 
-def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
+def check_lattice_soundness(program: Program,
                             costs: CostModel = DEFAULT_COSTS,
                             phase: float = 0.0,
                             edges: Optional[ContextEdges] = None) \
@@ -526,19 +530,19 @@ def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
     Flat tiers (CHA, RTA) are checked on the context-stripped edge sets;
     each k-CFA tier is checked context-conditioned.  One replay feeds
     every tier, so the sections are comparable edge-for-edge.  Pass
-    ``edges`` (from :func:`observe_context_edges` at depth >= max(ks))
-    to reuse an existing observation instead of replaying here.
+    ``edges`` (from :func:`observe_context_edges` at depth >=
+    ``max(LATTICE_KS)``) to reuse an existing observation instead of
+    replaying here.
     """
-    max_k = max(ks) if ks else 0
     if edges is None:
-        edges = observe_context_edges(program, k=max_k, costs=costs,
-                                      phase=phase)
+        edges = observe_context_edges(program, k=max(LATTICE_KS),
+                                      costs=costs, phase=phase)
     flat = flatten_context_edges(edges)
     sections: List[SoundnessReport] = []
     for precision in (CHA, RTA):
         graph = build_call_graph(program, precision=precision, costs=costs)
         sections.append(check_containment(graph, flat))
-    for k in ks:
+    for k in LATTICE_KS:
         kgraph = build_kcfa_graph(program, k=k, costs=costs)
         sections.append(check_context_containment(kgraph, edges))
     return LatticeSoundnessReport(program_name=program.name,

@@ -26,13 +26,12 @@ from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Set
 
 from repro.aos.cost_accounting import COMPILATION, CONTROLLER
-from repro.aos.database import AOSDatabase, CompilationEvent
+from repro.aos.database import AOSDatabase
 from repro.aos.organizers import AOSState, MAX_OPT_VERSIONS
 from repro.compiler.code_cache import CodeCache
 from repro.compiler.opt_compiler import OptCompiler
 from repro.compiler.oracle import InlineOracle
-from repro.jvm.costs import (CENTI, FIRST_COMPILE_MIN_WEIGHT, CostModel,
-                              to_centi)
+from repro.jvm.costs import FIRST_COMPILE_MIN_WEIGHT, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import Program
 
@@ -219,9 +218,8 @@ class CompilationThread:
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
                  code_cache: CodeCache, database: AOSDatabase,
-                 costs: CostModel, planner=None):
-        self._compiler = OptCompiler(program, hierarchy, costs,
-                                     planner=planner)
+                 costs: CostModel):
+        self._compiler = OptCompiler(program, hierarchy, costs)
         self._program = program
         self._code_cache = code_cache
         self._database = database
@@ -251,13 +249,5 @@ class CompilationThread:
                            inline_nodes=compiled.inline_node_count(),
                            guards=compiled.guard_count(),
                            guards_elided=compiled.elided_guard_count())
-            self._database.log_compilation(CompilationEvent(
-                method_id=plan.method_id,
-                version=plan.version,
-                inlined_bytecodes=compiled.inlined_bytecodes,
-                code_bytes=compiled.code_bytes,
-                compile_cycles=compiled.compile_cycles,
-                clock=machine.clock / CENTI,
-                reason=plan.reason))
             if on_compile is not None:
                 on_compile(plan, compiled, replaced)

@@ -1,35 +1,22 @@
-"""The AOS database: a central repository of compilation decisions/events.
+"""The AOS database: a central repository of compilation decisions.
 
 Paper Section 3.2: the inlining system records refusals by the optimizing
 compiler to inline particular call edges; the AI missing-edge organizer
 consults these records to avoid recommending recompilation for an edge the
-compiler has already declined.  The database also keeps a log of every
-compilation event, which the experiment harness reads for its reports.
+compiler has already declined.  The database also records the CHA
+dependencies of compiled code, which a class load checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-
-class CompilationEvent(NamedTuple):
-    """One optimizing compilation, as logged by the compilation thread."""
-
-    method_id: str
-    version: int
-    inlined_bytecodes: int
-    code_bytes: int
-    compile_cycles: float
-    clock: float
-    reason: str  # "hot" (controller model) or "missing_edge"
+from typing import Dict, Optional, Tuple
 
 
 class AOSDatabase:
-    """Recorded refusals and compilation history."""
+    """Recorded refusals and CHA dependencies."""
 
     def __init__(self) -> None:
         self._refusal_reasons: Dict[Tuple[str, int, str], str] = {}
-        self.compilations: List[CompilationEvent] = []
         # CHA dependencies: root method id -> {selector: allowed target
         # id(s)} -- a plain string for the loaded-sole case, a frozenset
         # for an exhaustive guard set.  Compiled code that speculated on
@@ -82,14 +69,3 @@ class AOSDatabase:
 
     def clear_cha_dependencies(self, root_id: str) -> None:
         self._cha_dependencies.pop(root_id, None)
-
-    # -- compilation log ----------------------------------------------------------
-
-    def log_compilation(self, event: CompilationEvent) -> None:
-        self.compilations.append(event)
-
-    def compilations_of(self, method_id: str) -> List[CompilationEvent]:
-        return [e for e in self.compilations if e.method_id == method_id]
-
-    def version_count(self, method_id: str) -> int:
-        return len(self.compilations_of(method_id))

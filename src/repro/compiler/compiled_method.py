@@ -12,8 +12,8 @@ target(s) expanded inline at that site.  The tree doubles as
 
 A guarded site carries one :class:`GuardPlan` saying what runs there:
 which options keep their guard test and what a miss does.  The oracle
-takes it from the deoptimization planner, the compiler's dominance pass
-may rewrite it, and lowering executes it.
+takes it from the deoptimization planner, the compiler installs it as
+is, and lowering executes it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ GUARDED = "guarded"    # class/method-test guards with virtual fallback
 PLAN_FULL_GUARD = "full-guard"  # every option tested; a miss dispatches
 PLAN_PREEXIST = "preexist"      # receiver preexists; invalidation protects
 PLAN_EXHAUSTIVE = "exhaustive"  # earlier guards missing implies the last hits
-PLAN_DOMINATED = "dominated"    # a dominating guard's result is reused
 PLAN_OSR_EXIT = "osr-exit"      # cheap-exit OSR point; a miss deoptimizes
 
 
@@ -44,9 +43,7 @@ class GuardPlan(NamedTuple):
     sole option unconditionally (CHA invalidation protects it),
     :data:`PLAN_EXHAUSTIVE` enters the last option unconditionally
     (the options' acceptance sets cover every class that can reach the
-    site), :data:`PLAN_DOMINATED` reuses the outcome of ``dominator``,
-    a ``(selector, target)`` guard that executed on every path to the
-    site, and :data:`PLAN_OSR_EXIT` tests nothing: an option is entered
+    site), and :data:`PLAN_OSR_EXIT` tests nothing: an option is entered
     when the resolved target matches, and a miss deoptimizes, mapping
     the ``live`` locals out and finishing at the baseline tier.
 
@@ -56,7 +53,6 @@ class GuardPlan(NamedTuple):
 
     kind: str
     live: FrozenSet[int] = frozenset()
-    dominator: Optional[Tuple[str, MethodDef]] = None
     reason: Optional[str] = None
 
     def elided(self, index: int, count: int) -> Optional[str]:

@@ -8,10 +8,7 @@ matching), expands approved callees recursively, and emits a
 and machine-code size scale with the total bytecodes compiled.
 
 Every guarded decision arrives with the :class:`GuardPlan` the oracle's
-planner chose for the site, and the compiler installs it as is.  With
-speculation enabled one post-pass may rewrite a plan: a dominance pass
-elides guards whose outcome is implied by a same-receiver guard that
-executed on every path to the site.
+planner chose for the site, and the compiler installs it as is.
 """
 
 from __future__ import annotations
@@ -19,11 +16,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator, List, Optional
 
-from repro.compiler.compiled_method import (DIRECT, GUARDED, PLAN_DOMINATED,
-                                            PLAN_FULL_GUARD, CompiledMethod,
-                                            GuardOption, GuardPlan,
-                                            InlineDecision, InlineNode)
-from repro.compiler.guards import classes_for_target
+from repro.compiler.compiled_method import (DIRECT, GUARDED, CompiledMethod,
+                                            GuardOption, InlineDecision,
+                                            InlineNode)
 from repro.compiler.oracle import InlineOracle
 from repro.compiler.size_estimator import (count_constant_args,
                                            estimate_inlined_bytecodes)
@@ -52,13 +47,10 @@ class OptCompiler:
     """Simulated optimizing compiler for one program."""
 
     def __init__(self, program: Program, hierarchy: ClassHierarchy,
-                 costs: CostModel, planner=None):
+                 costs: CostModel):
         self._program = program
         self._hierarchy = hierarchy
         self._costs = costs
-        #: Optional :class:`repro.analysis.deopt.DeoptPlanner`; with
-        #: speculation enabled its analysis feeds the dominance pass.
-        self._planner = planner
 
     def compile(self, method: MethodDef, oracle: InlineOracle,
                 version: int = 1, rules_fingerprint: int = 0,
@@ -75,8 +67,6 @@ class OptCompiler:
         report = (None if on_decision is None
                   else partial(on_decision, method, version))
         self._expand(root, (), total_size, method, oracle, report)
-        if self._planner is not None and self._costs.speculation_enabled:
-            self._elide_dominated(root)
 
         inlined_bytecodes = total_size[0]
         code_bytes = inlined_bytecodes * OPT_BYTES_PER_BC
@@ -118,61 +108,3 @@ class OptCompiler:
             kind = GUARDED if decision.guarded else DIRECT
             node.decisions[stmt.site] = InlineDecision(kind, options,
                                                        decision.plan)
-
-    # -- dominance-based redundant-guard elimination ----------------------------
-
-    def _elide_dominated(self, root: InlineNode) -> None:
-        """Rewrite to :data:`PLAN_DOMINATED` the plans of guards implied
-        by a same-receiver dominating guard.
-
-        Within each inline-tree body, a single-target guarded site B may
-        drop its own test when some other single-target guarded site A
-        (whose test is still compiled in) on the *same receiver value*
-        executes on every path to B -- must-availability from the
-        dataflow pass -- and B's acceptance set contains A's: A's guard
-        passing implies B's would too.  The compiled code for B reuses
-        A's already-computed outcome (the plan's ``dominator``), paying
-        no guard test; when A's guard missed, B falls through to its
-        dispatch fallback exactly as a miss would.
-        """
-        spec = self._planner.speculation
-        for node in root.walk():
-            if not node.decisions:
-                continue
-            summary = spec.summary(node.method)
-            for site in sorted(node.decisions):
-                decision = node.decisions[site]
-                if not _tested_sole_guard(decision):
-                    continue
-                option = decision.options[0]
-                facts = summary.call_facts.get(site)
-                tag = summary.receiver_tags.get(site)
-                if facts is None or facts.selector is None or tag is None:
-                    continue
-                accept_here: Optional[set] = None
-                for dom_site, dom_selector, dom_tag in \
-                        summary.available.get(site, ()):
-                    if dom_site == site or dom_tag != tag:
-                        continue
-                    dominator = node.decisions.get(dom_site)
-                    if dominator is None or not _tested_sole_guard(dominator):
-                        continue
-                    dom_option = dominator.options[0]
-                    accept_dom = classes_for_target(
-                        self._hierarchy, dom_selector, dom_option.target)
-                    if not accept_dom:
-                        continue
-                    if accept_here is None:
-                        accept_here = classes_for_target(
-                            self._hierarchy, facts.selector, option.target)
-                    if accept_dom <= accept_here:
-                        decision.plan = GuardPlan(
-                            PLAN_DOMINATED,
-                            dominator=(dom_selector, dom_option.target))
-                        break
-
-
-def _tested_sole_guard(decision: InlineDecision) -> bool:
-    """A single-option guarded decision whose guard test is compiled in."""
-    return (decision.kind == GUARDED and len(decision.options) == 1
-            and decision.plan.kind == PLAN_FULL_GUARD)

@@ -21,6 +21,7 @@ from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.metrics.report import format_table
 from repro.policies import make_policy
+from repro.provenance import ProvenanceRecorder
 from repro.workloads import phase_shift
 from repro.workloads.spec import build_benchmark
 
@@ -93,8 +94,9 @@ def decay_ablation(iterations: int = 80_000,
             ("decay off", DEFAULT_COSTS.replace(
                 decay_period=10 ** 12))):
         built = phase_shift.build(iterations, switch_fraction)
+        recorder = ProvenanceRecorder(label)
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
-                                  costs)
+                                  costs, provenance=recorder)
         result = runtime.run()
         targets = tuple(sorted(
             rule.callee for rule in runtime.state.rules
@@ -102,8 +104,9 @@ def decay_ablation(iterations: int = 80_000,
         outcomes[label] = DecayOutcome(
             label=label,
             guard_misses=result.guard_misses,
-            recompiles_of_hot_method=runtime.database.version_count(
-                "App.work"),
+            recompiles_of_hot_method=sum(
+                record.method == "App.work"
+                for record in recorder.compilations),
             total_cycles=result.total_cycles,
             final_rule_targets=targets)
 

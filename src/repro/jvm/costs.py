@@ -233,8 +233,8 @@ class CostModel:
     # -- speculation-risk static analysis (guard elision) --------------------
 
     #: Whether guard plans may use the speculation dataflow pass (receiver
-    #: preexistence, dominance-based guard elision, invalidation-cone
-    #: risk); see ``DeoptPlanner.plan_site``.  Off by default: elision is
+    #: preexistence and invalidation-cone risk); see
+    #: ``DeoptPlanner.plan_site``.  Off by default: elision is
     #: opt-in, never ambient, so default runs stay byte-identical to the
     #: golden decision logs.
     speculation_enabled: bool = False

@@ -20,8 +20,7 @@ from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Optional
 
 from repro.aos.cost_accounting import APP, COMPILATION
-from repro.compiler.compiled_method import (GUARDED, PLAN_DOMINATED,
-                                            PLAN_OSR_EXIT)
+from repro.compiler.compiled_method import GUARDED, PLAN_OSR_EXIT
 from repro.jvm.costs import OSR_MAP_IN_COST, OSR_MAP_OUT_COST, to_centi
 from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
@@ -594,15 +593,6 @@ def lower_run(m: Machine):
             # deoptimization exit.
             src.line(depth, f"if {target} is resolved:")
             src.line(depth + 1, "stats.deopt_entries += 1")
-        elif elided == PLAN_DOMINATED:
-            # Branch on the dominating guard's already-computed outcome,
-            # whose passing implies this guard would pass too; its miss
-            # is a miss here too.
-            dom_selector, dom_target = plan.dominator
-            src.line(depth, "if %s[recv.klass] is %s:" % (
-                src.bind(resolutions_for(dom_selector)),
-                src.bind(dom_target)))
-            emit_elided(src, depth + 1, site, elided, option)
         else:
             # "preexist" (invalidation protects the entry) and
             # "exhaustive" (every earlier guard missing implies this one
@@ -610,20 +600,17 @@ def lower_run(m: Machine):
             # Entering ``target`` (not ``resolved``) is the point: if the
             # argument were wrong the wrong body would run, which is what
             # the elision-replay checker detects.
-            emit_elided(src, depth, site, elided, option)
+            src.line(depth, "stats.elided_entries += 1")
+            if on_elided is not None:
+                src.use("on_elided")
+                src.line(depth, "on_elided(%s, %s, %s, resolved.id)" % (
+                    site, src.bind(elided), src.bind(option.target.id)))
             emit_enter(src, depth, option, stmt, target)
             return
         emit_enter(src, depth + 1, option, stmt, target)
         src.line(depth, "else:")
         emit_steps(src, depth + 1, stmt, site, decision, index + 1, tier,
                    dispatch_cost)
-
-    def emit_elided(src, depth: int, site: str, kind: str, option) -> None:
-        src.line(depth, "stats.elided_entries += 1")
-        if on_elided is not None:
-            src.use("on_elided")
-            src.line(depth, "on_elided(%s, %s, %s, resolved.id)" % (
-                site, src.bind(kind), src.bind(option.target.id)))
 
     def emit_enter(src, depth: int, option, stmt, target) -> None:
         """Enter ``option.target``'s body inlined at ``stmt``'s site with

@@ -35,10 +35,8 @@ class ImprecisionDriven(ContextSensitivityPolicy):
 
     label = "imprecision"
 
-    def __init__(self, max_depth: int,
-                 skew_threshold: float = SKEW_THRESHOLD):
+    def __init__(self, max_depth: int):
         super().__init__(max_depth)
-        self._skew_threshold = skew_threshold
         self._site_depth: Dict[Tuple[str, int], int] = {}
         self._epochs_at_max: Dict[Tuple[str, int], int] = {}
         self._abandoned: Dict[Tuple[str, int], bool] = {}
@@ -55,7 +53,7 @@ class ImprecisionDriven(ContextSensitivityPolicy):
     def observe(self, dcg: DynamicCallGraph) -> None:
         """One iteration of the imprecision-resolution loop."""
         self.epochs += 1
-        flagged = set(dcg.polymorphic_unskewed_sites(self._skew_threshold))
+        flagged = set(dcg.polymorphic_unskewed_sites())
 
         for site_key in flagged:
             if self._abandoned.get(site_key):
@@ -103,7 +101,7 @@ class ImprecisionDriven(ContextSensitivityPolicy):
             targets[key.callee] = targets.get(key.callee, 0.0) + weight
         for targets in by_context.values():
             total = sum(targets.values())
-            if total > 0 and max(targets.values()) / total >= self._skew_threshold:
+            if total > 0 and max(targets.values()) / total >= SKEW_THRESHOLD:
                 return True
         return False
 

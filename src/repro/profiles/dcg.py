@@ -88,9 +88,7 @@ class DynamicCallGraph:
                 out[key.callee] = out.get(key.callee, 0.0) + weight
         return out
 
-    def polymorphic_unskewed_sites(
-            self, skew_threshold: float = SKEW_THRESHOLD
-    ) -> List[Tuple[str, int]]:
+    def polymorphic_unskewed_sites(self) -> List[Tuple[str, int]]:
         """Call sites with multiple targets and no dominant one.
 
         These are the sites the imprecision-driven policy flags as needing
@@ -107,7 +105,7 @@ class DynamicCallGraph:
             if len(targets) < 2:
                 continue
             total = sum(targets.values())
-            if total > 0 and max(targets.values()) / total < skew_threshold:
+            if total > 0 and max(targets.values()) / total < SKEW_THRESHOLD:
                 flagged.append(site_key)
         flagged.sort()
         return flagged

@@ -12,6 +12,7 @@ from repro.jvm.costs import FIRST_COMPILE_MIN_WEIGHT, CostModel, to_centi
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.interpreter import NULL_EVENTS
 from repro.jvm.program import Const, Return, StaticCall, Work
+from repro.provenance import ProvenanceRecorder
 from repro.workloads.builder import ProgramBuilder
 
 
@@ -170,13 +171,15 @@ class TestMissingEdgeRecompiles:
 
 class TestCompilationThread:
     def test_charges_compilation_component(self):
-        (_p, _h, _s, _cache, database, controller, thread, _c) = build_env()
+        (_p, _h, _s, _cache, _db, controller, thread, _c) = build_env()
         machine = FakeMachine()
+        recorder = ProvenanceRecorder()
+        recorder.machine = machine
+        machine.events = recorder
         controller.method_is_hot("C.small_hot", 50.0)
         controller.process_events(machine)
         thread.run(machine, controller.compilation_queue)
         assert machine.cycles(COMPILATION) > 0
-        assert len(database.compilations) == 1
-        event = database.compilations[0]
-        assert event.method_id == "C.small_hot"
-        assert event.reason == "hot"
+        [record] = recorder.compilations
+        assert record.method == "C.small_hot"
+        assert record.reason == "hot"

@@ -1,6 +1,6 @@
 """Unit tests for the AOS database."""
 
-from repro.aos.database import AOSDatabase, CompilationEvent
+from repro.aos.database import AOSDatabase
 
 
 class TestRefusals:
@@ -21,20 +21,3 @@ class TestRefusals:
         # Latest reason wins.
         assert db.refusal_reason("C.m", 3, "C.big") == "space"
 
-
-class TestCompilationLog:
-    def _event(self, method_id="C.m", version=1):
-        return CompilationEvent(method_id=method_id, version=version,
-                                inlined_bytecodes=100, code_bytes=600,
-                                compile_cycles=1400.0, clock=5000.0,
-                                reason="hot")
-
-    def test_log_and_filter(self):
-        db = AOSDatabase()
-        db.log_compilation(self._event("C.a", 1))
-        db.log_compilation(self._event("C.a", 2))
-        db.log_compilation(self._event("C.b", 1))
-        assert len(db.compilations) == 3
-        assert len(db.compilations_of("C.a")) == 2
-        assert db.version_count("C.a") == 2
-        assert db.version_count("C.zzz") == 0

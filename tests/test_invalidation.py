@@ -218,10 +218,11 @@ class TestEndToEndInvalidation:
         built, runtime, _result, invalidations = run
         invalidated = {event.subject for event in invalidations}
         assert invalidated  # something was devirtualized then broken
+        # The fixture's event log also records every compile.
+        compiles = runtime.machine.events.of_kind("compile")
         for root_id in invalidated:
-            events = runtime.database.compilations_of(root_id)
             # Compiled at least twice: before and after the class load.
-            assert len(events) >= 2
+            assert sum(event.subject == root_id for event in compiles) >= 2
 
     def test_final_code_handles_both_classes(self, run):
         built, runtime, result, _invalidations = run

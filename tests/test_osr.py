@@ -12,6 +12,7 @@ from repro.jvm.interpreter import Machine
 from repro.jvm.program import (Arg, Const, If, Local, Loop, Lt, Return,
                                StaticCall, Work)
 from repro.policies import make_policy
+from repro.provenance import ProvenanceRecorder
 from repro.workloads.builder import ProgramBuilder
 
 
@@ -33,14 +34,16 @@ def loop_heavy_program(iterations=6000):
 
 class TestOSR:
     def test_loop_transfers_to_optimized_code(self):
+        recorder = ProvenanceRecorder()
         runtime = AdaptiveRuntime(loop_heavy_program(),
-                                  make_policy("cins", 1))
+                                  make_policy("cins", 1), provenance=recorder)
         result = runtime.run()
         assert result.osr_transfers >= 1
         assert "Main.main" in runtime.code_cache.installed
-        # The OSR compile is logged with its own reason.
-        events = runtime.database.compilations_of("Main.main")
-        assert events and events[0].reason == "osr"
+        # The OSR compile is recorded with its own reason.
+        compiles = [record for record in recorder.compilations
+                    if record.method == "Main.main"]
+        assert compiles and compiles[0].reason == "osr"
 
     def test_osr_faster_than_without(self):
         on = AdaptiveRuntime(loop_heavy_program(),
@@ -61,11 +64,14 @@ class TestOSR:
     def test_threshold_gates_request(self):
         # A loop shorter than the threshold never requests OSR.
         costs = DEFAULT_COSTS.replace(osr_backedge_threshold=10 ** 9)
+        recorder = ProvenanceRecorder()
         runtime = AdaptiveRuntime(loop_heavy_program(),
-                                  make_policy("cins", 1), costs)
+                                  make_policy("cins", 1), costs,
+                                  provenance=recorder)
         result = runtime.run()
         assert result.osr_transfers == 0
-        assert not runtime.database.compilations_of("Main.main")
+        assert not any(record.method == "Main.main"
+                       for record in recorder.compilations)
 
     def test_transferred_loop_result_unchanged(self):
         on = AdaptiveRuntime(loop_heavy_program(),

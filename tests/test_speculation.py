@@ -8,6 +8,8 @@ set-valued CHA dependencies invalidate the compiled code exactly when a
 class load escapes the proven-exhaustive target set.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.soundness import check_elision_soundness
@@ -25,6 +27,7 @@ from repro.provenance import ProvenanceRecorder
 from repro.provenance.diff import diff_decisions
 from repro.provenance.reasons import GUARD_CLASS_TEST
 from repro.workloads.builder import ProgramBuilder
+from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
 
 
@@ -83,8 +86,6 @@ class TestReasonOnlyContract:
     def test_hashmap_decisions_identical_with_speculation(self):
         """On the golden workload the pass changes no decision at all:
         no verdict flips, no target changes, not even a reason change."""
-        from repro.workloads.hashmap_example import build as build_hashmap
-
         def decisions(speculation):
             built = build_hashmap(iterations=4000)
             costs = DEFAULT_COSTS.replace(speculation_enabled=speculation)
@@ -104,6 +105,33 @@ class TestReasonOnlyContract:
         diff = diff_decisions(rec_off.records, rec_on.records)
         assert not diff.verdict_flips
         assert diff.is_identical
+
+
+class TestInertUnderPlanning:
+    """With deopt planning on, the ``osr-exit`` and ``planned`` strategies
+    plan every guarded site without the speculation analysis, so
+    ``speculation_enabled`` changes no simulated output."""
+
+    @pytest.mark.parametrize("strategy", ["osr-exit", "planned"])
+    @pytest.mark.parametrize("workload", ["hashmap", "mtrt", "compress"])
+    def test_speculation_changes_no_run_result_field(self, workload,
+                                                     strategy):
+        def result(speculation):
+            if workload == "hashmap":
+                program = build_hashmap(iterations=4000).program
+                family, depth = "fixed", 2
+            else:
+                program = build_benchmark(workload, scale=0.1).program
+                family, depth = "cins", 1
+            costs = DEFAULT_COSTS.replace(speculation_enabled=speculation,
+                                          deopt_planning_enabled=True,
+                                          deopt_strategy=strategy)
+            return AdaptiveRuntime(program,
+                                   make_policy(family, depth, costs),
+                                   costs=costs).run()
+
+        assert dataclasses.asdict(result(True)) == \
+            dataclasses.asdict(result(False))
 
 
 class _StubOracle:
