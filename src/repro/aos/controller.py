@@ -216,10 +216,9 @@ class Controller:
 class CompilationThread:
     """Executes compilation plans and installs the resulting code."""
 
-    def __init__(self, program: Program, hierarchy: ClassHierarchy,
-                 code_cache: CodeCache, database: AOSDatabase,
-                 costs: CostModel):
-        self._compiler = OptCompiler(program, hierarchy, costs)
+    def __init__(self, program: Program, code_cache: CodeCache,
+                 database: AOSDatabase, costs: CostModel):
+        self._compiler = OptCompiler(costs)
         self._program = program
         self._code_cache = code_cache
         self._database = database

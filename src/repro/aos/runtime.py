@@ -183,7 +183,7 @@ class AdaptiveRuntime:
         self.missing_edge_organizer = MissingEdgeOrganizer(
             self.state, self.code_cache, self.database, costs)
         self.compilation_thread = CompilationThread(
-            program, self.hierarchy, self.code_cache, self.database, costs)
+            program, self.code_cache, self.database, costs)
 
         self.machine = Machine(program, self.hierarchy, self.code_cache,
                                costs, self.accounting, self._tick)

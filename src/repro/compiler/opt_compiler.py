@@ -23,10 +23,8 @@ from repro.compiler.oracle import InlineOracle
 from repro.compiler.size_estimator import (count_constant_args,
                                            estimate_inlined_bytecodes)
 from repro.jvm.costs import OPT_BYTES_PER_BC, CostModel
-from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (S_IF, S_INTERFACE_CALL, S_LOOP,
-                               S_STATIC_CALL, S_VIRTUAL_CALL, MethodDef,
-                               Program, Stmt)
+                               S_STATIC_CALL, S_VIRTUAL_CALL, MethodDef, Stmt)
 from repro.profiles.trace import Context
 
 
@@ -44,12 +42,13 @@ def iter_call_sites(body) -> Iterator[Stmt]:
 
 
 class OptCompiler:
-    """Simulated optimizing compiler for one program."""
+    """Simulated optimizing compiler under one cost model.
 
-    def __init__(self, program: Program, hierarchy: ClassHierarchy,
-                 costs: CostModel):
-        self._program = program
-        self._hierarchy = hierarchy
+    What to inline comes from the oracle passed to :meth:`compile`; the
+    compiler itself needs only the cost model's compile-time rate.
+    """
+
+    def __init__(self, costs: CostModel):
         self._costs = costs
 
     def compile(self, method: MethodDef, oracle: InlineOracle,

@@ -55,7 +55,7 @@ def build_env(costs=None):
     database = AOSDatabase()
     controller = Controller(program, hierarchy, state, cache, database,
                             costs)
-    thread = CompilationThread(program, hierarchy, cache, database, costs)
+    thread = CompilationThread(program, cache, database, costs)
     return (program, hierarchy, state, cache, database, controller, thread,
             costs)
 

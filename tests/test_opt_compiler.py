@@ -66,7 +66,7 @@ def compile_root(chain, rules=(), costs=None):
     costs = costs or CostModel()
     hierarchy = ClassHierarchy(program)
     oracle = InlineOracle(program, hierarchy, costs, rules)
-    compiler = OptCompiler(program, hierarchy, costs)
+    compiler = OptCompiler(costs)
     compiled = compiler.compile(program.method("C.root"), oracle, version=1)
     return compiled, sites
 

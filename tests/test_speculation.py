@@ -19,7 +19,6 @@ from repro.compiler.compiled_method import (GUARDED, PLAN_EXHAUSTIVE,
 from repro.compiler.opt_compiler import OptCompiler
 from repro.compiler.oracle import Decision
 from repro.jvm.costs import DEFAULT_COSTS
-from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (Arg, Const, Local, Return, VirtualCall,
                                Work)
 from repro.policies import make_policy
@@ -169,8 +168,7 @@ class TestCompilerMarksLastOption:
         program = self._program()
         targets = [program.method("Circle.area"),
                    program.method("Square.area")]
-        compiler = OptCompiler(program, ClassHierarchy(program),
-                               DEFAULT_COSTS)
+        compiler = OptCompiler(DEFAULT_COSTS)
         compiled = compiler.compile(program.method("App.use"),
                                     _StubOracle(targets))
         decision = compiled.root.decisions[0]

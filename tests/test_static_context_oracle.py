@@ -84,7 +84,7 @@ class TestCompiledTree:
                                   costs=costs)
         oracle = StaticContextOracle(program, hierarchy, costs, graph,
                                      kgraph)
-        compiled = OptCompiler(program, hierarchy, costs).compile(
+        compiled = OptCompiler(costs).compile(
             program.method("C.c1"), oracle, version=1)
         # helper inlines into c1, and inside that inlined body the
         # dispatch devirtualizes directly -- no method-test guard.
@@ -103,7 +103,7 @@ class TestCompiledTree:
         hierarchy = ClassHierarchy(program)
         graph = build_call_graph(program, precision=RTA, costs=costs)
         oracle = StaticOracle(program, hierarchy, costs, graph)
-        compiled = OptCompiler(program, hierarchy, costs).compile(
+        compiled = OptCompiler(costs).compile(
             program.method("C.c1"), oracle, version=1)
         decided = {site for node in compiled.root.walk()
                    for site in node.decisions}

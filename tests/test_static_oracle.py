@@ -159,7 +159,7 @@ class TestCompiledTree:
         hierarchy = ClassHierarchy(program)
         graph = build_call_graph(program, precision=RTA, costs=costs)
         oracle = StaticOracle(program, hierarchy, costs, graph)
-        compiled = OptCompiler(program, hierarchy, costs).compile(
+        compiled = OptCompiler(costs).compile(
             program.method("C.root"), oracle, version=1)
         decision = compiled.root.decisions[site]
         assert decision.kind == GUARDED
@@ -171,7 +171,7 @@ class TestCompiledTree:
         hierarchy = ClassHierarchy(program)
         graph = build_call_graph(program, precision=RTA, costs=costs)
         oracle = StaticOracle(program, hierarchy, costs, graph)
-        compiled = OptCompiler(program, hierarchy, costs).compile(
+        compiled = OptCompiler(costs).compile(
             program.method("C.root"), oracle, version=1)
         assert site not in compiled.root.decisions
 
