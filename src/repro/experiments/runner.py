@@ -277,9 +277,11 @@ def run_cells(cells: Mapping[CellKey, object],
     or in-process, is retried once serially and then recorded as a
     :class:`CellFailure`; a pool cell that exceeds ``timeout`` seconds is
     recorded without a retry, its pool is stopped at once, and the cells
-    that pool still owed run on a fresh pool.  With ``jobs`` of one every
-    cell runs in-process and ``timeout`` does not apply; so do cells
-    stranded by a broken pool, and every cell when no pool can be created.
+    that pool still owed run on a fresh pool; a cell another worker was
+    still running then starts again from the beginning.  With ``jobs`` of
+    one every cell runs in-process and ``timeout`` does not apply; so do
+    cells stranded by a broken pool, and every cell when no pool can be
+    created.
     """
     results: Dict[CellKey, RunResult] = {}
     failures: Dict[CellKey, CellFailure] = {}
@@ -372,7 +374,6 @@ def run_cells(cells: Mapping[CellKey, object],
                 RuntimeWarning, stacklevel=3)
             break
         pending = []
-        finished: List = []
         timed_out = False
         try:
             for position, (key, future) in enumerate(futures):
@@ -380,11 +381,14 @@ def run_cells(cells: Mapping[CellKey, object],
                     # The cell's worker still runs it and holds its pool
                     # slot.  Keep what the other workers have finished,
                     # stop this pool, and run the cells it still owes
-                    # on a fresh one.
+                    # on a fresh one.  Ask each future done() once: one
+                    # that finishes between two asks would fit neither.
                     timed_out = True
-                    rest = futures[position + 1:]
-                    finished = [(k, f) for k, f in rest if f.done()]
-                    pending = [k for k, f in rest if not f.done()]
+                    for other_key, other in futures[position + 1:]:
+                        if other.done():
+                            collect(other_key, other)
+                        else:
+                            pending.append(other_key)
                     break
         finally:
             # Stop the workers instead of letting the pool's exit
@@ -395,8 +399,6 @@ def run_cells(cells: Mapping[CellKey, object],
             executor.shutdown(wait=False, cancel_futures=True)
             for process in workers:
                 process.terminate()
-        for key, future in finished:
-            collect(key, future)
     for key in stranded + pending:
         run_in_process(key)
     return results, failures
