@@ -321,8 +321,8 @@ class TestResumableSweep:
         # on a fresh pool, whose processes have new PIDs.
         outcome, _run_s, _elapsed, pids = self._sleepy_run_cells(
             tmp_path,
-            "{('slow', 'x', 0): 20, ('a', 'x', 0): 1, ('b', 'x', 0): 1,"
-            " ('c', 'x', 0): 1, ('d', 'x', 0): 1}", timeout=1.5)
+            "{('slow', 'x', 0): 20, ('a', 'x', 0): 0.3, ('b', 'x', 0): 0.3,"
+            " ('c', 'x', 0): 0.3, ('d', 'x', 0): 0.3}", timeout=0.75)
         short = [('a', 'x', 0), ('b', 'x', 0), ('c', 'x', 0), ('d', 'x', 0)]
         assert outcome == \
             f"{short} [(('slow', 'x', 0), 'TimeoutError')]"
@@ -336,6 +336,60 @@ class TestResumableSweep:
             tmp_path, "{('slow', 'x', 0): 3}")
         assert outcome == "[] [(('slow', 'x', 0), 'TimeoutError')]"
         assert run_s < 2
+
+    def test_cell_finishing_while_a_timeout_is_handled_is_kept(
+            self, monkeypatch):
+        # After a timeout the loop splits the other futures into finished
+        # and still running.  A future that finishes between two done()
+        # calls would fit neither side and its cell would be lost.
+        import concurrent.futures
+
+        class FinishesWhenAsked(concurrent.futures.Future):
+            """Running at its first done() call, finished from then on."""
+
+            def __init__(self, outcome):
+                super().__init__()
+                self.outcome = outcome
+
+            def done(self):
+                if self.outcome is not None:
+                    self.set_result(self.outcome)
+                    self.outcome = None
+                    return False
+                return super().done()
+
+        pools = []
+
+        class StubPool:
+            """Runs each cell at submit; "hang" never finishes, and in the
+            first pool "racy" finishes while the timeout is handled."""
+
+            def __init__(self, max_workers):
+                self._processes = {}
+                pools.append(self)
+
+            def submit(self, worker, arg):
+                if arg == "hang":
+                    return concurrent.futures.Future()
+                if arg == "racy" and len(pools) == 1:
+                    return FinishesWhenAsked(worker(arg))
+                future = concurrent.futures.Future()
+                future.set_result(worker(arg))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            StubPool)
+        cells = {("slow", "x", 0): "hang", ("racy", "x", 0): "racy"}
+        results, failures = runner.run_cells(
+            cells, lambda arg: (arg, None), str,
+            lambda fingerprint, result: True, jobs=2, timeout=0.01)
+        assert set(results) | set(failures) == set(cells)
+        assert results == {("racy", "x", 0): "racy"}
+        assert failures[("slow", "x", 0)].error_type == "TimeoutError"
+        assert len(pools) == 2
 
 
 class TestFailureSerialization:
