@@ -24,11 +24,10 @@ from repro.jvm.errors import (CompilationError, ConfigError, ExecutionError,
                               ProgramError, ReproError)
 from repro.jvm.values import Instance, Value, dynamic_class
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
-from repro.jvm.program import (Add, Arg, ClassDef, Const, Expr, If,
-                               InterfaceCall, Let, Local, Loop, Lt,
-                               MethodDef, Mod, Mul, New, NewPool, Pick,
-                               Program, Return, StaticCall, Stmt, Sub,
-                               VirtualCall, Work, body_bytecodes)
+from repro.jvm.program import (Add, Arg, ClassDef, Const, Expr, If, Let,
+                               Local, Loop, Lt, MethodDef, Mod, Mul, New,
+                               NewPool, Pick, Program, Return, StaticCall,
+                               Stmt, Sub, VirtualCall, Work, body_bytecodes)
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.frames import Frame, physical_method
 
@@ -102,7 +101,7 @@ __all__ = [
     "Decision", "DecisionRecord", "DynamicCallGraph", "EventKind",
     "ExecutionError", "Expr", "FixedLevel", "Frame", "GuardOption", "If",
     "ImprecisionDriven", "InlineDecision", "InlineNode", "InlineOracle",
-    "InlineRule", "Instance", "InterfaceCall", "LargeMethods", "Let", "Local",
+    "InlineRule", "Instance", "LargeMethods", "Let", "Local",
     "Loop", "Machine", "MachineStats", "MethodDef", "MethodListener", "Mod",
     "Mul", "New", "NewPool", "OptCompiler", "POLICY_LABELS",
     "ParameterlessClassMethods", "ParameterlessLargeMethods",

@@ -48,8 +48,7 @@ only when the cost model opts in):
 from repro.analysis.callgraph import (CHA, PRECISIONS, RTA, CallSite,
                                       StaticCallGraph, build_call_graph)
 from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_GUARD,
-                                     ACTION_REFUSE, ALWAYS_PRE, NOT_PRE,
-                                     TRANSFER_REGISTRY,
+                                     ALWAYS_PRE, NOT_PRE, TRANSFER_REGISTRY,
                                      AvailableGuardAnalysis, BackwardAnalysis,
                                      CallFacts, DataflowAnalysis,
                                      ForwardAnalysis, MethodSummary,
@@ -66,7 +65,7 @@ from repro.analysis.liveness import (LivenessAnalysis, LoopLiveness,
 from repro.analysis.lattice import (LATTICE_KS, ContainmentViolation,
                                     LatticeReport, SiteLatticeRow,
                                     TierPrecisionScore, build_lattice_report,
-                                    lattice_to_json, render_lattice)
+                                    lattice_to_json)
 from repro.analysis.report import (ANALYSIS_SCHEMA, ANALYZE_PRECISIONS,
                                    DEFAULT_PRECISIONS, analyze_benchmark,
                                    analyze_program, bundle_reports,
@@ -98,7 +97,6 @@ from repro.analysis.verifier import (VERIFIER_CODES, VerificationFailure,
 __all__ = [
     "ACTION_ELIDE",
     "ACTION_GUARD",
-    "ACTION_REFUSE",
     "ALWAYS_PRE",
     "ANALYSIS_SCHEMA",
     "ANALYZE_PRECISIONS",
@@ -173,7 +171,6 @@ __all__ = [
     "render_analysis",
     "render_attribution",
     "render_bundle",
-    "render_lattice",
     "replay",
     "report_ok",
     "static_speculation_summary",

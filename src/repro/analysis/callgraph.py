@@ -3,7 +3,7 @@
 Two classic whole-program analyses, both *closed-world* over the declared
 classes (our programs cannot load code the source does not contain):
 
-* **CHA** (Class Hierarchy Analysis): a virtual/interface site can reach
+* **CHA** (Class Hierarchy Analysis): a virtual site can reach
   every implementation of its selector anywhere in the hierarchy.  This
   is the coarsest sound target set, and the one the soundness checker
   compares dynamically observed dispatch edges against.
@@ -32,7 +32,7 @@ from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ExecutionError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (
-    E_CONST, S_IF, S_INTERFACE_CALL, S_LOOP, S_NEW, S_NEWPOOL,
+    E_CONST, S_IF, S_LOOP, S_NEW, S_NEWPOOL,
     S_STATIC_CALL, S_VIRTUAL_CALL,
     MethodDef, Program, Stmt,
 )
@@ -62,7 +62,7 @@ class CallSite:
 
     site: int                    #: program-unique call-site id
     caller: str                  #: enclosing method id
-    kind: str                    #: "static" | "virtual" | "interface"
+    kind: str                    #: "static" | "virtual"
     selector: str                #: selector (or target id for static calls)
     targets: Tuple[str, ...]     #: sorted possible target method ids
     frequency: float             #: static execution-frequency estimate
@@ -73,7 +73,7 @@ class CallSite:
 
     @property
     def dispatched(self) -> bool:
-        """True for virtual/interface sites (the ones dispatch resolves)."""
+        """True for virtual sites (the ones dispatch resolves)."""
         return self.kind != "static"
 
 
@@ -102,7 +102,7 @@ class StaticCallGraph:
         return info is not None and info.monomorphic
 
     def dispatched_sites(self) -> List[CallSite]:
-        """Virtual/interface sites, in site-id order."""
+        """Virtual sites, in site-id order."""
         return [self.sites[s] for s in sorted(self.sites)
                 if self.sites[s].dispatched]
 
@@ -218,9 +218,7 @@ def site_kind(stmt: Stmt) -> Tuple[str, str]:
     """``(kind, selector)`` of one call statement; shared with k-CFA."""
     if stmt.kind == S_STATIC_CALL:
         return "static", stmt.target
-    if stmt.kind == S_VIRTUAL_CALL:
-        return "virtual", stmt.selector
-    return "interface", stmt.selector
+    return "virtual", stmt.selector
 
 
 def method_site_multipliers(method: MethodDef) -> Dict[int, float]:
@@ -345,7 +343,7 @@ def _allocations(body) -> Iterable[str]:
 def _walk_multipliers(body, mult: float, out: Dict[int, float]) -> None:
     for stmt in body:
         k = stmt.kind
-        if k in (S_STATIC_CALL, S_VIRTUAL_CALL, S_INTERFACE_CALL):
+        if k in (S_STATIC_CALL, S_VIRTUAL_CALL):
             out[stmt.site] = mult
         elif k == S_IF:
             _walk_multipliers(stmt.then_body, mult * BRANCH_PROBABILITY, out)

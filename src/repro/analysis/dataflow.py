@@ -40,8 +40,7 @@ machinery to spend those costs deliberately:
   classes whose loading would break the assumption, weighted by a
   static allocation-frequency estimate of how likely each class is to
   load.  The risk score lets the guard planner choose guard vs
-  guard-free vs refuse (``speculation_elide_max_risk`` /
-  ``speculation_refuse_min_risk``).
+  guard-free (``speculation_elide_max_risk``).
 
 :class:`SpeculationAnalysis` is the facade the guard planner
 (:class:`repro.analysis.deopt.DeoptPlanner`) holds: per-method
@@ -63,7 +62,7 @@ from repro.jvm.errors import ExecutionError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (
     E_ARG, E_CONST, E_LOCAL, E_PICK,
-    S_IF, S_INTERFACE_CALL, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
+    S_IF, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
     S_STATIC_CALL, S_VIRTUAL_CALL, S_WORK,
     Expr, MethodDef, Program, Stmt,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "TRANSFER_REGISTRY",
     "PreexistenceAnalysis", "AvailableGuardAnalysis",
     "CallFacts", "MethodSummary", "SpeculationAnalysis",
-    "SpeculationVerdict", "ACTION_ELIDE", "ACTION_GUARD", "ACTION_REFUSE",
+    "SpeculationVerdict", "ACTION_ELIDE", "ACTION_GUARD",
     "NOT_PRE", "ALWAYS_PRE", "join_pre", "static_speculation_summary",
 ]
 
@@ -86,8 +85,7 @@ __all__ = [
 #: one table; a client implements only the handlers whose kinds touch
 #: its lattice (a missing handler is the identity transfer) instead of
 #: re-walking ``stmt.kind`` if-chains per client.  The two allocation
-#: kinds share a handler, as do the two dispatched-call kinds -- no
-#: client has ever distinguished within those groups.
+#: kinds share a handler -- no client has ever distinguished them.
 TRANSFER_REGISTRY = {
     S_WORK: "transfer_work",
     S_LET: "transfer_let",
@@ -95,7 +93,6 @@ TRANSFER_REGISTRY = {
     S_NEWPOOL: "transfer_alloc",
     S_STATIC_CALL: "transfer_static_call",
     S_VIRTUAL_CALL: "transfer_dispatch",
-    S_INTERFACE_CALL: "transfer_dispatch",
     S_RETURN: "transfer_return",
 }
 
@@ -407,7 +404,7 @@ class PreexistenceAnalysis(ForwardAnalysis):
 
     def visit(self, stmt: Stmt, state: List[PreFact]) -> None:
         kind = stmt.kind
-        if kind in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+        if kind == S_VIRTUAL_CALL:
             receiver = self.eval_expr(stmt.receiver, state)
             args = tuple(self.eval_expr(a, state) for a in stmt.args)
             selector = stmt.selector
@@ -503,7 +500,7 @@ class AvailableGuardAnalysis(ForwardAnalysis):
         self._kill_local(state, index_local)
 
     def visit(self, stmt: Stmt, state: set) -> None:
-        if stmt.kind not in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+        if stmt.kind != S_VIRTUAL_CALL:
             return
         self.receiver_tags[stmt.site] = receiver_tag(stmt.receiver)
         snapshot = frozenset(state)
@@ -541,7 +538,6 @@ _CONE_CACHE_LIMIT = 4096
 
 ACTION_ELIDE = "elide"
 ACTION_GUARD = "guard"
-ACTION_REFUSE = "refuse"
 
 
 class SpeculationVerdict:
@@ -705,11 +701,9 @@ class SpeculationAnalysis:
 
     def speculate(self, stmt: Stmt, comp_context: Sequence[Tuple[str, int]],
                   target: MethodDef) -> SpeculationVerdict:
-        """Recommend guard-free, guarded, or refused for one speculative
+        """Recommend guard-free or guarded for one speculative
         loaded-sole inline of ``target`` at ``stmt``."""
         cone, risk = self.assumption_risk(stmt.selector, target)
-        if risk > self._costs.speculation_refuse_min_risk:
-            return SpeculationVerdict(ACTION_REFUSE, risk, len(cone))
         if (risk <= self._costs.speculation_elide_max_risk
                 and self.receiver_preexists(stmt, comp_context)):
             return SpeculationVerdict(ACTION_ELIDE, risk, len(cone))

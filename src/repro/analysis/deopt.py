@@ -36,7 +36,7 @@ this module.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from repro.compiler.compiled_method import (FULL_GUARD, PLAN_EXHAUSTIVE,
                                             PLAN_FULL_GUARD, PLAN_OSR_EXIT,
@@ -48,8 +48,7 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import S_IF, S_LOOP, MethodDef, Program, Stmt
 from repro.provenance.reasons import ReasonCode
 
-from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_REFUSE,
-                                     SpeculationAnalysis)
+from repro.analysis.dataflow import ACTION_ELIDE, SpeculationAnalysis
 from repro.analysis.liveness import MethodLiveness, method_liveness
 
 __all__ = ["DeoptPlanner"]
@@ -158,14 +157,12 @@ class DeoptPlanner:
 
     # -- planning ----------------------------------------------------------
 
-    def exit_premium(self, live: FrozenSet[int], interface: bool) -> float:
+    def exit_premium(self, live: FrozenSet[int]) -> float:
         """Extra cycles a cheap-exit miss pays over a full-guard miss:
         the mapped-out live state plus finishing the dispatch at the
         baseline tier instead of in optimized code."""
         costs = self._costs
-        dispatch = (costs.interface_dispatch if interface
-                    else costs.virtual_dispatch)
-        tier_premium = dispatch * max(
+        tier_premium = costs.virtual_dispatch * max(
             0.0, costs.baseline_exec_mult - costs.opt_exec_mult)
         return len(live) * OSR_MAP_OUT_COST + tier_premium
 
@@ -173,10 +170,8 @@ class DeoptPlanner:
                   comp_context: Sequence[Tuple[str, int]],
                   targets: Sequence[MethodDef],
                   coverage: float = 1.0,
-                  interface: bool = False,
-                  loaded_sole: bool = False) -> Optional[GuardPlan]:
-        """Choose the guard plan for one guarded site, or ``None`` to
-        refuse the inline.
+                  loaded_sole: bool = False) -> GuardPlan:
+        """Choose the guard plan for one guarded site.
 
         ``comp_context`` is the compiler's inline chain innermost first
         (its head names the method enclosing ``stmt``); ``targets`` are
@@ -193,9 +188,9 @@ class DeoptPlanner:
           test, becomes a cheap exit; any other keeps its guards.
         * otherwise (planning off, or the ``guard`` strategy) only the
           speculation analysis, when enabled, removes guards: a
-          loaded-sole bind is refused, elided (``preexist``) or guarded
-          by its risk and receiver; a multi-target chain whose targets
-          cover every class that can reach the site loses its last test
+          loaded-sole bind is elided (``preexist``) or guarded by its
+          risk and receiver; a multi-target chain whose targets cover
+          every class that can reach the site loses its last test
           (``exhaustive``).
         """
         costs = self._costs
@@ -214,7 +209,7 @@ class DeoptPlanner:
             live = self._exit_live(stmt, comp_context)
             ctx_mono = self.context_monomorphic(stmt.site, comp_context)
             expected_exit = ((1.0 - min(max(coverage, 0.0), 1.0))
-                             * self.exit_premium(live, interface))
+                             * self.exit_premium(live))
             if ctx_mono or expected_exit <= costs.guard_test:
                 return GuardPlan(PLAN_OSR_EXIT, live,
                                  reason=ReasonCode.DEOPT_PLANNED_OSR.value)
@@ -224,8 +219,6 @@ class DeoptPlanner:
             return FULL_GUARD
         if loaded_sole:
             action = spec.speculate(stmt, comp_context, targets[0]).action
-            if action == ACTION_REFUSE:
-                return None
             return PREEXIST if action == ACTION_ELIDE else FULL_GUARD
         if len(targets) >= 2:
             verdict = spec.speculate_exhaustive(stmt, comp_context, targets)

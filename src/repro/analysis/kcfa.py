@@ -49,7 +49,7 @@ from repro.jvm.errors import ExecutionError
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.program import (
     E_ARG, E_LOCAL, E_PICK,
-    S_IF, S_INTERFACE_CALL, S_LET, S_LOOP, S_NEW, S_NEWPOOL,
+    S_IF, S_LET, S_LOOP, S_NEW, S_NEWPOOL,
     S_RETURN, S_STATIC_CALL, S_VIRTUAL_CALL,
     Expr, Program,
 )
@@ -118,7 +118,7 @@ class KSite:
 
     site: int                    #: program-unique call-site id
     caller: str                  #: enclosing method id
-    kind: str                    #: "static" | "virtual" | "interface"
+    kind: str                    #: "static" | "virtual"
     selector: str                #: selector (or target id for static calls)
     by_context: Dict[CallString, ContextTargets] = field(default_factory=dict)
 
@@ -403,7 +403,7 @@ class _KCFABuilder:
                                       returns)
             elif sk == S_STATIC_CALL:
                 changed |= self._flow_static(stmt, key, params, locals_)
-            elif sk in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+            elif sk == S_VIRTUAL_CALL:
                 changed |= self._flow_virtual(stmt, key, params, locals_)
             elif sk == S_RETURN and stmt.expr is not None:
                 before = len(returns)

@@ -20,7 +20,7 @@ One report answers three questions the paper's motivation turns on:
    predict per truncated call string.
 
 ``repro analyze --lattice`` embeds :func:`lattice_to_json` in the
-versioned analysis bundle and prints :func:`render_lattice`.
+versioned analysis bundle and prints a summary of that payload.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class ContainmentViolation:
     coarse: str
     fine: str
     extra: Tuple[str, ...]   #: targets in the fine set missing from coarse
-
-    def describe(self) -> str:
-        return (f"site {self.site}: {self.fine} ⊄ {self.coarse} "
-                f"(extra: {', '.join(self.extra)})")
 
 
 @dataclass(frozen=True)
@@ -277,35 +273,3 @@ def lattice_to_json(report: LatticeReport) -> Dict[str, object]:
         } for s in report.scores},
     }
 
-
-def render_lattice(report: LatticeReport) -> str:
-    """Human-readable tiered comparison."""
-    lines = [f"precision lattice {report.program_name} "
-             f"[{' ⊇ '.join(report.tiers)} ⊇ observed]"]
-    header = (["site", "caller", "selector"] + list(report.tiers)
-              + ["obs", "ctx-mono"])
-    lines.append("  " + "  ".join(header))
-    for row in report.rows:
-        cells = [str(row.site), row.caller, row.selector]
-        cells += [str(row.size(tier)) for tier in report.tiers]
-        cells.append(str(row.observed))
-        cells.append(",".join(row.context_monomorphic) or "-")
-        lines.append("  " + "  ".join(cells))
-    for tier in report.tiers:
-        if not tier.endswith("cfa"):
-            continue
-        rescued = report.rescued_sites(tier)
-        lines.append(f"  rta-poly->{tier}-ctx-mono: {len(rescued)} site(s)"
-                     + (f" {rescued}" if rescued else ""))
-    lines.append("  precision scores (majority-target vs replay dispatch "
-                 "counts):")
-    for s in report.scores:
-        lines.append(f"    {s.tier}: {s.score:.3f} "
-                     f"({s.matched}/{s.dispatches} dispatches over "
-                     f"{s.groups_scored} context groups)")
-    if report.violations:
-        lines.append(f"  CONTAINMENT VIOLATIONS: {len(report.violations)}")
-        lines.extend(f"    {v.describe()}" for v in report.violations)
-    else:
-        lines.append("  static containment: ok at every site")
-    return "\n".join(lines)

@@ -29,14 +29,14 @@ from repro.analysis.kcfa import build_kcfa_graph
 from repro.analysis.lattice import (LATTICE_KS, build_lattice_report,
                                     lattice_to_json)
 from repro.analysis.dataflow import static_speculation_summary
-from repro.analysis.soundness import (DispatchEdges, LiveStateWatch,
-                                      check_containment,
+from repro.analysis.soundness import (DispatchEdges, check_containment,
                                       check_elision_soundness,
                                       check_lattice_soundness,
+                                      check_osr_soundness,
                                       flatten_context_edges, replay)
 from repro.analysis.verifier import verify_program
-from repro.compiler.compiled_method import (GUARDED, PLAN_FULL_GUARD,
-                                            PLAN_OSR_EXIT, PLAN_PREEXIST)
+from repro.compiler.compiled_method import (PLAN_FULL_GUARD, PLAN_OSR_EXIT,
+                                            PLAN_PREEXIST)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ConfigError
 from repro.jvm.program import Program
@@ -241,22 +241,12 @@ def _deopt_section(program: Program, costs: CostModel,
     # costs (planning enabled either way), so the delta isolates the
     # strategy choice -- guard cycles saved vs deoptimization exits paid.
     # The planned run is the OSR live-state replay.
-    def run_strategy(strategy: str, events=None):
-        return replay(program, costs.replace(deopt_planning_enabled=True,
-                                             deopt_strategy=strategy),
-                      phase, events)
-
-    watch = LiveStateWatch(program)
-    osr = watch.report(run_strategy("planned", watch))
+    osr = check_osr_soundness(program, costs=costs, phase=phase)
     planned = osr.result
-    guard = run_strategy("guard")
-    strategies: Dict[str, int] = {}
-    for compiled in watch.machine.code_cache.opt_methods():
-        for node in compiled.root.walk():
-            for decision in node.decisions.values():
-                if decision.kind == GUARDED:
-                    name = PLAN_REPORT_NAMES[decision.plan.kind]
-                    strategies[name] = strategies.get(name, 0) + 1
+    guard = replay(program, costs.replace(deopt_planning_enabled=True,
+                                          deopt_strategy="guard"), phase)
+    strategies = {PLAN_REPORT_NAMES[kind]: count
+                  for kind, count in osr.plan_sites.items()}
     saved = (guard.guard_tests - planned.guard_tests) * costs.guard_test
     return {
         "ok": osr.ok,

@@ -75,14 +75,6 @@ class SoundnessViolation:
         """Stable violation code naming the tier that broke."""
         return f"unsound-{self.tier}"
 
-    def describe(self) -> str:
-        where = f"site {self.site} in {self.caller} ({self.selector})"
-        if self.context is not None:
-            where += f" ctx={list(self.context)}"
-        return (f"[{self.code}] {where}: "
-                f"executed {self.observed}, static set "
-                f"{{{', '.join(self.allowed) or ''}}}")
-
 
 @dataclass(frozen=True)
 class SoundnessReport:
@@ -97,16 +89,6 @@ class SoundnessReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def render(self) -> str:
-        head = (f"soundness {self.program_name} [{self.precision}]: "
-                f"{self.edges_observed} dynamic edges over "
-                f"{self.sites_observed} sites: ")
-        if self.ok:
-            return head + "contained"
-        lines = [head + f"{len(self.violations)} VIOLATION(S)"]
-        lines.extend(f"  {v.describe()}" for v in self.violations)
-        return "\n".join(lines)
 
 
 def replay(program: Program, costs: CostModel = DEFAULT_COSTS,
@@ -133,8 +115,8 @@ ContextEdges = Dict[Tuple[int, CallString], Dict[str, int]]
 
 
 class DispatchEdges:
-    """``dispatch`` consumer: every executed virtual or interface
-    dispatch edge, keyed by its site and the dynamic call string.
+    """``dispatch`` consumer: every executed virtual dispatch edge,
+    keyed by its site and the dynamic call string.
 
     The call string is read off the machine's source-level shadow stack
     at dispatch time -- innermost-first call-site ids, truncated to
@@ -209,11 +191,13 @@ class ElisionViolation:
     The machine enters the inlined body behind an elided guard without
     testing anything; the elision is sound only if full dispatch would
     have picked the same target every time.  ``entered != resolved``
-    means the speculation analysis let a wrong body run.
+    means the site's guard plan let a wrong body run.
     """
 
     site: int
-    elision_kind: str            #: "preexist" or "exhaustive"
+    #: kind of the plan that compiled the test out: "preexist" or
+    #: "exhaustive"
+    elision_kind: str
     entered: str                 #: target whose inlined body was entered
     resolved: str                #: what full dispatch would have called
     count: int = 1               #: dynamic occurrences on this run
@@ -221,10 +205,6 @@ class ElisionViolation:
     @property
     def code(self) -> str:
         return f"unsound-elision-{self.elision_kind}"
-
-    def describe(self) -> str:
-        return (f"[{self.code}] site {self.site}: entered {self.entered} "
-                f"but dispatch resolves {self.resolved} ({self.count}x)")
 
 
 @dataclass(frozen=True)
@@ -237,16 +217,6 @@ class ElisionReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def render(self) -> str:
-        head = (f"elision replay {self.result.program_name}: "
-                f"{self.result.elided_entries} elided entries, "
-                f"{self.result.guard_tests} guard tests: ")
-        if self.ok:
-            return head + "no elided guard would have failed"
-        lines = [head + f"{len(self.violations)} VIOLATION(S)"]
-        lines.extend(f"  {v.describe()}" for v in self.violations)
-        return "\n".join(lines)
 
 
 class ElisionWatch:
@@ -313,11 +283,6 @@ class OSRViolation:
     def code(self) -> str:
         return f"unsound-live-{self.kind}"
 
-    def describe(self) -> str:
-        return (f"[{self.code}] {self.method} {self.where}: read local "
-                f"{self.index} outside live set "
-                f"{{{', '.join(map(str, self.live))}}} ({self.count}x)")
-
 
 @dataclass(frozen=True)
 class OSRReport:
@@ -329,23 +294,13 @@ class OSRReport:
     #: entries through a guard the replay's plans elided whose target
     #: differs from what full dispatch resolves
     elision_violations: Tuple[ElisionViolation, ...]
+    #: guarded sites of the code installed at the end of the replay, per
+    #: guard-plan kind
+    plan_sites: Dict[str, int]
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.elision_violations
-
-    def render(self) -> str:
-        head = (f"osr soundness {self.result.program_name}: "
-                f"{self.result.osr_transfers} loop transfer(s), "
-                f"{self.result.deopt_exits} deopt exit(s), "
-                f"{self.reads_checked} watched read(s): ")
-        if self.ok:
-            return (head + "live sets cover every read and no elided "
-                    "guard would have failed")
-        violations = self.violations + self.elision_violations
-        lines = [head + f"{len(violations)} VIOLATION(S)"]
-        lines.extend(f"  {v.describe()}" for v in violations)
-        return "\n".join(lines)
 
 
 class LiveStateWatch:
@@ -411,6 +366,13 @@ class LiveStateWatch:
         self.counts[key] = self.counts.get(key, 0) + 1
 
     def report(self, result: "RunResult") -> OSRReport:
+        plan_sites: Dict[str, int] = {}
+        for compiled in self.machine.code_cache.opt_methods():
+            for node in compiled.root.walk():
+                for decision in node.decisions.values():
+                    if decision.plan is not None:
+                        kind = decision.plan.kind
+                        plan_sites[kind] = plan_sites.get(kind, 0) + 1
         return OSRReport(
             result=result, reads_checked=self.reads_checked,
             violations=tuple(
@@ -418,7 +380,8 @@ class LiveStateWatch:
                              index=index, live=live, count=count)
                 for (method, kind, where, index, live), count
                 in sorted(self.counts.items())),
-            elision_violations=self.elisions.report(result).violations)
+            elision_violations=self.elisions.report(result).violations,
+            plan_sites=plan_sites)
 
 
 def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
@@ -428,7 +391,8 @@ def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
     Forces ``deopt_planning_enabled`` and the ``planned`` strategy (the
     configuration exercising both OSR-point flavours and its own guard
     elision) and replays the fixed-seed adaptive system with a
-    :class:`LiveStateWatch`.
+    :class:`LiveStateWatch`.  The report also counts the guarded sites
+    of the installed code per plan kind.
     """
     watch = LiveStateWatch(program)
     costs = costs.replace(deopt_planning_enabled=True,
@@ -510,14 +474,6 @@ class LatticeSoundnessReport:
         """Sorted distinct codes of the tiers that broke (empty when ok)."""
         return tuple(sorted({v.code for section in self.sections
                              for v in section.violations}))
-
-    def render(self) -> str:
-        status = ("contained at every tier" if self.ok else
-                  f"BROKEN tiers: {', '.join(self.violation_codes())}")
-        lines = [f"lattice soundness {self.program_name}: {status}"]
-        lines.extend("  " + section.render().replace("\n", "\n  ")
-                     for section in self.sections)
-        return "\n".join(lines)
 
 
 def check_lattice_soundness(program: Program,

@@ -3,8 +3,8 @@
 This is the one well-formedness check: :class:`repro.aos.runtime.
 AdaptiveRuntime` runs it on every program before executing it, and
 ``repro analyze`` reports it.  It collects *every* problem rather than
-the first: it checks that referenced classes, interfaces, targets and
-selectors exist and site ids are unique, the class hierarchy is acyclic,
+the first: it checks that referenced classes, targets and selectors
+exist and site ids are unique, the class hierarchy is acyclic,
 every call site's argument arity matches every implementation it could
 dispatch to, ``Arg``/``Local`` slot indices are in range for the
 enclosing method, loop bounds and ``Work`` costs are sane, and
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.jvm.errors import ProgramError
 from repro.jvm.program import (
     E_ADD, E_ARG, E_CONST, E_LOCAL, E_LT, E_MOD, E_MUL, E_PICK, E_SUB,
-    S_IF, S_INTERFACE_CALL, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
+    S_IF, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
     S_STATIC_CALL, S_VIRTUAL_CALL, S_WORK,
     Expr, MethodDef, Program, Stmt,
 )
@@ -37,7 +37,7 @@ from repro.jvm.program import (
 #: Statement kinds the interpreter's lowering understands.
 KNOWN_STMT_KINDS = frozenset((
     S_WORK, S_LET, S_NEW, S_NEWPOOL, S_STATIC_CALL, S_VIRTUAL_CALL,
-    S_IF, S_LOOP, S_RETURN, S_INTERFACE_CALL))
+    S_IF, S_LOOP, S_RETURN))
 
 #: Expression kinds the evaluator understands.
 KNOWN_EXPR_KINDS = frozenset((
@@ -47,7 +47,6 @@ KNOWN_EXPR_KINDS = frozenset((
 
 UNKNOWN_SUPERCLASS = "unknown-superclass"
 SUPERCLASS_CYCLE = "superclass-cycle"
-UNKNOWN_INTERFACE = "unknown-interface"
 ENTRY_MISSING = "entry-missing"
 ENTRY_PARAMS = "entry-params"
 UNKNOWN_STATIC_TARGET = "unknown-static-target"
@@ -67,11 +66,10 @@ BAD_EXPR_KIND = "bad-expr-kind"
 
 #: Every code :func:`verify_program` can emit.
 VERIFIER_CODES = frozenset((
-    UNKNOWN_SUPERCLASS, SUPERCLASS_CYCLE, UNKNOWN_INTERFACE, ENTRY_MISSING,
-    ENTRY_PARAMS, UNKNOWN_STATIC_TARGET, STATIC_ARITY, UNRESOLVED_SELECTOR,
-    VIRTUAL_ARITY, UNKNOWN_CLASS, EMPTY_POOL, DUPLICATE_SITE, ARG_RANGE,
-    LOCAL_RANGE, LOOP_BOUND, WORK_COST, MOD_ZERO, BAD_STMT_KIND,
-    BAD_EXPR_KIND))
+    UNKNOWN_SUPERCLASS, SUPERCLASS_CYCLE, ENTRY_MISSING, ENTRY_PARAMS,
+    UNKNOWN_STATIC_TARGET, STATIC_ARITY, UNRESOLVED_SELECTOR, VIRTUAL_ARITY,
+    UNKNOWN_CLASS, EMPTY_POOL, DUPLICATE_SITE, ARG_RANGE, LOCAL_RANGE,
+    LOOP_BOUND, WORK_COST, MOD_ZERO, BAD_STMT_KIND, BAD_EXPR_KIND))
 
 
 @dataclass(frozen=True)
@@ -208,11 +206,6 @@ class _Verifier:
     def _check_hierarchy(self) -> None:
         classes = self._program.classes
         for cls in sorted(classes.values(), key=lambda c: c.name):
-            for iface in cls.interfaces:
-                if iface not in classes:
-                    self._error(UNKNOWN_INTERFACE,
-                                f"class {cls.name} implements unknown "
-                                f"interface {iface!r}")
             seen = {cls.name}
             sup = cls.superclass
             while sup is not None:
@@ -285,7 +278,7 @@ class _Verifier:
                                     m, at=at)
             elif k == S_STATIC_CALL:
                 self._check_static_call(m, stmt, at)
-            elif k in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+            elif k == S_VIRTUAL_CALL:
                 self._check_virtual_call(m, stmt, at)
             elif k == S_IF:
                 self._check_expr(m, stmt.cond, at)

@@ -75,21 +75,6 @@ class CostAccounting:
             out[name] = centi / CENTI
         return out
 
-    def fractions(self, clock: int) -> Dict[str, float]:
-        """Fraction of ``clock`` per component (sums to 1)."""
-        if clock == 0:
-            return {name: 0.0 for name in ALL_COMPONENTS}
-        out = {APP: self.app(clock) / clock}
-        for name, centi in self.cycles.items():
-            out[name] = centi / clock
-        return out
-
-    def aos_fraction(self, clock: int) -> float:
-        """Fraction of ``clock`` spent in all AOS components combined."""
-        if clock == 0:
-            return 0.0
-        return sum(self.cycles.values()) / clock
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v / CENTI:.0f}"
                           for k, v in self.cycles.items() if v)

@@ -271,14 +271,14 @@ class _Predictions:
 
     ``rules_by_site`` maps a site key to ``[rules, depth, cache]``.  A
     site's prediction depends on its compilation context only as deep as
-    its deepest rule and, at a virtual or interface site, its deepest
-    trace (guard coverage reads those), so ``cache`` holds it per context
-    prefix of that ``depth``; the prefix's head is the site.  ``cache``
-    is ``None`` until :meth:`resolve` picks it: this wake's for a virtual
-    or interface site, whose traces it reads from the DCG, and
-    ``static`` for a static one.  ``static`` outlives the wake: a static
-    site's prediction is read only for its targets, which the rules'
-    traces decide and their weights do not.
+    its deepest rule and, at a virtual site, its deepest trace (guard
+    coverage reads those), so ``cache`` holds it per context prefix of
+    that ``depth``; the prefix's head is the site.  ``cache`` is ``None``
+    until :meth:`resolve` picks it: this wake's for a virtual site, whose
+    traces it reads from the DCG, and ``static`` for a static one.
+    ``static`` outlives the wake: a static site's prediction is read only
+    for its targets, which the rules' traces decide and their weights do
+    not.
     """
 
     def __init__(self, state: AOSState, costs: CostModel,

@@ -55,10 +55,8 @@ CAUSAL_COMPONENTS: Tuple[CausalComponent, ...] = (
         cost_fields=("guard_test",)),
     CausalComponent(
         name="dispatch",
-        description="virtual/interface dispatch and non-inlined call "
-                    "overhead",
-        cost_fields=("virtual_dispatch", "interface_dispatch",
-                     "call_overhead")),
+        description="virtual dispatch and non-inlined call overhead",
+        cost_fields=("virtual_dispatch", "call_overhead")),
     CausalComponent(
         name="compile",
         description="baseline and optimizing compiler throughput",

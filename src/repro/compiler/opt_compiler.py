@@ -23,8 +23,8 @@ from repro.compiler.oracle import InlineOracle
 from repro.compiler.size_estimator import (count_constant_args,
                                            estimate_inlined_bytecodes)
 from repro.jvm.costs import OPT_BYTES_PER_BC, CostModel
-from repro.jvm.program import (S_IF, S_INTERFACE_CALL, S_LOOP,
-                               S_STATIC_CALL, S_VIRTUAL_CALL, MethodDef, Stmt)
+from repro.jvm.program import (S_IF, S_LOOP, S_STATIC_CALL, S_VIRTUAL_CALL,
+                               MethodDef, Stmt)
 from repro.profiles.trace import Context
 
 
@@ -32,7 +32,7 @@ def iter_call_sites(body) -> Iterator[Stmt]:
     """Yield every call statement in a body, preorder, nested blocks included."""
     for stmt in body:
         k = stmt.kind
-        if k in (S_STATIC_CALL, S_VIRTUAL_CALL, S_INTERFACE_CALL):
+        if k in (S_STATIC_CALL, S_VIRTUAL_CALL):
             yield stmt
         elif k == S_IF:
             yield from iter_call_sites(stmt.then_body)

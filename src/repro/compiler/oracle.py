@@ -47,8 +47,8 @@ from repro.compiler.size_estimator import (SizeClass, classify,
                                            estimate_inlined_bytecodes)
 from repro.jvm.costs import CostModel
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.program import (E_ARG, InterfaceCall, MethodDef, Program,
-                               StaticCall, VirtualCall)
+from repro.jvm.program import (E_ARG, MethodDef, Program, StaticCall,
+                               VirtualCall)
 from repro.profiles.partial_match import candidate_targets, contexts_compatible
 from repro.profiles.trace import Context, InlineRule
 from repro.provenance.reasons import (GUARD_CLASS_TEST, GUARD_METHOD_TEST,
@@ -219,7 +219,7 @@ class InlineOracle:
         if isinstance(stmt, StaticCall):
             return self._decide_static(stmt, comp_context, depth,
                                        current_size, root)
-        if isinstance(stmt, (VirtualCall, InterfaceCall)):
+        if isinstance(stmt, VirtualCall):
             return self._decide_virtual(stmt, comp_context, depth,
                                         current_size, root)
         raise TypeError(f"not a call statement: {stmt!r}")
@@ -405,22 +405,16 @@ class InlineOracle:
                  loaded_sole: bool = False, **evidence) -> Decision:
         """A guarded verdict for ``targets`` under the planner's plan.
 
-        A ``None`` plan refuses the inline (its invalidation risk is too
-        high).  A plan whose reason is ``guard-elided-preexist`` rests on
-        CHA invalidation, so the dependency it assumes is recorded: the
-        sole target, or the whole target set of an exhaustive plan.
+        A plan whose reason is ``guard-elided-preexist`` rests on CHA
+        invalidation, so the dependency it assumes is recorded: the sole
+        target, or the whole target set of an exhaustive plan.
         """
         plan = FULL_GUARD
         if self._planner is not None:
             plan = self._planner.plan_site(
                 stmt, comp_context, targets,
                 coverage=1.0 if coverage is None else coverage,
-                interface=isinstance(stmt, InterfaceCall),
                 loaded_sole=loaded_sole)
-            if plan is None:
-                return Decision.no(ReasonCode.SPECULATION_RISK,
-                                   size_class=evidence["size_class"],
-                                   estimate=evidence["estimate"])
         if (plan.reason == ReasonCode.GUARD_ELIDED_PREEXIST.value
                 and self._on_cha_dependency is not None):
             self._on_cha_dependency(

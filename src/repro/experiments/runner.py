@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -273,15 +274,17 @@ def run_cells(cells: Mapping[CellKey, object],
 
     With ``jobs`` above one (0 = every core) the pending cells fan out
     over a process pool of at most one worker per pending cell, so
-    ``worker`` must be picklable.  A cell whose worker raises, in the pool
-    or in-process, is retried once serially and then recorded as a
-    :class:`CellFailure`; a pool cell that exceeds ``timeout`` seconds is
-    recorded without a retry, its pool is stopped at once, and the cells
-    that pool still owed run on a fresh pool; a cell another worker was
-    still running then starts again from the beginning.  With ``jobs`` of
-    one every cell runs in-process and ``timeout`` does not apply; so do
-    cells stranded by a broken pool, and every cell when no pool can be
-    created.
+    ``worker`` must be picklable.  The pool holds one cell per worker at
+    a time, so each cell's ``timeout`` seconds count from when it is
+    handed to a worker, not from when the loop gets round to it.  A cell
+    whose worker raises, in the pool or in-process, is retried once
+    serially and then recorded as a :class:`CellFailure`; a pool cell
+    that exceeds ``timeout`` is recorded without a retry, its pool is
+    stopped at once, and the cells that pool still owed run on a fresh
+    pool; a cell another worker was still running then starts again from
+    the beginning.  With ``jobs`` of one every cell runs in-process and
+    ``timeout`` does not apply; so do cells stranded by a broken pool,
+    and every cell when no pool can be created.
     """
     results: Dict[CellKey, RunResult] = {}
     failures: Dict[CellKey, CellFailure] = {}
@@ -339,14 +342,10 @@ def run_cells(cells: Mapping[CellKey, object],
     # Cells a broken pool stranded; they run in-process at the end.
     stranded: List[CellKey] = []
 
-    def collect(key: CellKey, future, wait: Optional[float] = None) -> bool:
-        """Finish ``key`` from its pool future; False if it timed out."""
+    def collect(key: CellKey, future) -> None:
+        """Finish ``key`` from its finished pool future."""
         try:
-            outcome = future.result(timeout=wait)
-        except FutureTimeout:
-            fail(key, "TimeoutError",
-                 f"cell exceeded the per-cell timeout of {timeout:g}s", 1)
-            return False
+            outcome = future.result()
         except BrokenProcessPool:
             # The pool lost a worker process (crash/OOM-kill); the cells
             # it still owed us run serially instead.
@@ -355,41 +354,63 @@ def run_cells(cells: Mapping[CellKey, object],
             run_in_process(key, attempts=1)
         else:
             finish(key, outcome)
-        return True
 
     jobs = jobs if jobs > 0 else (os.cpu_count() or 2)
     while jobs > 1 and pending:
         try:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures import TimeoutError as FutureTimeout
+            from concurrent.futures import (FIRST_COMPLETED,
+                                            ProcessPoolExecutor, wait)
             from concurrent.futures.process import BrokenProcessPool
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)))
-            futures = [(key, executor.submit(worker, cells[key]))
-                       for key in pending]
+            slots = min(jobs, len(pending))
+            executor = ProcessPoolExecutor(max_workers=slots)
         except Exception as exc:
             warnings.warn(
                 f"worker pool unavailable ({type(exc).__name__}: {exc}); "
                 f"running sweep cells in-process",
                 RuntimeWarning, stacklevel=3)
             break
-        pending = []
+        queued, pending = pending, []
+        # future -> (key, deadline) for each cell a worker is running,
+        # in submission order, which is deadline order.
+        running: Dict[object, Tuple[CellKey, float]] = {}
         timed_out = False
         try:
-            for position, (key, future) in enumerate(futures):
-                if not collect(key, future, timeout):
-                    # The cell's worker still runs it and holds its pool
-                    # slot.  Keep what the other workers have finished,
-                    # stop this pool, and run the cells it still owes
-                    # on a fresh one.  Ask each future done() once: one
-                    # that finishes between two asks would fit neither.
-                    timed_out = True
-                    for other_key, other in futures[position + 1:]:
-                        if other.done():
-                            collect(other_key, other)
-                        else:
-                            pending.append(other_key)
+            while queued or running:
+                while queued and len(running) < slots:
+                    key = queued.pop(0)
+                    try:
+                        future = executor.submit(worker, cells[key])
+                    except BrokenProcessPool:
+                        stranded.append(key)
+                        continue
+                    deadline = time.monotonic() + (timeout or 0.0)
+                    running[future] = (key, deadline)
+                if not running:
                     break
+                earliest = next(iter(running))
+                wait_s = (None if timeout is None else
+                          max(0.0, running[earliest][1] - time.monotonic()))
+                finished, _ = wait(running, wait_s, FIRST_COMPLETED)
+                for future in finished:
+                    collect(running.pop(future)[0], future)
+                if finished:
+                    continue
+                # The earliest deadline passed while its cell's worker
+                # still runs it and holds a pool slot.  Keep what the
+                # other workers have finished, stop this pool, and run
+                # the cells it still owes on a fresh one.  Ask each
+                # future done() once: one that finishes between two asks
+                # would fit neither.
+                fail(running.pop(earliest)[0], "TimeoutError",
+                     f"cell exceeded the per-cell timeout of {timeout:g}s", 1)
+                timed_out = True
+                for future, (key, _deadline) in running.items():
+                    if future.done():
+                        collect(key, future)
+                    else:
+                        pending.append(key)
+                pending.extend(queued)
+                break
         finally:
             # Stop the workers instead of letting the pool's exit
             # handler wait for the timed-out one: ProcessPoolExecutor

@@ -117,13 +117,10 @@ class CostModel:
     #: Cycles of call overhead for a statically-bound (direct) call that
     #: was not inlined: argument shuffling, frame construction, return.
     call_overhead: int = 6
-    #: Cycles of overhead for a virtual dispatch that was not inlined or
-    #: whose inline guards all failed: vtable load + indirect branch + call
-    #: overhead.
+    #: Cycles of overhead for a virtual (or interface) dispatch that was
+    #: not inlined or whose inline guards all failed: vtable load +
+    #: indirect branch + call overhead.
     virtual_dispatch: int = 9
-    #: Extra cycles when the dispatch goes through an interface (unused by
-    #: the default workloads but part of the model).
-    interface_dispatch: int = 16
     #: Cycles for a single inline guard (class test) executed at a guarded
     #: inline site.  A successful guard replaces a ``virtual_dispatch``.
     guard_test: int = 2
@@ -243,11 +240,6 @@ class CostModel:
     #: Risk is the assumption's share of predicted future class-loading
     #: churn, normalized to [0, 1].
     speculation_elide_max_risk: float = 0.9
-    #: Above this risk the speculative inline is refused outright (reason
-    #: ``speculation-risk``): compiling code that the next class load will
-    #: invalidate is pure waste.  Infinite by default so enabling the pass
-    #: flips no verdicts; sweeps lower it to explore refusal.
-    speculation_refuse_min_risk: float = float("inf")
 
     # -- OSR liveness and deoptimization planning ----------------------------
 

@@ -26,7 +26,7 @@ from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
 from repro.jvm.program import (
     E_ADD, E_ARG, E_CONST, E_LOCAL, E_LT, E_MOD, E_MUL, E_PICK, E_SUB,
-    S_IF, S_INTERFACE_CALL, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
+    S_IF, S_LET, S_LOOP, S_NEW, S_NEWPOOL, S_RETURN,
     S_STATIC_CALL, S_VIRTUAL_CALL, S_WORK,
 )
 from repro.jvm.values import Instance
@@ -50,7 +50,7 @@ MAX_STACK_DEPTH = 220
 #: Lowering tiers: index into the per-run execution multipliers.
 BASELINE, OPTIMIZED, INLINED = 0, 1, 2
 
-_CALLS = (S_STATIC_CALL, S_VIRTUAL_CALL, S_INTERFACE_CALL)
+_CALLS = (S_STATIC_CALL, S_VIRTUAL_CALL)
 
 _OPERATORS = {E_ADD: "+", E_SUB: "-", E_MUL: "*", E_MOD: "%"}
 
@@ -521,9 +521,6 @@ def lower_run(m: Machine):
         src.line(depth, "if not isinstance(recv, Instance):")
         src.line(depth + 1, f"raise _non_object({site}, recv)")
         src.line(depth, "call_args = " + arg_tuple(src, ["recv"], stmt.args))
-        dispatch_cost = (costs.interface_dispatch
-                         if stmt.kind == S_INTERFACE_CALL
-                         else costs.virtual_dispatch)
 
         if decision is not None and decision.kind != GUARDED:
             # DIRECT: statically bound by CHA, no guard executed.
@@ -543,14 +540,14 @@ def lower_run(m: Machine):
         if decision is None:
             src.line(depth, "stats.dispatches += 1")
             emit_invoke(src, depth, "resolved", "call_args", site, stmt.dst,
-                        centi(dispatch_cost, tier))
+                        centi(costs.virtual_dispatch, tier))
             return
         # GUARDED: run each option's step in order, then fall back, as
         # the site's guard plan says.
-        emit_steps(src, depth, stmt, site, decision, 0, tier, dispatch_cost)
+        emit_steps(src, depth, stmt, site, decision, 0, tier)
 
     def emit_steps(src, depth: int, stmt, site: str, decision, index: int,
-                   tier: int, dispatch_cost: float) -> None:
+                   tier: int) -> None:
         """Option ``index`` of a guarded site onward, each step entering
         its option or going on to the next, then the fallback."""
         plan, options = decision.plan, decision.options
@@ -564,7 +561,7 @@ def lower_run(m: Machine):
                 src.line(depth, "stats.deopt_exits += 1")
                 emit_charge(src, depth, src.bind(
                     to_centi(len(plan.live) * OSR_MAP_OUT_COST)
-                    + centi(dispatch_cost, BASELINE)))
+                    + centi(costs.virtual_dispatch, BASELINE)))
                 if on_deopt_exit is not None:
                     src.use("on_deopt_exit")
                     src.line(depth, f"on_deopt_exit({site}, "
@@ -576,7 +573,7 @@ def lower_run(m: Machine):
             src.line(depth, "stats.guard_misses += 1")
             src.line(depth, "stats.dispatches += 1")
             emit_invoke(src, depth, "resolved", "call_args", site, stmt.dst,
-                        centi(dispatch_cost, tier))
+                        centi(costs.virtual_dispatch, tier))
             return
         option = options[index]
         target = src.bind(option.target)
@@ -609,8 +606,7 @@ def lower_run(m: Machine):
             return
         emit_enter(src, depth + 1, option, stmt, target)
         src.line(depth, "else:")
-        emit_steps(src, depth + 1, stmt, site, decision, index + 1, tier,
-                   dispatch_cost)
+        emit_steps(src, depth + 1, stmt, site, decision, index + 1, tier)
 
     def emit_enter(src, depth: int, option, stmt, target) -> None:
         """Enter ``option.target``'s body inlined at ``stmt``'s site with

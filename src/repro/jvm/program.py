@@ -7,7 +7,8 @@ paper's evaluation depends on:
 
 * straight-line work (``Work``),
 * statically-bound calls (``StaticCall``) and virtual dispatch
-  (``VirtualCall``) with per-site identifiers,
+  (``VirtualCall``, which stands for interface invocations too) with
+  per-site identifiers,
 * parameter-dependent control flow (``If``) for the paper's
   "control-dependent call site" motivation (Section 2),
 * loops with an induction variable (``Loop``) so hot code exists,
@@ -163,7 +164,6 @@ S_VIRTUAL_CALL = 5
 S_IF = 6
 S_LOOP = 7
 S_RETURN = 8
-S_INTERFACE_CALL = 9
 
 
 class Stmt:
@@ -261,6 +261,11 @@ class StaticCall(Stmt):
 class VirtualCall(Stmt):
     """A virtual dispatch: resolve ``selector`` on the receiver's class.
 
+    It models ``invokevirtual`` and ``invokeinterface`` alike: both
+    resolve the selector by the receiver's dynamic class, and the paper
+    applies guarded inlining "at a virtual or interface invocation"
+    (Section 3.1).
+
     The receiver expression is also passed to the callee as ``Arg(0)``
     (i.e. the callee's first parameter is ``this``); explicit ``args``
     follow it.
@@ -279,33 +284,6 @@ class VirtualCall(Stmt):
 
     def __repr__(self) -> str:
         return f"VirtualCall(site={self.site}, selector={self.selector!r})"
-
-
-class InterfaceCall(Stmt):
-    """An interface invocation: like a virtual call, but dispatched through
-    an interface method table (``invokeinterface``).
-
-    Semantically identical to :class:`VirtualCall` -- the receiver's
-    dynamic class resolves the selector -- but an un-inlined dispatch costs
-    more (itable search), making interface-heavy call sites even better
-    inlining candidates.  The inline oracle treats both identically
-    (paper Section 3.1: guarded inlining applies "at a virtual or
-    interface invocation").
-    """
-
-    __slots__ = ("site", "selector", "receiver", "args", "dst")
-    kind = S_INTERFACE_CALL
-
-    def __init__(self, site: int, selector: str, receiver: Expr,
-                 args: Sequence[Expr] = (), dst: Optional[int] = None):
-        self.site = site
-        self.selector = selector
-        self.receiver = receiver
-        self.args = tuple(args)
-        self.dst = dst
-
-    def __repr__(self) -> str:
-        return f"InterfaceCall(site={self.site}, selector={self.selector!r})"
 
 
 class If(Stmt):
@@ -375,7 +353,7 @@ def body_bytecodes(body: Iterable[Stmt]) -> int:
             total += 1
         elif k == S_NEWPOOL:
             total += 1 + len(stmt.class_names)
-        elif k in (S_STATIC_CALL, S_VIRTUAL_CALL, S_INTERFACE_CALL):
+        elif k in (S_STATIC_CALL, S_VIRTUAL_CALL):
             total += CALL_UNITS
         elif k == S_IF:
             total += 1 + body_bytecodes(stmt.then_body) + body_bytecodes(stmt.else_body)
@@ -453,16 +431,13 @@ class MethodDef:
 
 
 class ClassDef:
-    """A class declaration: name, optional superclass, implemented
-    interfaces (names of selectors-only contract classes), and methods."""
+    """A class declaration: name, optional superclass, and methods."""
 
-    __slots__ = ("name", "superclass", "interfaces", "methods")
+    __slots__ = ("name", "superclass", "methods")
 
-    def __init__(self, name: str, superclass: Optional[str] = None,
-                 interfaces: Sequence[str] = ()):
+    def __init__(self, name: str, superclass: Optional[str] = None):
         self.name = name
         self.superclass = superclass
-        self.interfaces = tuple(interfaces)
         self.methods: Dict[str, MethodDef] = {}
 
     def declare(self, method: MethodDef) -> MethodDef:

@@ -96,11 +96,6 @@ class ReasonCode(enum.Enum):
     #: Static-context-oracle only: even conditioned on the compilation
     #: context, k-CFA still sees multiple targets at the site.
     STATIC_CTX_POLY = "static-ctx-poly"
-    #: Speculation-risk analysis only: the assumption's invalidation
-    #: cone carries too much predicted class-loading churn, so the
-    #: speculative inline is refused rather than compiled and soon
-    #: invalidated (``speculation_refuse_min_risk`` knob).
-    SPECULATION_RISK = "speculation-risk"
 
 
 #: Every legal reason string, for validation and for the DESIGN.md table.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.jvm.costs import CENTI
-from repro.jvm.program import InterfaceCall, StaticCall
+from repro.jvm.program import StaticCall
 from repro.provenance.reasons import EventKind
 from repro.provenance.records import (CompilationRecord, DecisionRecord,
                                       EventRecord, ProvenanceRecord,
@@ -56,9 +56,7 @@ class ProvenanceRecorder:
         if isinstance(stmt, StaticCall):
             site_kind, selector = "static", stmt.target
         else:
-            site_kind = ("interface" if isinstance(stmt, InterfaceCall)
-                         else "virtual")
-            selector = stmt.selector
+            site_kind, selector = "virtual", stmt.selector
         self._decisions += 1
         self.records.append(DecisionRecord(
             clock=self._clock(), root=root.id, version=version,

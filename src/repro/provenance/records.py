@@ -48,7 +48,7 @@ class DecisionRecord:
     caller: str                  #: method containing the call site
     site: int                    #: call-site id within ``caller``
     depth: int                   #: inline nesting depth of the site
-    site_kind: str               #: "static" | "virtual" | "interface"
+    site_kind: str               #: "static" | "virtual"
     selector: str                #: callee selector or static target id
     verdict: str                 #: "direct" | "guarded" | "refused"
     reason: str                  #: a :class:`ReasonCode` value

@@ -20,13 +20,13 @@ from repro.telemetry.progress import (ProgressPointStats, ProgressTracker,
                                       main_loop_points, progress_rate)
 from repro.telemetry.chrome_trace import (to_chrome_trace, trace_events,
                                           write_chrome_trace)
-from repro.telemetry.summary import (component_totals, fractions, reconcile,
-                                     span_stats, summarize)
+from repro.telemetry.summary import (component_totals, reconcile, span_stats,
+                                     summarize)
 
 __all__ = [
     "InstantRecord", "ProgressPointStats", "ProgressTracker",
     "SpanRecord", "TelemetryRecorder", "TelemetrySnapshot",
-    "component_totals", "fractions", "main_loop_points",
+    "component_totals", "main_loop_points",
     "progress_rate", "reconcile", "span_stats",
     "summarize", "to_chrome_trace", "trace_events", "write_chrome_trace",
 ]

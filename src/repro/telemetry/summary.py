@@ -114,16 +114,3 @@ def reconcile(snapshot: TelemetrySnapshot,
         title="Telemetry vs cost accounting reconciliation")
     return ok, rows, rendered
 
-
-def fractions(snapshot: TelemetrySnapshot) -> Dict[str, float]:
-    """Figure-6-style per-component fractions derived from spans alone.
-
-    Matches :meth:`CostAccounting.fractions` for an instrumented run
-    (see :func:`reconcile`).
-    """
-    totals = component_totals(snapshot)
-    total = snapshot.total_cycles
-    if total == 0:
-        return {component: 0.0 for component in ALL_COMPONENTS}
-    return {component: totals.get(component, 0.0) / total
-            for component in ALL_COMPONENTS}

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.jvm.errors import ProgramError
-from repro.jvm.program import (ClassDef, Expr, InterfaceCall, MethodDef,
-                               Program, StaticCall, Stmt, VirtualCall)
+from repro.jvm.program import (ClassDef, Expr, MethodDef, Program,
+                               StaticCall, Stmt, VirtualCall)
 
 
 class ProgramBuilder:
@@ -35,18 +35,15 @@ class ProgramBuilder:
 
     # -- classes -----------------------------------------------------------------
 
-    def cls(self, name: str, superclass: Optional[str] = None,
-            interfaces: Sequence[str] = ()) -> ClassDef:
+    def cls(self, name: str, superclass: Optional[str] = None) -> ClassDef:
         """Declare a class (idempotent when already declared identically)."""
         existing = self._program.classes.get(name)
         if existing is not None:
-            if (existing.superclass != superclass
-                    or existing.interfaces != tuple(interfaces)):
+            if existing.superclass != superclass:
                 raise ProgramError(
                     f"class {name} redeclared with a different shape")
             return existing
-        return self._program.add_class(
-            ClassDef(name, superclass, interfaces))
+        return self._program.add_class(ClassDef(name, superclass))
 
     # -- methods -----------------------------------------------------------------
 
@@ -83,12 +80,6 @@ class ProgramBuilder:
               dst: Optional[int] = None) -> VirtualCall:
         """A virtual call with a fresh site id."""
         return VirtualCall(self.site(), selector, receiver, args, dst)
-
-    def icall(self, selector: str, receiver: Expr,
-              args: Sequence[Expr] = (),
-              dst: Optional[int] = None) -> InterfaceCall:
-        """An interface invocation with a fresh site id."""
-        return InterfaceCall(self.site(), selector, receiver, args, dst)
 
     # -- finish -----------------------------------------------------------------------
 

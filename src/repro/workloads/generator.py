@@ -44,10 +44,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.jvm.errors import ConfigError
-from repro.jvm.program import (Add, Arg, Const, If, InterfaceCall, Let,
-                               Local, Loop, Mod, New, NewPool, Pick,
-                               Program, Return, StaticCall, VirtualCall,
-                               Work)
+from repro.jvm.program import (Add, Arg, Const, If, Let, Local, Loop, Mod,
+                               New, NewPool, Pick, Program, Return,
+                               StaticCall, VirtualCall, Work)
 from repro.workloads.builder import ProgramBuilder
 
 
@@ -63,7 +62,6 @@ class PatternSpec:
     proc_static: bool = True        # worker method is a class method
     wrappers_static: bool = True    # interposed wrappers are class methods
     duty_cycle: int = 1             # callers fire on 1-in-N transactions
-    via_interface: bool = False     # dispatch through an interface (itable)
 
     def __post_init__(self) -> None:
         if self.fanout < 2:
@@ -172,15 +170,7 @@ class _Generator:
         b = self.b
         base = f"P{p}B"
         selector = f"sel{p}"
-        if pattern.via_interface:
-            # Model a Java-style interface contract: the receiver classes
-            # implement it, and the worker dispatches through it.
-            iface = f"P{p}I"
-            b.cls(iface)
-            self._hot_class_names.append(iface)
-            b.cls(base, interfaces=(iface,))
-        else:
-            b.cls(base)
+        b.cls(base)
         self._hot_class_names.append(base)
         target_params = 1 if pattern.target_parameterless else 2
         b.method(base, selector,
@@ -212,15 +202,13 @@ class _Generator:
         # (sole implementation, so CHA still binds calls to them) do not.
         dispatch_site = b.site()
         self.pattern_sites[p] = dispatch_site
-        call_type = (InterfaceCall if pattern.via_interface
-                     else VirtualCall)
         proc = self._conduit_method(
             util, f"proc{p}", pattern.proc_static,
             lambda obj, idx: [
                 Work(13),
-                call_type(dispatch_site, selector, obj,
-                          args=([] if pattern.target_parameterless
-                                else [idx]), dst=7),
+                VirtualCall(dispatch_site, selector, obj,
+                            args=([] if pattern.target_parameterless
+                                  else [idx]), dst=7),
                 Work(12),
                 Return(Local(7)),
             ])

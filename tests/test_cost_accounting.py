@@ -2,15 +2,13 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aos.cost_accounting import (AI_ORGANIZER, ALL_COMPONENTS, APP,
                                        AOS_COMPONENTS, COMPILATION,
-                                       CONTROLLER, CostAccounting,
-                                       DECAY_ORGANIZER, LISTENERS,
-                                       METHOD_ORGANIZER)
+                                       CONTROLLER, DECAY_ORGANIZER,
+                                       LISTENERS, METHOD_ORGANIZER)
 from repro.aos.runtime import AdaptiveRuntime
 from repro.compiler.code_cache import CodeCache
 from repro.jvm.costs import (CENTI, DEFAULT_COSTS, INLINE_WORK_DISCOUNT,
@@ -52,28 +50,6 @@ class TestAccounting:
         assert m.accounting.snapshot(m.clock)[APP] == 150.0
         assert m.clock / CENTI == 175.0
 
-    def test_fractions_sum_to_one(self):
-        m = bare_machine()
-        m.charge(APP, 80.0)
-        m.charge(LISTENERS, 15.0)
-        m.charge(CONTROLLER, 5.0)
-        fractions = m.accounting.fractions(m.clock)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions[APP] == pytest.approx(0.8)
-
-    def test_empty_fractions_zero(self):
-        fractions = CostAccounting().fractions(0)
-        assert all(v == 0.0 for v in fractions.values())
-
-    def test_aos_fraction(self):
-        m = bare_machine()
-        m.charge(APP, 90.0)
-        m.charge(COMPILATION, 10.0)
-        assert m.accounting.aos_fraction(m.clock) == pytest.approx(0.1)
-
-    def test_aos_fraction_empty(self):
-        assert CostAccounting().aos_fraction(0) == 0.0
-
     def test_snapshot_is_a_copy(self):
         m = bare_machine()
         m.charge(APP, 10.0)
@@ -101,8 +77,7 @@ TIER_MULTS = (DEFAULT_COSTS.baseline_exec_mult, DEFAULT_COSTS.opt_exec_mult,
               * (1.0 - INLINE_WORK_DISCOUNT))
 
 #: Application charges other than work: each is one unit cost at a tier.
-APP_UNITS = ("call_overhead", "virtual_dispatch", "interface_dispatch",
-             "guard_test")
+APP_UNITS = ("call_overhead", "virtual_dispatch", "guard_test")
 
 counts = st.integers(min_value=1, max_value=5_000)
 charges = st.one_of(

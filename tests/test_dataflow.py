@@ -1,8 +1,8 @@
 """Unit tests for the speculation dataflow framework and its clients."""
 
 from repro.analysis.dataflow import (ACTION_ELIDE, ACTION_GUARD,
-                                     ACTION_REFUSE, ALWAYS_PRE,
-                                     AvailableGuardAnalysis, NOT_PRE,
+                                     ALWAYS_PRE, AvailableGuardAnalysis,
+                                     NOT_PRE,
                                      PreexistenceAnalysis,
                                      SpeculationAnalysis, join_pre,
                                      static_speculation_summary)
@@ -313,14 +313,6 @@ class TestSpeculateExhaustive:
         verdict = spec.speculate_exhaustive(stmt, (("App.use", 0),), targets)
         assert verdict.action == ACTION_GUARD
         assert verdict.risk > 0.0
-
-    def test_loaded_sole_refusal_over_threshold(self):
-        costs = DEFAULT_COSTS.replace(speculation_refuse_min_risk=0.0)
-        program, spec = self._setup(loaded=("Circle",), costs=costs)
-        stmt = program.method("App.use").body[0]
-        verdict = spec.speculate(stmt, (("App.use", 0),),
-                                 program.method("Circle.area"))
-        assert verdict.action == ACTION_REFUSE
 
 
 class TestStaticSummary:

@@ -337,6 +337,16 @@ class TestResumableSweep:
         assert outcome == "[] [(('slow', 'x', 0), 'TimeoutError')]"
         assert run_s < 2
 
+    def test_each_cell_is_timed_from_its_own_start(self, tmp_path):
+        # Both cells start together.  "b" runs past its 1 s budget even
+        # though the loop only begins waiting on it when "a" finishes,
+        # at 0.8 s: its deadline is its own start plus the timeout.
+        outcome, _run_s, _elapsed, _pids = self._sleepy_run_cells(
+            tmp_path, "{('a', 'x', 0): 0.8, ('b', 'x', 0): 1.4}",
+            timeout=1.0)
+        assert outcome == \
+            "[('a', 'x', 0)] [(('b', 'x', 0), 'TimeoutError')]"
+
     def test_cell_finishing_while_a_timeout_is_handled_is_kept(
             self, monkeypatch):
         # After a timeout the loop splits the other futures into finished

@@ -141,39 +141,3 @@ class TestColdMass:
         cold_methods = {m.id for m in program.methods()
                         if m.klass.startswith("Cold")}
         assert cold_methods <= called
-
-
-class TestInterfacePatterns:
-    def test_interface_pattern_dispatches_through_itable(self):
-        from repro.aos.runtime import AdaptiveRuntime
-        from repro.policies import make_policy
-
-        spec = small_spec(
-            classes=31,
-            patterns=(PatternSpec(fanout=3, correlated=True, depth=2,
-                                  via_interface=True),))
-        generated = generate(spec)
-        program = generated.program
-        # The contract class exists and receivers implement it.
-        assert "P0I" in program.classes
-        assert program.classes["P0B"].interfaces == ("P0I",)
-        site = generated.pattern_sites[0]
-        assert build_call_graph(program).sites[site].kind == "interface"
-        # The program still runs (and dispatches) correctly.
-        runtime = AdaptiveRuntime(program, make_policy("cins", 1))
-        result = runtime.run()
-        assert result.return_value == 0
-        assert result.dispatches + result.guard_tests > 0
-
-    def test_default_patterns_stay_virtual(self):
-        generated = generate(small_spec())
-        site = generated.pattern_sites[0]
-        assert build_call_graph(generated.program).sites[site].kind == \
-            "virtual"
-
-    def test_knob_does_not_change_default_programs(self):
-        # The calibrated suite must be unaffected by the knob's existence.
-        a = generate(small_spec()).program
-        b = generate(small_spec()).program
-        assert [m.bytecodes for m in a.methods()] == \
-            [m.bytecodes for m in b.methods()]

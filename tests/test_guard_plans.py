@@ -2,15 +2,18 @@
 
 One small program -- ``Shape`` with ``Circle``, ``Square`` and
 ``Exotic`` overrides of ``area``, plus ``Other``, an unrelated class
-that is allocated too -- is compiled under ten settings of
+that is allocated too -- is compiled under nine settings of
 ``speculation_enabled``, ``deopt_planning_enabled``, ``deopt_strategy``
-and the two speculation thresholds, at six shapes of virtual site:
+and the speculation elide threshold, at seven shapes of virtual site:
 
 * ``sole-inlined-arg`` -- one loaded implementation, receiver an
   argument of an inlined callee that preexists the root activation;
 * ``sole-fresh`` -- one loaded implementation, receiver allocated in
   the compiled method;
 * ``two-covering`` -- two profile targets that cover every loaded class;
+* ``three-covering`` -- three profile targets that cover every
+  allocatable class that understands ``area``, so no class load can
+  reach the site outside them;
 * ``one-of-two-loaded`` -- one profile target, a second class loaded;
 * ``two-of-three-loaded`` -- two profile targets, a third class loaded;
 * ``one-of-all-loaded`` -- one profile target, every class loaded.
@@ -65,7 +68,6 @@ CONFIGS = {
     "osr-exit+spec": {**_planning("osr-exit"), **SPEC},
     "planned": _planning("planned"),
     "planned+spec": {**_planning("planned"), **SPEC},
-    "spec+refuse0.1": {**SPEC, "speculation_refuse_min_risk": 0.1},
     "spec+elide0": {**SPEC, "speculation_elide_max_risk": 0.0},
 }
 
@@ -82,6 +84,10 @@ SHAPES = {
     "two-covering": ("App.use", USE_SITE, ("Circle", "Square"),
                      ("Circle.area", "Square.area"),
                      (("Circle.area", 6), ("Square.area", 4))),
+    "three-covering": ("App.use", USE_SITE, ("Circle", "Square", "Exotic"),
+                       ("Circle.area", "Square.area", "Exotic.area"),
+                       (("Circle.area", 5), ("Square.area", 3),
+                        ("Exotic.area", 2))),
     "one-of-two-loaded": ("App.use", USE_SITE, ("Circle", "Square"),
                           ("Circle.area",),
                           (("Circle.area", 9), ("Square.area", 1))),
@@ -209,6 +215,16 @@ def test_planned_keeps_guard_when_another_target_is_loaded(key):
     # loaded-sole bind may skip the guard (see ``plan_site``).
     cell = compile_cell(*cells()[key])
     assert "preexist" not in [kind for _c, _s, kind, _t in cell["elisions"]]
+
+
+@pytest.mark.parametrize("config", ["spec", "spec+elide0"])
+def test_exhaustive_with_an_empty_cone_records_no_dependency(config):
+    # The shape every workload's exhaustive query has: no class that can
+    # still load reaches the site outside the targets, so the last guard
+    # goes whatever the risk threshold, and no CHA dependency is needed.
+    cell = compile_cell(*cells()[f"{config}/three-covering"])
+    assert [kind for _c, _s, kind, _t in cell["elisions"]] == ["exhaustive"]
+    assert cell["cha_dependencies"] == {}
 
 
 if __name__ == "__main__":

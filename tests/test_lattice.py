@@ -9,7 +9,7 @@ import pytest
 from conftest import build_context_program
 from repro.analysis.lattice import (LATTICE_KS, ContainmentViolation,
                                     LatticeReport, build_lattice_report,
-                                    lattice_to_json, render_lattice)
+                                    lattice_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestContextRescue:
         from repro.workloads.spec import build_benchmark
         program = build_benchmark("jess", scale=0.05).program
         report = build_lattice_report(program)
-        assert report.ok, [v.describe() for v in report.violations]
+        assert report.ok, report.violations
         assert report.rescued_sites("1cfa")
 
 
@@ -92,13 +92,6 @@ class TestSerialization:
         assert row["sizes"]["1cfa"] == 2       # union over contexts
         assert row["context_monomorphic"] == ["1cfa", "2cfa"]
 
-    def test_render_mentions_rescue_and_scores(self, ctx_report):
-        report, _sites = ctx_report
-        text = render_lattice(report)
-        assert "rta-poly->1cfa-ctx-mono: 1 site(s)" in text
-        assert "precision scores" in text
-        assert "static containment: ok at every site" in text
-
 
 class TestViolations:
     def test_violation_breaks_ok_and_renders(self, ctx_report):
@@ -110,8 +103,6 @@ class TestViolations:
                                violations=(violation,),
                                scores=report.scores)
         assert not broken.ok
-        assert "Ghost.ping" in violation.describe()
-        assert "CONTAINMENT VIOLATIONS" in render_lattice(broken)
         assert not lattice_to_json(broken)["ok"]
 
 

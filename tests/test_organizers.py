@@ -20,8 +20,7 @@ from repro.jvm.costs import (DEFAULT_COSTS, HOT_METHOD_SAMPLES, CostModel,
                              to_centi)
 from repro.jvm.frames import Frame
 from repro.jvm.program import (Arg, Const, MethodDef, Return, StaticCall,
-                               VirtualCall, Work, S_INTERFACE_CALL,
-                               S_VIRTUAL_CALL)
+                               VirtualCall, Work, S_VIRTUAL_CALL)
 from repro.policies import make_policy
 from repro.policies.catalog import ContextInsensitive, FixedLevel
 from repro.profiles.partial_match import candidate_targets
@@ -412,7 +411,7 @@ def _reference_needs_recompile(node, ctx_above, rules_by_site, site_traces,
         if site_rules and node.depth < costs.max_inline_depth:
             comp_context = ((method_id, site),) + ctx_above
             predicted = candidate_targets(site_rules, comp_context)
-            if predicted and stmt.kind in (S_VIRTUAL_CALL, S_INTERFACE_CALL):
+            if predicted and stmt.kind == S_VIRTUAL_CALL:
                 chosen = set(sorted(predicted,
                                     key=lambda t: (-predicted[t], t))
                              [:costs.max_guarded_targets])

@@ -39,7 +39,6 @@ class TestContainment:
         assert report.ok
         assert report.precision == CHA
         assert report.sites_observed >= 2
-        assert "contained" in report.render()
 
     def test_foreign_edge_is_a_violation(self, diamond):
         program, sites = diamond
@@ -50,8 +49,6 @@ class TestContainment:
         (violation,) = report.violations
         assert violation.observed == "Ghost.ping"
         assert "A.ping" in violation.allowed
-        assert "VIOLATION" in report.render()
-        assert "Ghost.ping" in violation.describe()
 
     def test_unknown_site_reported_with_empty_allowed(self, diamond):
         program, _sites = diamond
@@ -66,7 +63,7 @@ class TestContainment:
         from repro.workloads.spec import build_benchmark
         program = build_benchmark(name, scale=0.05).program
         report = check_soundness(program)
-        assert report.ok, report.render()
+        assert report.ok, report.violations
 
 
 class TestContextObserver:
@@ -99,7 +96,6 @@ class TestLatticeSoundness:
         assert [s.precision for s in report.sections] == \
             ["cha", "rta", "0cfa", "1cfa", "2cfa"]
         assert report.violation_codes() == ()
-        assert "contained at every tier" in report.render()
 
     def test_context_violation_names_tier_and_context(self, ctxprog):
         program, sites = ctxprog
@@ -113,7 +109,6 @@ class TestLatticeSoundness:
         assert violation.code == "unsound-1cfa"
         assert violation.context == (sites["c1"],)
         assert violation.observed == "B.ping"
-        assert "ctx=" in violation.describe()
 
     def test_reused_edges_match_fresh_replay(self, ctxprog):
         program, _sites = ctxprog
@@ -129,7 +124,8 @@ class TestLatticeSoundness:
         from repro.workloads.spec import build_benchmark
         program = build_benchmark(name, scale=0.05).program
         report = check_lattice_soundness(program)
-        assert report.ok, report.render()
+        assert report.ok, [v for section in report.sections
+                           for v in section.violations]
 
 
 def _record(caller, site, context, verdict="direct", reason="tiny"):

@@ -21,9 +21,8 @@ from repro.aos.runtime import AdaptiveRuntime
 from repro.experiments.runner import run_single
 from repro.jvm.costs import to_centi
 from repro.policies import make_policy
-from repro.telemetry import (TelemetryRecorder, component_totals, fractions,
-                             reconcile, summarize, to_chrome_trace,
-                             write_chrome_trace)
+from repro.telemetry import (TelemetryRecorder, component_totals, reconcile,
+                             summarize, to_chrome_trace, write_chrome_trace)
 from repro.workloads.spec import build_benchmark
 
 SCALE = 0.05
@@ -133,13 +132,6 @@ class TestSummaryReconciliation:
             assert totals.get(component, 0.0) == pytest.approx(
                 accounting[component], rel=1e-9, abs=1e-6), component
         assert totals[APP] == pytest.approx(accounting[APP], rel=1e-9)
-
-    def test_fractions_match_cost_accounting(self, jess_traced):
-        runtime, _result, snapshot = jess_traced
-        expected = runtime.accounting.fractions(runtime.machine.clock)
-        measured = fractions(snapshot)
-        for component, value in expected.items():
-            assert measured[component] == pytest.approx(value, abs=1e-12)
 
     def test_reconcile_accepts_run_result(self, jess_traced):
         _runtime, result, snapshot = jess_traced

@@ -66,11 +66,6 @@ class TestHierarchyChecks:
                                   ClassDef("B", superclass="A")])
         assert verifier.SUPERCLASS_CYCLE in codes_of(p)
 
-    def test_unknown_interface(self):
-        p = program_with([Return(Const(0))],
-                         classes=[ClassDef("A", interfaces=("Ghost",))])
-        assert verifier.UNKNOWN_INTERFACE in codes_of(p)
-
 
 class TestEntryChecks:
     def test_missing_entry(self):

@@ -14,8 +14,9 @@ longer exists.  This lint makes the drift loud:
   match.
 * ``EVENTS``: the DESIGN.md Events table must name exactly the events a
   machine sink may consume.
-* ``VerifierError``: every code in ``VERIFIER_CODES`` must be
-  documented in DESIGN.md (and no documented code may be dead).
+* ``VerifierError``: the DESIGN.md **Verifier codes** paragraph must
+  name exactly ``VERIFIER_CODES``: every code documented, no
+  documented code dead.
 * Derived copies: the oracle's ``RECORDED_REFUSALS`` must be refusal
   codes.
 
@@ -67,6 +68,15 @@ def parse_table(text: str, header: str) -> Dict[str, str]:
 
 def backticked(text: str) -> frozenset:
     return frozenset(re.findall(r"`([^`\n]+)`", text))
+
+
+def paragraph_list(text: str, lead: str) -> frozenset:
+    """The backticked names after the colon of the paragraph that starts
+    with ``lead`` (empty when no paragraph does)."""
+    for block in text.split("\n\n"):
+        if block.startswith(lead):
+            return backticked(block.partition(":")[2])
+    return frozenset()
 
 
 def main() -> int:
@@ -136,10 +146,11 @@ def main() -> int:
           f"extra {sorted(sink_table - set(EVENTS))}")
 
     # -- VerifierError codes -----------------------------------------------
-    documented = backticked(design)
-    for code in sorted(VERIFIER_CODES - documented):
-        problems.append(
-            f"verifier code `{code}` is not documented in DESIGN.md")
+    documented = paragraph_list(design, "**Verifier codes**")
+    check(documented == VERIFIER_CODES,
+          "the DESIGN.md **Verifier codes** paragraph does not name exactly "
+          f"VERIFIER_CODES: missing {sorted(VERIFIER_CODES - documented)}, "
+          f"extra {sorted(documented - VERIFIER_CODES)}")
 
     # -- derived copies ------------------------------------------------------
     check(frozenset(RECORDED_REFUSALS) <= REFUSAL_REASONS,
