@@ -25,7 +25,7 @@ from repro.jvm.errors import (CompilationError, ConfigError, ExecutionError,
 from repro.jvm.values import Instance, Value, dynamic_class
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import (Add, Arg, ClassDef, Const, Expr, If, Let,
-                               Local, Loop, Lt, MethodDef, Mod, Mul, New,
+                               Local, Loop, MethodDef, Mod, Mul, New,
                                NewPool, Pick, Program, Return, StaticCall,
                                Stmt, Sub, VirtualCall, Work, body_bytecodes)
 from repro.jvm.hierarchy import ClassHierarchy

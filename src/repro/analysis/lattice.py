@@ -34,8 +34,7 @@ from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
                                  build_kcfa_graph, truncate)
 from repro.analysis.soundness import (LATTICE_KS, ContextEdges,
                                       flatten_context_edges,
-                                      observe_context_edges,
-                                      truncate_context_edges)
+                                      observe_context_edges)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
 

@@ -23,7 +23,7 @@ allowance for inlining).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple, Optional, Set
+from typing import Deque, Dict, NamedTuple, Set
 
 from repro.aos.cost_accounting import COMPILATION, CONTROLLER
 from repro.aos.database import AOSDatabase

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.aos.cost_accounting import LISTENERS
 from repro.compiler.size_estimator import is_large
 from repro.jvm.costs import CostModel
 from repro.jvm.frames import Frame, physical_method

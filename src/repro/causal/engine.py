@@ -28,7 +28,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.aos.runtime import RunResult
 from repro.causal.components import apply_virtual_speedup, component_names

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.report import ANALYZE_PRECISIONS
 from repro.aos.cost_accounting import APP

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.compiler.compiled_method import (CompiledMethod, GUARDED,
-                                            InlineDecision, InlineNode)
+from repro.compiler.compiled_method import CompiledMethod, GUARDED, InlineNode
 
 
 def render_inline_tree(compiled: CompiledMethod) -> str:

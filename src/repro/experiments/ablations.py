@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.aos.runtime import AdaptiveRuntime, RunResult
-from repro.jvm.costs import DEFAULT_COSTS, CostModel
+from repro.aos.runtime import AdaptiveRuntime
+from repro.jvm.costs import DEFAULT_COSTS
 from repro.metrics.report import format_table
 from repro.policies import make_policy
 from repro.provenance import ProvenanceRecorder

@@ -20,7 +20,7 @@ rows/series the paper reports:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aos.cost_accounting import (AI_ORGANIZER, COMPILATION, CONTROLLER,
                                        DECAY_ORGANIZER, LISTENERS,
@@ -33,9 +33,8 @@ from repro.metrics.report import (format_fraction_bars, format_percent,
                                   format_percent_matrix, format_table)
 from repro.metrics.stats import harmonic_mean_speedup
 from repro.policies import make_policy
-from repro.profiles.dcg import DynamicCallGraph
 from repro.workloads.hashmap_example import build as build_hashmap
-from repro.workloads.spec import BENCHMARK_ORDER, build_benchmark
+from repro.workloads.spec import BENCHMARK_ORDER
 
 #: Figure 6's component order (legend order in the paper).
 FIGURE6_COMPONENTS = (LISTENERS, COMPILATION, DECAY_ORGANIZER, AI_ORGANIZER,

@@ -22,15 +22,15 @@ Section 2 warns about ("decisions must be based on a limited history").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.aos.organizers import AIOrganizer, rules_fingerprint_of
+from repro.aos.organizers import rules_fingerprint_of
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.metrics.report import format_table
 from repro.policies import make_policy
 from repro.profiles.dcg import DynamicCallGraph
-from repro.profiles.trace import InlineRule, TraceKey
+from repro.profiles.trace import InlineRule
 from repro.workloads.spec import build_benchmark
 
 

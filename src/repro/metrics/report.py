@@ -8,7 +8,7 @@ textual equivalent of the paper's bar charts).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]],

@@ -1,7 +1,5 @@
 """Context-sensitivity policies (paper Section 4)."""
 
-from typing import Dict, List, Optional, Type
-
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ConfigError
 from repro.policies.base import ContextSensitivityPolicy

@@ -23,8 +23,6 @@ Policies may additionally vary the depth limit per call site
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.jvm.program import MethodDef
 
 

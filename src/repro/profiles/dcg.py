@@ -18,9 +18,9 @@ The DCG also answers the aggregate queries the rest of the AOS needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.profiles.trace import Context, TraceKey
+from repro.profiles.trace import TraceKey
 
 #: Entries whose decayed weight falls below this are dropped.
 PRUNE_EPSILON = 0.05

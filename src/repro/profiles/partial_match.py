@@ -20,7 +20,7 @@ missing-edge organizer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.profiles.trace import Context, InlineRule
 

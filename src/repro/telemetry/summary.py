@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from repro.aos.cost_accounting import ALL_COMPONENTS, AOS_COMPONENTS, APP
+from repro.aos.cost_accounting import ALL_COMPONENTS, APP
 from repro.metrics.report import format_table
 from repro.telemetry.recorder import TelemetrySnapshot
 

@@ -19,7 +19,7 @@ can assert the exact profile split.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple
+from typing import NamedTuple
 
 from repro.jvm.program import (Arg, Const, Let, Local, Loop, Mod, New,
                                Program, Return, StaticCall, VirtualCall,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.jvm.program import (Arg, Const, If, Let, Local, Loop, Lt, Mod,
-                               New, Pick, Program, Return, StaticCall,
+                               New, Program, Return, StaticCall,
                                VirtualCall, Work)
 from repro.workloads.builder import ProgramBuilder
 

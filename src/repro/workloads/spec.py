@@ -33,7 +33,7 @@ documentation -- in the generator's vocabulary:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.jvm.errors import ConfigError
 from repro.workloads.generator import (BenchmarkSpec, GeneratedBenchmark,
