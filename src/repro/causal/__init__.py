@@ -20,9 +20,8 @@ from repro.causal.components import (CAUSAL_COMPONENTS, CausalComponent,
                                      accounted_share, apply_virtual_speedup,
                                      component_names, get_component)
 from repro.causal.engine import (BASELINE, DEFAULT_FACTORS, CausalConfig,
-                                 CausalResults, baseline_key,
-                                 causal_fingerprint, experiment_key,
-                                 parse_key, run_causal)
+                                 CausalResults, causal_fingerprint,
+                                 run_causal)
 from repro.causal.report import (CAUSAL_SCHEMA, NOISY_RCIW,
                                  build_causal_bundle, cell_stats,
                                  component_curve, render_causal_bundle,
@@ -32,9 +31,8 @@ from repro.causal.report import (CAUSAL_SCHEMA, NOISY_RCIW,
 __all__ = [
     "BASELINE", "CAUSAL_COMPONENTS", "CAUSAL_SCHEMA", "CausalComponent",
     "CausalConfig", "CausalResults", "DEFAULT_FACTORS", "NOISY_RCIW",
-    "accounted_share", "apply_virtual_speedup", "baseline_key",
-    "build_causal_bundle", "causal_fingerprint", "cell_stats",
-    "component_curve", "component_names", "experiment_key", "get_component",
-    "parse_key", "render_causal_bundle", "run_causal",
+    "accounted_share", "apply_virtual_speedup", "build_causal_bundle",
+    "causal_fingerprint", "cell_stats", "component_curve",
+    "component_names", "get_component", "render_causal_bundle", "run_causal",
     "validate_causal_bundle", "write_causal_bundle",
 ]

@@ -9,17 +9,16 @@ intervals.
 
 The grid runs through the sweep's cell loop,
 :func:`repro.experiments.runner.run_cells`, with a causal worker, a
-causal fingerprint and its own cache-acceptance test, so cells fan out
-over the same fault-tolerant process pool and persist through the same
+causal fingerprint and its own cache-acceptance test, so cells run in
+the same fault-tolerant cell processes and persist through the same
 content-addressed :class:`~repro.experiments.cell_cache.CellCache`.
 The causal fingerprint hashes the *scaled* cost model plus the seed
 index, so interrupted grids resume for free and a factor change never
 aliases a cached cell.
 
-Cell keys are sweep-shaped ``(str, str, int)`` tuples so the cell loop
-applies unchanged: the middle slot carries
-``"<family>+<component>@<factor>"`` (or ``"<family>+baseline"``) and
-the integer slot is the seed index.
+A cell's key is the plain tuple :data:`CausalKey`; a baseline cell
+names the :data:`BASELINE` marker as its component and factor 0.0, so
+keys (and the failures keyed by them) stay sortable.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from repro.aos.runtime import RunResult
 from repro.causal.components import apply_virtual_speedup, component_names
 from repro.experiments.cell_cache import CellCache
 from repro.experiments.config import cost_model_fingerprint
-from repro.experiments.runner import (CellFailure, CellKey, CellOutcome,
-                                      run_cells, run_single)
+from repro.experiments.runner import (CellFailure, CellOutcome, run_cells,
+                                      run_single)
 from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.errors import ConfigError
 from repro.telemetry.progress import ProgressTracker
@@ -46,6 +45,10 @@ DEFAULT_FACTORS: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 #: Baseline marker used in the key's component slot.
 BASELINE = "baseline"
+
+#: One causal cell: ``(benchmark, family, component, factor,
+#: seed_index)``.
+CausalKey = Tuple[str, str, str, float, int]
 
 #: Bumped whenever causal fingerprint inputs or the cached cell format
 #: change incompatibly.
@@ -97,43 +100,19 @@ class CausalConfig:
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
 
-    def cells(self) -> List[CellKey]:
+    def cells(self) -> List[CausalKey]:
         """All cell keys, baselines first (report order)."""
-        keys: List[CellKey] = []
-        for benchmark in self.benchmarks:
-            for family in self.families:
-                for seed_index in range(self.seeds):
-                    keys.append(baseline_key(benchmark, family, seed_index))
-        for benchmark in self.benchmarks:
-            for family in self.families:
-                for component in self.components:
-                    for factor in self.factors:
-                        for seed_index in range(self.seeds):
-                            keys.append(experiment_key(
-                                benchmark, family, component, factor,
-                                seed_index))
+        keys: List[CausalKey] = [
+            (benchmark, family, BASELINE, 0.0, seed_index)
+            for benchmark in self.benchmarks for family in self.families
+            for seed_index in range(self.seeds)]
+        keys += [(benchmark, family, component, factor, seed_index)
+                 for benchmark in self.benchmarks
+                 for family in self.families
+                 for component in self.components
+                 for factor in self.factors
+                 for seed_index in range(self.seeds)]
         return keys
-
-
-# -- key encoding -------------------------------------------------------------
-
-def baseline_key(benchmark: str, family: str, seed_index: int) -> CellKey:
-    return (benchmark, f"{family}+{BASELINE}", seed_index)
-
-
-def experiment_key(benchmark: str, family: str, component: str,
-                   factor: float, seed_index: int) -> CellKey:
-    return (benchmark, f"{family}+{component}@{factor:g}", seed_index)
-
-
-def parse_key(key: CellKey) -> Tuple[str, str, Optional[str], float, int]:
-    """Decode ``(benchmark, family, component|None, factor, seed_index)``."""
-    benchmark, slot, seed_index = key
-    family, _, experiment = slot.partition("+")
-    if experiment == BASELINE:
-        return benchmark, family, None, 0.0, seed_index
-    component, _, factor_text = experiment.partition("@")
-    return benchmark, family, component, float(factor_text), seed_index
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -167,32 +146,30 @@ def causal_fingerprint(benchmark: str, family: str, depth: int,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def config_fingerprint(config: CausalConfig, key: CellKey) -> str:
-    benchmark, family, component, factor, seed_index = parse_key(key)
-    return causal_fingerprint(benchmark, family, config.depth, component,
+def config_fingerprint(config: CausalConfig, key: CausalKey) -> str:
+    benchmark, family, component, factor, seed_index = key
+    return causal_fingerprint(benchmark, family, config.depth,
+                              None if component == BASELINE else component,
                               factor, seed_index, config.phase, config.scale)
 
 
 # -- the worker ---------------------------------------------------------------
 
 def _causal_worker(args) -> CellOutcome:
-    """Run one causal cell; module-level so the process pool can pickle it.
+    """Run one causal cell; module-level so a cell process can pickle it.
 
     Causal cells carry their measurements inside
     :attr:`RunResult.progress_points`, so the log slot stays empty.
     """
-    (benchmark, family, depth, phase, scale, seed_index,
-     component, factor) = args
+    (benchmark, family, component, factor, seed_index,
+     depth, phase, scale) = args
     costs = DEFAULT_COSTS
-    if component is not None:
+    if component != BASELINE:
         costs = apply_virtual_speedup(DEFAULT_COSTS, component, factor)
-        key = experiment_key(benchmark, family, component, factor,
-                             seed_index)
-    else:
-        key = baseline_key(benchmark, family, seed_index)
     generated = build_benchmark(benchmark, scale=scale,
                                 seed_offset=seed_index * SEED_STRIDE)
-    tracker = ProgressTracker(label=f"{key[0]}/{key[1]}/seed{seed_index}")
+    tracker = ProgressTracker(label=f"{benchmark}/{family}+{component}"
+                                    f"@{factor:g}/seed{seed_index}")
     result = run_single(benchmark, family, depth, phase, scale, costs,
                         progress=tracker, generated=generated)
     return result, None
@@ -205,17 +182,17 @@ class CausalResults:
     """All cells of one causal grid, with paired lookups."""
 
     config: CausalConfig
-    cells: Dict[CellKey, RunResult]
-    failures: Dict[CellKey, CellFailure] = field(default_factory=dict)
+    cells: Dict[CausalKey, RunResult]
+    failures: Dict[CausalKey, CellFailure] = field(default_factory=dict)
 
     def baseline(self, benchmark: str, family: str,
                  seed_index: int) -> Optional[RunResult]:
-        return self.cells.get(baseline_key(benchmark, family, seed_index))
+        return self.cells.get((benchmark, family, BASELINE, 0.0, seed_index))
 
     def experiment(self, benchmark: str, family: str, component: str,
                    factor: float, seed_index: int) -> Optional[RunResult]:
-        return self.cells.get(experiment_key(benchmark, family, component,
-                                             factor, seed_index))
+        return self.cells.get((benchmark, family, component, factor,
+                               seed_index))
 
     def pairs(self, benchmark: str, family: str, component: str,
               factor: float) -> List[Tuple[int, RunResult, RunResult]]:
@@ -250,28 +227,24 @@ def run_causal(config: Optional[CausalConfig] = None,
         config = CausalConfig()
     config.validate()
 
-    def args_for(key: CellKey):
-        benchmark, family, component, factor, seed_index = parse_key(key)
-        return (benchmark, family, config.depth, config.phase, config.scale,
-                seed_index, component, factor)
-
     results, failures = run_cells(
-        {key: args_for(key) for key in config.cells()}, _causal_worker,
+        {key: (*key, config.depth, config.phase, config.scale)
+         for key in config.cells()}, _causal_worker,
         lambda key: config_fingerprint(config, key),
         lambda fingerprint, result: result.progress_points is not None,
         cache=cache, jobs=config.jobs, timeout=config.cell_timeout,
         verbose=verbose)
+    grid = CausalResults(config=config, cells=results, failures=failures)
 
     missing_baselines = [
         (benchmark, family)
         for benchmark in config.benchmarks for family in config.families
-        if not any(baseline_key(benchmark, family, s) in results
-                   for s in range(config.seeds))
+        if all(grid.baseline(benchmark, family, s) is None
+               for s in range(config.seeds))
     ]
     if missing_baselines:
         warnings.warn(
             f"causal grid lost every baseline seed for "
             f"{missing_baselines}; affected experiments cannot be paired",
             RuntimeWarning, stacklevel=2)
-
-    return CausalResults(config=config, cells=results, failures=failures)
+    return grid

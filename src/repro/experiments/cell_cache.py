@@ -30,15 +30,13 @@ import dataclasses
 import json
 import os
 import warnings
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.aos.runtime import RunResult
 from repro.provenance.records import write_decision_log
 
 #: Schema version of one cell entry file.
 CELL_FORMAT = 1
-
-CellKey = Tuple[str, str, int]  # (benchmark, family, depth)
 
 
 def result_to_dict(result: RunResult) -> dict:
@@ -101,17 +99,17 @@ class CellCache:
                 RuntimeWarning, stacklevel=2)
             return None
 
-    def load_many(self, fingerprints: Mapping[CellKey, str]) \
-            -> Dict[CellKey, RunResult]:
+    def load_many(self, fingerprints: Mapping[tuple, str]) \
+            -> Dict[tuple, RunResult]:
         """All cached results among ``{cell key: fingerprint}``."""
-        found: Dict[CellKey, RunResult] = {}
+        found: Dict[tuple, RunResult] = {}
         for key, fingerprint in fingerprints.items():
             result = self.load(fingerprint)
             if result is not None:
                 found[key] = result
         return found
 
-    def store(self, fingerprint: str, key: CellKey,
+    def store(self, fingerprint: str, key: tuple,
               result: RunResult) -> str:
         """Atomically persist one cell result; returns the entry path."""
         os.makedirs(self.root, exist_ok=True)

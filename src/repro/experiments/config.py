@@ -96,12 +96,14 @@ class SweepConfig:
     #: the full paper-shaped run, smaller values shrink the main loops for
     #: quick tests.
     scale: float = 1.0
-    #: Worker processes for the sweep (0 = use all available cores).
+    #: Cells run at once, each in its own process (0 = use all available
+    #: cores; 1 = run the cells in-process, one after another).
     jobs: int = 0
-    #: Per-cell wall-clock budget in seconds when running on a worker
-    #: pool; ``None`` disables the limit.  A cell that exceeds it is
-    #: recorded as a structured failure instead of stalling the sweep.
-    #: With ``jobs=1`` cells run in-process and no budget applies.
+    #: Per-cell wall-clock budget in seconds, counted from the start of
+    #: the cell's process; ``None`` disables the limit.  A cell that
+    #: exceeds it has its process killed and is recorded as a structured
+    #: failure instead of stalling the sweep.  With ``jobs=1`` cells run
+    #: in-process and no budget applies.
     cell_timeout: Optional[float] = None
     #: Persist each cell's best-run decision-provenance log next to its
     #: cached result (``<fingerprint>.decisions.jsonl``).  Execution-only

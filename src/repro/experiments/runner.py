@@ -11,12 +11,13 @@ hierarchy and code cache, so per-phase regeneration was pure waste).
 Cells are independent.  :func:`run_cells` is the one cell loop, shared
 with the causal grid (:mod:`repro.causal.engine`): it serves cells from
 the content-addressed per-cell cache
-(:mod:`repro.experiments.cell_cache`), fans the rest out over worker
-processes and persists each finished cell at once, so an interrupted run
-resumes where it died.  A cell whose worker crashes or raises is retried
-once serially and then recorded as a structured :class:`CellFailure`
-instead of killing the run, a per-cell timeout bounds stragglers, and
-when process pools are unavailable the cells run in-process.
+(:mod:`repro.experiments.cell_cache`), runs each of the rest in its own
+process, at most ``jobs`` at once, and persists each finished cell at
+once, so an interrupted run resumes where it died.  A cell whose worker
+raises or whose process dies is retried once in a new process and then
+recorded as a structured :class:`CellFailure` instead of killing the
+run; a per-cell timeout kills only the cell that exceeds it; with one
+job, or when no process can be started, the cells run in-process.
 
 Results are plain dataclasses; :class:`SweepResults` offers the lookups
 the figure formatters need plus JSON (de)serialization, and
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 import warnings
@@ -49,8 +51,8 @@ from repro.workloads.spec import GeneratedBenchmark, build_benchmark
 #: Key identifying one sweep cell.
 CellKey = Tuple[str, str, int]  # (benchmark, family, depth)
 
-#: Worker attempts per cell before a failure is recorded (the pool
-#: attempt plus one serial retry).
+#: Worker attempts per cell before a failure is recorded (the first run
+#: plus one retry).
 MAX_CELL_ATTEMPTS = 2
 
 
@@ -150,7 +152,7 @@ CellOutcome = Tuple[RunResult, Optional[DecisionLog]]
 
 
 def _cell_worker(args) -> CellOutcome:
-    """Run one sweep cell; module-level so the process pool can pickle it."""
+    """Run one sweep cell; module-level so a cell process can pickle it."""
     benchmark, family, depth, phases, scale, decision_logs = args
     return run_cell(benchmark, family, depth, phases, scale,
                     collect_provenance=decision_logs)
@@ -159,19 +161,13 @@ def _cell_worker(args) -> CellOutcome:
 @dataclass
 class CellFailure:
     """One cell that could not produce a result, with why and how hard
-    the harness tried; recorded in :class:`SweepResults` instead of
-    killing the sweep."""
+    the harness tried; recorded beside the results instead of killing
+    the run.  ``key`` is the cell's key in :func:`run_cells`."""
 
-    benchmark: str
-    family: str
-    depth: int
+    key: tuple
     error_type: str
     message: str
     attempts: int
-
-    @property
-    def key(self) -> CellKey:
-        return (self.benchmark, self.family, self.depth)
 
 
 @dataclass
@@ -235,8 +231,9 @@ class SweepResults:
     def from_json(cls, text: str) -> "SweepResults":
         """Rebuild results from :meth:`to_json` text.
 
-        Files written by older versions may carry a ``stamp`` (ignored)
-        and may lack ``failures`` or ``config.cell_timeout``.
+        Files written by older versions may carry a ``stamp`` (ignored),
+        may lack ``failures`` or ``config.cell_timeout``, and may name a
+        failed cell by ``benchmark``, ``family`` and ``depth``.
         """
         payload = json.loads(text)
         raw_config = payload["config"]
@@ -249,47 +246,60 @@ class SweepResults:
             cells[key] = result_from_dict(entry["result"])
         failures: Dict[CellKey, CellFailure] = {}
         for raw in payload.get("failures", []):
-            failure = CellFailure(**raw)
-            failures[failure.key] = failure
+            fields = dict(raw)
+            key = tuple(fields.pop("key", None) or
+                        [fields.pop(name)
+                         for name in ("benchmark", "family", "depth")])
+            failures[key] = CellFailure(key=key, **fields)
         return cls(config=config, cells=cells, failures=failures)
 
 
 # -- the fault-tolerant cell loop ------------------------------------------------
 
-def run_cells(cells: Mapping[CellKey, object],
+def _answer(worker: Callable[[object], CellOutcome], arg: object,
+            conn) -> None:
+    """Run one cell in its own process and send the parent
+    ``(outcome, None)``, or ``(None, (error type, message))`` if the
+    worker raised."""
+    try:
+        answer = (worker(arg), None)
+    except Exception as exc:
+        answer = (None, (type(exc).__name__, str(exc)))
+    conn.send(answer)
+
+
+def run_cells(cells: Mapping[tuple, object],
               worker: Callable[[object], CellOutcome],
-              fingerprint: Callable[[CellKey], str],
+              fingerprint: Callable[[tuple], str],
               accept: Callable[[str, RunResult], bool],
               cache: Optional[CellCache] = None, jobs: int = 0,
               timeout: Optional[float] = None, verbose: bool = False) \
-        -> Tuple[Dict[CellKey, RunResult], Dict[CellKey, CellFailure]]:
+        -> Tuple[Dict[tuple, RunResult], Dict[tuple, CellFailure]]:
     """Run every cell not already cached; returns ``(results, failures)``.
 
-    ``cells`` maps each cell key to the argument ``worker`` is called
-    with; a worker returns ``(result, log)`` (see :data:`CellOutcome`).
-    With a ``cache``, a cell whose entry under ``fingerprint(key)`` loads
-    and passes ``accept(fingerprint, result)`` is served from it; every
-    fresh result (and log) is stored the moment its worker finishes, so
-    an interrupted run resumes where it died.
+    ``cells`` maps each cell key (any sortable tuple) to the argument
+    ``worker`` is called with; a worker returns ``(result, log)`` (see
+    :data:`CellOutcome`).  With a ``cache``, a cell whose entry under
+    ``fingerprint(key)`` loads and passes ``accept(fingerprint, result)``
+    is served from it; every fresh result (and log) is stored the moment
+    its worker finishes, so an interrupted run resumes where it died.
 
-    With ``jobs`` above one (0 = every core) the pending cells fan out
-    over a process pool of at most one worker per pending cell, so
-    ``worker`` must be picklable.  The pool holds one cell per worker at
-    a time, so each cell's ``timeout`` seconds count from when it is
-    handed to a worker, not from when the loop gets round to it.  A cell
-    whose worker raises, in the pool or in-process, is retried once
-    serially and then recorded as a :class:`CellFailure`; a pool cell
-    that exceeds ``timeout`` is recorded without a retry, its pool is
-    stopped at once, and the cells that pool still owed run on a fresh
-    pool; a cell another worker was still running then starts again from
-    the beginning.  With ``jobs`` of one every cell runs in-process and
-    ``timeout`` does not apply; so do cells stranded by a broken pool,
-    and every cell when no pool can be created.
+    With ``jobs`` above one (0 = every core) each pending cell runs in a
+    process of its own, at most ``jobs`` at once, so ``worker``, its
+    argument and its outcome must be picklable.  A cell's ``timeout``
+    seconds count from its process's start; a cell that exceeds them has
+    its process killed and is recorded as a :class:`CellFailure` without
+    a retry, while the other cells run on.  A cell whose worker raises
+    or whose process dies without an answer is retried once in a new
+    process and then recorded as a :class:`CellFailure`.  With ``jobs``
+    of one, or once a process cannot be started, the remaining cells run
+    in-process, where a raising worker is retried the same way and
+    ``timeout`` does not apply.
     """
-    results: Dict[CellKey, RunResult] = {}
-    failures: Dict[CellKey, CellFailure] = {}
+    results: Dict[tuple, RunResult] = {}
+    failures: Dict[tuple, CellFailure] = {}
     total = len(cells)
-    fingerprints: Dict[CellKey, str] = {}
+    fingerprints: Dict[tuple, str] = {}
     if cache is not None:
         fingerprints = {key: fingerprint(key) for key in cells}
         results = {key: result for key, result
@@ -300,7 +310,7 @@ def run_cells(cells: Mapping[CellKey, object],
                   f"from {cache.root}")
     done = len(results)
 
-    def finish(key: CellKey, outcome: CellOutcome) -> None:
+    def finish(key: tuple, outcome: CellOutcome) -> None:
         nonlocal done
         result, log = outcome
         results[key] = result
@@ -313,18 +323,17 @@ def run_cells(cells: Mapping[CellKey, object],
         if verbose:
             print(f"  [{done}/{total}] done {key}")
 
-    def fail(key: CellKey, error_type: str, message: str,
+    def fail(key: tuple, error_type: str, message: str,
              attempts: int) -> None:
         nonlocal done
-        failures[key] = CellFailure(
-            benchmark=key[0], family=key[1], depth=key[2],
-            error_type=error_type, message=message, attempts=attempts)
+        failures[key] = CellFailure(key=key, error_type=error_type,
+                                    message=message, attempts=attempts)
         done += 1
         if verbose:
             print(f"  [{done}/{total}] FAILED {key}: {error_type}: "
                   f"{message}")
 
-    def run_in_process(key: CellKey, attempts: int = 0) -> None:
+    def run_in_process(key: tuple, attempts: int) -> None:
         last: Optional[Exception] = None
         while attempts < MAX_CELL_ATTEMPTS:
             attempts += 1
@@ -338,90 +347,76 @@ def run_cells(cells: Mapping[CellKey, object],
         assert last is not None
         fail(key, type(last).__name__, str(last), attempts)
 
-    pending = [key for key in cells if key not in results]
-    # Cells a broken pool stranded; they run in-process at the end.
-    stranded: List[CellKey] = []
-
-    def collect(key: CellKey, future) -> None:
-        """Finish ``key`` from its finished pool future."""
-        try:
-            outcome = future.result()
-        except BrokenProcessPool:
-            # The pool lost a worker process (crash/OOM-kill); the cells
-            # it still owed us run serially instead.
-            stranded.append(key)
-        except Exception:
-            run_in_process(key, attempts=1)
-        else:
-            finish(key, outcome)
-
+    # (key, attempts so far) of each cell still to start, retries first.
+    queued = [(key, 0) for key in cells if key not in results]
     jobs = jobs if jobs > 0 else (os.cpu_count() or 2)
-    while jobs > 1 and pending:
+    if jobs > 1 and queued:
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        # reader -> (key, attempts, process, deadline) of each running cell.
+        running: Dict[object, Tuple[tuple, int, object, float]] = {}
+        startable = True
         try:
-            from concurrent.futures import (FIRST_COMPLETED,
-                                            ProcessPoolExecutor, wait)
-            from concurrent.futures.process import BrokenProcessPool
-            slots = min(jobs, len(pending))
-            executor = ProcessPoolExecutor(max_workers=slots)
-        except Exception as exc:
-            warnings.warn(
-                f"worker pool unavailable ({type(exc).__name__}: {exc}); "
-                f"running sweep cells in-process",
-                RuntimeWarning, stacklevel=3)
-            break
-        queued, pending = pending, []
-        # future -> (key, deadline) for each cell a worker is running,
-        # in submission order, which is deadline order.
-        running: Dict[object, Tuple[CellKey, float]] = {}
-        timed_out = False
-        try:
-            while queued or running:
-                while queued and len(running) < slots:
-                    key = queued.pop(0)
+            while running or (startable and queued):
+                while startable and queued and len(running) < jobs:
+                    key, attempts = queued[0]
                     try:
-                        future = executor.submit(worker, cells[key])
-                    except BrokenProcessPool:
-                        stranded.append(key)
-                        continue
-                    deadline = time.monotonic() + (timeout or 0.0)
-                    running[future] = (key, deadline)
+                        reader, writer = multiprocessing.Pipe(duplex=False)
+                        process = multiprocessing.Process(
+                            target=_answer, args=(worker, cells[key], writer))
+                        process.start()
+                    except Exception as exc:
+                        warnings.warn(
+                            f"cannot start a cell process "
+                            f"({type(exc).__name__}: {exc}); running the "
+                            f"remaining cells in-process",
+                            RuntimeWarning, stacklevel=3)
+                        startable = False
+                        break
+                    writer.close()
+                    queued.pop(0)
+                    deadline = (math.inf if timeout is None
+                                else time.monotonic() + timeout)
+                    running[reader] = (key, attempts + 1, process, deadline)
                 if not running:
                     break
-                earliest = next(iter(running))
-                wait_s = (None if timeout is None else
-                          max(0.0, running[earliest][1] - time.monotonic()))
-                finished, _ = wait(running, wait_s, FIRST_COMPLETED)
-                for future in finished:
-                    collect(running.pop(future)[0], future)
-                if finished:
-                    continue
-                # The earliest deadline passed while its cell's worker
-                # still runs it and holds a pool slot.  Keep what the
-                # other workers have finished, stop this pool, and run
-                # the cells it still owes on a fresh one.  Ask each
-                # future done() once: one that finishes between two asks
-                # would fit neither.
-                fail(running.pop(earliest)[0], "TimeoutError",
-                     f"cell exceeded the per-cell timeout of {timeout:g}s", 1)
-                timed_out = True
-                for future, (key, _deadline) in running.items():
-                    if future.done():
-                        collect(key, future)
+                earliest = min(entry[3] for entry in running.values())
+                # poll() cannot wait 25 days at once; waiting a day at a
+                # time still reaches any deadline.
+                wait_s = min(max(0.0, earliest - time.monotonic()), 86400.0)
+                for reader in wait(list(running), wait_s):
+                    key, attempts, process, _deadline = running.pop(reader)
+                    try:
+                        outcome, error = reader.recv()
+                    except EOFError:
+                        process.join()
+                        outcome, error = None, (
+                            "ProcessDied", f"the cell's process exited "
+                            f"with code {process.exitcode} without an answer")
+                    reader.close()
+                    process.join()
+                    if error is None:
+                        finish(key, outcome)
+                    elif attempts < MAX_CELL_ATTEMPTS:
+                        queued.insert(0, (key, attempts))
                     else:
-                        pending.append(key)
-                pending.extend(queued)
-                break
+                        fail(key, *error, attempts)
+                now = time.monotonic()
+                for reader, (key, attempts, process, deadline) \
+                        in list(running.items()):
+                    if deadline <= now:
+                        del running[reader]
+                        process.kill()
+                        process.join()
+                        reader.close()
+                        fail(key, "TimeoutError", f"cell exceeded the "
+                             f"per-cell timeout of {timeout:g}s", attempts)
         finally:
-            # Stop the workers instead of letting the pool's exit
-            # handler wait for the timed-out one: ProcessPoolExecutor
-            # has no public call for this before Python 3.14.
-            workers = (list(executor._processes.values())
-                       if timed_out else [])
-            executor.shutdown(wait=False, cancel_futures=True)
-            for process in workers:
-                process.terminate()
-    for key in stranded + pending:
-        run_in_process(key)
+            for _key, _attempts, process, _deadline in running.values():
+                process.kill()
+    for key, attempts in queued:
+        run_in_process(key, attempts)
     return results, failures
 
 

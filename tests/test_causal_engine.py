@@ -1,10 +1,9 @@
-"""The causal experiment grid: keys, fingerprints, runs, and resume."""
+"""The causal experiment grid: cells, fingerprints, runs, and resume."""
 
 import pytest
 
-from repro.causal.engine import (CausalConfig, baseline_key,
-                                 causal_fingerprint, experiment_key,
-                                 parse_key, run_causal)
+from repro.causal.engine import (BASELINE, CausalConfig, causal_fingerprint,
+                                 run_causal)
 from repro.experiments.cell_cache import CellCache
 from repro.experiments.runner import run_single
 from repro.jvm.errors import ConfigError
@@ -20,27 +19,16 @@ def tiny_results():
     return run_causal(TINY)
 
 
-class TestKeys:
-    def test_roundtrip_experiment(self):
-        key = experiment_key("jess", "cins", "compile", 0.25, 2)
-        assert parse_key(key) == ("jess", "cins", "compile", 0.25, 2)
-
-    def test_roundtrip_baseline(self):
-        key = baseline_key("db", "fixed", 1)
-        assert parse_key(key) == ("db", "fixed", None, 0.0, 1)
-
-    def test_keys_are_sweep_shaped(self):
-        key = experiment_key("jess", "cins", "guard", 0.5, 0)
-        assert isinstance(key, tuple) and len(key) == 3
-        assert isinstance(key[1], str) and isinstance(key[2], int)
-
-
 class TestConfig:
     def test_cells_cover_baselines_and_experiments(self):
         cells = TINY.cells()
-        # 2 baseline seeds + 1 component x 1 factor x 2 seeds.
-        assert len(cells) == 4
-        assert cells[0] == baseline_key("jess", "cins", 0)
+        # 2 baseline seeds + 1 component x 1 factor x 2 seeds; keys sort,
+        # as the bundle lists failures in key order.
+        assert cells == sorted(cells) == [
+            ("jess", "cins", BASELINE, 0.0, 0),
+            ("jess", "cins", BASELINE, 0.0, 1),
+            ("jess", "cins", "compile", 1.0, 0),
+            ("jess", "cins", "compile", 1.0, 1)]
 
     def test_unknown_component_rejected(self):
         config = CausalConfig(components=("compiler",))
@@ -120,7 +108,7 @@ class TestCacheResume:
 
         cache = CellCache(str(tmp_path))
         first = run_causal(TINY, cache=cache)
-        key = baseline_key("jess", "cins", 0)
+        key = ("jess", "cins", BASELINE, 0.0, 0)
         # Poison one cached cell as if written by a non-causal run.
         stripped = dataclasses.replace(first.cells[key],
                                        progress_points=None)

@@ -252,13 +252,12 @@ class TestResumableSweep:
         assert set(results.cells) == set(SMALL.configurations())
 
     def test_pool_unavailable_degrades_to_in_process(self, monkeypatch):
-        import concurrent.futures
+        import multiprocessing
 
-        def unavailable(*args, **kwargs):
-            raise OSError("no sem_open on this platform")
+        def unavailable(self):
+            raise OSError("fork: Resource temporarily unavailable")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            unavailable)
+        monkeypatch.setattr(multiprocessing.Process, "start", unavailable)
         config = SweepConfig(benchmarks=("jess",), families=("fixed",),
                              depths=(2,), phases=(0.0,), scale=0.05, jobs=2)
         with pytest.warns(RuntimeWarning, match="in-process"):
@@ -269,20 +268,34 @@ class TestResumableSweep:
     @staticmethod
     def _sleepy_run_cells(tmp_path, cells: str, timeout: float = 1):
         """Run ``run_cells`` with ``jobs=2`` and ``timeout`` over ``cells``
-        (the source of a ``key -> seconds to sleep`` dict) in a child
-        process.  Each cell's result is the PID of the process that ran it.
+        (the source of a ``key -> behaviour`` dict) in a child process, so
+        a failure of the child cannot kill the test run.  A behaviour is
+        seconds to sleep, ``"kill"`` (the cell's process SIGKILLs itself)
+        or ``"raise"`` (the worker raises a ``ValueError`` naming its
+        PID); each cell's result is the PID of the process that ran it.
 
-        Returns the child's ``results failures`` line, how long
-        ``run_cells`` took in it, how long the whole child took, and the
-        source of the child's ``key -> PID`` results.
+        Returns a dict: ``run_s``, how long ``run_cells`` took in the
+        child; ``elapsed``, how long the whole child took; ``pid``, the
+        child's PID; ``results``, ``key -> PID``; ``failures``,
+        ``key -> (error type, message, attempts)``; and ``starts``, the
+        ``(PID, behaviour)`` of every worker call in start order.
         """
         (tmp_path / "sleepy.py").write_text(
             "import os\n"
+            "import signal\n"
             "import time\n"
-            "def worker(seconds):\n"
-            "    time.sleep(seconds)\n"
+            "def worker(behaviour):\n"
+            "    log = os.path.join(os.path.dirname(__file__), 'starts')\n"
+            "    with open(log, 'a') as handle:\n"
+            "        handle.write(repr((os.getpid(), behaviour)) + '\\n')\n"
+            "    if behaviour == 'kill':\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    if behaviour == 'raise':\n"
+            "        raise ValueError(f'raised in {os.getpid()}')\n"
+            "    time.sleep(behaviour)\n"
             "    return os.getpid(), None\n")
         script = (
+            "import os\n"
             "import time\n"
             "from repro.experiments.runner import run_cells\n"
             "import sleepy\n"
@@ -290,10 +303,12 @@ class TestResumableSweep:
             f"results, failures = run_cells({cells}, sleepy.worker,\n"
             "    str, lambda fingerprint, result: True, jobs=2,\n"
             f"    timeout={timeout})\n"
-            "print(time.monotonic() - start)\n"
-            "print(sorted(results), [(key, failure.error_type)\n"
-            "                        for key, failure in failures.items()])\n"
-            "print(results)\n")
+            "print(repr(dict(run_s=time.monotonic() - start,\n"
+            "                pid=os.getpid(), results=results,\n"
+            "                failures={key: (failure.error_type,\n"
+            "                                failure.message,\n"
+            "                                failure.attempts)\n"
+            "                          for key, failure in failures.items()})))\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ,
@@ -302,104 +317,92 @@ class TestResumableSweep:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         elapsed = time.monotonic() - start
-        assert done.returncode == 0, done.stderr
-        run_s, outcome, pids = done.stdout.strip().splitlines()
-        return outcome, float(run_s), elapsed, pids
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        run = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+        run["elapsed"] = elapsed
+        run["starts"] = [ast.literal_eval(line) for line
+                         in (tmp_path / "starts").read_text().splitlines()]
+        return run
 
     def test_timed_out_worker_does_not_outlive_the_run(self, tmp_path):
-        # A timed-out cell's worker keeps running; the pool's exit
-        # handler would wait for it unless the loop stops it.
-        outcome, _run_s, elapsed, _pids = self._sleepy_run_cells(
+        # The loop kills a timed-out cell's process; left running, it
+        # would keep the child alive at exit.
+        run = self._sleepy_run_cells(
             tmp_path, "{('slow', 'x', 0): 20, ('fast', 'x', 0): 0}")
-        assert outcome == \
-            "[('fast', 'x', 0)] [(('slow', 'x', 0), 'TimeoutError')]"
-        assert elapsed < 10
+        assert sorted(run["results"]) == [('fast', 'x', 0)]
+        assert run["failures"][('slow', 'x', 0)][0] == "TimeoutError"
+        assert run["elapsed"] < 10
 
     def test_cells_after_a_timeout_get_every_worker(self, tmp_path):
-        # The timed-out cell's worker still holds its pool slot, so the
-        # cells after it must not queue on the one worker left: they run
-        # on a fresh pool, whose processes have new PIDs.
-        outcome, _run_s, _elapsed, pids = self._sleepy_run_cells(
-            tmp_path,
-            "{('slow', 'x', 0): 20, ('a', 'x', 0): 0.3, ('b', 'x', 0): 0.3,"
-            " ('c', 'x', 0): 0.3, ('d', 'x', 0): 0.3}", timeout=0.75)
-        short = [('a', 'x', 0), ('b', 'x', 0), ('c', 'x', 0), ('d', 'x', 0)]
-        assert outcome == \
-            f"{short} [(('slow', 'x', 0), 'TimeoutError')]"
-        pids = ast.literal_eval(pids)
-        assert len({pids[key] for key in short}) >= 2
+        # A timeout kills only its own cell's process: the other cell
+        # keeps its start and its deadline instead of starting again, so
+        # both over-budget cells time out in the same window.
+        run = self._sleepy_run_cells(
+            tmp_path, "{('slow', 'x', 0): 20, ('slower', 'x', 0): 20}",
+            timeout=1.0)
+        assert run["results"] == {}
+        assert {key: failure[0] for key, failure
+                in run["failures"].items()} == \
+            {('slow', 'x', 0): "TimeoutError",
+             ('slower', 'x', 0): "TimeoutError"}
+        assert len(run["starts"]) == 2
+        assert run["run_s"] < 1.6
 
     def test_lone_pending_cell_is_bounded_by_the_timeout(self, tmp_path):
         # One pending cell (a one-cell grid, or the last cell of a resumed
-        # sweep) still runs on the pool when jobs asks for one.
-        outcome, run_s, _elapsed, _pids = self._sleepy_run_cells(
-            tmp_path, "{('slow', 'x', 0): 3}")
-        assert outcome == "[] [(('slow', 'x', 0), 'TimeoutError')]"
-        assert run_s < 2
+        # sweep) still runs in a process of its own when jobs asks for
+        # more than one.
+        run = self._sleepy_run_cells(tmp_path, "{('slow', 'x', 0): 3}")
+        assert run["results"] == {}
+        assert run["failures"][('slow', 'x', 0)][0] == "TimeoutError"
+        assert run["run_s"] < 2
+
+    def test_timeout_longer_than_one_wait_is_accepted(self, tmp_path):
+        # 3e6 s is past the longest single wait poll() accepts.
+        run = self._sleepy_run_cells(
+            tmp_path, "{('a', 'x', 0): 0, ('b', 'x', 0): 0}", timeout=3e6)
+        assert sorted(run["results"]) == [('a', 'x', 0), ('b', 'x', 0)]
+        assert run["failures"] == {}
 
     def test_each_cell_is_timed_from_its_own_start(self, tmp_path):
         # Both cells start together.  "b" runs past its 1 s budget even
         # though the loop only begins waiting on it when "a" finishes,
         # at 0.8 s: its deadline is its own start plus the timeout.
-        outcome, _run_s, _elapsed, _pids = self._sleepy_run_cells(
+        run = self._sleepy_run_cells(
             tmp_path, "{('a', 'x', 0): 0.8, ('b', 'x', 0): 1.4}",
             timeout=1.0)
-        assert outcome == \
-            "[('a', 'x', 0)] [(('b', 'x', 0), 'TimeoutError')]"
+        assert sorted(run["results"]) == [('a', 'x', 0)]
+        assert run["failures"][('b', 'x', 0)][0] == "TimeoutError"
 
-    def test_cell_finishing_while_a_timeout_is_handled_is_kept(
-            self, monkeypatch):
-        # After a timeout the loop splits the other futures into finished
-        # and still running.  A future that finishes between two done()
-        # calls would fit neither side and its cell would be lost.
-        import concurrent.futures
+    def test_timeout_does_not_restart_the_other_cells(self, tmp_path):
+        # "b" starts when "a" finishes, at 0.3 s, and is still running
+        # when "slow" times out at 1 s; it must run on, not start again.
+        run = self._sleepy_run_cells(
+            tmp_path, "{('slow', 'x', 0): 20, ('a', 'x', 0): 0.3,"
+            " ('b', 'x', 0): 0.9}", timeout=1.0)
+        assert [behaviour for _pid, behaviour in run["starts"]].count(0.9) \
+            == 1
+        assert run["failures"][('slow', 'x', 0)][0] == "TimeoutError"
+        assert set(run["results"]) | set(run["failures"]) == \
+            {('slow', 'x', 0), ('a', 'x', 0), ('b', 'x', 0)}
 
-        class FinishesWhenAsked(concurrent.futures.Future):
-            """Running at its first done() call, finished from then on."""
+    def test_killed_cell_process_becomes_a_failure(self, tmp_path):
+        # SIGKILL (the out-of-memory killer's signal) ends the cell's
+        # process without an answer: the cell is retried once in a new
+        # process and then recorded, and the other cells finish.
+        run = self._sleepy_run_cells(
+            tmp_path, "{('doomed', 'x', 0): 'kill', ('a', 'x', 0): 0.2,"
+            " ('b', 'x', 0): 0.2}")
+        assert sorted(run["results"]) == [('a', 'x', 0), ('b', 'x', 0)]
+        error_type, _message, attempts = run["failures"][('doomed', 'x', 0)]
+        assert (error_type, attempts) == ("ProcessDied", 2)
 
-            def __init__(self, outcome):
-                super().__init__()
-                self.outcome = outcome
-
-            def done(self):
-                if self.outcome is not None:
-                    self.set_result(self.outcome)
-                    self.outcome = None
-                    return False
-                return super().done()
-
-        pools = []
-
-        class StubPool:
-            """Runs each cell at submit; "hang" never finishes, and in the
-            first pool "racy" finishes while the timeout is handled."""
-
-            def __init__(self, max_workers):
-                self._processes = {}
-                pools.append(self)
-
-            def submit(self, worker, arg):
-                if arg == "hang":
-                    return concurrent.futures.Future()
-                if arg == "racy" and len(pools) == 1:
-                    return FinishesWhenAsked(worker(arg))
-                future = concurrent.futures.Future()
-                future.set_result(worker(arg))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            StubPool)
-        cells = {("slow", "x", 0): "hang", ("racy", "x", 0): "racy"}
-        results, failures = runner.run_cells(
-            cells, lambda arg: (arg, None), str,
-            lambda fingerprint, result: True, jobs=2, timeout=0.01)
-        assert set(results) | set(failures) == set(cells)
-        assert results == {("racy", "x", 0): "racy"}
-        assert failures[("slow", "x", 0)].error_type == "TimeoutError"
-        assert len(pools) == 2
+    def test_raising_cell_is_retried_in_a_new_process(self, tmp_path):
+        run = self._sleepy_run_cells(tmp_path, "{('bad', 'x', 0): 'raise'}")
+        pids = [pid for pid, _behaviour in run["starts"]]
+        assert len(set(pids)) == 2 and run["pid"] not in pids
+        assert run["failures"] == {
+            ('bad', 'x', 0): ("ValueError", f"raised in {pids[1]}", 2)}
 
 
 class TestFailureSerialization:
@@ -408,7 +411,7 @@ class TestFailureSerialization:
                              depths=(3,), phases=(0.1, 0.9), scale=0.25,
                              jobs=3, cell_timeout=12.5)
         result = run_single("jess", "cins", 1, scale=0.05)
-        failure = CellFailure(benchmark="jess", family="class", depth=3,
+        failure = CellFailure(key=("jess", "class", 3),
                               error_type="ExecutionError",
                               message="stack overflow", attempts=2)
         results = SweepResults(config=config,
@@ -418,6 +421,12 @@ class TestFailureSerialization:
         assert loaded.config == config
         assert loaded.cells == results.cells
         assert loaded.failures == results.failures
+        # Older files name a failed cell by benchmark, family and depth.
+        payload = json.loads(results.to_json())
+        for raw in payload["failures"]:
+            raw.update(zip(("benchmark", "family", "depth"), raw.pop("key")))
+        legacy = SweepResults.from_json(json.dumps(payload))
+        assert legacy.failures == results.failures
 
     def test_from_json_accepts_legacy_payload(self, tiny_sweep):
         # Payloads written before per-cell caching carry neither the
