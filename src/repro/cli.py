@@ -69,6 +69,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -82,6 +83,19 @@ from repro.experiments.runner import (SweepResults, load_or_run_sweep,
                                       run_single)
 from repro.policies import POLICY_LABELS, make_policy
 from repro.workloads.spec import BENCHMARK_ORDER
+
+
+def _timeout_seconds(text: str) -> float:
+    """Parse a ``--timeout``: a finite number of seconds above zero."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number of seconds: {text!r}") from None
+    if not 0.0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, got {text}")
+    return seconds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,11 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--depths", type=int, nargs="*", default=None)
     sweep.add_argument("--phases", type=float, nargs="*", default=None)
     sweep.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = all cores)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-cell timeout in seconds when running "
-                            "on a worker pool (--jobs 1 runs cells "
-                            "in-process, with no timeout)")
+                       help="cells run at once, each in its own process "
+                            "(0 = all cores, 1 = in-process)")
+    sweep.add_argument("--timeout", type=_timeout_seconds, default=None,
+                       help="per-cell timeout in seconds when cells run "
+                            "in processes of their own (--jobs 1 runs "
+                            "cells in-process, with no timeout)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="ignore the per-cell cache and rerun the full "
                             "sweep")
@@ -245,11 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     causal.add_argument("--scale", type=float, default=1.0,
                         help="run-length scale factor")
     causal.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (0 = all cores)")
-    causal.add_argument("--timeout", type=float, default=None,
-                        help="per-cell timeout in seconds when running "
-                             "on a worker pool (--jobs 1 runs cells "
-                             "in-process, with no timeout)")
+                        help="cells run at once, each in its own process "
+                             "(0 = all cores, 1 = in-process)")
+    causal.add_argument("--timeout", type=_timeout_seconds, default=None,
+                        help="per-cell timeout in seconds when cells run "
+                             "in processes of their own (--jobs 1 runs "
+                             "cells in-process, with no timeout)")
     causal.add_argument("--cache", default=None,
                         help="per-cell cache directory; interrupted "
                              "grids resume from it")

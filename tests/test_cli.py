@@ -58,6 +58,18 @@ class TestSweepAndFigures:
         assert code == 1
         assert "no sweep cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "causal"])
+    @pytest.mark.parametrize("value", ["0", "-1.5", "inf"])
+    def test_timeout_must_be_positive(self, command, value, tmp_path,
+                                      capsys):
+        out = str(tmp_path / "out.json")
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--benchmarks", "jess", "--scale", "0.05",
+                  "--jobs", "2", "--timeout", value, "--out", out])
+        assert exited.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestAblationsCommand:
     def test_threshold(self, capsys):
