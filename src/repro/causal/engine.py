@@ -168,10 +168,8 @@ def _causal_worker(args) -> CellOutcome:
         costs = apply_virtual_speedup(DEFAULT_COSTS, component, factor)
     generated = build_benchmark(benchmark, scale=scale,
                                 seed_offset=seed_index * SEED_STRIDE)
-    tracker = ProgressTracker(label=f"{benchmark}/{family}+{component}"
-                                    f"@{factor:g}/seed{seed_index}")
     result = run_single(benchmark, family, depth, phase, scale, costs,
-                        progress=tracker, generated=generated)
+                        progress=ProgressTracker(), generated=generated)
     return result, None
 
 
