@@ -28,9 +28,9 @@ from repro.workloads import lazy_loading
 
 def main() -> None:
     built = lazy_loading.build(iterations=30_000)
-    runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
-    log = EventLog(runtime.machine)
-    runtime.machine.events = log
+    log = EventLog()
+    runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
+                              sinks=[log])
     result = runtime.run()
     invalidations = log.of_kind("invalidate")
 

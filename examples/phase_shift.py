@@ -40,7 +40,7 @@ def main() -> None:
     program, step_site = built.program, built.step_site
     recorder = ProvenanceRecorder()
     runtime = AdaptiveRuntime(program, make_policy("cins", 1),
-                              provenance=recorder)
+                              sinks=[recorder])
     result = runtime.run()
     history = [record for record in recorder.compilations
                if record.method == "App.work"]

@@ -128,7 +128,7 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
         # soundness check (context-qualified with the lattice, flat
         # without it).
         recorder = DispatchEdges(k=max(LATTICE_KS) if lattice else 0)
-        stock = replay(program, costs, phase, recorder)
+        stock = replay(program, costs, phase, [recorder])
         edges = recorder.edges
     if lattice:
         report = build_lattice_report(program, costs=costs, phase=phase,

@@ -6,8 +6,8 @@ execution: a (site -> target) edge the machine actually dispatches that a
 static target set does not contain would mean the verifier, the static
 oracles, and every report built on the graphs are reasoning about a
 different program than the one that runs.  :func:`replay` runs the
-fixed-seed adaptive system once with a consumer as the machine's event
-sink (DESIGN.md, "Events"); :class:`DispatchEdges` collects every
+fixed-seed adaptive system once with consumers as its event sinks
+(DESIGN.md, "Events"); :class:`DispatchEdges` collects every
 dynamically executed dispatch edge, qualified by the source-level
 calling context read off the shadow stack, and the checks below test
 containment site by site.  :class:`ElisionWatch` and
@@ -33,7 +33,8 @@ decisions diff --attribute-static`` renders that classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
                                       build_call_graph)
@@ -92,22 +93,19 @@ class SoundnessReport:
 
 
 def replay(program: Program, costs: CostModel = DEFAULT_COSTS,
-           phase: float = 0.0, events=None) -> "RunResult":
+           phase: float = 0.0,
+           sinks: Sequence[object] = ()) -> "RunResult":
     """Run the fixed-seed ``cins`` adaptive system once; return its result.
 
-    ``events`` becomes the machine's event sink, with the machine it
-    watches as its ``machine`` attribute.  Events charge no cycles and
-    change no decisions, so the result is the unobserved run's.
+    ``sinks`` watch the run as :class:`AdaptiveRuntime`'s do.  Events
+    charge no cycles and change no decisions, so the result is the
+    unobserved run's.
     """
     from repro.aos.runtime import AdaptiveRuntime
     from repro.policies import make_policy
 
-    runtime = AdaptiveRuntime(program, make_policy("cins", costs=costs),
-                              costs, sample_phase=phase)
-    if events is not None:
-        events.machine = runtime.machine
-        runtime.machine.events = events
-    return runtime.run()
+    return AdaptiveRuntime(program, make_policy("cins", costs=costs),
+                           costs, sample_phase=phase, sinks=sinks).run()
 
 
 #: (site, dynamic call string) -> executed target -> dispatch count.
@@ -127,7 +125,7 @@ class DispatchEdges:
     precision score compares k-CFA predictions against.
     """
 
-    #: The watched machine; :func:`replay` sets it.
+    #: The watched machine; the adaptive runtime sets it.
     machine = None
 
     def __init__(self, k: int):
@@ -255,7 +253,7 @@ def check_elision_soundness(program: Program,
     """
     watch = ElisionWatch()
     costs = costs.replace(speculation_enabled=True)
-    return watch.report(replay(program, costs, phase, watch))
+    return watch.report(replay(program, costs, phase, [watch]))
 
 
 # -- OSR live-state replay -----------------------------------------------------
@@ -317,7 +315,7 @@ class LiveStateWatch:
     so an :class:`ElisionWatch` checks the same run's ``elided`` events.
     """
 
-    #: The watched machine; :func:`replay` sets it.
+    #: The watched machine; the adaptive runtime sets it.
     machine = None
 
     def __init__(self, program: Program):
@@ -397,7 +395,7 @@ def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
     watch = LiveStateWatch(program)
     costs = costs.replace(deopt_planning_enabled=True,
                           deopt_strategy="planned")
-    return watch.report(replay(program, costs, phase, watch))
+    return watch.report(replay(program, costs, phase, [watch]))
 
 
 # -- context-conditioned observation and the full precision chain --------------
@@ -407,7 +405,7 @@ def observe_context_edges(program: Program, k: int = 2,
                           phase: float = 0.0) -> ContextEdges:
     """Replay once; the :class:`DispatchEdges` it collects at depth ``k``."""
     edges = DispatchEdges(k)
-    replay(program, costs, phase, edges)
+    replay(program, costs, phase, [edges])
     return edges.edges
 
 

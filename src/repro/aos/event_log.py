@@ -5,9 +5,10 @@ online system did what it did (why was this method recompiled four times?
 when did that rule first appear?) is otherwise archaeology.  An
 :class:`EventLog` is a machine event sink (DESIGN.md, "Events") that
 consumes the adaptive system's ``compile``, ``invalidate``, ``osr``,
-``rules`` and ``decay`` events.  Attach it by assignment::
+``rules`` and ``decay`` events.  Attach it as any other sink::
 
-    runtime.machine.events = EventLog(runtime.machine)
+    log = EventLog()
+    AdaptiveRuntime(program, policy, sinks=[log]).run()
 
 Each event becomes an :class:`~repro.provenance.records.EventRecord`
 stamped with the machine's clock in cycles, in the
@@ -30,15 +31,17 @@ class EventLog:
     """An append-only event timeline with simple query and rendering
     helpers."""
 
-    def __init__(self, machine) -> None:
-        self._machine = machine
+    #: The watched machine; the adaptive runtime sets it.
+    machine = None
+
+    def __init__(self) -> None:
         self.events: List[EventRecord] = []
         #: ``(callee, context)`` keys of the rule set last seen.
         self._rules: set = set()
 
     def _record(self, kind: EventKind, subject: str, **detail: Any) -> None:
         self.events.append(
-            EventRecord(self._machine.clock / CENTI, kind.value, subject,
+            EventRecord(self.machine.clock / CENTI, kind.value, subject,
                         detail))
 
     # -- events ------------------------------------------------------------------

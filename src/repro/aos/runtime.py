@@ -23,8 +23,7 @@ from repro.aos.cost_accounting import (AI_ORGANIZER, APP, DECAY_ORGANIZER,
                                        LISTENERS, METHOD_ORGANIZER,
                                        CostAccounting)
 from repro.aos.database import AOSDatabase
-from repro.aos.listeners import (MethodListener, TerminationStatsProbe,
-                                 TraceListener)
+from repro.aos.listeners import MethodListener, TraceListener
 from repro.aos.organizers import (AIOrganizer, AOSState, DCGOrganizer,
                                   DecayOrganizer, HotMethodsOrganizer,
                                   MissingEdgeOrganizer)
@@ -36,9 +35,6 @@ from repro.jvm.interpreter import Machine, join_sinks
 from repro.jvm.program import Program
 from repro.jvm.values import Value
 from repro.policies.base import ContextSensitivityPolicy
-from repro.provenance.recorder import ProvenanceRecorder
-from repro.telemetry.progress import ProgressTracker, main_loop_points
-from repro.telemetry.recorder import TelemetryRecorder
 
 #: What :func:`span` returns when no sink consumes ``begin``.
 _NO_SPAN = nullcontext()
@@ -101,10 +97,10 @@ class RunResult:
     invalidations: int
 
     #: Per-progress-point statistics (``{name: {count, first_clock,
-    #: last_clock}}``) when the run carried a
-    #: :class:`~repro.telemetry.progress.ProgressTracker`; ``None``
-    #: otherwise.  The causal profiler reports speedups as
-    #: progress-rate changes computed from this payload.
+    #: last_clock}}``): a causal cell's worker stores its
+    #: :class:`~repro.telemetry.progress.ProgressTracker`'s summary here;
+    #: ``None`` for every other run.  The causal profiler reports
+    #: speedups as progress-rate changes computed from this payload.
     progress_points: Optional[Dict[str, Dict[str, float]]] = None
 
     #: Inline entries through an elided guard (speculation pass); zero
@@ -135,11 +131,8 @@ class AdaptiveRuntime:
     def __init__(self, program: Program,
                  policy: ContextSensitivityPolicy,
                  costs: CostModel = DEFAULT_COSTS,
-                 probe: Optional[TerminationStatsProbe] = None,
                  sample_phase: float = 0.0,
-                 telemetry: Optional[TelemetryRecorder] = None,
-                 provenance: Optional[ProvenanceRecorder] = None,
-                 progress: Optional[ProgressTracker] = None):
+                 sinks: Sequence[object] = ()):
         # Verify where the program enters execution: a malformed program
         # fails here, before anything runs, with a VerificationFailure (a
         # ProgramError) naming every finding.  Imported locally, as the
@@ -193,20 +186,13 @@ class AdaptiveRuntime:
             # Loop OSR transfers now charge the liveness-derived map-in
             # cost; keyed by statement identity (shared objects).
             self.machine.osr_liveness = self.planner.loop_live_index()
-        # The instruments are event sinks that read the machine they
-        # watch; they charge no cycles and change no decisions, so an
+        # Every instrument is an event sink that reads the machine it
+        # watches; sinks charge no cycles and change no decisions, so an
         # instrumented run is cycle-identical to a bare one, which keeps
         # NULL_EVENTS and so builds the stock code (DESIGN.md, "Events").
-        # The progress tracker marks the entry method's top-level loops.
-        self.progress = progress
-        if progress is not None:
-            progress.loops.update(main_loop_points(program))
-        instruments = [instrument for instrument
-                       in (progress, telemetry, provenance, probe)
-                       if instrument is not None]
-        for instrument in instruments:
-            instrument.machine = self.machine
-        self.machine.events = join_sinks(*instruments)
+        for sink in sinks:
+            sink.machine = self.machine
+        self.machine.events = join_sinks(*sinks)
 
         # ``sample_phase`` (in [0, 1)) offsets the first timer tick, playing
         # the role of Jikes RVM's timer nondeterminism: the paper reports
@@ -403,6 +389,4 @@ class AdaptiveRuntime:
             elided_entries=machine.stats.elided_entries,
             deopt_entries=machine.stats.deopt_entries,
             deopt_exits=machine.stats.deopt_exits,
-            progress_points=(self.progress.summary()
-                             if self.progress is not None else None),
         )

@@ -37,7 +37,7 @@ from repro.experiments.runner import (CellFailure, CellOutcome, run_cells,
                                       run_single)
 from repro.jvm.costs import DEFAULT_COSTS
 from repro.jvm.errors import ConfigError
-from repro.telemetry.progress import ProgressTracker
+from repro.telemetry.progress import ProgressTracker, main_loop_points
 from repro.workloads.spec import build_benchmark
 
 #: Default virtual-speedup grid: 10% to 100% ("component is free").
@@ -158,8 +158,9 @@ def config_fingerprint(config: CausalConfig, key: CausalKey) -> str:
 def _causal_worker(args) -> CellOutcome:
     """Run one causal cell; module-level so a cell process can pickle it.
 
-    Causal cells carry their measurements inside
-    :attr:`RunResult.progress_points`, so the log slot stays empty.
+    A progress tracker marks the program's main loops, and the cell
+    carries its summary as :attr:`RunResult.progress_points`, so the
+    log slot stays empty.
     """
     (benchmark, family, component, factor, seed_index,
      depth, phase, scale) = args
@@ -168,8 +169,10 @@ def _causal_worker(args) -> CellOutcome:
         costs = apply_virtual_speedup(DEFAULT_COSTS, component, factor)
     generated = build_benchmark(benchmark, scale=scale,
                                 seed_offset=seed_index * SEED_STRIDE)
+    tracker = ProgressTracker(main_loop_points(generated.program))
     result = run_single(benchmark, family, depth, phase, scale, costs,
-                        progress=ProgressTracker(), generated=generated)
+                        sinks=[tracker], generated=generated)
+    result.progress_points = tracker.summary()
     return result, None
 
 

@@ -69,7 +69,7 @@ Commands
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -79,8 +79,8 @@ from repro.aos.runtime import AdaptiveRuntime
 from repro.experiments.config import (DEFAULT_PHASES, DEPTHS,
                                       POLICY_FAMILIES, SWEEPABLE_FAMILIES,
                                       SweepConfig)
-from repro.experiments.runner import (SweepResults, load_or_run_sweep,
-                                      run_single)
+from repro.experiments.runner import (SweepResults, is_cell_timeout,
+                                      load_or_run_sweep, run_single)
 from repro.policies import POLICY_LABELS, make_policy
 from repro.workloads.spec import BENCHMARK_ORDER
 
@@ -92,7 +92,7 @@ def _timeout_seconds(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid number of seconds: {text!r}") from None
-    if not 0.0 < seconds < math.inf:
+    if not is_cell_timeout(seconds):
         raise argparse.ArgumentTypeError(
             f"must be a finite number of seconds above 0, got {text}")
     return seconds
@@ -430,10 +430,10 @@ def _cmd_inspect(args) -> int:
     from repro.workloads.spec import build_benchmark
 
     generated = build_benchmark(args.benchmark, scale=args.scale)
+    log = EventLog()
     runtime = AdaptiveRuntime(generated.program,
-                              make_policy(args.policy, args.depth))
-    log = EventLog(runtime.machine)
-    runtime.machine.events = log
+                              make_policy(args.policy, args.depth),
+                              sinks=[log])
     runtime.run()
 
     print(render_code_cache(runtime.code_cache, top=args.top))
@@ -452,7 +452,7 @@ def _cmd_trace(args) -> int:
         label=f"{args.benchmark}/{args.policy}/max{args.depth}")
     result = run_single(args.benchmark, args.policy, args.depth,
                         phase=args.phase, scale=args.scale,
-                        telemetry=recorder)
+                        sinks=[recorder])
     snapshot = recorder.snapshot()
     events = write_chrome_trace(args.out, snapshot)
 
@@ -481,7 +481,7 @@ def _record_run(args):
               f"@{args.phase:g}")
     result = run_single(args.benchmark, args.policy, args.depth,
                         phase=args.phase, scale=args.scale,
-                        provenance=recorder)
+                        sinks=[recorder])
     return result, recorder
 
 
@@ -573,19 +573,22 @@ def _cmd_causal(args) -> int:
     if args.trace_out and bundle["ranking"]:
         from repro.jvm.costs import DEFAULT_COSTS
         from repro.telemetry import TelemetryRecorder, write_chrome_trace
-        from repro.telemetry.progress import ProgressTracker
+        from repro.telemetry.progress import ProgressTracker, main_loop_points
+        from repro.workloads.spec import build_benchmark
 
         top = bundle["ranking"][0]["component"]
         factor = max(config.factors)
         benchmark = config.benchmarks[0]
         family = config.families[0]
+        generated = build_benchmark(benchmark, scale=config.scale)
         recorder = TelemetryRecorder(
             label=f"{benchmark}/{family}+{top}@{factor:g}")
-        tracker = ProgressTracker(label=recorder.label)
+        # The tracker names the progress points; telemetry counts their
+        # marks as the trace's ``progress/<name>`` tracks.
+        tracker = ProgressTracker(main_loop_points(generated.program))
         run_single(benchmark, family, config.depth, phase=config.phase,
-                   scale=config.scale,
                    costs=apply_virtual_speedup(DEFAULT_COSTS, top, factor),
-                   telemetry=recorder, progress=tracker)
+                   sinks=[tracker, recorder], generated=generated)
         events = write_chrome_trace(
             args.trace_out, recorder.snapshot(),
             annotations={"causal_experiment": {
@@ -639,7 +642,18 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``).  Point stdout
+        # at the null device so the interpreter's final flush of what is
+        # still buffered does not fail again on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

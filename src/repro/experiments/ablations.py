@@ -96,7 +96,7 @@ def decay_ablation(iterations: int = 80_000,
         built = phase_shift.build(iterations, switch_fraction)
         recorder = ProvenanceRecorder(label)
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
-                                  costs, provenance=recorder)
+                                  costs, sinks=[recorder])
         result = runtime.run()
         targets = tuple(sorted(
             rule.callee for rule in runtime.state.rules

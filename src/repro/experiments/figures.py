@@ -224,7 +224,7 @@ def termination_stats(scale: float = 1.0,
     per_benchmark: Dict[str, dict] = {}
     for name in BENCHMARK_ORDER:
         probe = TerminationStatsProbe(costs)
-        run_single(name, "cins", 1, scale=scale, costs=costs, probe=probe)
+        run_single(name, "cins", 1, scale=scale, costs=costs, sinks=[probe])
         per_benchmark[name] = {
             "samples": probe.samples,
             "immediately_parameterless":

@@ -35,17 +35,15 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.aos.listeners import TerminationStatsProbe
 from repro.aos.runtime import AdaptiveRuntime, RunResult
 from repro.experiments.cell_cache import (CellCache, cell_cache_root,
                                           result_from_dict, result_to_dict)
 from repro.experiments.config import SweepConfig
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
+from repro.jvm.errors import ConfigError
 from repro.policies import make_policy
 from repro.provenance.recorder import ProvenanceRecorder
 from repro.provenance.records import ProvenanceRecord
-from repro.telemetry.progress import ProgressTracker
-from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.spec import GeneratedBenchmark, build_benchmark
 
 #: Key identifying one sweep cell.
@@ -59,26 +57,22 @@ MAX_CELL_ATTEMPTS = 2
 def run_single(benchmark: str, family: str, depth: int,
                phase: float = 0.0, scale: float = 1.0,
                costs: CostModel = DEFAULT_COSTS,
-               probe: Optional[TerminationStatsProbe] = None,
-               telemetry: Optional[TelemetryRecorder] = None,
-               provenance: Optional[ProvenanceRecorder] = None,
-               progress: Optional[ProgressTracker] = None,
+               sinks: Sequence[object] = (),
                generated: Optional[GeneratedBenchmark] = None) -> RunResult:
     """Run one benchmark under one policy at one sampling phase.
 
+    ``sinks`` are the run's instruments (telemetry, provenance, a
+    progress tracker, ...), handed to :class:`AdaptiveRuntime` as they
+    are; like every event sink they leave the result unchanged.
     ``generated`` lets callers reuse an already-built benchmark program
     (it is read-only to the runtime); without it the benchmark is built
-    from scratch.  A ``progress`` tracker records main-loop throughput
-    marks into ``RunResult.progress_points`` (zero-overhead, like
-    telemetry and provenance).
+    from scratch.
     """
     if generated is None:
         generated = build_benchmark(benchmark, scale=scale)
     policy = make_policy(family, depth, costs)
     runtime = AdaptiveRuntime(generated.program, policy, costs,
-                              probe=probe, sample_phase=phase,
-                              telemetry=telemetry, provenance=provenance,
-                              progress=progress)
+                              sample_phase=phase, sinks=sinks)
     return runtime.run()
 
 
@@ -135,7 +129,8 @@ def run_cell(benchmark: str, family: str, depth: int,
             provenance = ProvenanceRecorder(
                 label=f"{benchmark}/{family}/max{depth}@{phase:g}")
         result = run_single(benchmark, family, depth, phase, scale, costs,
-                            provenance=provenance, generated=generated)
+                            sinks=() if provenance is None else [provenance],
+                            generated=generated)
         if best is None or result.total_cycles < best.total_cycles:
             best = result
             if provenance is not None:
@@ -256,6 +251,12 @@ class SweepResults:
 
 # -- the fault-tolerant cell loop ------------------------------------------------
 
+def is_cell_timeout(seconds: float) -> bool:
+    """Whether ``seconds`` is a usable per-cell timeout: a finite number
+    of seconds above zero."""
+    return 0.0 < seconds < math.inf
+
+
 def _answer(worker: Callable[[object], CellOutcome], arg: object,
             conn) -> None:
     """Run one cell in its own process and send the parent
@@ -294,8 +295,13 @@ def run_cells(cells: Mapping[tuple, object],
     process and then recorded as a :class:`CellFailure`.  With ``jobs``
     of one, or once a process cannot be started, the remaining cells run
     in-process, where a raising worker is retried the same way and
-    ``timeout`` does not apply.
+    ``timeout`` does not apply.  A ``timeout`` that is not a finite
+    number of seconds above zero raises :class:`ConfigError` before any
+    cell runs, whatever ``jobs`` is.
     """
+    if timeout is not None and not is_cell_timeout(timeout):
+        raise ConfigError(f"the per-cell timeout must be a finite number "
+                          f"of seconds above 0, got {timeout!r}")
     results: Dict[tuple, RunResult] = {}
     failures: Dict[tuple, CellFailure] = {}
     total = len(cells)

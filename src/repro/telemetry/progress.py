@@ -49,12 +49,12 @@ class ProgressTracker:
     #: The watched machine; the adaptive runtime sets it.
     machine = None
 
-    def __init__(self, label: str = "run"):
-        self.label = label
+    def __init__(self, loops: Dict[int, str]):
+        #: ``id(loop statement) -> point name`` (for example
+        #: :func:`main_loop_points`): the machine fires :meth:`progress`
+        #: once per completed iteration of each loop.
+        self.loops = loops
         self.points: Dict[str, ProgressPointStats] = {}
-        #: ``id(loop statement) -> point name``: the machine fires
-        #: :meth:`progress` once per completed iteration of each loop.
-        self.loops: Dict[int, str] = {}
 
     def progress(self, name: str) -> None:
         """The ``progress`` event: one completion of the named point."""
@@ -66,26 +66,9 @@ class ProgressTracker:
         stats.count += 1
         stats.last_clock = clock
 
-    # -- queries -----------------------------------------------------------
-
-    def total_marks(self) -> int:
-        return sum(stats.count for stats in self.points.values())
-
-    def rate(self, total_cycles: float,
-             name: Optional[str] = None) -> float:
-        """Progress throughput in marks per 1000 cycles.
-
-        With ``name`` the rate of one point; without, the aggregate rate
-        over every point.  Zero cycles yields zero rate.
-        """
-        if total_cycles <= 0.0:
-            return 0.0
-        count = (self.points[name].count if name is not None
-                 else self.total_marks())
-        return 1000.0 * count / total_cycles
-
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """JSON-ready per-point statistics (sorted for determinism)."""
+        """JSON-ready per-point statistics (sorted for determinism), the
+        payload :func:`progress_rate` reads."""
         return {name: self.points[name].as_dict()
                 for name in sorted(self.points)}
 

@@ -8,6 +8,10 @@ import pytest
 
 from repro.cli import main
 
+#: The package source, for tests that run the CLI in a process of its own.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
 
 class TestRunCommand:
     def test_run_prints_summary(self, capsys):
@@ -34,6 +38,20 @@ class TestTable1Command:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "SPECjbb2000" in out
+
+    def test_closed_output_pipe_ends_without_a_traceback(self):
+        """A reader that goes away before the table prints (``repro
+        table1 | head -0``) ends the command nonzero, without a
+        traceback."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "table1", "--scale", "0.05"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC), text=True)
+        process.stdout.close()
+        with process.stderr:
+            err = process.stderr.read()
+        assert process.wait(timeout=300) == 1
+        assert "Traceback" not in err, err
 
 
 class TestSweepAndFigures:
@@ -129,6 +147,35 @@ class TestTraceCommand:
         capsys.readouterr()
 
 
+class TestCausalCommand:
+    def test_trace_out_joins_telemetry_and_progress(self, tmp_path,
+                                                    capsys):
+        """``--trace-out`` re-runs the top experiment with telemetry and
+        a progress tracker on one run: the trace carries the tracker's
+        points as a counter track and names the ranked top component."""
+        import json
+
+        trace_path = tmp_path / "trace.json"
+        bundle_path = tmp_path / "bundle.json"
+        code = main(["causal", "--benchmarks", "jess", "--components",
+                     "guard", "--factors", "1.0", "--seeds", "1",
+                     "--scale", "0.05", "--jobs", "1",
+                     "--trace-out", str(trace_path),
+                     "-o", str(bundle_path)])
+        assert code == 0
+        assert "(top experiment, annotated)" in capsys.readouterr().out
+        trace = json.loads(trace_path.read_text())
+        bundle = json.loads(bundle_path.read_text())
+        progress = [event["args"]["value"] for event in trace["traceEvents"]
+                    if event["ph"] == "C" and event["name"] == "progress/main"]
+        assert progress == [float(count)
+                            for count in range(1, len(progress) + 1)]
+        assert progress
+        experiment = trace["otherData"]["causal_experiment"]
+        assert experiment["component"] == bundle["ranking"][0]["component"]
+        assert experiment["factor"] == 1.0
+
+
 class TestInspectCommand:
     def test_inspect_prints_trees_and_events(self, capsys):
         code = main(["inspect", "jess", "--policy", "fixed", "--depth",
@@ -143,11 +190,9 @@ class TestInspectCommand:
     def test_timeline_is_independent_of_hash_seed(self):
         """String hashing is salted per process; no set iteration order
         may reach the printed timeline."""
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
             outputs.append(subprocess.run(
                 [sys.executable, "-m", "repro", "inspect", "jess",
                  "--scale", "0.05", "--events", "100000"],

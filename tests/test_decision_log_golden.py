@@ -28,7 +28,7 @@ def current_log_text() -> str:
     built = build_hashmap(iterations=4000)
     recorder = ProvenanceRecorder(label="golden/hashmap/fixed2")
     runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                              provenance=recorder)
+                              sinks=[recorder])
     runtime.run()
     return recorder.to_jsonl()
 

@@ -224,7 +224,7 @@ class TestGating:
         built = build_hashmap(iterations=4000)
         recorder = ProvenanceRecorder(label="golden/hashmap/fixed2")
         AdaptiveRuntime(built.program, make_policy("fixed", 2, costs=costs),
-                        costs=costs, provenance=recorder).run()
+                        costs=costs, sinks=[recorder]).run()
         with open(GOLDEN_PATH) as handle:
             assert recorder.to_jsonl() == handle.read()
 
@@ -303,7 +303,7 @@ class TestOSRSoundnessReplay:
         # checks every elided entry against what dispatch resolves.
         program, sites = build_diamond_program()
         watch = LiveStateWatch(program)
-        result = replay(program, events=watch)
+        result = replay(program, sinks=[watch])
         watch.elided(sites["ping_b"], "preexist", "A.ping", "B.ping")
         report = watch.report(result)
         assert report.violations == ()

@@ -25,63 +25,60 @@ def rule(callee, caller, site):
     return InlineRule(TraceKey(callee, ((caller, site),)), 1.0, 0.1)
 
 
-def attach(runtime):
-    log = EventLog(runtime.machine)
-    runtime.machine.events = log
-    return log
+def logged(program, policy):
+    """A runtime for ``program`` with an :class:`EventLog` attached."""
+    log = EventLog()
+    return AdaptiveRuntime(program, policy, sinks=[log]), log
 
 
 class TestEventLogUnit:
     @pytest.fixture
-    def machine(self):
-        return SimpleNamespace(clock=0)
+    def log(self):
+        """A log watching a stand-in machine."""
+        log = EventLog()
+        log.machine = SimpleNamespace(clock=0)
+        return log
 
-    def test_record_and_query(self, machine):
-        log = EventLog(machine)
+    def test_record_and_query(self, log):
         for clock, method_id in ((100.0, "C.m"), (200.0, "C.n")):
-            machine.clock = to_centi(clock)
+            log.machine.clock = to_centi(clock)
             log.compile(*compile_args(method_id))
-        machine.clock = to_centi(300.0)
+        log.machine.clock = to_centi(300.0)
         log.osr("C.m")
         assert len(log) == 3
         assert [e.subject for e in log.of_kind("compile")] == ["C.m", "C.n"]
         assert [(e.clock, e.kind) for e in log.events] == [
             (100.0, "compile"), (200.0, "compile"), (300.0, "osr")]
 
-    def test_counts(self, machine):
-        log = EventLog(machine)
+    def test_counts(self, log):
         log.compile(*compile_args("a"))
         log.compile(*compile_args("b"))
         counts = log.counts()
         assert counts["compile"] == 2
         assert counts["decay"] == 0
 
-    def test_rendering(self, machine):
-        log = EventLog(machine)
+    def test_rendering(self, log):
         log.compile(*compile_args("C.m"))
         timeline = log.render_timeline()
         assert "C.m" in timeline and "version=v1 reason=hot" in timeline
         summary = log.render_summary()
         assert "compile" in summary
 
-    def test_structured_detail_accepted_and_flattened(self, machine):
-        log = EventLog(machine)
+    def test_structured_detail_accepted_and_flattened(self, log):
         log.compile(*compile_args("C.m"))
         [event] = log.events
         assert event.detail == {"version": "v1", "reason": "hot",
                                 "inlined_bc": 40}
         assert "version=v1 reason=hot inlined_bc=40" in log.render_timeline()
 
-    def test_rule_changes_logged_in_sorted_key_order(self, machine):
-        log = EventLog(machine)
+    def test_rule_changes_logged_in_sorted_key_order(self, log):
         log.rules([rule("B.f", "A.m", 2), rule("A.f", "A.m", 1)])
         log.rules([rule("C.f", "A.m", 3), rule("A.f", "A.m", 1)])
         assert [(e.kind, e.subject) for e in log.events] == [
             ("rule_added", "A.m@1=>A.f"), ("rule_added", "A.m@2=>B.f"),
             ("rule_added", "A.m@3=>C.f"), ("rule_retired", "A.m@2=>B.f")]
 
-    def test_invalidate_osr_and_decay_details(self, machine):
-        log = EventLog(machine)
+    def test_invalidate_osr_and_decay_details(self, log):
         removed = SimpleNamespace(method=SimpleNamespace(id="C.m"))
         log.invalidate(removed, "area", "Square")
         log.osr("C.n")
@@ -96,8 +93,7 @@ class TestEventLogIntegration:
     @pytest.fixture(scope="class")
     def logged_run(self):
         built = build_hashmap(iterations=4000)
-        runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2))
-        log = attach(runtime)
+        runtime, log = logged(built.program, make_policy("fixed", 2))
         result = runtime.run()
         return runtime, log, result
 
@@ -116,15 +112,13 @@ class TestEventLogIntegration:
         plain_result = plain.run()
 
         built2 = build_hashmap(iterations=2000)
-        logged = AdaptiveRuntime(built2.program, make_policy("fixed", 2))
-        attach(logged)
-        logged_result = logged.run()
+        runtime, _log = logged(built2.program, make_policy("fixed", 2))
+        logged_result = runtime.run()
         assert logged_result.total_cycles == plain_result.total_cycles
 
     def test_invalidation_logged(self):
         built = lazy_loading.build(iterations=15_000)
-        runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
-        log = attach(runtime)
+        runtime, log = logged(built.program, make_policy("cins", 1))
         result = runtime.run()
         assert len(log.of_kind("invalidate")) == result.invalidations
         assert result.invalidations >= 1

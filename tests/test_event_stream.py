@@ -39,8 +39,10 @@ class Compiles:
     """Consumes ``compile``, noting each compilation and what it
     replaced."""
 
-    def __init__(self, machine):
-        self.machine = machine
+    #: The watched machine; the adaptive runtime sets it.
+    machine = None
+
+    def __init__(self):
         self.calls = []
 
     def compile(self, plan, compiled, replaced):
@@ -89,12 +91,11 @@ class TestEachEventFiresOnce:
         built = lazy_loading.build(iterations=15_000)
         telemetry = TelemetryRecorder(label="stream")
         provenance = ProvenanceRecorder(label="stream")
+        log = EventLog()
+        compiles = Compiles()
         runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
-                                  telemetry=telemetry, provenance=provenance)
-        log = EventLog(runtime.machine)
-        compiles = Compiles(runtime.machine)
-        runtime.machine.events = join_sinks(runtime.machine.events, log,
-                                            compiles)
+                                  sinks=[telemetry, provenance, log,
+                                         compiles])
         requests = []
         forward = runtime.controller.osr_request
 

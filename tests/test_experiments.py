@@ -6,6 +6,7 @@ The sweeps here run at tiny scale -- the point is plumbing correctness
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,8 +24,9 @@ from repro.experiments.figures import (FIGURE6_COMPONENTS, figure2, figure4,
                                        termination_stats)
 from repro.experiments.runner import (CellFailure, SweepResults,
                                       _cell_worker, load_or_run_sweep,
-                                      run_cell, run_single, run_sweep)
-from repro.jvm.errors import ExecutionError
+                                      run_cell, run_cells, run_single,
+                                      run_sweep)
+from repro.jvm.errors import ConfigError, ExecutionError
 from repro.workloads.spec import BENCHMARK_ORDER
 
 TINY = SweepConfig(benchmarks=("jess", "db"), families=("fixed", "hybrid1"),
@@ -264,6 +266,29 @@ class TestResumableSweep:
             results = run_sweep(config)
         assert set(results.cells) == set(config.configurations())
         assert not results.failures
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("timeout", [0, -1.5, math.inf, math.nan])
+    def test_unusable_timeout_is_rejected_before_any_cell(self, jobs,
+                                                          timeout,
+                                                          monkeypatch):
+        # At either job count: before the check, one job ran both cells
+        # and two jobs recorded a TimeoutError for each.
+        import multiprocessing
+
+        started = []
+        monkeypatch.setattr(multiprocessing.Process, "start",
+                            lambda process: started.append(process))
+
+        def worker(arg):
+            started.append(arg)
+            return arg, None
+
+        with pytest.raises(ConfigError, match="timeout"):
+            run_cells({("a",): 0.1, ("b",): 0.1}, worker, str,
+                      lambda fingerprint, result: True, jobs=jobs,
+                      timeout=timeout)
+        assert started == []
 
     @staticmethod
     def _sleepy_run_cells(tmp_path, cells: str, timeout: float = 1):

@@ -150,7 +150,7 @@ def compile_cell(overrides: dict, shape) -> dict:
     costs = DEFAULT_COSTS.replace(**overrides)
     recorder = ProvenanceRecorder()
     runtime = AdaptiveRuntime(program, make_policy("cins", costs=costs),
-                              costs, provenance=recorder)
+                              costs, sinks=[recorder])
     for name in loaded:
         runtime.hierarchy.mark_loaded(name)
     for callee, weight in sampled:

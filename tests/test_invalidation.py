@@ -203,8 +203,9 @@ class TestEndToEndInvalidation:
     @pytest.fixture(scope="class")
     def run(self):
         built = lazy_loading.build(iterations=20_000)
-        runtime = AdaptiveRuntime(built.program, make_policy("cins", 1))
-        log = runtime.machine.events = EventLog(runtime.machine)
+        log = EventLog()
+        runtime = AdaptiveRuntime(built.program, make_policy("cins", 1),
+                                  sinks=[log])
         result = runtime.run()
         return built, runtime, result, log.of_kind("invalidate")
 

@@ -36,7 +36,7 @@ class TestOSR:
     def test_loop_transfers_to_optimized_code(self):
         recorder = ProvenanceRecorder()
         runtime = AdaptiveRuntime(loop_heavy_program(),
-                                  make_policy("cins", 1), provenance=recorder)
+                                  make_policy("cins", 1), sinks=[recorder])
         result = runtime.run()
         assert result.osr_transfers >= 1
         assert "Main.main" in runtime.code_cache.installed
@@ -67,7 +67,7 @@ class TestOSR:
         recorder = ProvenanceRecorder()
         runtime = AdaptiveRuntime(loop_heavy_program(),
                                   make_policy("cins", 1), costs,
-                                  provenance=recorder)
+                                  sinks=[recorder])
         result = runtime.run()
         assert result.osr_transfers == 0
         assert not any(record.method == "Main.main"

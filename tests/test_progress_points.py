@@ -23,7 +23,7 @@ def watching(tracker):
 
 class TestTracker:
     def test_marks_accumulate_with_clock(self):
-        tracker = watching(ProgressTracker())
+        tracker = watching(ProgressTracker({}))
         tracker.machine.clock = to_centi(10.0)
         tracker.progress("main")
         tracker.machine.clock = to_centi(30.0)
@@ -34,15 +34,15 @@ class TestTracker:
         assert stats.last_clock == 30.0
 
     def test_rate_is_marks_per_1000_cycles(self):
-        tracker = watching(ProgressTracker())
-        for _ in range(5):
-            tracker.progress("main")
-        assert tracker.rate(10_000.0) == pytest.approx(0.5)
-        assert tracker.rate(10_000.0, "main") == pytest.approx(0.5)
-        assert tracker.rate(0.0) == 0.0
+        tracker = watching(ProgressTracker({}))
+        for name in ("main", "main", "phase1", "phase1", "phase1"):
+            tracker.progress(name)
+        assert progress_rate(tracker.summary(), 10_000.0) == \
+            pytest.approx(0.5)
+        assert progress_rate(tracker.summary(), 0.0) == 0.0
 
     def test_summary_is_json_ready_and_sorted(self):
-        tracker = watching(ProgressTracker())
+        tracker = watching(ProgressTracker({}))
         tracker.progress("phase1")
         tracker.progress("phase0")
         summary = tracker.summary()
@@ -53,10 +53,10 @@ class TestTracker:
         # Telemetry on the same run counts the tracker's marks itself; it
         # names no progress points of its own.
         recorder = TelemetryRecorder(label="t")
-        tracker = ProgressTracker()
         built = build_hashmap(iterations=300)
+        tracker = ProgressTracker(main_loop_points(built.program))
         AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                        telemetry=recorder, progress=tracker).run()
+                        sinks=[tracker, recorder]).run()
         assert recorder.loops == {}
         series = recorder.snapshot().counter_series["progress/main"]
         assert len(series) == tracker.points["main"].count == 300
@@ -96,20 +96,33 @@ class TestRuntimeIntegration:
     def test_marks_count_completed_iterations(self):
         iterations = 800
         built = build_hashmap(iterations=iterations)
-        tracker = ProgressTracker()
+        tracker = ProgressTracker(main_loop_points(built.program))
         result = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                                 progress=tracker).run()
-        assert tracker.points["main"].count == iterations
-        assert result.progress_points["main"]["count"] == float(iterations)
+                                 sinks=[tracker]).run()
+        main = tracker.summary()["main"]
+        assert main["count"] == float(iterations)
         # Marks land on the simulated clock, within the run's span.
-        assert 0.0 < result.progress_points["main"]["first_clock"]
-        assert (result.progress_points["main"]["last_clock"]
-                <= result.total_cycles)
+        assert 0.0 < main["first_clock"]
+        assert main["last_clock"] <= result.total_cycles
+
+    def test_only_the_trackers_loops_are_marked(self):
+        built = build_hashmap(iterations=200)
+        tracker = watching(ProgressTracker({}))
+        AdaptiveRuntime(built.program, make_policy("fixed", 2),
+                        sinks=[tracker]).run()
+        assert tracker.summary() == {}
 
     def test_rate_consistent_between_tracker_and_result(self):
-        built = build_hashmap(iterations=500)
-        tracker = ProgressTracker()
-        result = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                                 progress=tracker).run()
-        assert tracker.rate(result.total_cycles) == pytest.approx(
-            progress_rate(result.progress_points, result.total_cycles))
+        # A causal cell stores its tracker's summary as the result's
+        # progress points, so the cell's rate is the tracker's.
+        from repro.causal.engine import BASELINE, _causal_worker
+        cell, log = _causal_worker(("jess", "cins", BASELINE, 0.0, 0,
+                                    1, 0.0, 0.04))
+        assert log is None
+        built = build_benchmark("jess", scale=0.04)
+        tracker = ProgressTracker(main_loop_points(built.program))
+        result = AdaptiveRuntime(built.program, make_policy("cins", 1),
+                                 sinks=[tracker]).run()
+        assert result.total_cycles == cell.total_cycles
+        assert cell.progress_points == tracker.summary()
+        assert progress_rate(cell.progress_points, cell.total_cycles) > 0.0

@@ -23,7 +23,7 @@ SCALE = 0.05
 def record_run(benchmark, family, depth, scale=SCALE, phase=0.0):
     recorder = ProvenanceRecorder(label=f"{benchmark}/{family}")
     result = run_single(benchmark, family, depth, phase=phase, scale=scale,
-                        provenance=recorder)
+                        sinks=[recorder])
     return result, recorder
 
 

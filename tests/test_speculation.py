@@ -30,13 +30,12 @@ from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
 
 
-def _run(name, scale, speculation, provenance=None):
+def _run(name, scale, speculation, sinks=()):
     built = build_benchmark(name, scale=scale)
     costs = DEFAULT_COSTS.replace(speculation_enabled=speculation)
-    kwargs = {"provenance": provenance} if provenance is not None else {}
     runtime = AdaptiveRuntime(built.program,
                               make_policy("cins", costs=costs),
-                              costs=costs, **kwargs)
+                              costs=costs, sinks=sinks)
     return runtime.run()
 
 
@@ -91,7 +90,7 @@ class TestReasonOnlyContract:
             rec = ProvenanceRecorder()
             AdaptiveRuntime(built.program,
                             make_policy("fixed", 2, costs=costs),
-                            costs=costs, provenance=rec).run()
+                            costs=costs, sinks=[rec]).run()
             return rec.records
 
         diff = diff_decisions(decisions(False), decisions(True))
@@ -99,8 +98,8 @@ class TestReasonOnlyContract:
 
     def test_db_decisions_identical_with_speculation(self):
         rec_off, rec_on = ProvenanceRecorder(), ProvenanceRecorder()
-        _run("db", 0.3, speculation=False, provenance=rec_off)
-        _run("db", 0.3, speculation=True, provenance=rec_on)
+        _run("db", 0.3, speculation=False, sinks=[rec_off])
+        _run("db", 0.3, speculation=True, sinks=[rec_on])
         diff = diff_decisions(rec_off.records, rec_on.records)
         assert not diff.verdict_flips
         assert diff.is_identical

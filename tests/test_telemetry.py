@@ -33,7 +33,7 @@ def traced_run(benchmark="jess", family="hybrid1", depth=3, scale=SCALE):
     recorder = TelemetryRecorder(label=f"{benchmark}/{family}/max{depth}")
     generated = build_benchmark(benchmark, scale=scale)
     runtime = AdaptiveRuntime(generated.program, make_policy(family, depth),
-                              telemetry=recorder)
+                              sinks=[recorder])
     result = runtime.run()
     return runtime, result, recorder.snapshot()
 
@@ -108,7 +108,7 @@ class TestZeroOverheadContract:
         untraced = run_single("jess", "hybrid1", 3, scale=SCALE)
         recorder = TelemetryRecorder()
         traced = run_single("jess", "hybrid1", 3, scale=SCALE,
-                            telemetry=recorder)
+                            sinks=[recorder])
         assert traced.total_cycles == untraced.total_cycles
         assert traced.component_cycles == untraced.component_cycles
         assert traced.opt_compilations == untraced.opt_compilations
@@ -119,7 +119,7 @@ class TestZeroOverheadContract:
         # monomorphic loops (OSR); jess at tiny scale covers neither.
         untraced = run_single("javac", "fixed", 2, scale=SCALE)
         traced = run_single("javac", "fixed", 2, scale=SCALE,
-                            telemetry=TelemetryRecorder())
+                            sinks=[TelemetryRecorder()])
         assert traced.total_cycles == untraced.total_cycles
 
 

@@ -28,7 +28,7 @@ def current_trace_text() -> str:
     built = build_hashmap(iterations=4000)
     recorder = TelemetryRecorder(label="golden/hashmap/fixed2")
     runtime = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                              telemetry=recorder)
+                              sinks=[recorder])
     runtime.run()
     trace = to_chrome_trace(recorder.snapshot())
     events = trace.pop("traceEvents")

@@ -27,7 +27,7 @@ from repro.jvm.interpreter import EVENTS, NULL_EVENTS
 from repro.policies import make_policy
 from repro.provenance import ProvenanceRecorder
 from repro.telemetry import TelemetryRecorder
-from repro.telemetry.progress import ProgressTracker
+from repro.telemetry.progress import ProgressTracker, main_loop_points
 from repro.workloads import lazy_loading
 from repro.workloads.hashmap_example import build as build_hashmap
 from repro.workloads.spec import build_benchmark
@@ -81,11 +81,12 @@ INPUTS = {
 
 
 class EverySink(ProgressTracker):
-    """A progress tracker that consumes the sixteen other events as
-    well, recording which of the seventeen fired."""
+    """A progress tracker over a program's main loops that consumes the
+    sixteen other events as well, recording which of the seventeen
+    fired."""
 
-    def __init__(self):
-        super().__init__(label="contract")
+    def __init__(self, program):
+        super().__init__(main_loop_points(program))
         self.fired = set()
 
     def progress(self, name):
@@ -144,26 +145,30 @@ class EverySink(ProgressTracker):
         self.fired.add("plan_deferred")
 
 
-def _runtime(name, **instruments):
+def _configuration(name):
+    """Input ``name``'s freshly built program, its policy and costs."""
     build, (family, depth), overrides, _fires = INPUTS[name]
     costs = DEFAULT_COSTS.replace(**overrides)
-    return AdaptiveRuntime(build(), make_policy(family, depth, costs),
-                           costs, **instruments)
+    return build(), make_policy(family, depth, costs), costs
 
 
 def _bare_run(name="hashmap-fixed2"):
     """The stock configuration: no instrument, so no event fires."""
-    runtime = _runtime(name)
+    runtime = AdaptiveRuntime(*_configuration(name))
     assert runtime.machine.events is NULL_EVENTS
     return runtime.run()
 
 
-def _fully_instrumented_run(name, sink):
-    """Same run with every instrument attached at once."""
-    return _runtime(name, telemetry=TelemetryRecorder(label="contract"),
-                    provenance=ProvenanceRecorder(label="contract"),
-                    progress=sink,
-                    probe=TerminationStatsProbe(DEFAULT_COSTS)).run()
+def _fully_instrumented_run(name):
+    """Same run with every instrument attached at once; returns its
+    result and the sink consuming every event."""
+    program, policy, costs = _configuration(name)
+    sink = EverySink(program)
+    result = AdaptiveRuntime(program, policy, costs, sinks=[
+        sink, TelemetryRecorder(label="contract"),
+        ProvenanceRecorder(label="contract"),
+        TerminationStatsProbe(DEFAULT_COSTS)]).run()
+    return result, sink
 
 
 def _fingerprint(result) -> dict:
@@ -201,7 +206,7 @@ def test_bare_run_matches_golden_recorded_run():
     built = build_hashmap(iterations=4000)
     recorder = ProvenanceRecorder(label="golden/hashmap/fixed2")
     recorded = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                               provenance=recorder).run()
+                               sinks=[recorder]).run()
     with open(GOLDEN_PATH) as handle:
         assert recorder.to_jsonl() == handle.read()
     assert _fingerprint(_bare_run()) == _fingerprint(recorded)
@@ -210,9 +215,8 @@ def test_bare_run_matches_golden_recorded_run():
 def test_every_event_is_covered():
     """A new event cannot skip the contract: the sink must consume it
     and some input must fire it."""
-    sink = EverySink()
     assert [name for name in EVENTS
-            if not callable(getattr(sink, name, None))] == []
+            if not callable(getattr(EverySink, name, None))] == []
     assert set().union(*(fires for *_, fires in INPUTS.values())) \
         == set(EVENTS) | {REPLACED}
 
@@ -220,9 +224,8 @@ def test_every_event_is_covered():
 @pytest.mark.parametrize("name", INPUTS)
 def test_full_instrumentation_changes_nothing(name):
     bare = _fingerprint(_bare_run(name))
-    sink = EverySink()
-    instrumented = _fingerprint(_fully_instrumented_run(name, sink))
-    assert instrumented == bare
+    result, sink = _fully_instrumented_run(name)
+    assert _fingerprint(result) == bare
     # ...while the sink really was fed.
     assert sink.fired == INPUTS[name][3]
 
@@ -246,20 +249,20 @@ def test_speculation_disabled_run_matches_golden_byte_for_byte():
     built = build_hashmap(iterations=4000)
     recorder = ProvenanceRecorder(label="golden/hashmap/fixed2")
     AdaptiveRuntime(built.program, make_policy("fixed", 2, costs=costs),
-                    costs=costs, provenance=recorder).run()
+                    costs=costs, sinks=[recorder]).run()
     with open(GOLDEN_PATH) as handle:
         assert recorder.to_jsonl() == handle.read()
 
 
 def test_progress_tracking_alone_is_cycle_neutral():
-    tracker = ProgressTracker(label="contract")
     built = build_hashmap(iterations=4000)
+    tracker = ProgressTracker(main_loop_points(built.program))
     tracked = AdaptiveRuntime(built.program, make_policy("fixed", 2),
-                              progress=tracker).run()
+                              sinks=[tracker]).run()
     bare = _bare_run()
     assert tracked.total_cycles == bare.total_cycles
     assert tracked.component_cycles == bare.component_cycles
-    # ...while still having actually measured something.
-    assert tracker.total_marks() > 0
-    assert tracked.progress_points is not None
-    assert bare.progress_points is None
+    # ...while still having actually measured something, which the
+    # tracker holds and the run's result does not.
+    assert tracker.summary()["main"]["count"] == 4000
+    assert tracked.progress_points is None
