@@ -86,8 +86,7 @@ from repro.causal import (CausalConfig, CausalResults,
 from repro.analysis import (SoundnessReport, StaticCallGraph, StaticOracle,
                             VerificationReport, VerifierError,
                             analyze_program, attribute_flips,
-                            build_call_graph, check_soundness,
-                            verify_program)
+                            build_call_graph, check_tiers, verify_program)
 
 __version__ = "1.0.0"
 
@@ -114,7 +113,7 @@ __all__ = [
     "VerifierError", "VirtualCall", "Work", "analyze_program",
     "applicable_rules", "apply_virtual_speedup", "attribute_flips",
     "body_bytecodes", "build_call_graph", "build_causal_bundle",
-    "candidate_targets", "check_soundness", "classify", "contexts_compatible",
+    "candidate_targets", "check_tiers", "classify", "contexts_compatible",
     "diff_logs", "dynamic_class", "estimate_inlined_bytecodes",
     "explain_method", "format_trace", "is_large", "iter_call_sites",
     "make_context", "make_policy", "ordered_candidates", "physical_method",

@@ -12,10 +12,12 @@ only when the cost model opts in):
 * :mod:`repro.analysis.kcfa` -- context-sensitive call graphs keyed by
   k-bounded call strings (0-CFA refines RTA; each k refines k-1), with
   per-context frequency estimates;
-* :mod:`repro.analysis.lattice` -- the precision-lattice report:
-  per-site target-set sizes across ``CHA ⊇ RTA ⊇ 0CFA ⊇ kCFA ⊇
-  observed``, context-rescued sites, and per-tier majority-prediction
-  scores against a fixed-seed replay's per-context dispatch counts;
+* :mod:`repro.analysis.lattice` -- the precision chain ``CHA ⊇ RTA ⊇
+  0CFA ⊇ 1CFA ⊇ 2CFA``, built one tier at a time on first use by
+  :class:`PrecisionChain`, and the precision-lattice report over it:
+  per-site target-set sizes along the chain down to what a replay
+  observed, context-rescued sites, and per-tier majority-prediction
+  scores against the replay's per-context dispatch counts;
 * :mod:`repro.analysis.static_oracle` -- profile-free inlining policies
   driven purely by the static graphs (the baselines the paper's online
   system is measured against), flat and context-sensitive;
@@ -33,8 +35,9 @@ only when the cost model opts in):
   k-CFA context precision to pick each site's guard plan (full guard,
   preexistence, exhaustive last guard or cheap OSR exit);
 * :mod:`repro.analysis.soundness` -- dynamic containment checking
-  (every executed dispatch edge must lie in each tier's target set,
-  context-conditioned for the k-CFA tiers), the elision-replay check
+  (:func:`check_tiers`: every executed dispatch edge must lie in each
+  tier's target set, context-conditioned for the k-CFA tiers), the
+  elision-replay check
   (no elided guard may ever have failed), the OSR live-state replay
   check (static live sets must cover every local the interpreter
   reads after a transition) -- each a consumer of one :func:`replay`'s
@@ -63,30 +66,22 @@ from repro.analysis.liveness import (LivenessAnalysis, LoopLiveness,
                                      MethodLiveness, collect_uses,
                                      method_liveness)
 from repro.analysis.lattice import (LATTICE_KS, ContainmentViolation,
-                                    LatticeReport, SiteLatticeRow,
-                                    TierPrecisionScore, build_lattice_report,
-                                    lattice_to_json)
+                                    LatticeReport, PrecisionChain,
+                                    SiteLatticeRow, TierPrecisionScore,
+                                    build_lattice_report, lattice_to_json)
 from repro.analysis.report import (ANALYSIS_SCHEMA, ANALYZE_PRECISIONS,
-                                   DEFAULT_PRECISIONS, analyze_benchmark,
-                                   analyze_program, bundle_reports,
-                                   render_analysis, render_bundle,
-                                   report_ok, write_report)
+                                   DEFAULT_PRECISIONS, analyze_program,
+                                   bundle_reports, render_analysis,
+                                   render_bundle, report_ok, write_report)
 from repro.analysis.soundness import (ATTR_PROFILE_DECIDED,
                                       ATTR_STATIC_DECIDED, ATTR_UNKNOWN_SITE,
                                       DispatchEdges, ElisionReport,
                                       ElisionViolation, ElisionWatch,
-                                      LatticeSoundnessReport, LiveStateWatch,
-                                      OSRReport, OSRViolation,
-                                      SoundnessReport, SoundnessViolation,
-                                      attribute_flips,
-                                      check_containment,
-                                      check_context_containment,
+                                      LiveStateWatch, OSRReport,
+                                      OSRViolation, SoundnessReport,
+                                      SoundnessViolation, attribute_flips,
                                       check_elision_soundness,
-                                      check_lattice_soundness,
-                                      check_osr_soundness,
-                                      check_soundness,
-                                      flatten_context_edges,
-                                      observe_context_edges,
+                                      check_osr_soundness, check_tiers,
                                       render_attribution, replay,
                                       truncate_context_edges)
 from repro.analysis.static_oracle import StaticContextOracle, StaticOracle
@@ -122,7 +117,6 @@ __all__ = [
     "KSite",
     "LATTICE_KS",
     "LatticeReport",
-    "LatticeSoundnessReport",
     "LiveStateWatch",
     "LivenessAnalysis",
     "LoopLiveness",
@@ -132,6 +126,7 @@ __all__ = [
     "OSRReport",
     "OSRViolation",
     "PRECISIONS",
+    "PrecisionChain",
     "PreexistenceAnalysis",
     "RTA",
     "SiteLatticeRow",
@@ -148,26 +143,20 @@ __all__ = [
     "VerificationFailure",
     "VerificationReport",
     "VerifierError",
-    "analyze_benchmark",
     "analyze_program",
     "attribute_flips",
     "build_call_graph",
     "build_kcfa_graph",
     "build_lattice_report",
     "bundle_reports",
-    "check_containment",
-    "check_context_containment",
     "check_elision_soundness",
-    "check_lattice_soundness",
     "check_osr_soundness",
-    "check_soundness",
+    "check_tiers",
     "collect_uses",
     "extend",
-    "flatten_context_edges",
     "join_pre",
     "lattice_to_json",
     "method_liveness",
-    "observe_context_edges",
     "render_analysis",
     "render_attribution",
     "render_bundle",

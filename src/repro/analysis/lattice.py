@@ -1,6 +1,13 @@
-"""The precision lattice: per-site target sets across every analysis tier.
+"""The precision chain and the lattice report built over it.
 
-One report answers three questions the paper's motivation turns on:
+:class:`PrecisionChain` owns the chain ``CHA ⊇ RTA ⊇ 0CFA ⊇ 1CFA ⊇
+2CFA``: which tiers, in which order, and how each is built.  It builds
+a tier the first time a caller reads it and keeps it, so every section
+of ``repro analyze`` shares one graph per tier and a tier nobody reads
+is never built.
+
+One lattice report answers three questions the paper's motivation
+turns on:
 
 1. **How much does each tier narrow?**  Per dispatched site the report
    records target-set sizes along ``CHA ⊇ RTA ⊇ 0CFA ⊇ 1CFA ⊇ 2CFA ⊇
@@ -26,17 +33,48 @@ versioned analysis bundle and prints a summary of that payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
                                       build_call_graph)
 from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
                                  build_kcfa_graph, truncate)
-from repro.analysis.soundness import (LATTICE_KS, ContextEdges,
-                                      flatten_context_edges,
-                                      observe_context_edges)
+from repro.analysis.soundness import (CallGraph, ContextEdges,
+                                      truncate_context_edges)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
+
+#: k depths of the precision chain's k-CFA tiers.
+LATTICE_KS = (0, 1, 2)
+
+
+class PrecisionChain:
+    """Every analysis tier of one program, each built on first use."""
+
+    def __init__(self, program: Program, costs: CostModel = DEFAULT_COSTS):
+        self.program = program
+        self.costs = costs
+        self._flat: Dict[str, StaticCallGraph] = {}
+        self._kcfa: Dict[int, ContextSensitiveCallGraph] = {}
+
+    def flat(self, precision: str) -> StaticCallGraph:
+        """The flat graph at :data:`CHA` or :data:`RTA` precision."""
+        if precision not in self._flat:
+            self._flat[precision] = build_call_graph(
+                self.program, precision=precision, costs=self.costs)
+        return self._flat[precision]
+
+    def kcfa(self, k: int) -> ContextSensitiveCallGraph:
+        """The k-CFA graph at depth ``k``, in the chain or not."""
+        if k not in self._kcfa:
+            self._kcfa[k] = build_kcfa_graph(self.program, k=k,
+                                             costs=self.costs)
+        return self._kcfa[k]
+
+    def tiers(self) -> Tuple[CallGraph, ...]:
+        """Every tier of the chain, coarsest (CHA) first."""
+        return ((self.flat(CHA), self.flat(RTA))
+                + tuple(self.kcfa(k) for k in LATTICE_KS))
 
 
 @dataclass(frozen=True)
@@ -111,51 +149,31 @@ class LatticeReport:
         return [row.site for row in self.rows if row.rescued_by(tier)]
 
 
-def build_lattice_report(program: Program,
-                         costs: CostModel = DEFAULT_COSTS,
-                         phase: float = 0.0,
-                         edges: Optional[ContextEdges] = None) \
-        -> LatticeReport:
-    """Build every tier, replay once, and assemble the tiered comparison.
+def build_lattice_report(chain: PrecisionChain,
+                         edges: ContextEdges) -> LatticeReport:
+    """Assemble the tiered comparison of ``chain`` against a replay.
 
-    ``edges`` can be passed in to reuse an existing observation (the
-    lattice soundness check collects the same data); otherwise a
-    fixed-phase replay is performed here.
+    ``edges`` are a :class:`~repro.analysis.soundness.DispatchEdges`
+    recording at depth ``max(LATTICE_KS)``.
     """
-    flat_graphs: Dict[str, StaticCallGraph] = {
-        precision: build_call_graph(program, precision=precision,
-                                    costs=costs)
-        for precision in (CHA, RTA)}
-    kgraphs: Dict[str, ContextSensitiveCallGraph] = {}
-    for k in LATTICE_KS:
-        graph = build_kcfa_graph(program, k=k, costs=costs)
-        kgraphs[graph.precision] = graph
-    tiers = (CHA, RTA) + tuple(kgraphs)
-
-    if edges is None:
-        edges = observe_context_edges(program, k=max(LATTICE_KS),
-                                      costs=costs, phase=phase)
-    flat_observed = flatten_context_edges(edges)
-
-    def tier_targets(tier: str, site: int) -> FrozenSet[str]:
-        if tier in flat_graphs:
-            return flat_graphs[tier].targets(site)
-        return kgraphs[tier].targets(site)
+    graphs = {graph.precision: graph for graph in chain.tiers()}
+    tiers = tuple(graphs)
+    kgraphs = {tier: graph for tier, graph in graphs.items()
+               if isinstance(graph, ContextSensitiveCallGraph)}
+    flat_observed = truncate_context_edges(edges, 0)
 
     # Every dispatched site any tier knows about, in id order.
-    site_ids = sorted({s.site for g in flat_graphs.values()
-                       for s in g.dispatched_sites()}
-                      | {s.site for g in kgraphs.values()
-                         for s in g.dispatched_sites()})
+    site_ids = sorted({s.site for g in graphs.values()
+                       for s in g.dispatched_sites()})
 
     rows: List[SiteLatticeRow] = []
     violations: List[ContainmentViolation] = []
     for site in site_ids:
-        meta = _site_meta(site, flat_graphs, kgraphs)
+        meta = _site_meta(site, graphs)
         if meta is None:
             continue
         caller, selector, kind = meta
-        sizes = tuple((tier, len(tier_targets(tier, site)))
+        sizes = tuple((tier, len(graphs[tier].targets(site)))
                       for tier in tiers)
         ctx_mono = tuple(tier for tier, g in kgraphs.items()
                          if g.context_monomorphic(site))
@@ -165,38 +183,30 @@ def build_lattice_report(program: Program,
         rows.append(SiteLatticeRow(
             site=site, caller=caller, selector=selector, kind=kind,
             sizes=sizes, context_monomorphic=ctx_mono, contexts=contexts,
-            observed=len(flat_observed.get(site, frozenset()))))
+            observed=len(flat_observed.get((site, ()), ()))))
         for coarse, fine in zip(tiers, tiers[1:]):
-            extra = tier_targets(fine, site) - tier_targets(coarse, site)
+            extra = graphs[fine].targets(site) - graphs[coarse].targets(site)
             if extra:
                 violations.append(ContainmentViolation(
                     site=site, coarse=coarse, fine=fine,
                     extra=tuple(sorted(extra))))
 
-    scores = tuple(_score_tier(tier, flat_graphs, kgraphs, edges)
-                   for tier in tiers)
-    return LatticeReport(program_name=program.name, tiers=tiers,
+    scores = tuple(_score_tier(graph, edges) for graph in graphs.values())
+    return LatticeReport(program_name=chain.program.name, tiers=tiers,
                          rows=tuple(rows), violations=tuple(violations),
                          scores=scores)
 
 
-def _site_meta(site: int, flat_graphs: Dict[str, StaticCallGraph],
-               kgraphs: Dict[str, ContextSensitiveCallGraph]) \
+def _site_meta(site: int, graphs: Dict[str, CallGraph]) \
         -> Optional[Tuple[str, str, str]]:
-    for graph in flat_graphs.values():
+    for graph in graphs.values():
         info = graph.sites.get(site)
         if info is not None:
             return info.caller, info.selector, info.kind
-    for kgraph in kgraphs.values():
-        kinfo = kgraph.sites.get(site)
-        if kinfo is not None:
-            return kinfo.caller, kinfo.selector, kinfo.kind
     return None
 
 
-def _score_tier(tier: str, flat_graphs: Dict[str, StaticCallGraph],
-                kgraphs: Dict[str, ContextSensitiveCallGraph],
-                edges: ContextEdges) -> TierPrecisionScore:
+def _score_tier(graph: CallGraph, edges: ContextEdges) -> TierPrecisionScore:
     """Score one tier's majority-target predictions against the replay.
 
     Every tier is scored over the *same* dynamic groups -- the replay's
@@ -209,9 +219,11 @@ def _score_tier(tier: str, flat_graphs: Dict[str, StaticCallGraph],
     The dynamic majority breaks count ties lexicographically, mirroring
     the static side's deterministic tie-break.
     """
-    if tier in flat_graphs:
+    if isinstance(graph, ContextSensitiveCallGraph):
+        k = graph.k
+        predict = graph.predicted_majority
+    else:
         k = 0
-        graph = flat_graphs[tier]
 
         def predict(site: int, _ctx: CallString) -> Optional[str]:
             targets = graph.targets(site)
@@ -219,12 +231,6 @@ def _score_tier(tier: str, flat_graphs: Dict[str, StaticCallGraph],
             # evenly); the deterministic representative is the best a
             # context-insensitive predictor can honestly do.
             return min(targets) if targets else None
-    else:
-        kgraph = kgraphs[tier]
-        k = kgraph.k
-
-        def predict(site: int, ctx: CallString) -> Optional[str]:
-            return kgraph.predicted_majority(site, ctx)
 
     groups = dispatches = matched = 0
     for (site, ctx), counts in sorted(edges.items()):
@@ -234,7 +240,7 @@ def _score_tier(tier: str, flat_graphs: Dict[str, StaticCallGraph],
         dispatches += total
         if predict(site, truncate(ctx, k)) == majority:
             matched += total
-    return TierPrecisionScore(tier=tier, groups_scored=groups,
+    return TierPrecisionScore(tier=graph.precision, groups_scored=groups,
                               dispatches=dispatches, matched=matched)
 
 

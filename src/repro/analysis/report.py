@@ -10,7 +10,9 @@ the full precision-lattice comparison (per-site set sizes across
 ``CHA ⊇ RTA ⊇ 0CFA ⊇ 1CFA ⊇ 2CFA ⊇ observed``, context-rescued sites,
 and per-tier precision scores against a replay's per-context dispatch
 counts) and upgrades the soundness section to check every tier of the
-chain from one replay.
+chain from one replay.  Every section reads its graphs from one
+:class:`~repro.analysis.lattice.PrecisionChain`, so each tier is built
+at most once per program.
 
 Versioning follows the provenance layer's policy: the payload carries
 ``schema = "repro.analysis/v1"``; adding fields is backward compatible,
@@ -21,20 +23,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from typing import Dict, List, Sequence
 
-from repro.analysis.callgraph import CHA, RTA, build_call_graph
-from repro.analysis.kcfa import build_kcfa_graph
-from repro.analysis.lattice import (LATTICE_KS, build_lattice_report,
-                                    lattice_to_json)
+from repro.analysis.callgraph import CHA, RTA
+from repro.analysis.lattice import (LATTICE_KS, PrecisionChain,
+                                    build_lattice_report, lattice_to_json)
 from repro.analysis.dataflow import static_speculation_summary
-from repro.analysis.soundness import (DispatchEdges, check_containment,
-                                      check_elision_soundness,
-                                      check_lattice_soundness,
-                                      check_osr_soundness,
-                                      flatten_context_edges, replay)
+from repro.analysis.soundness import (DispatchEdges, check_elision_soundness,
+                                      check_osr_soundness, check_tiers,
+                                      replay)
 from repro.analysis.verifier import verify_program
+from repro.atomic_file import write_atomic
 from repro.compiler.compiled_method import (PLAN_FULL_GUARD, PLAN_OSR_EXIT,
                                             PLAN_PREEXIST)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
@@ -105,21 +104,19 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
     if not verification.ok:
         return payload
 
+    chain = PrecisionChain(program, costs)
     summaries: Dict[str, object] = {}
     for precision in precisions:
         if precision in (CHA, RTA):
-            graph = build_call_graph(program, precision=precision,
-                                     costs=costs)
-            summaries[precision] = graph.summary()
+            graph = chain.flat(precision)
         elif precision == "0cfa":
-            summaries["0cfa"] = build_kcfa_graph(program, k=0,
-                                                 costs=costs).summary()
+            graph = chain.kcfa(0)
         elif precision == "kcfa":
-            kgraph = build_kcfa_graph(program, k=k, costs=costs)
-            summaries[kgraph.precision] = kgraph.summary()
+            graph = chain.kcfa(k)
         else:
             raise ConfigError(f"unknown analysis precision {precision!r}; "
                               f"expected one of {ANALYZE_PRECISIONS}")
+        summaries[graph.precision] = graph.summary()
     payload["callgraph"] = summaries
 
     stock = edges = None
@@ -131,17 +128,17 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
         stock = replay(program, costs, phase, [recorder])
         edges = recorder.edges
     if lattice:
-        report = build_lattice_report(program, costs=costs, phase=phase,
-                                      edges=edges)
-        payload["lattice"] = lattice_to_json(report)
+        payload["lattice"] = lattice_to_json(
+            build_lattice_report(chain, edges))
 
     if soundness:
         if lattice:
-            chain = check_lattice_soundness(program, costs=costs,
-                                            phase=phase, edges=edges)
+            sections = check_tiers(chain.tiers(), edges)
             payload["soundness"] = {
-                "ok": chain.ok,
-                "violation_codes": list(chain.violation_codes()),
+                "ok": all(section.ok for section in sections),
+                "violation_codes": sorted({
+                    v.code for section in sections
+                    for v in section.violations}),
                 "tiers": [{
                     "precision": section.precision,
                     "sites_observed": section.sites_observed,
@@ -149,12 +146,10 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
                     "violations": [
                         {"code": v.code, **dataclasses.asdict(v)}
                         for v in section.violations],
-                } for section in chain.sections],
+                } for section in sections],
             }
         else:
-            cha_graph = build_call_graph(program, precision=CHA, costs=costs)
-            report = check_containment(cha_graph,
-                                       flatten_context_edges(edges))
+            (report,) = check_tiers([chain.flat(CHA)], edges)
             payload["soundness"] = {
                 "ok": report.ok,
                 "precision": report.precision,
@@ -281,25 +276,6 @@ def _deopt_section(program: Program, costs: CostModel,
     }
 
 
-def analyze_benchmark(name: str, scale: float = 1.0,
-                      costs: CostModel = DEFAULT_COSTS,
-                      soundness: bool = True,
-                      phase: float = 0.0,
-                      precisions: Sequence[str] = DEFAULT_PRECISIONS,
-                      lattice: bool = False,
-                      k: int = 2,
-                      speculation: bool = False,
-                      deopt: bool = False) -> Dict[str, object]:
-    """Build one Table-1 benchmark (seed-deterministic) and analyze it."""
-    from repro.workloads.spec import build_benchmark
-
-    generated = build_benchmark(name, scale=scale)
-    return analyze_program(generated.program, costs=costs,
-                           soundness=soundness, phase=phase,
-                           precisions=precisions, lattice=lattice, k=k,
-                           speculation=speculation, deopt=deopt)
-
-
 def report_ok(payload: Dict[str, object]) -> bool:
     """True when one program's payload is verifier-clean and sound."""
     verifier = payload.get("verifier", {})
@@ -333,14 +309,7 @@ def bundle_reports(reports: Sequence[Dict[str, object]],
 
 def write_report(path: str, bundle: Dict[str, object]) -> None:
     """Atomically write a report bundle as JSON."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(bundle, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
 
 
 def render_analysis(payload: Dict[str, object]) -> str:
@@ -524,6 +493,6 @@ def render_bundle(bundle: Dict[str, object]) -> str:
 
 __all__ = [
     "ANALYSIS_SCHEMA", "ANALYZE_PRECISIONS", "DEFAULT_PRECISIONS",
-    "analyze_benchmark", "analyze_program", "bundle_reports",
+    "analyze_program", "bundle_reports",
     "render_analysis", "render_bundle", "report_ok", "write_report",
 ]

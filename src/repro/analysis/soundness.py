@@ -14,13 +14,14 @@ containment site by site.  :class:`ElisionWatch` and
 :class:`LiveStateWatch` consume the same stream to police guard elision
 and OSR live-state mapping.
 
-:func:`check_soundness` checks one flat graph (CHA by default);
-:func:`check_lattice_soundness` checks the whole precision chain
-``observed ⊆ kCFA(ctx) ⊆ ... ⊆ 0CFA ⊆ RTA ⊆ CHA`` from a single replay,
-with the k-CFA tiers checked *context-conditioned*: an edge only counts
-as contained when the target set of the specific truncated call string
-it executed under contains it.  Each violation carries a ``code`` naming
-the tier that broke (``unsound-cha``, ``unsound-1cfa``, ...).
+:func:`check_tiers` checks one replay's edges against any tiers of the
+precision chain ``observed ⊆ kCFA(ctx) ⊆ ... ⊆ 0CFA ⊆ RTA ⊆ CHA``
+(:class:`~repro.analysis.lattice.PrecisionChain`), one report per tier.
+A k-CFA tier is checked *context-conditioned*: an edge only counts as
+contained when the target set of the specific truncated call string it
+executed under contains it.  A flat tier has no contexts and is checked
+on each site's executed targets.  Each violation carries a ``code``
+naming the tier that broke (``unsound-cha``, ``unsound-1cfa``, ...).
 
 The same machinery feeds decision-diff *attribution*: a flip between two
 runs at a site the static graph proves monomorphic cannot be explained by
@@ -33,13 +34,12 @@ decisions diff --attribute-static`` renders that classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
-                                      build_call_graph)
+from repro.analysis.callgraph import CHA, StaticCallGraph
 from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
-                                 build_kcfa_graph, truncate)
+                                 truncate)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
 from repro.provenance.diff import DecisionDiff, Flip
@@ -47,9 +47,8 @@ from repro.provenance.diff import DecisionDiff, Flip
 if TYPE_CHECKING:  # pragma: no cover - layering: aos imports analysis
     from repro.aos.runtime import RunResult
 
-#: k depths of the precision chain: the k-CFA tiers the lattice report
-#: compares and :func:`check_lattice_soundness` checks.
-LATTICE_KS = (0, 1, 2)
+#: One tier of the precision chain: a flat or a context-sensitive graph.
+CallGraph = Union[StaticCallGraph, ContextSensitiveCallGraph]
 
 #: Attribution buckets for decision-diff flips.
 ATTR_STATIC_DECIDED = "static-decided"    #: CHA-monomorphic site
@@ -142,41 +141,52 @@ class DispatchEdges:
         slot[target_id] = slot.get(target_id, 0) + 1
 
 
-def check_containment(graph: StaticCallGraph,
-                      observed: Dict[int, FrozenSet[str]]) \
-        -> SoundnessReport:
-    """Assert every observed (site -> target) edge is in the static set."""
-    violations: List[SoundnessViolation] = []
-    edges = 0
-    for site in sorted(observed):
-        targets = observed[site]
-        edges += len(targets)
-        allowed = graph.targets(site)
-        info = graph.sites.get(site)
-        for target in sorted(targets - allowed):
-            violations.append(SoundnessViolation(
-                site=site,
-                caller=info.caller if info is not None else "<unknown>",
-                selector=info.selector if info is not None else "<unknown>",
-                observed=target,
-                allowed=tuple(sorted(allowed)),
-                tier=graph.precision))
-    return SoundnessReport(
-        program_name=graph.program_name, precision=graph.precision,
-        sites_observed=len(observed), edges_observed=edges,
-        violations=tuple(violations))
+def truncate_context_edges(edges: ContextEdges, k: int) -> ContextEdges:
+    """Re-key edges on call strings truncated to ``k`` (counts summed)."""
+    out: ContextEdges = {}
+    for (site, ctx), targets in edges.items():
+        slot = out.setdefault((site, truncate(ctx, k)), {})
+        for target, count in targets.items():
+            slot[target] = slot.get(target, 0) + count
+    return out
 
 
-def check_soundness(program: Program,
-                    graph: Optional[StaticCallGraph] = None,
-                    costs: CostModel = DEFAULT_COSTS,
-                    phase: float = 0.0) -> SoundnessReport:
-    """End-to-end check: build the CHA graph (unless given), replay a
-    fixed-seed run, and verify CHA target sets contain what executed."""
-    if graph is None:
-        graph = build_call_graph(program, precision=CHA, costs=costs)
-    edges = observe_context_edges(program, k=0, costs=costs, phase=phase)
-    return check_containment(graph, flatten_context_edges(edges))
+def check_tiers(tiers: Sequence[CallGraph],
+                edges: ContextEdges) -> Tuple[SoundnessReport, ...]:
+    """Check a replay's edges against each tier; one report per tier.
+
+    A k-CFA tier is checked context-conditioned: each observed edge must
+    be in the target set of the *specific* truncated call string it ran
+    under.  A flat tier compares at k=0, on each site's executed
+    targets, and its violations carry ``context=None``.
+    """
+    reports: List[SoundnessReport] = []
+    for graph in tiers:
+        contextual = isinstance(graph, ContextSensitiveCallGraph)
+        truncated = truncate_context_edges(edges,
+                                           graph.k if contextual else 0)
+        violations: List[SoundnessViolation] = []
+        for site, ctx in sorted(truncated):
+            allowed = (graph.targets(site, ctx) if contextual
+                       else graph.targets(site))
+            info = graph.sites.get(site)
+            for target in sorted(set(truncated[(site, ctx)]) - allowed):
+                violations.append(SoundnessViolation(
+                    site=site,
+                    caller=info.caller if info is not None else "<unknown>",
+                    selector=(info.selector if info is not None
+                              else "<unknown>"),
+                    observed=target,
+                    allowed=tuple(sorted(allowed)),
+                    tier=graph.precision,
+                    context=ctx if contextual else None))
+        reports.append(SoundnessReport(
+            program_name=graph.program_name, precision=graph.precision,
+            sites_observed=len({site for site, _ctx in truncated}),
+            edges_observed=sum(len(targets)
+                               for targets in truncated.values()),
+            violations=tuple(violations)))
+    return tuple(reports)
 
 
 # -- guard-elision replay ------------------------------------------------------
@@ -396,111 +406,6 @@ def check_osr_soundness(program: Program, costs: CostModel = DEFAULT_COSTS,
     costs = costs.replace(deopt_planning_enabled=True,
                           deopt_strategy="planned")
     return watch.report(replay(program, costs, phase, [watch]))
-
-
-# -- context-conditioned observation and the full precision chain --------------
-
-def observe_context_edges(program: Program, k: int = 2,
-                          costs: CostModel = DEFAULT_COSTS,
-                          phase: float = 0.0) -> ContextEdges:
-    """Replay once; the :class:`DispatchEdges` it collects at depth ``k``."""
-    edges = DispatchEdges(k)
-    replay(program, costs, phase, [edges])
-    return edges.edges
-
-
-def flatten_context_edges(edges: ContextEdges) -> Dict[int, FrozenSet[str]]:
-    """Drop contexts: the per-site edge sets flat tiers are checked with."""
-    out: Dict[int, set] = {}
-    for (site, _ctx), targets in edges.items():
-        out.setdefault(site, set()).update(targets)
-    return {site: frozenset(targets) for site, targets in out.items()}
-
-
-def truncate_context_edges(edges: ContextEdges, k: int) -> ContextEdges:
-    """Re-key edges on call strings truncated to ``k`` (counts summed)."""
-    out: ContextEdges = {}
-    for (site, ctx), targets in edges.items():
-        slot = out.setdefault((site, truncate(ctx, k)), {})
-        for target, count in targets.items():
-            slot[target] = slot.get(target, 0) + count
-    return out
-
-
-def check_context_containment(graph: ContextSensitiveCallGraph,
-                              edges: ContextEdges) -> SoundnessReport:
-    """Context-conditioned containment: each observed edge must be in the
-    target set of the *specific* truncated call string it ran under."""
-    truncated = truncate_context_edges(edges, graph.k)
-    violations: List[SoundnessViolation] = []
-    sites = set()
-    n_edges = 0
-    for site, ctx in sorted(truncated):
-        targets = truncated[(site, ctx)]
-        sites.add(site)
-        n_edges += len(targets)
-        allowed = graph.targets(site, context=ctx)
-        info = graph.sites.get(site)
-        for target in sorted(set(targets) - allowed):
-            violations.append(SoundnessViolation(
-                site=site,
-                caller=info.caller if info is not None else "<unknown>",
-                selector=info.selector if info is not None else "<unknown>",
-                observed=target,
-                allowed=tuple(sorted(allowed)),
-                tier=graph.precision,
-                context=ctx))
-    return SoundnessReport(
-        program_name=graph.program_name, precision=graph.precision,
-        sites_observed=len(sites), edges_observed=n_edges,
-        violations=tuple(violations))
-
-
-@dataclass(frozen=True)
-class LatticeSoundnessReport:
-    """Containment of one replay against the whole precision chain."""
-
-    program_name: str
-    #: one section per tier, coarsest (CHA) first
-    sections: Tuple[SoundnessReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(section.ok for section in self.sections)
-
-    def violation_codes(self) -> Tuple[str, ...]:
-        """Sorted distinct codes of the tiers that broke (empty when ok)."""
-        return tuple(sorted({v.code for section in self.sections
-                             for v in section.violations}))
-
-
-def check_lattice_soundness(program: Program,
-                            costs: CostModel = DEFAULT_COSTS,
-                            phase: float = 0.0,
-                            edges: Optional[ContextEdges] = None) \
-        -> LatticeSoundnessReport:
-    """Replay once; assert observed ⊆ kCFA(ctx) ⊆ ... ⊆ RTA ⊆ CHA.
-
-    Flat tiers (CHA, RTA) are checked on the context-stripped edge sets;
-    each k-CFA tier is checked context-conditioned.  One replay feeds
-    every tier, so the sections are comparable edge-for-edge.  Pass
-    ``edges`` (from :func:`observe_context_edges` at depth >=
-    ``max(LATTICE_KS)``) to reuse an existing observation instead of
-    replaying here.
-    """
-    if edges is None:
-        edges = observe_context_edges(program, k=max(LATTICE_KS),
-                                      costs=costs, phase=phase)
-    flat = flatten_context_edges(edges)
-    sections: List[SoundnessReport] = []
-    for precision in (CHA, RTA):
-        graph = build_call_graph(program, precision=precision, costs=costs)
-        sections.append(check_containment(graph, flat))
-    for k in LATTICE_KS:
-        kgraph = build_kcfa_graph(program, k=k, costs=costs)
-        sections.append(check_context_containment(kgraph, edges))
-    return LatticeSoundnessReport(program_name=program.name,
-                                  sections=tuple(sections))
 
 
 # -- decision-diff attribution -------------------------------------------------

@@ -40,6 +40,11 @@ from repro.policies.base import ContextSensitivityPolicy
 _NO_SPAN = nullcontext()
 
 
+def is_sample_phase(phase: float) -> bool:
+    """Whether ``phase`` is a usable sampling phase: in [0, 1)."""
+    return 0.0 <= phase < 1.0
+
+
 def span(machine: Machine, component: str, name: str, **args):
     """A span on ``component``'s track around a ``with`` body: ``begin``
     on entry and ``end`` on exit, or nothing when no sink consumes
@@ -199,7 +204,7 @@ class AdaptiveRuntime:
         # the best of 20 runs precisely because sampling phase shifts the
         # adaptive system's decisions.  Experiments sweep a few phases and
         # aggregate.
-        if not 0.0 <= sample_phase < 1.0:
+        if not is_sample_phase(sample_phase):
             raise ValueError(f"sample_phase must be in [0, 1), "
                              f"got {sample_phase}")
         # Deadlines are compared with the clock as whole centi-cycles:

@@ -27,9 +27,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from typing import Dict, List, Optional, Sequence
 
+from repro.atomic_file import write_atomic
 from repro.causal.components import accounted_share, component_names
 from repro.causal.engine import CausalResults
 from repro.jvm.costs import DEFAULT_COSTS
@@ -360,10 +360,4 @@ def render_causal_bundle(bundle: dict) -> str:
 
 def write_causal_bundle(path: str, bundle: dict) -> None:
     """Atomically persist a bundle as sorted-key JSON."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(bundle, handle, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(bundle, indent=2, sort_keys=True))

@@ -73,29 +73,41 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.report import ANALYZE_PRECISIONS
+from repro.analysis.kcfa import MAX_K
+from repro.analysis.report import ANALYZE_PRECISIONS, DEFAULT_PRECISIONS
 from repro.aos.cost_accounting import APP
-from repro.aos.runtime import AdaptiveRuntime
+from repro.aos.runtime import AdaptiveRuntime, is_sample_phase
+from repro.atomic_file import check_writable
 from repro.experiments.config import (DEFAULT_PHASES, DEPTHS,
                                       POLICY_FAMILIES, SWEEPABLE_FAMILIES,
                                       SweepConfig)
-from repro.experiments.runner import (SweepResults, is_cell_timeout,
+from repro.experiments.runner import (SweepResults, is_finite_positive,
                                       load_or_run_sweep, run_single)
 from repro.policies import POLICY_LABELS, make_policy
 from repro.workloads.spec import BENCHMARK_ORDER
 
 
-def _timeout_seconds(text: str) -> float:
-    """Parse a ``--timeout``: a finite number of seconds above zero."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid number of seconds: {text!r}") from None
-    if not is_cell_timeout(seconds):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds above 0, got {text}")
-    return seconds
+def _ranged(convert, valid, expected: str):
+    """An argparse type: ``convert`` the text, then require ``valid``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {expected}, got {text}")
+        return value
+    return parse
+
+
+_timeout_seconds = _ranged(float, is_finite_positive,
+                           "a finite number of seconds above 0")
+_scale = _ranged(float, is_finite_positive, "a finite number above 0")
+_phase = _ranged(float, is_sample_phase, "in [0, 1)")
+_depth = _ranged(int, lambda depth: depth >= 1, "at least 1")
+_k = _ranged(int, lambda k: 0 <= k <= MAX_K, f"in [0, {MAX_K}]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,19 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one benchmark under one policy")
     run.add_argument("benchmark", choices=BENCHMARK_ORDER)
     run.add_argument("--policy", default="cins", choices=POLICY_LABELS)
-    run.add_argument("--depth", type=int, default=1,
+    run.add_argument("--depth", type=_depth, default=1,
                      help="maximum context-sensitivity depth")
-    run.add_argument("--scale", type=float, default=1.0,
+    run.add_argument("--scale", type=_scale, default=1.0,
                      help="run-length scale factor")
-    run.add_argument("--phase", type=float, default=0.0,
+    run.add_argument("--phase", type=_phase, default=0.0,
                      help="sampling phase in [0, 1)")
 
     table = sub.add_parser("table1", help="regenerate Table 1")
-    table.add_argument("--scale", type=float, default=1.0)
+    table.add_argument("--scale", type=_scale, default=1.0)
 
     sweep = sub.add_parser("sweep", help="run the full sweep and cache it")
     sweep.add_argument("--out", default="sweep.json")
-    sweep.add_argument("--scale", type=float, default=1.0)
+    sweep.add_argument("--scale", type=_scale, default=1.0)
     sweep.add_argument("--benchmarks", nargs="*", default=None,
                        choices=BENCHMARK_ORDER)
     sweep.add_argument("--families", nargs="*", default=None,
@@ -128,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="context-sensitive policy families to sweep "
                             "(the cins baseline always runs; 'static' is "
                             "the no-profile static-oracle baseline)")
-    sweep.add_argument("--depths", type=int, nargs="*", default=None)
-    sweep.add_argument("--phases", type=float, nargs="*", default=None)
+    sweep.add_argument("--depths", type=_depth, nargs="*", default=None)
+    sweep.add_argument("--phases", type=_phase, nargs="*", default=None)
     sweep.add_argument("--jobs", type=int, default=0,
                        help="cells run at once, each in its own process "
                             "(0 = all cores, 1 = in-process)")
@@ -158,11 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ablations = sub.add_parser("ablations", help="run E8/E9 ablations")
     ablations.add_argument("which", choices=["threshold", "decay"])
-    ablations.add_argument("--scale", type=float, default=1.0)
+    ablations.add_argument("--scale", type=_scale, default=1.0)
 
     term = sub.add_parser("termination",
                           help="Section 4 early-termination statistics")
-    term.add_argument("--scale", type=float, default=1.0)
+    term.add_argument("--scale", type=_scale, default=1.0)
 
     inspect_cmd = sub.add_parser(
         "inspect",
@@ -170,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect_cmd.add_argument("benchmark", choices=BENCHMARK_ORDER)
     inspect_cmd.add_argument("--policy", default="cins",
                              choices=POLICY_LABELS)
-    inspect_cmd.add_argument("--depth", type=int, default=1)
-    inspect_cmd.add_argument("--scale", type=float, default=0.5)
+    inspect_cmd.add_argument("--depth", type=_depth, default=1)
+    inspect_cmd.add_argument("--scale", type=_scale, default=0.5)
     inspect_cmd.add_argument("--top", type=int, default=5,
                              help="how many inline trees to print")
     inspect_cmd.add_argument("--events", type=int, default=40,
@@ -182,11 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one benchmark with telemetry and export a Chrome trace")
     trace.add_argument("benchmark", choices=BENCHMARK_ORDER)
     trace.add_argument("--policy", default="cins", choices=POLICY_LABELS)
-    trace.add_argument("--depth", type=int, default=1,
+    trace.add_argument("--depth", type=_depth, default=1,
                        help="maximum context-sensitivity depth")
-    trace.add_argument("--scale", type=float, default=1.0,
+    trace.add_argument("--scale", type=_scale, default=1.0,
                        help="run-length scale factor")
-    trace.add_argument("--phase", type=float, default=0.0,
+    trace.add_argument("--phase", type=_phase, default=0.0,
                        help="sampling phase in [0, 1)")
     trace.add_argument("-o", "--out", default="trace.json",
                        help="output path for the Chrome trace-event JSON "
@@ -201,9 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="compiled method id, e.g. Drv.t0 "
                               "(pass a wrong one to see what's available)")
     explain.add_argument("--policy", default="cins", choices=POLICY_LABELS)
-    explain.add_argument("--depth", type=int, default=1)
-    explain.add_argument("--scale", type=float, default=1.0)
-    explain.add_argument("--phase", type=float, default=0.0)
+    explain.add_argument("--depth", type=_depth, default=1)
+    explain.add_argument("--scale", type=_scale, default=1.0)
+    explain.add_argument("--phase", type=_phase, default=0.0)
 
     decisions = sub.add_parser(
         "decisions",
@@ -214,9 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "record", help="run one benchmark and write its decision log")
     record.add_argument("benchmark", choices=BENCHMARK_ORDER)
     record.add_argument("--policy", default="cins", choices=POLICY_LABELS)
-    record.add_argument("--depth", type=int, default=1)
-    record.add_argument("--scale", type=float, default=1.0)
-    record.add_argument("--phase", type=float, default=0.0)
+    record.add_argument("--depth", type=_depth, default=1)
+    record.add_argument("--scale", type=_scale, default=1.0)
+    record.add_argument("--phase", type=_phase, default=0.0)
     record.add_argument("-o", "--out", default="decisions.jsonl",
                         help="output path for the versioned JSONL log")
     diff = decisions_sub.add_parser(
@@ -244,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=POLICY_LABELS,
                         help="policy families to profile under "
                              "(default: cins)")
-    causal.add_argument("--depth", type=int, default=2,
+    causal.add_argument("--depth", type=_depth, default=2,
                         help="maximum context-sensitivity depth")
     causal.add_argument("--components", nargs="*", default=None,
                         help="causal components to speed up (default: "
@@ -255,9 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     causal.add_argument("--seeds", type=int, default=3,
                         help="independent workload-seed replicates per "
                              "cell")
-    causal.add_argument("--phase", type=float, default=0.0,
+    causal.add_argument("--phase", type=_phase, default=0.0,
                         help="sampling phase in [0, 1)")
-    causal.add_argument("--scale", type=float, default=1.0,
+    causal.add_argument("--scale", type=_scale, default=1.0,
                         help="run-length scale factor")
     causal.add_argument("--jobs", type=int, default=0,
                         help="cells run at once, each in its own process "
@@ -284,9 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--benchmarks", nargs="*", default=None,
                          choices=BENCHMARK_ORDER,
                          help="benchmarks to analyze (default: all eight)")
-    analyze.add_argument("--scale", type=float, default=1.0,
+    analyze.add_argument("--scale", type=_scale, default=1.0,
                          help="run-length scale factor")
-    analyze.add_argument("--phase", type=float, default=0.0,
+    analyze.add_argument("--phase", type=_phase, default=0.0,
                          help="sampling phase for the soundness run")
     analyze.add_argument("--soundness",
                          action=argparse.BooleanOptionalAction, default=True,
@@ -299,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=list(ANALYZE_PRECISIONS),
                          help="call-graph tiers to summarize "
                               "(default: cha rta)")
-    analyze.add_argument("--k", type=int, default=2,
+    analyze.add_argument("--k", type=_k, default=2,
                          help="call-string depth for the kcfa tier")
     analyze.add_argument("--lattice", action="store_true",
                          help="embed the precision-lattice comparison "
@@ -602,19 +614,17 @@ def _cmd_causal(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analysis import (analyze_benchmark, bundle_reports,
+    from repro.analysis import (analyze_program, bundle_reports,
                                 render_bundle, write_report)
+    from repro.workloads.spec import build_benchmark
 
     benchmarks = tuple(args.benchmarks) if args.benchmarks else BENCHMARK_ORDER
-    precisions = tuple(args.precision) if args.precision else None
-    reports = [analyze_benchmark(name, scale=args.scale,
-                                 soundness=args.soundness, phase=args.phase,
-                                 lattice=args.lattice, k=args.k,
-                                 speculation=args.speculation,
-                                 deopt=args.deopt,
-                                 **({"precisions": precisions}
-                                    if precisions else {}))
-               for name in benchmarks]
+    reports = [analyze_program(
+        build_benchmark(name, scale=args.scale).program,
+        soundness=args.soundness, phase=args.phase,
+        precisions=args.precision or DEFAULT_PRECISIONS, lattice=args.lattice,
+        k=args.k, speculation=args.speculation, deopt=args.deopt)
+        for name in benchmarks]
     bundle = bundle_reports(reports, scale=args.scale)
     print(render_bundle(bundle))
     if args.out:
@@ -642,6 +652,17 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    # A command writes its output files only after its run; find an
+    # unwritable one before the run is spent.
+    for path in (getattr(args, "out", None), getattr(args, "trace_out", None)):
+        if path is None:
+            continue
+        try:
+            check_writable(path)
+        except OSError as exc:
+            print(f"cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()

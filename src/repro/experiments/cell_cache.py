@@ -16,9 +16,9 @@ Properties the harness relies on:
   across differently-shaped sweep configs and never reused stale.
 * **Corruption isolation** -- an unreadable entry costs exactly one cell
   rerun (with a warning), never the whole sweep.
-* **Atomicity** -- entries are written to a temp file and ``os.replace``d
-  into place, so a kill mid-write cannot leave a half-entry that poisons
-  the next resume.
+* **Atomicity** -- entries are written with
+  :func:`~repro.atomic_file.write_atomic`, so a kill mid-write cannot
+  leave a half-entry that poisons the next resume.
 
 Failures are deliberately *not* cached: a cell that crashed or timed out
 is retried on the next run.
@@ -33,6 +33,7 @@ import warnings
 from typing import Dict, Mapping, Optional
 
 from repro.aos.runtime import RunResult
+from repro.atomic_file import write_atomic
 from repro.provenance.records import write_decision_log
 
 #: Schema version of one cell entry file.
@@ -112,18 +113,13 @@ class CellCache:
     def store(self, fingerprint: str, key: tuple,
               result: RunResult) -> str:
         """Atomically persist one cell result; returns the entry path."""
-        os.makedirs(self.root, exist_ok=True)
         path = self.path_for(fingerprint)
-        payload = {
+        write_atomic(path, json.dumps({
             "format": CELL_FORMAT,
             "key": list(key),
             "fingerprint": fingerprint,
             "result": result_to_dict(result),
-        }
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        }))
         return path
 
     # -- decision-provenance logs ------------------------------------------
@@ -138,7 +134,6 @@ class CellCache:
     def store_decision_log(self, fingerprint: str, records,
                            meta: Optional[dict] = None) -> str:
         """Atomically persist one cell's decision log; returns its path."""
-        os.makedirs(self.root, exist_ok=True)
         path = self.decision_log_path(fingerprint)
         write_decision_log(path, records, meta or {})
         return path

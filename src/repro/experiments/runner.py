@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aos.runtime import AdaptiveRuntime, RunResult
+from repro.atomic_file import write_atomic
 from repro.experiments.cell_cache import (CellCache, cell_cache_root,
                                           result_from_dict, result_to_dict)
 from repro.experiments.config import SweepConfig
@@ -251,10 +252,10 @@ class SweepResults:
 
 # -- the fault-tolerant cell loop ------------------------------------------------
 
-def is_cell_timeout(seconds: float) -> bool:
-    """Whether ``seconds`` is a usable per-cell timeout: a finite number
-    of seconds above zero."""
-    return 0.0 < seconds < math.inf
+def is_finite_positive(value: float) -> bool:
+    """Whether ``value`` is a finite number above zero, as a per-cell
+    timeout in seconds and a run-length scale must be."""
+    return 0.0 < value < math.inf
 
 
 def _answer(worker: Callable[[object], CellOutcome], arg: object,
@@ -299,7 +300,7 @@ def run_cells(cells: Mapping[tuple, object],
     number of seconds above zero raises :class:`ConfigError` before any
     cell runs, whatever ``jobs`` is.
     """
-    if timeout is not None and not is_cell_timeout(timeout):
+    if timeout is not None and not is_finite_positive(timeout):
         raise ConfigError(f"the per-cell timeout must be a finite number "
                           f"of seconds above 0, got {timeout!r}")
     results: Dict[tuple, RunResult] = {}
@@ -478,9 +479,5 @@ def load_or_run_sweep(path: str,
         config = SweepConfig()
     cache = CellCache(cell_cache_root(path)) if use_cache else None
     results = run_sweep(config, verbose=verbose, cache=cache)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(results.to_json())
+    write_atomic(path, results.to_json())
     return results

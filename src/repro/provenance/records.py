@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
+
+from repro.atomic_file import write_atomic
 
 #: Versioned schema identifier written into every JSONL header.
 SCHEMA = "repro.provenance/v2"
@@ -154,14 +155,7 @@ def write_decision_log(path: str, records: Iterable[ProvenanceRecord],
     must not leave a half-log that poisons a later ``decisions diff``.
     """
     records = list(records)
-    text = dump_jsonl(records, meta)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, dump_jsonl(records, meta))
     return len(records)
 
 

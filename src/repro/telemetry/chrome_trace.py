@@ -18,6 +18,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.aos.cost_accounting import ALL_COMPONENTS
+from repro.atomic_file import write_atomic
 from repro.telemetry.recorder import TelemetrySnapshot
 
 #: ``tid`` reserved for counter events (Perfetto renders them per-process).
@@ -107,6 +108,5 @@ def write_chrome_trace(path: str, snapshot: TelemetrySnapshot,
                        annotations: Optional[Mapping[str, Any]] = None) -> int:
     """Write one snapshot's Chrome trace JSON; returns the event count."""
     trace = to_chrome_trace(snapshot, pid=pid, annotations=annotations)
-    with open(path, "w") as handle:
-        json.dump(trace, handle)
+    write_atomic(path, json.dumps(trace))
     return len(trace["traceEvents"])

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import errno
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 #: The package source, for tests that run the CLI in a process of its own.
@@ -87,6 +89,73 @@ class TestSweepAndFigures:
         assert exited.value.code == 2
         assert "--timeout" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestArgumentRanges:
+    """Out-of-range values end at parse time with a usage message and
+    exit 2, before any command builds a benchmark."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "jess", "--scale", "0.05", "--phase", "1.5"], "--phase"),
+        (["run", "jess", "--phase", "-0.1"], "--phase"),
+        (["run", "jess", "--policy", "fixed", "--depth", "0"], "--depth"),
+        (["analyze", "--k", "-1"], "--k"),
+        (["analyze", "--k", "9"], "--k"),
+        (["run", "jess", "--scale", "0"], "--scale"),
+        (["run", "jess", "--scale", "-1"], "--scale"),
+        (["table1", "--scale", "nan"], "--scale"),
+        (["analyze", "--scale", "inf"], "--scale"),
+        (["sweep", "--phases", "0.0", "1.0"], "--phases"),
+        (["sweep", "--depths", "2", "0"], "--depths"),
+        (["causal", "--depth", "0"], "--depth"),
+        (["trace", "jess", "--depth", "1.5"], "--depth"),
+    ])
+    def test_rejected_before_the_command_runs(self, argv, option,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {option}" in err
+
+    def test_range_ends_are_accepted(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(["analyze", "--k", "0"]).k == 0
+        assert parser.parse_args(["analyze", "--k", "8"]).k == 8
+        assert parser.parse_args(["run", "jess", "--phase", "0"]).phase == 0
+        assert parser.parse_args(["run", "jess", "--depth", "1"]).depth == 1
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends the command with exit
+    1 and one line naming it, before anything is simulated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "jess", "--scale", "0.05", "-o"],
+        ["causal", "--benchmarks", "jess", "--scale", "0.05", "-o"],
+        ["causal", "--benchmarks", "jess", "--scale", "0.05", "--trace-out"],
+        ["analyze", "--scale", "0.05", "-o"],
+        ["decisions", "record", "db", "--scale", "0.05", "-o"],
+        ["sweep", "--scale", "0.05", "--out"],
+    ])
+    def test_path_under_a_regular_file(self, argv, tmp_path, monkeypatch,
+                                       capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "out.json")
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        assert main(argv + [path]) == 1
+        assert capsys.readouterr().err == \
+            f"cannot write {path}: {os.strerror(errno.ENOTDIR)}\n"
+
+    def test_missing_directories_are_created(self, tmp_path, capsys):
+        path = tmp_path / "new" / "dir" / "analysis.json"
+        assert main(["analyze", "--benchmarks", "compress", "--scale",
+                     "0.05", "--no-soundness", "-o", str(path)]) == 0
+        assert path.exists()
+        assert os.listdir(path.parent) == ["analysis.json"]
 
 
 class TestAblationsCommand:

@@ -1,21 +1,34 @@
-"""Tests for the precision-lattice report (per-site tier comparison,
+"""Tests for the precision chain (each tier built once, on first use)
+and the precision-lattice report over it (per-site tier comparison,
 containment checking, and precision scoring vs a replay's per-context
 dispatch counts)."""
 
 import json
+import sys
 
 import pytest
 
+import repro.analysis.callgraph as callgraph_mod
+import repro.analysis.kcfa as kcfa_mod
 from conftest import build_context_program
 from repro.analysis.lattice import (LATTICE_KS, ContainmentViolation,
-                                    LatticeReport, build_lattice_report,
-                                    lattice_to_json)
+                                    LatticeReport, PrecisionChain,
+                                    build_lattice_report, lattice_to_json)
+from repro.analysis.report import ANALYZE_PRECISIONS, analyze_program
+from repro.analysis.soundness import DispatchEdges, replay
+
+
+def lattice_report(program):
+    """The lattice report of ``program`` against one fixed-seed replay."""
+    recorder = DispatchEdges(k=max(LATTICE_KS))
+    replay(program, sinks=[recorder])
+    return build_lattice_report(PrecisionChain(program), recorder.edges)
 
 
 @pytest.fixture(scope="module")
 def ctx_report():
     program, sites = build_context_program()
-    return build_lattice_report(program), sites
+    return lattice_report(program), sites
 
 
 class TestReportShape:
@@ -54,7 +67,7 @@ class TestContextRescue:
         # context-monomorphic, on a real benchmark.
         from repro.workloads.spec import build_benchmark
         program = build_benchmark("jess", scale=0.05).program
-        report = build_lattice_report(program)
+        report = lattice_report(program)
         assert report.ok, report.violations
         assert report.rescued_sites("1cfa")
 
@@ -109,3 +122,50 @@ class TestViolations:
 class TestKs:
     def test_default_ks_cover_supported_depths(self):
         assert LATTICE_KS == (0, 1, 2)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Precisions of every call-graph build in the ``repro.analysis``
+    modules, in build order."""
+    built = []
+    for owner, name in ((callgraph_mod, "build_call_graph"),
+                        (kcfa_mod, "build_kcfa_graph")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            graph = _original(*args, **kwargs)
+            built.append(graph.precision)
+            return graph
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("repro.analysis")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    return built
+
+
+class TestOneBuildPerTier:
+    def test_chain_builds_each_tier_on_first_use(self, ctxprog,
+                                                 graph_builds):
+        program, _sites = ctxprog
+        chain = PrecisionChain(program)
+        assert chain.kcfa(1) is chain.kcfa(1)
+        assert graph_builds == ["1cfa"]
+        assert [graph.precision for graph in chain.tiers()] == \
+            ["cha", "rta", "0cfa", "1cfa", "2cfa"]
+        chain.tiers()
+        assert graph_builds == ["1cfa", "cha", "rta", "0cfa", "2cfa"]
+
+    def test_every_section_shares_one_chain(self, ctxprog, graph_builds):
+        program, _sites = ctxprog
+        analyze_program(program, lattice=True, soundness=True,
+                        precisions=ANALYZE_PRECISIONS)
+        assert sorted(graph_builds) == ["0cfa", "1cfa", "2cfa", "cha", "rta"]
+
+    def test_summaries_alone_build_no_one_cfa(self, ctxprog, graph_builds):
+        # The shape the host-time benchmark's analyze workload runs.
+        program, _sites = ctxprog
+        analyze_program(program, soundness=False,
+                        precisions=ANALYZE_PRECISIONS)
+        assert graph_builds == ["cha", "rta", "0cfa", "2cfa"]
