@@ -33,7 +33,7 @@ versioned analysis bundle and prints a summary of that payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
                                       build_call_graph)
@@ -49,27 +49,39 @@ LATTICE_KS = (0, 1, 2)
 
 
 class PrecisionChain:
-    """Every analysis tier of one program, each built on first use."""
+    """Every analysis tier of one program, each built on first use.
 
-    def __init__(self, program: Program, costs: CostModel = DEFAULT_COSTS):
+    ``keep`` names the tiers (``"cha"``, ``"1cfa"``, ...) kept once
+    built, so that later reads share them; by default every tier is
+    kept.  A tier not kept is built on each read and freed with its
+    reader, so a caller that reads each tier once holds one graph at a
+    time.
+    """
+
+    def __init__(self, program: Program, costs: CostModel = DEFAULT_COSTS,
+                 keep: Optional[Collection[str]] = None):
         self.program = program
         self.costs = costs
-        self._flat: Dict[str, StaticCallGraph] = {}
-        self._kcfa: Dict[int, ContextSensitiveCallGraph] = {}
+        self._keep = keep
+        self._graphs: Dict[str, CallGraph] = {}
+
+    def _tier(self, name: str, build: Callable[[], CallGraph]) -> CallGraph:
+        graph = self._graphs.get(name)
+        if graph is None:
+            graph = build()
+            if self._keep is None or name in self._keep:
+                self._graphs[name] = graph
+        return graph
 
     def flat(self, precision: str) -> StaticCallGraph:
         """The flat graph at :data:`CHA` or :data:`RTA` precision."""
-        if precision not in self._flat:
-            self._flat[precision] = build_call_graph(
-                self.program, precision=precision, costs=self.costs)
-        return self._flat[precision]
+        return self._tier(precision, lambda: build_call_graph(
+            self.program, precision=precision, costs=self.costs))
 
     def kcfa(self, k: int) -> ContextSensitiveCallGraph:
         """The k-CFA graph at depth ``k``, in the chain or not."""
-        if k not in self._kcfa:
-            self._kcfa[k] = build_kcfa_graph(self.program, k=k,
-                                             costs=self.costs)
-        return self._kcfa[k]
+        return self._tier(f"{k}cfa", lambda: build_kcfa_graph(
+            self.program, k=k, costs=self.costs))
 
     def tiers(self) -> Tuple[CallGraph, ...]:
         """Every tier of the chain, coarsest (CHA) first."""
@@ -169,10 +181,7 @@ def build_lattice_report(chain: PrecisionChain,
     rows: List[SiteLatticeRow] = []
     violations: List[ContainmentViolation] = []
     for site in site_ids:
-        meta = _site_meta(site, graphs)
-        if meta is None:
-            continue
-        caller, selector, kind = meta
+        info = next(g.sites[site] for g in graphs.values() if site in g.sites)
         sizes = tuple((tier, len(graphs[tier].targets(site)))
                       for tier in tiers)
         ctx_mono = tuple(tier for tier, g in kgraphs.items()
@@ -181,8 +190,9 @@ def build_lattice_report(chain: PrecisionChain,
             (tier, len(g.sites[site].by_context) if site in g.sites else 0)
             for tier, g in kgraphs.items())
         rows.append(SiteLatticeRow(
-            site=site, caller=caller, selector=selector, kind=kind,
-            sizes=sizes, context_monomorphic=ctx_mono, contexts=contexts,
+            site=site, caller=info.caller, selector=info.selector,
+            kind=info.kind, sizes=sizes, context_monomorphic=ctx_mono,
+            contexts=contexts,
             observed=len(flat_observed.get((site, ()), ()))))
         for coarse, fine in zip(tiers, tiers[1:]):
             extra = graphs[fine].targets(site) - graphs[coarse].targets(site)
@@ -195,15 +205,6 @@ def build_lattice_report(chain: PrecisionChain,
     return LatticeReport(program_name=chain.program.name, tiers=tiers,
                          rows=tuple(rows), violations=tuple(violations),
                          scores=scores)
-
-
-def _site_meta(site: int, graphs: Dict[str, CallGraph]) \
-        -> Optional[Tuple[str, str, str]]:
-    for graph in graphs.values():
-        info = graph.sites.get(site)
-        if info is not None:
-            return info.caller, info.selector, info.kind
-    return None
 
 
 def _score_tier(graph: CallGraph, edges: ContextEdges) -> TierPrecisionScore:

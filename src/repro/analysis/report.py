@@ -104,19 +104,22 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
     if not verification.ok:
         return payload
 
-    chain = PrecisionChain(program, costs)
+    # Keep the tiers a later section reads again.  A summary's graph that
+    # no section reads goes once summarized, as a one-off build would.
+    chain = PrecisionChain(program, costs, keep=(
+        None if lattice else (CHA,) if soundness else ()))
     summaries: Dict[str, object] = {}
     for precision in precisions:
         if precision in (CHA, RTA):
-            graph = chain.flat(precision)
+            summary = chain.flat(precision).summary()
         elif precision == "0cfa":
-            graph = chain.kcfa(0)
+            summary = chain.kcfa(0).summary()
         elif precision == "kcfa":
-            graph = chain.kcfa(k)
+            summary = chain.kcfa(k).summary()
         else:
             raise ConfigError(f"unknown analysis precision {precision!r}; "
                               f"expected one of {ANALYZE_PRECISIONS}")
-        summaries[graph.precision] = graph.summary()
+        summaries[summary["precision"]] = summary
     payload["callgraph"] = summaries
 
     stock = edges = None

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from repro.analysis.callgraph import CHA, StaticCallGraph
+from repro.analysis.callgraph import StaticCallGraph
 from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
                                  truncate)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
@@ -65,10 +65,10 @@ class SoundnessViolation:
     selector: str
     observed: str                 #: dynamically executed target id
     allowed: Tuple[str, ...]      #: the static target set at the site
-    tier: str = CHA               #: precision tier whose set was violated
+    tier: str                     #: precision tier whose set was violated
     #: dynamic call string the edge executed under, for tiers checked
     #: context-conditioned (None for flat tiers)
-    context: Optional[CallString] = None
+    context: Optional[CallString]
 
     @property
     def code(self) -> str:

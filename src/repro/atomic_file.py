@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import errno
 import os
+from contextlib import suppress
 
 
 def _temporary_sibling(path: str) -> str:
@@ -28,12 +29,18 @@ def write_atomic(path: str, text: str) -> None:
 
     The text goes to a temporary sibling that one ``os.replace`` puts in
     place, so a write killed partway leaves the previous file (or none).
-    Missing parent directories are created.
+    A write that fails removes its temporary file.  Missing parent
+    directories are created.
     """
     tmp = _temporary_sibling(path)
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def check_writable(path: str) -> None:

@@ -27,6 +27,7 @@ class TestWriteAtomic:
         with pytest.raises(UnicodeEncodeError):
             write_atomic(str(path), "new \ud800")
         assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestCheckWritable:

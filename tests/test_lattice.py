@@ -157,6 +157,14 @@ class TestOneBuildPerTier:
         chain.tiers()
         assert graph_builds == ["1cfa", "cha", "rta", "0cfa", "2cfa"]
 
+    def test_a_tier_not_kept_is_built_on_each_read(self, ctxprog,
+                                                   graph_builds):
+        program, _sites = ctxprog
+        chain = PrecisionChain(program, keep=("cha",))
+        assert chain.flat("cha") is chain.flat("cha")
+        assert chain.flat("rta") is not chain.flat("rta")
+        assert graph_builds == ["cha", "rta", "rta"]
+
     def test_every_section_shares_one_chain(self, ctxprog, graph_builds):
         program, _sites = ctxprog
         analyze_program(program, lattice=True, soundness=True,
